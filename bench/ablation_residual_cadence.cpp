@@ -1,8 +1,11 @@
 // Ablation: residual-check cadence in the power iteration.
 //
 // The product W x is reused for the update, so a residual check costs only
-// reductions (a few O(N) passes) — but on memory-bound hardware those
-// passes are not free.  Checking every k-th iteration skips them at the
+// reductions.  In the fused loop (solvers/power_iteration.cpp) every
+// iteration reads its vectors in pass B (shift + 1-norm) and pass C
+// (rescale) anyway; a check adds pass A (x.x and x.y over x and y) plus one
+// more leaf per element in pass B (the residual term) — no extra sweep for
+// the residual itself.  Checking every k-th iteration skips that at the
 // price of overshooting convergence by up to k-1 products.  This bench
 // measures the trade on one problem family.
 #include <iostream>

@@ -29,12 +29,20 @@
 //      22) — catches the sv dispatch silently falling back to the plain
 //      loops.  Skipped gracefully on hosts where no SIMD table is available
 //      (best_sv_kernels() == nullptr): there autovec IS the best kernel.
+//   8. the power loop's three fused tree-ordered passes (A: x.x and x.y;
+//      B: residual, shift, 1-norm; C: rescale) beat the six-pass sequence
+//      they replaced — dot, dot, residual, shift, norm1, rescale, four of
+//      them one dependent add chain each — by >= 1.3x on the same vectors
+//      (measured 3-4x on an AVX-512 host at nu = 16).  Catches the loop
+//      silently falling back to serial add chains.  Skipped like check 7.
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/fmmp.hpp"
+#include "linalg/vector_ops.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -235,6 +243,56 @@ int main() {
                 << " s is less than 1.15x faster than the autovec loops ("
                 << t_autovec << " s, " << speedup
                 << "x) — sv dispatch regressed\n";
+      ++failures;
+    }
+  }
+
+  if (const transforms::SvKernels* sv = transforms::best_sv_kernels();
+      sv == nullptr) {
+    std::cout << "  fused reductions    : no SIMD table on this build/CPU — "
+                 "check 8 skipped\n";
+  } else {
+    // Check 8: one power-iteration step's vector work, minus the mat-vec.
+    // Both versions update x and y in place exactly as the loop does; x
+    // stays 1-norm normalised, so repeated reps stay finite and equally
+    // expensive.
+    std::vector<double> xv(n), yv(n);
+    for (double& v : xv) v = rng.uniform(0.0, 1.0);
+    for (double& v : yv) v = rng.uniform(0.0, 1.0);
+    const double mu = 0.25;
+    volatile double sink = 0.0;
+    const double t_six = bench::time_best_of(reps, [&] {
+      const double xx = linalg::dot(xv, xv);
+      const double xy = linalg::dot(xv, yv);
+      const double lambda = xy / xx;
+      double res2 = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double r = yv[i] - lambda * xv[i];
+        res2 += r * r;
+      }
+      for (std::size_t i = 0; i < n; ++i) yv[i] -= mu * xv[i];
+      const double inv = 1.0 / linalg::norm1(yv);
+      for (std::size_t i = 0; i < n; ++i) xv[i] = yv[i] * inv;
+      sink = sink + res2;
+    });
+    const double t_fused = bench::time_best_of(reps, [&] {
+      const transforms::TreeSums a = sv->tree_dot2(xv.data(), yv.data(), n);
+      const double lambda = a.second / a.first;
+      const transforms::TreeSums b = sv->tree_residual_shift_norm1(
+          xv.data(), yv.data(), n, lambda, mu, true);
+      const double inv = 1.0 / b.second;
+      for (std::size_t i = 0; i < n; ++i) xv[i] = yv[i] * inv;
+      sink = sink + b.first;
+    });
+    const double speedup = t_six / t_fused;
+    std::cout << "  fused reductions    : six passes " << t_six << " s, "
+              << sv->name << " three passes " << t_fused << " s (" << speedup
+              << "x)\n";
+    if (!std::isfinite(sink) || speedup < 1.3) {
+      std::cerr << "FAIL: the fused tree-ordered passes " << t_fused
+                << " s are less than 1.3x faster than the six-pass sequence ("
+                << t_six << " s, " << speedup
+                << "x) — the power loop's reductions regressed\n";
       ++failures;
     }
   }

@@ -12,6 +12,7 @@
 #include "obs/span_wire.hpp"
 #include "obs/trace.hpp"
 #include "parallel/engine.hpp"
+#include "solvers/power_iteration.hpp"
 #include "support/timer.hpp"
 #include "transforms/sv_microkernel.hpp"
 
@@ -269,11 +270,7 @@ void distributed_apply_w(const core::MutationModel& model,
 }
 
 std::vector<double> tree_landscape_start(const core::Landscape& landscape) {
-  std::vector<double> s(landscape.values().begin(), landscape.values().end());
-  const double norm = tree_abs_sum(s);
-  require(norm > 0.0, "tree_landscape_start: landscape has zero 1-norm");
-  linalg::scale(s, 1.0 / norm);
-  return s;
+  return solvers::landscape_start(landscape);
 }
 
 DistributedPowerResult distributed_power_rank(
@@ -297,6 +294,9 @@ DistributedPowerResult distributed_power_rank(
 
   const transforms::SvKernels* sv =
       transforms::resolve_sv_kernels(options.plan.sv_kernel);
+  // Block partials come from the same tree-ordered kernels the serial loop
+  // runs; any tier gives the same bits, so autovec plans use the scalar one.
+  const transforms::SvKernels& red = transforms::sv_kernels_or_scalar(sv);
 
   DistributedPowerResult out;
   out.rank_count = layout.rank_count();
@@ -357,9 +357,9 @@ DistributedPowerResult distributed_power_rank(
     std::copy(src, src + block, x.begin());
   } else {
     // Cold start: the landscape block scaled by the reciprocal of the
-    // global tree-ordered 1-norm — bit-identical to tree_landscape_start.
-    const double norm =
-        exchange.allreduce_sum(tree_abs_sum(fitness_block), kTagStartNorm);
+    // global tree-ordered 1-norm — bit-identical to landscape_start.
+    const double norm = exchange.allreduce_sum(
+        red.tree_abs_sum(fitness_block.data(), block), kTagStartNorm);
     require(norm > 0.0, "distributed_power_iteration: landscape has zero 1-norm");
     const double inv = 1.0 / norm;
     for (std::size_t t = 0; t < block; ++t) x[t] = fitness_block[t] * inv;
@@ -372,9 +372,10 @@ DistributedPowerResult distributed_power_rank(
   std::uint64_t last_checkpoint_ns = monotonic_ns();  // rank 0 time cadence
   bool agreed_time_due = false;
 
-  // The loop below mirrors solvers::run_power_loop operation for operation;
-  // every global quantity is formed as (per-block tree partial, tree-ordered
-  // allreduce), which equals the serial tree_engine() reduction bit for bit.
+  // The loop below mirrors solvers::run_power_loop operation for operation:
+  // the same fused passes A, B, C on the block, with each block partial
+  // (a complete subtree of the serial tree) completed by a tree-ordered
+  // allreduce, so every global quantity equals the serial facade's bits.
   for (unsigned it = trace.start_iteration + 1; it <= options.max_iterations;
        ++it) {
     QS_TRACE_SPAN_ARG("power.iteration", solver, it);
@@ -382,18 +383,16 @@ DistributedPowerResult distributed_power_rank(
                  recv);
     out.iterations = it;
 
+    double norm_local = 0.0;  // pass B's 1-norm partial of the shifted y
     if (driver.should_check(it, options.max_iterations)) {
-      const double xx = exchange.allreduce_sum(tree_dot(x, x), kTagXX);
-      const double xy = exchange.allreduce_sum(tree_dot(x, y), kTagXY);
+      const transforms::TreeSums a = red.tree_dot2(x.data(), y.data(), block);
+      const double xx = exchange.allreduce_sum(a.first, kTagXX);
+      const double xy = exchange.allreduce_sum(a.second, kTagXY);
       const double lambda = xy / xx;
-      const double* yp = y.data();
-      const double* xp = x.data();
-      const double res2_local = tree_reduce(
-          std::size_t{0}, block, [yp, xp, lambda](std::size_t i) {
-            const double r = yp[i] - lambda * xp[i];
-            return r * r;
-          });
-      const double res2 = exchange.allreduce_sum(res2_local, kTagRes2);
+      const transforms::TreeSums b = red.tree_residual_shift_norm1(
+          x.data(), y.data(), block, lambda, mu, true);
+      norm_local = b.second;
+      const double res2 = exchange.allreduce_sum(b.first, kTagRes2);
       if (!driver.guard({lambda, res2}, out)) break;
       out.eigenvalue = lambda;
       out.residual =
@@ -426,12 +425,12 @@ DistributedPowerResult distributed_power_rank(
         }
         break;
       }
+    } else {
+      norm_local = red.tree_residual_shift_norm1(x.data(), y.data(), block, 0.0,
+                                                 mu, false)
+                       .second;
     }
-
-    if (mu != 0.0) {
-      for (std::size_t t = 0; t < block; ++t) y[t] -= mu * x[t];
-    }
-    const double norm = exchange.allreduce_sum(tree_abs_sum(y), kTagNorm);
+    const double norm = exchange.allreduce_sum(norm_local, kTagNorm);
     if (!driver.guard({norm}, out)) break;
     require(norm > 0.0, "distributed_power_iteration: iterate collapsed to zero");
     const double inv = 1.0 / norm;
@@ -453,23 +452,25 @@ DistributedPowerResult distributed_power_rank(
   }
 
   if (out.failure == solvers::SolverFailure::none) {
-    // Perron orientation, then the exact final normalisation of the serial
-    // loop: reduce_sum in tree order, and — on the gathered vector — the
-    // serial linalg::normalize1 (left-to-right 1-norm), so rank 0's result
-    // is bit-identical to the facade's.
-    const double s = exchange.allreduce_sum(tree_sum(x), kTagSign);
+    // Perron orientation, then the final normalisation of the serial loop:
+    // both sums in tree order, the scaling by the reciprocal.  Gathered or
+    // not, the result is bit-identical to the facade's.
+    const double s =
+        exchange.allreduce_sum(red.tree_sum(x.data(), block), kTagSign);
     if (s < 0.0) linalg::scale(x, -1.0);
     if (options.gather_eigenvector) {
       exchange.gather_to_root(x, full_span(), kTagGather);
       if (root) {
         out.eigenvector = std::move(full);
-        linalg::normalize1(out.eigenvector);
+        const double norm1 =
+            red.tree_abs_sum(out.eigenvector.data(), out.eigenvector.size());
+        linalg::scale(out.eigenvector, 1.0 / norm1);
       }
     } else {
-      // Capacity mode: no rank materialises the full vector; blocks are
-      // normalised by the tree-ordered global 1-norm instead.
-      const double norm1 =
-          exchange.allreduce_sum(tree_abs_sum(x), kTagFinalNorm);
+      // Capacity mode: no rank materialises the full vector; each block is
+      // scaled by the same global tree 1-norm, completed by an allreduce.
+      const double norm1 = exchange.allreduce_sum(
+          red.tree_abs_sum(x.data(), block), kTagFinalNorm);
       linalg::scale(x, 1.0 / norm1);
       out.eigenvector.assign(x.begin(), x.end());
     }

@@ -23,9 +23,13 @@
 // Equivalence contract (tested in tests/distributed_exchange_test.cpp and
 // derived in docs/distributed.md): for any power-of-two rank count and
 // either transport, the solve is BIT-IDENTICAL — eigenvalue, iteration
-// count, full residual stream, and gathered eigenvector — to the serial
-// facade `resume_power_iteration` run with distributed::tree_engine() as
-// IterationOptions::engine and a tree_landscape_start iterate.
+// count, full residual stream, and eigenvector, gathered or not — to the
+// default serial facade solvers::solve(model, landscape) with the same
+// shift and plan.  Both start from landscape_start and form every sum with
+// the same tree-ordered SvKernels reductions (a rank's block sum is a
+// complete subtree of the serial sum), so the identity holds by
+// construction.  The serial loop run with distributed::tree_engine() as its
+// engine computes the same bits too.
 #pragma once
 
 #include <functional>
@@ -166,10 +170,9 @@ struct DistributedPowerResult : solvers::IterationResult {
 using FitnessBlockFn =
     std::function<std::vector<double>(const BlockLayout& layout, unsigned rank)>;
 
-/// The serial-facade starting iterate of a distributed solve: the landscape
-/// scaled by the reciprocal of its tree-ordered 1-norm.  Feed this to
-/// resume_power_iteration (iteration-0 checkpoint) with tree_engine() to
-/// reproduce a distributed solve bit for bit on one rank.
+/// The starting iterate of a distributed solve: the landscape scaled by the
+/// reciprocal of its tree-ordered 1-norm.  Another name for
+/// solvers::landscape_start, kept for existing callers.
 std::vector<double> tree_landscape_start(const core::Landscape& landscape);
 
 /// Shifted power iteration over the blocked decomposition.  Requires a

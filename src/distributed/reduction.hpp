@@ -16,41 +16,26 @@
 //     ((r0+r1)+(r2+r3))+... — the remaining upper levels of the same tree.
 //
 // The grand total therefore equals the binary tree over the full vector,
-// bit for bit, for ANY power-of-two rank count — including rank_count = 1
-// and including a serial run through TreeEngine below.  That engine plugs
-// the same order into solvers::IterationOptions::engine, which is how the
-// serial facade reproduces a distributed residual stream exactly (see
-// docs/distributed.md).
+// bit for bit, for ANY power-of-two rank count — including rank_count = 1.
+// The serial facade's power loop sums in the same tree (the fused tree_*
+// entries of transforms::SvKernels), which is why a default solve
+// reproduces a distributed residual stream exactly; TreeEngine below plugs
+// the same order into solvers::IterationOptions::engine for engine-routed
+// serial runs (see docs/distributed.md).
 #pragma once
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <span>
 
+#include "linalg/tree_reduce.hpp"
 #include "parallel/engine.hpp"
 
 namespace qs::distributed {
 
-/// Binary-tree reduction of leaf(i) over [begin, end).  The tree splits at
-/// the largest power of two not exceeding the range size, so power-of-two
-/// ranges (the only ones the distributed layer produces) halve exactly and
-/// aligned sub-ranges are complete subtrees of the enclosing range's tree.
-template <typename Leaf>
-double tree_reduce(std::size_t begin, std::size_t end, const Leaf& leaf) {
-  const std::size_t n = end - begin;
-  switch (n) {
-    case 0: return 0.0;
-    case 1: return leaf(begin);
-    case 2: return leaf(begin) + leaf(begin + 1);
-    case 4: return (leaf(begin) + leaf(begin + 1)) +
-                   (leaf(begin + 2) + leaf(begin + 3));
-    default: break;
-  }
-  const std::size_t half = std::bit_ceil(n) / 2;
-  return tree_reduce(begin, begin + half, leaf) +
-         tree_reduce(begin + half, end, leaf);
-}
+/// The binary-tree reduction every sum of this layer uses (defined in
+/// linalg/tree_reduce.hpp, shared with the serial power loop's kernels).
+using linalg::tree_reduce;
 
 /// Tree-ordered sum of a span.
 inline double tree_sum(std::span<const double> v) {

@@ -17,7 +17,9 @@
 // a structured SolverFailure instead of spinning max_iterations on garbage.
 #pragma once
 
+#include <concepts>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/operators.hpp"
@@ -44,7 +46,9 @@ struct PowerResult : IterationResult {
 };
 
 /// Runs the (shifted) power iteration on `op` starting from `start`
-/// (1-norm normalised internally; empty selects the uniform vector).
+/// (empty selects the uniform vector).  The start is 1-norm normalised
+/// with the tree-ordered norm, once: a start already normalised to within
+/// rounding, such as landscape_start's, is used verbatim.
 ///
 /// The paper's recommended start is the landscape itself,
 /// s = diag(F)/||diag(F)||_1, since the dominant eigenvector of W = Q F
@@ -52,6 +56,23 @@ struct PowerResult : IterationResult {
 PowerResult power_iteration(const core::LinearOperator& op,
                             std::span<const double> start = {},
                             const PowerOptions& options = {});
+
+namespace detail {
+PowerResult power_iteration_owned(const core::LinearOperator& op,
+                                  std::vector<double> start,
+                                  const PowerOptions& options);
+}  // namespace detail
+
+/// The same, for a temporary start such as landscape_start(...): its
+/// storage becomes the iterate, so the solve allocates (and page-faults)
+/// one N-vector fewer.  A template only so that an empty `{}` start keeps
+/// selecting the overload above.
+template <typename Start>
+  requires std::same_as<Start, std::vector<double>>
+PowerResult power_iteration(const core::LinearOperator& op, Start&& start,
+                            const PowerOptions& options = {}) {
+  return detail::power_iteration_owned(op, std::move(start), options);
+}
 
 /// Resumes a power iteration from a checkpoint written by a previous run
 /// with the same operator and options.  The iterate is taken verbatim (no
@@ -62,7 +83,10 @@ PowerResult resume_power_iteration(const core::LinearOperator& op,
                                    const io::SolverCheckpoint& checkpoint,
                                    const PowerOptions& options = {});
 
-/// The paper's starting vector for a given landscape.
+/// The paper's starting vector for a given landscape: diag(F) scaled by
+/// the reciprocal of its tree-ordered 1-norm — the same vector a
+/// distributed solve starts from (distributed::tree_landscape_start is
+/// this function).
 std::vector<double> landscape_start(const core::Landscape& landscape);
 
 }  // namespace qs::solvers

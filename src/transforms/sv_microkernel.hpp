@@ -28,6 +28,17 @@
 // per element the same ascending per-level 2x2 applications, so fusion (and
 // the L1 sub-tile staging built on it in blocked_butterfly.cpp) preserves
 // bit-identity; only the traversal order of *independent* pairs changes.
+//
+// The same table carries the power iteration's reductions.  A plain
+// `acc += ...` loop is one dependent add chain the compiler may not
+// reorder; the tree_* entries instead evaluate every sum in the binary-tree
+// order of linalg::tree_reduce — 64-leaf aligned blocks reduced in
+// registers, block sums merged by a binary counter — so every tier returns
+// exactly the bits of the scalar tree_reduce, and a distributed rank's
+// block sum is a complete subtree of the serial one.  Lengths that are not
+// a power of two, or shorter than one block, fall back to tree_reduce.  The
+// fused entries let one power-iteration step read its vectors three times
+// instead of six (solvers/power_iteration.cpp).
 #pragma once
 
 #include <cstddef>
@@ -36,8 +47,15 @@
 
 namespace qs::transforms {
 
+/// Two sums returned by one fused reduction pass.
+struct TreeSums {
+  double first;
+  double second;
+};
+
 /// Table of contiguous-span kernels the single-vector banded butterfly is
-/// built from.  Same shapes as PanelKernels' butterfly members (the banded
+/// built from, plus the power iteration's tree-ordered reductions.  The
+/// butterfly members have the same shapes as PanelKernels' (the banded
 /// sweep structure is shared); no broadcast-row ops — a single vector's
 /// diagonal scalings are plain element-wise products.
 struct SvKernels {
@@ -63,6 +81,23 @@ struct SvKernels {
 
   /// y[i] *= s[i] for i in [0, cnt).
   void (*mul_span_inplace)(double* y, const double* s, std::size_t cnt);
+
+  /// Rayleigh-quotient pass: {sum x[i]^2, sum x[i]*y[i]} over [0, n).
+  TreeSums (*tree_dot2)(const double* x, const double* y, std::size_t n);
+
+  /// Residual, shift and 1-norm in one pass over [0, n):
+  /// first = sum (y[i] - lambda*x[i])^2 (0 when !want_residual), then
+  /// y[i] <- y[i] - mu*x[i] in place and second = sum |y[i]| of the shifted
+  /// values.  mu == 0 leaves y untouched (the unshifted iteration).
+  TreeSums (*tree_residual_shift_norm1)(const double* x, double* y,
+                                        std::size_t n, double lambda,
+                                        double mu, bool want_residual);
+
+  /// sum v[i] over [0, n).
+  double (*tree_sum)(const double* v, std::size_t n);
+
+  /// sum |v[i]| over [0, n).
+  double (*tree_abs_sum)(const double* v, std::size_t n);
 
   /// Implementation name for provenance: "scalar", "avx2", or "avx512".
   const char* name;
@@ -91,6 +126,13 @@ const SvKernels* avx512_sv_kernels();
 /// The widest SIMD table the build and the running CPU support, or null
 /// when none is available — null means "run the autovec loops".
 const SvKernels* best_sv_kernels();
+
+/// The table reductions run on: `k`, or the scalar table when `k` is null.
+/// Every tier's tree_* entries return the same bits, so this only decides
+/// speed.
+inline const SvKernels& sv_kernels_or_scalar(const SvKernels* k) {
+  return k != nullptr ? *k : scalar_sv_kernels();
+}
 
 /// Resolves a plan's requested kernel to a table: null means the autovec
 /// loops (either requested explicitly or because the requested SIMD tier is

@@ -11,11 +11,18 @@
 // -mfma and with -ffp-contract=off so the compiler cannot re-fuse them; the
 // runtime probe therefore only needs avx2 (not fma), and the table is
 // bit-identical to the scalar reference and to the autovectorised loops.
+//
+// The tree_* reductions keep the same promise by keeping the scalar tree's
+// shape: leaves are the scalar expressions, and each 64-leaf block is
+// reduced level by level with hadd (adjacent pairs) and 128-bit lane
+// permutes, never by reassociating a sum.
 #include "transforms/sv_microkernel.hpp"
 
 #if defined(QS_HAVE_SV_AVX2_KERNELS)
 
 #include <immintrin.h>
+
+#include "transforms/sv_tree_blocks.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -187,10 +194,134 @@ void sv_mul_span_inplace_avx2(double* y, const double* s, std::size_t cnt) {
   sv_mul_span_avx2(y, y, s, cnt);
 }
 
+/// One or two leaf vectors of four consecutive elements.
+struct Leaves4 {
+  __m256d a;
+  __m256d b;
+};
+
+/// Two tree levels at once: a, b, c, d hold 16 consecutive partials of one
+/// level; the result holds the 4 consecutive partials two levels up,
+/// ((p0+p1)+(p2+p3)), ..., ((p12+p13)+(p14+p15)).
+inline __attribute__((always_inline)) __m256d tree_step4(__m256d a, __m256d b,
+                                                         __m256d c, __m256d d) {
+  const __m256d ab = _mm256_hadd_pd(a, b);  // a0+a1, b0+b1, a2+a3, b2+b3
+  const __m256d cd = _mm256_hadd_pd(c, d);
+  return _mm256_add_pd(_mm256_permute2f128_pd(ab, cd, 0x20),
+                       _mm256_permute2f128_pd(ab, cd, 0x31));
+}
+
+/// The last two levels: (p0+p1)+(p2+p3).
+inline __attribute__((always_inline)) double tree_finish4(__m256d p) {
+  const __m256d h = _mm256_hadd_pd(p, p);  // p0+p1, p0+p1, p2+p3, p2+p3
+  return _mm_cvtsd_f64(
+      _mm_add_sd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd(h, 1)));
+}
+
+/// Tree sums of leaf(i).a (and, when Two, leaf(i).b) over [0, n), n
+/// blockwise.  leaf(i) returns the leaves of elements i..i+3 and runs
+/// exactly once per 4 elements, in ascending order.
+template <bool Two, typename Leaf>
+TreeSums tree_blocks_avx2(std::size_t n, const Leaf& leaf) {
+  double pending_a[kTreeCounterDepth] = {};
+  double pending_b[kTreeCounterDepth] = {};
+  const std::size_t blocks = n / kTreeBlock;
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    const std::size_t base = blk * kTreeBlock;
+    __m256d qa[4];
+    __m256d qb[4];
+    for (std::size_t k = 0; k < 4; ++k) {
+      const std::size_t i = base + 16 * k;
+      const Leaves4 l0 = leaf(i);
+      const Leaves4 l1 = leaf(i + 4);
+      const Leaves4 l2 = leaf(i + 8);
+      const Leaves4 l3 = leaf(i + 12);
+      qa[k] = tree_step4(l0.a, l1.a, l2.a, l3.a);
+      if constexpr (Two) qb[k] = tree_step4(l0.b, l1.b, l2.b, l3.b);
+    }
+    tree_counter_push(pending_a, blk,
+                      tree_finish4(tree_step4(qa[0], qa[1], qa[2], qa[3])));
+    if constexpr (Two) {
+      tree_counter_push(pending_b, blk,
+                        tree_finish4(tree_step4(qb[0], qb[1], qb[2], qb[3])));
+    }
+  }
+  return {tree_counter_root(pending_a, blocks),
+          Two ? tree_counter_root(pending_b, blocks) : 0.0};
+}
+
+TreeSums sv_tree_dot2_avx2(const double* x, const double* y, std::size_t n) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_dot2(x, y, n);
+  return tree_blocks_avx2<true>(n, [x, y](std::size_t i) {
+    const __m256d xv = _mm256_loadu_pd(x + i);
+    return Leaves4{_mm256_mul_pd(xv, xv),
+                   _mm256_mul_pd(xv, _mm256_loadu_pd(y + i))};
+  });
+}
+
+template <bool Residual, bool Shift>
+TreeSums residual_shift_norm1_avx2(const double* x, double* y, std::size_t n,
+                                   double lambda, double mu) {
+  const __m256d lam = _mm256_set1_pd(lambda);
+  const __m256d shift = _mm256_set1_pd(mu);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  const TreeSums s = tree_blocks_avx2<Residual>(n, [=](std::size_t i) {
+    const __m256d xv = _mm256_loadu_pd(x + i);
+    const __m256d yv = _mm256_loadu_pd(y + i);
+    __m256d z = yv;
+    if constexpr (Shift) {
+      z = _mm256_sub_pd(yv, _mm256_mul_pd(shift, xv));
+      _mm256_storeu_pd(y + i, z);
+    }
+    const __m256d abs_z = _mm256_andnot_pd(sign, z);
+    if constexpr (Residual) {
+      const __m256d r = _mm256_sub_pd(yv, _mm256_mul_pd(lam, xv));
+      return Leaves4{_mm256_mul_pd(r, r), abs_z};
+    } else {
+      return Leaves4{abs_z, abs_z};
+    }
+  });
+  return Residual ? s : TreeSums{0.0, s.first};
+}
+
+TreeSums sv_tree_residual_shift_norm1_avx2(const double* x, double* y,
+                                           std::size_t n, double lambda,
+                                           double mu, bool want_residual) {
+  if (!tree_blockwise(n)) {
+    return scalar_sv_kernels().tree_residual_shift_norm1(x, y, n, lambda, mu,
+                                                         want_residual);
+  }
+  if (want_residual) {
+    return mu != 0.0 ? residual_shift_norm1_avx2<true, true>(x, y, n, lambda, mu)
+                     : residual_shift_norm1_avx2<true, false>(x, y, n, lambda, mu);
+  }
+  return mu != 0.0 ? residual_shift_norm1_avx2<false, true>(x, y, n, lambda, mu)
+                   : residual_shift_norm1_avx2<false, false>(x, y, n, lambda, mu);
+}
+
+double sv_tree_sum_avx2(const double* v, std::size_t n) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_sum(v, n);
+  return tree_blocks_avx2<false>(n, [v](std::size_t i) {
+           const __m256d a = _mm256_loadu_pd(v + i);
+           return Leaves4{a, a};
+         }).first;
+}
+
+double sv_tree_abs_sum_avx2(const double* v, std::size_t n) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_abs_sum(v, n);
+  const __m256d sign = _mm256_set1_pd(-0.0);
+  return tree_blocks_avx2<false>(n, [v, sign](std::size_t i) {
+           const __m256d a = _mm256_andnot_pd(sign, _mm256_loadu_pd(v + i));
+           return Leaves4{a, a};
+         }).first;
+}
+
 constexpr SvKernels kAvx2SvKernels{
     sv_butterfly_span_avx2, sv_butterfly_quad_span_avx2,
     sv_butterfly_oct_span_avx2, sv_mul_span_avx2,
-    sv_mul_span_inplace_avx2, "avx2",
+    sv_mul_span_inplace_avx2, sv_tree_dot2_avx2,
+    sv_tree_residual_shift_norm1_avx2, sv_tree_sum_avx2,
+    sv_tree_abs_sum_avx2, "avx2",
 };
 
 }  // namespace

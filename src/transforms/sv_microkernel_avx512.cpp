@@ -7,11 +7,17 @@
 // expression m00*t1 + m01*t2, the TU is built without -mfma and with
 // -ffp-contract=off, and the result is bit-identical to the scalar table
 // and the autovectorised banded loops.
+//
+// The tree_* reductions keep the scalar tree's shape: each 64-leaf block is
+// reduced level by level with even/odd lane permutes that add adjacent
+// pairs, in order, never by reassociating a sum.
 #include "transforms/sv_microkernel.hpp"
 
 #if defined(QS_HAVE_SV_AVX512_KERNELS)
 
 #include <immintrin.h>
+
+#include "transforms/sv_tree_blocks.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -186,10 +192,134 @@ void sv_mul_span_inplace_avx512(double* y, const double* s, std::size_t cnt) {
   sv_mul_span_avx512(y, y, s, cnt);
 }
 
+/// One or two leaf vectors of eight consecutive elements.
+struct Leaves8 {
+  __m512d a;
+  __m512d b;
+};
+
+/// One tree level: a and b hold 16 consecutive partials; the result holds
+/// the 8 consecutive pair sums a0+a1, a2+a3, ..., b6+b7.  (The index
+/// vectors are built here, not at namespace scope, so no AVX-512
+/// instruction runs during static initialisation.)
+inline __attribute__((always_inline)) __m512d tree_pair8(__m512d a, __m512d b) {
+  const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+  const __m512i odd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
+  return _mm512_add_pd(_mm512_permutex2var_pd(a, even, b),
+                       _mm512_permutex2var_pd(a, odd, b));
+}
+
+/// The last three levels over 8 consecutive partials:
+/// ((p0+p1)+(p2+p3))+((p4+p5)+(p6+p7)), left in lane 0.
+inline __attribute__((always_inline)) double tree_finish8(__m512d p) {
+  const __m512d q = tree_pair8(p, p);  // lanes 0-3: p0+p1, ..., p6+p7
+  const __m512d h = tree_pair8(q, q);  // lanes 0-1: (p0+p1)+(p2+p3), ...
+  return _mm512_cvtsd_f64(tree_pair8(h, h));
+}
+
+/// Tree sums of leaf(i).a (and, when Two, leaf(i).b) over [0, n), n
+/// blockwise.  leaf(i) returns the leaves of elements i..i+7 and runs
+/// exactly once per 8 elements, in ascending order.
+template <bool Two, typename Leaf>
+TreeSums tree_blocks_avx512(std::size_t n, const Leaf& leaf) {
+  double pending_a[kTreeCounterDepth] = {};
+  double pending_b[kTreeCounterDepth] = {};
+  const std::size_t blocks = n / kTreeBlock;
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    const std::size_t base = blk * kTreeBlock;
+    __m512d pa[4];
+    __m512d pb[4];
+    for (std::size_t k = 0; k < 4; ++k) {
+      const Leaves8 l0 = leaf(base + 16 * k);
+      const Leaves8 l1 = leaf(base + 16 * k + 8);
+      pa[k] = tree_pair8(l0.a, l1.a);
+      if constexpr (Two) pb[k] = tree_pair8(l0.b, l1.b);
+    }
+    tree_counter_push(pending_a, blk,
+                      tree_finish8(tree_pair8(tree_pair8(pa[0], pa[1]),
+                                              tree_pair8(pa[2], pa[3]))));
+    if constexpr (Two) {
+      tree_counter_push(pending_b, blk,
+                        tree_finish8(tree_pair8(tree_pair8(pb[0], pb[1]),
+                                                tree_pair8(pb[2], pb[3]))));
+    }
+  }
+  return {tree_counter_root(pending_a, blocks),
+          Two ? tree_counter_root(pending_b, blocks) : 0.0};
+}
+
+TreeSums sv_tree_dot2_avx512(const double* x, const double* y, std::size_t n) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_dot2(x, y, n);
+  return tree_blocks_avx512<true>(n, [x, y](std::size_t i) {
+    const __m512d xv = _mm512_loadu_pd(x + i);
+    return Leaves8{_mm512_mul_pd(xv, xv),
+                   _mm512_mul_pd(xv, _mm512_loadu_pd(y + i))};
+  });
+}
+
+template <bool Residual, bool Shift>
+TreeSums residual_shift_norm1_avx512(const double* x, double* y, std::size_t n,
+                                     double lambda, double mu) {
+  const __m512d lam = _mm512_set1_pd(lambda);
+  const __m512d shift = _mm512_set1_pd(mu);
+  const TreeSums s = tree_blocks_avx512<Residual>(n, [=](std::size_t i) {
+    const __m512d xv = _mm512_loadu_pd(x + i);
+    const __m512d yv = _mm512_loadu_pd(y + i);
+    __m512d z = yv;
+    if constexpr (Shift) {
+      z = _mm512_sub_pd(yv, _mm512_mul_pd(shift, xv));
+      _mm512_storeu_pd(y + i, z);
+    }
+    const __m512d abs_z = _mm512_abs_pd(z);
+    if constexpr (Residual) {
+      const __m512d r = _mm512_sub_pd(yv, _mm512_mul_pd(lam, xv));
+      return Leaves8{_mm512_mul_pd(r, r), abs_z};
+    } else {
+      return Leaves8{abs_z, abs_z};
+    }
+  });
+  return Residual ? s : TreeSums{0.0, s.first};
+}
+
+TreeSums sv_tree_residual_shift_norm1_avx512(const double* x, double* y,
+                                             std::size_t n, double lambda,
+                                             double mu, bool want_residual) {
+  if (!tree_blockwise(n)) {
+    return scalar_sv_kernels().tree_residual_shift_norm1(x, y, n, lambda, mu,
+                                                         want_residual);
+  }
+  if (want_residual) {
+    return mu != 0.0
+               ? residual_shift_norm1_avx512<true, true>(x, y, n, lambda, mu)
+               : residual_shift_norm1_avx512<true, false>(x, y, n, lambda, mu);
+  }
+  return mu != 0.0
+             ? residual_shift_norm1_avx512<false, true>(x, y, n, lambda, mu)
+             : residual_shift_norm1_avx512<false, false>(x, y, n, lambda, mu);
+}
+
+double sv_tree_sum_avx512(const double* v, std::size_t n) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_sum(v, n);
+  return tree_blocks_avx512<false>(n, [v](std::size_t i) {
+           const __m512d a = _mm512_loadu_pd(v + i);
+           return Leaves8{a, a};
+         }).first;
+}
+
+double sv_tree_abs_sum_avx512(const double* v, std::size_t n) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_abs_sum(v, n);
+  return tree_blocks_avx512<false>(n, [v](std::size_t i) {
+           const __m512d a = _mm512_abs_pd(_mm512_loadu_pd(v + i));
+           return Leaves8{a, a};
+         }).first;
+}
+
 constexpr SvKernels kAvx512SvKernels{
     sv_butterfly_span_avx512, sv_butterfly_quad_span_avx512,
     sv_butterfly_oct_span_avx512, sv_mul_span_avx512,
-    sv_mul_span_inplace_avx512, "avx512",
+    sv_mul_span_inplace_avx512, sv_tree_dot2_avx512,
+    sv_tree_residual_shift_norm1_avx512, sv_tree_sum_avx512,
+    sv_tree_abs_sum_avx512, "avx512",
 };
 
 }  // namespace

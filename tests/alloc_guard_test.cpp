@@ -66,6 +66,51 @@ TEST(AllocGuardTest, PowerIterationHotPathPerformsZeroHeapAllocations) {
   }
 }
 
+TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations) {
+  // The default (engine-less) loop runs the fused tree-ordered passes: a
+  // shifted solve with residual checks every third iteration runs pass B
+  // both with and without its residual sum, at a length (2^10) that takes
+  // the blockwise SIMD path.  None of it may touch the heap.
+  const auto model = core::MutationModel::uniform(10, 0.01);
+  const auto fitness = core::Landscape::random(10, 5.0, 1.0, 78);
+  const core::PlannedOperator op(model, fitness);
+
+  constexpr unsigned kIterations = 90;
+  solvers::PowerOptions options;
+  options.tolerance = 0.0;  // never converge: run all iterations
+  options.stall_window = 0;
+  options.max_iterations = kIterations;
+  options.residual_check_every = 3;
+  options.shift = 0.5;
+  options.workspace = &op.workspace();
+
+  std::array<std::uint64_t, kIterations + 1> samples{};
+  std::array<bool, kIterations + 1> sampled{};
+  options.on_residual = [&samples, &sampled](unsigned it, double) {
+    if (it < samples.size()) {
+      samples[it] = support::allocation_count();
+      sampled[it] = true;
+    }
+  };
+
+  const solvers::PowerResult result = solvers::power_iteration(op, {}, options);
+  ASSERT_EQ(result.iterations, kIterations);
+  ASSERT_EQ(result.failure, solvers::SolverFailure::none);
+
+  unsigned first = 0;
+  unsigned checks = 0;
+  for (unsigned it = 1; it <= kIterations; ++it) {
+    if (!sampled[it]) continue;
+    ++checks;
+    if (first == 0) {
+      first = it;
+      continue;
+    }
+    EXPECT_EQ(samples[it], samples[first]) << "allocation before iteration " << it;
+  }
+  EXPECT_GE(checks, kIterations / 3);
+}
+
 // The Krylov cycle bodies DO allocate (the small dense Ritz eigensolve per
 // cycle), but the per-cycle count must be constant in steady state — and,
 // critically for the observability layer, identical whether span tracing is

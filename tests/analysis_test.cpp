@@ -1,13 +1,16 @@
 // Unit tests for error-class analysis, sweeps and threshold detection.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "analysis/error_classes.hpp"
 #include "analysis/sweep.hpp"
 #include "analysis/threshold.hpp"
 #include "support/contracts.hpp"
+#include "support/rng.hpp"
 
 namespace qs::analysis {
 namespace {
@@ -21,6 +24,33 @@ TEST(ErrorClasses, ConcentrationsPartitionTheTotal) {
   for (double c : classes) total_classes += c;
   for (double v : x) total_x += v;
   EXPECT_NEAR(total_classes, total_x, 1e-12);
+}
+
+TEST(ErrorClasses, BlockedBinningIsBitIdenticalToTheOneElementLoop) {
+  // class_concentrations bins 256-element blocks through a low-byte table;
+  // each bin must still receive its elements in ascending index order, so
+  // every class sum equals the plain loop's bit for bit — on both sides of
+  // the block width and for references with bits inside and above it.
+  for (unsigned nu : {1u, 7u, 8u, 9u, 18u}) {
+    const std::size_t n = sequence_count(nu);
+    std::vector<double> x(n);
+    Xoshiro256 rng(nu);
+    for (double& v : x) v = rng.uniform(0.0, 1.0);
+    const seq_t top = static_cast<seq_t>(n - 1);
+    for (seq_t reference : {seq_t{0}, top, seq_t{0x2D5A5} & top, top / 3}) {
+      std::vector<double> expected(nu + 1, 0.0);
+      for (seq_t i = 0; i < n; ++i) {
+        expected[hamming_distance(i, reference)] += x[i];
+      }
+      const auto got = class_concentrations(nu, x, reference);
+      ASSERT_EQ(got.size(), expected.size());
+      for (unsigned k = 0; k <= nu; ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(expected[k]),
+                  std::bit_cast<std::uint64_t>(got[k]))
+            << "nu=" << nu << " reference=" << reference << " class " << k;
+      }
+    }
+  }
 }
 
 TEST(ErrorClasses, DeltaVectorLandsInOneClass) {

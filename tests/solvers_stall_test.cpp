@@ -9,9 +9,13 @@
 namespace qs::solvers {
 namespace {
 
+// The residual floor of a single-peak solve sits near 1e-16 (the power
+// loop's sums are tree-ordered, so each rounds about log2(N) times), so
+// the tolerances below stay out of reach.
+
 TEST(Stall, SinglePeakFloorsAboveStrictToleranceButConverges) {
-  // The single-peak landscape at nu = 16 floors near 1e-12, above a strict
-  // 1e-14 tolerance; the stall detector must stop the run quickly and
+  // The single-peak landscape at nu = 16 floors near 1e-16, above a strict
+  // 1e-20 tolerance; the stall detector must stop the run quickly and
   // accept it under the default stall_accept.
   const unsigned nu = 16;
   const auto model = core::MutationModel::uniform(nu, 0.02);
@@ -19,11 +23,11 @@ TEST(Stall, SinglePeakFloorsAboveStrictToleranceButConverges) {
   const core::FmmpOperator op(model, landscape);
 
   PowerOptions opts;
-  opts.tolerance = 1e-14;  // below the floor
+  opts.tolerance = 1e-20;  // below the floor
   opts.shift = core::conservative_shift(model, landscape);
   const auto r = power_iteration(op, landscape_start(landscape), opts);
   EXPECT_TRUE(r.stalled);
-  EXPECT_TRUE(r.converged);          // floor ~1e-12 <= stall_accept 1e-9
+  EXPECT_TRUE(r.converged);          // floor ~1e-16 <= stall_accept 1e-9
   EXPECT_LT(r.residual, 1e-10);
   EXPECT_LT(r.iterations, 5000u);    // must not spin to max_iterations
 }
@@ -35,8 +39,8 @@ TEST(Stall, StrictAcceptMakesStallingAFailure) {
   const core::FmmpOperator op(model, landscape);
 
   PowerOptions opts;
-  opts.tolerance = 1e-15;
-  opts.stall_accept = 1e-15;  // floor ~5e-13 > accept -> honest failure
+  opts.tolerance = 1e-20;
+  opts.stall_accept = 1e-20;  // floor ~1e-17 > accept -> honest failure
   const auto r = power_iteration(op, landscape_start(landscape), opts);
   EXPECT_TRUE(r.stalled);
   EXPECT_FALSE(r.converged);
@@ -49,7 +53,7 @@ TEST(Stall, DisabledWindowSpinsToMaxIterations) {
   const core::FmmpOperator op(model, landscape);
 
   PowerOptions opts;
-  opts.tolerance = 1e-15;
+  opts.tolerance = 1e-20;  // below the floor
   opts.stall_window = 0;  // disabled
   opts.max_iterations = 3000;
   const auto r = power_iteration(op, landscape_start(landscape), opts);

@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string_view>
 #include <vector>
 
+#include "linalg/tree_reduce.hpp"
 #include "parallel/engine.hpp"
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
@@ -296,6 +301,143 @@ TEST(SvMicrokernel, ResolutionAndNamesAreConsistent) {
   EXPECT_EQ(std::string_view(to_string(SvKernel::avx2)), "avx2");
   EXPECT_EQ(std::string_view(to_string(SvKernel::avx512)), "avx512");
   EXPECT_EQ(std::string_view(scalar_sv_kernels().name), "scalar");
+}
+
+// ---------------------------------------------------------------------------
+// Tree-ordered reductions: every tier against linalg::tree_reduce itself.
+// ---------------------------------------------------------------------------
+
+/// Same bits, or both NaN (NaN payloads depend on operand order, which IEEE
+/// addition leaves free; every other result, -0.0 included, must match).
+bool same_bits(double expected, double actual) {
+  if (std::isnan(expected) && std::isnan(actual)) return true;
+  return std::bit_cast<std::uint64_t>(expected) ==
+         std::bit_cast<std::uint64_t>(actual);
+}
+
+/// Lengths on both sides of every path: below one 64-leaf block, whole
+/// powers of two up to 2^16 (the blockwise path from 64 on), and
+/// non-powers of two (the scalar tree at any size).
+std::vector<std::size_t> reduction_lengths() {
+  std::vector<std::size_t> lengths = {3, 31, 33, 63, 65, 100, 127, 129,
+                                      1000, 4095, 4097, 5000};
+  for (std::size_t n = 1; n <= (std::size_t{1} << 16); n *= 2) {
+    lengths.push_back(n);
+  }
+  return lengths;
+}
+
+/// A vector with negatives and, when `specials`, -0.0, +-Inf and NaN
+/// scattered through it (a few per block, so they reach every lane).
+std::vector<double> reduction_input(std::size_t n, std::uint64_t seed,
+                                    bool specials) {
+  std::vector<double> v = random_vector(n, seed);
+  if (!specials) return v;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double special[] = {-0.0, 0.0, inf, -inf, nan};
+  Xoshiro256 rng(seed + 99);
+  for (std::size_t k = 0; k < n / 16 + 1; ++k) {
+    v[rng.uniform_index(n)] = special[rng.uniform_index(std::size(special))];
+  }
+  return v;
+}
+
+/// Inputs whose sums stay finite (so the comparison really is bitwise) and
+/// inputs with specials (so NaN/Inf propagate through every tree level).
+const bool kSpecialCases[] = {false, true};
+
+TEST(SvTreeReduction, SumAndAbsSumMatchTreeReduceOnEveryTier) {
+  for (const SvKernels* table : available_tables()) {
+    SCOPED_TRACE(table->name);
+    for (bool specials : kSpecialCases) {
+      for (std::size_t n : reduction_lengths()) {
+        const auto v = reduction_input(n, n + 1, specials);
+        const double* p = v.data();
+        const double sum = linalg::tree_reduce(
+            std::size_t{0}, n, [p](std::size_t i) { return p[i]; });
+        const double abs_sum = linalg::tree_reduce(
+            std::size_t{0}, n, [p](std::size_t i) { return std::abs(p[i]); });
+        ASSERT_TRUE(same_bits(sum, table->tree_sum(p, n)))
+            << "tree_sum n=" << n << " specials=" << specials;
+        ASSERT_TRUE(same_bits(abs_sum, table->tree_abs_sum(p, n)))
+            << "tree_abs_sum n=" << n << " specials=" << specials;
+      }
+    }
+  }
+}
+
+TEST(SvTreeReduction, Dot2MatchesTreeReduceOnEveryTier) {
+  for (const SvKernels* table : available_tables()) {
+    SCOPED_TRACE(table->name);
+    for (bool specials : kSpecialCases) {
+      for (std::size_t n : reduction_lengths()) {
+        const auto x = reduction_input(n, 2 * n + 3, specials);
+        const auto y = reduction_input(n, 3 * n + 5, specials);
+        const double* xp = x.data();
+        const double* yp = y.data();
+        const double xx = linalg::tree_reduce(
+            std::size_t{0}, n, [xp](std::size_t i) { return xp[i] * xp[i]; });
+        const double xy = linalg::tree_reduce(
+            std::size_t{0}, n,
+            [xp, yp](std::size_t i) { return xp[i] * yp[i]; });
+        const TreeSums got = table->tree_dot2(xp, yp, n);
+        ASSERT_TRUE(same_bits(xx, got.first))
+            << "xx n=" << n << " specials=" << specials;
+        ASSERT_TRUE(same_bits(xy, got.second))
+            << "xy n=" << n << " specials=" << specials;
+      }
+    }
+  }
+}
+
+TEST(SvTreeReduction, ResidualShiftNorm1MatchesTreeReduceOnEveryTier) {
+  const double lambda = 0.7;
+  for (const SvKernels* table : available_tables()) {
+    SCOPED_TRACE(table->name);
+    for (bool specials : kSpecialCases) {
+      for (double mu : {0.0, 0.3, -1.5}) {
+        for (bool want_residual : {true, false}) {
+          for (std::size_t n : reduction_lengths()) {
+            const auto x = reduction_input(n, 5 * n + 7, specials);
+            const auto y0 = reduction_input(n, 7 * n + 11, specials);
+            const double* xp = x.data();
+            const double* y0p = y0.data();
+            // mu == 0 is the unshifted iteration: y stays as it was.
+            std::vector<double> shifted = y0;
+            if (mu != 0.0) {
+              for (std::size_t i = 0; i < n; ++i) shifted[i] = y0[i] - mu * x[i];
+            }
+            const double* sp = shifted.data();
+            const double res2 =
+                want_residual
+                    ? linalg::tree_reduce(std::size_t{0}, n,
+                                          [xp, y0p, lambda](std::size_t i) {
+                                            const double r = y0p[i] - lambda * xp[i];
+                                            return r * r;
+                                          })
+                    : 0.0;
+            const double norm = linalg::tree_reduce(
+                std::size_t{0}, n, [sp](std::size_t i) { return std::abs(sp[i]); });
+
+            std::vector<double> y = y0;
+            const TreeSums got = table->tree_residual_shift_norm1(
+                xp, y.data(), n, lambda, mu, want_residual);
+            ASSERT_TRUE(same_bits(res2, got.first))
+                << "residual n=" << n << " mu=" << mu
+                << " want_residual=" << want_residual << " specials=" << specials;
+            ASSERT_TRUE(same_bits(norm, got.second))
+                << "norm n=" << n << " mu=" << mu
+                << " want_residual=" << want_residual << " specials=" << specials;
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_TRUE(same_bits(shifted[i], y[i]))
+                  << "written-back y[" << i << "] n=" << n << " mu=" << mu;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -20,8 +20,8 @@
 // products over distinct vector pairs on the same backend — exactly the
 // work a block subspace iteration performs per round without the panel
 // kernel.  per-vector speedup = t_seq / t_panel; the memory-bound regime
-// (large nu) is where the amortisation pays.  m = 16 and 32 go through the
-// full-width wide path (transforms::apply_panel_wide) and are measured
+// (large nu) is where the amortisation pays.  m = 16 and 32 sweep at full
+// width (transforms::apply_blocked_panel_butterfly_fused) and are measured
 // wherever the panel buffer pair fits in 4 GiB (printed as "-" otherwise);
 // the sequential baseline reuses at most 8 distinct buffer pairs cycled
 // m/8 times so baseline memory stays capped regardless of m.

@@ -35,9 +35,16 @@
 //      them one dependent add chain each — by >= 1.3x on the same vectors
 //      (measured 3-4x on an AVX-512 host at nu = 16).  Catches the loop
 //      silently falling back to serial add chains.  Skipped like check 7.
+//   9. the single-vector fused apply on N doubles takes <= 1.5x the m = 8
+//      panel product over the same N doubles (N/8 rows, nu - 3 levels, the
+//      same pre-scale): a SIMD-tier single vector IS that panel plus an
+//      in-register stage for levels 0-2 (measured ~0.95x on an AVX-512 host;
+//      ~2x before the reshape).  Catches the reshape silently falling back
+//      to 1-wide spans.  Skipped like check 7.
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
+#include <span>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -293,6 +300,38 @@ int main() {
                 << " s are less than 1.3x faster than the six-pass sequence ("
                 << t_six << " s, " << speedup
                 << "x) — the power loop's reductions regressed\n";
+      ++failures;
+    }
+  }
+
+  if (transforms::best_sv_kernels() == nullptr) {
+    std::cout << "  sv as 8-row panel   : no SIMD table on this build/CPU — "
+                 "check 9 skipped\n";
+  } else {
+    // Check 9: the single vector vs the m = 8 panel it is reshaped into.
+    const auto factors = model.site_factors();
+    const std::span<const transforms::Factor2> row_levels(factors.data() + 3,
+                                                         nu - 3);
+    const auto f = landscape.values();
+    std::vector<double> xv(n), yv(n);
+    for (double& v : xv) v = rng.uniform(0.0, 1.0);
+    const double t_sv = bench::time_best_of(reps, [&] {
+      transforms::apply_blocked_butterfly_fused(xv, yv, factors, f, {}, engine);
+    });
+    const double t_rows = bench::time_best_of(reps, [&] {
+      transforms::apply_blocked_panel_butterfly_fused(xv, yv, 8, row_levels, f,
+                                                      {}, engine);
+    });
+    const double ratio = t_sv / t_rows;
+    std::cout << "  sv as 8-row panel   : sv fused " << t_sv
+              << " s, m=8 panel over nu-3 levels " << t_rows << " s ("
+              << ratio << "x)\n";
+    if (ratio > 1.5) {
+      std::cerr << "FAIL: the single-vector fused apply " << t_sv
+                << " s exceeds 1.5x the m = 8 panel product over the same "
+                   "doubles ("
+                << t_rows << " s, " << ratio
+                << "x) — the 8-row reshape regressed\n";
       ++failures;
     }
   }

@@ -133,13 +133,7 @@ void FmmpOperator::apply_panel(std::span<const double> x, std::span<double> y,
       engine_ != nullptr ? *engine_ : parallel::serial_engine();
 
   if (model_.kind() != MutationKind::grouped) {
-    if (m > 8) {
-      // Wide panels: the full-width wide entry point (bit-identical per
-      // column to the direct path; one place to hang wide-plan policy).
-      transforms::apply_panel_wide_fused(x, y, m, model_.site_factors(), pre,
-                                         post, engine, plan_);
-      return;
-    }
+    // m == 1 runs the single-vector kernel; wider panels the panel driver.
     transforms::apply_blocked_panel_butterfly_fused(x, y, m,
                                                     model_.site_factors(), pre,
                                                     post, engine, plan_);

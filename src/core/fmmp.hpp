@@ -52,10 +52,10 @@ class FmmpOperator final : public LinearOperator {
   /// broadcast across the panel).  Runs the banded panel kernels through the
   /// configured engine (serial engine when none was given); the per-level
   /// reference kernel has no panel form, so EngineKernel::per_level falls
-  /// back to the banded panel path too.  Panels wider than 8 are routed
-  /// through transforms::apply_panel_wide_fused — the full-width wide
-  /// sweep (bit-identical per column to the m <= 8 path).  x may alias y
-  /// exactly or not at all.  Requires
+  /// back to the banded panel path too.  m == 1 runs the single-vector
+  /// banded kernel (bit-identical to apply); panels wider than 8 sweep at
+  /// full width (bit-identical per column to the m <= 8 path).  x may
+  /// alias y exactly or not at all.  Requires
   /// x.size() == y.size() == dimension() * m.
   void apply_panel(std::span<const double> x, std::span<double> y,
                    std::size_t m) const;

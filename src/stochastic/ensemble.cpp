@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "analysis/error_classes.hpp"
 #include "analysis/statistics.hpp"
@@ -11,6 +12,22 @@
 #include "support/contracts.hpp"
 
 namespace qs::stochastic {
+namespace {
+
+/// Calls body(width) with the panel width as a compile-time constant for
+/// the default width 8 — the per-row column loops then unroll and keep
+/// their pointers and sums in registers — and as the runtime value
+/// otherwise.  The arithmetic is the same either way.
+template <typename Body>
+void with_panel_width(std::size_t w, const Body& body) {
+  if (w == 8) {
+    body(std::integral_constant<std::size_t, 8>{});
+  } else {
+    body(w);
+  }
+}
+
+}  // namespace
 
 ReplicaEnsemble::ReplicaEnsemble(core::MutationModel model,
                                  const core::Landscape& landscape,
@@ -108,12 +125,15 @@ void ReplicaEnsemble::compute_expected(bool batched) {
         cols[j] = populations_[r0 + j].counts().data();
       }
       const std::uint64_t* const* cp = cols.data();
-      engine_->dispatch(n, [=](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          for (std::size_t j = 0; j < w; ++j) {
-            pp[i * w + j] = static_cast<double>(cp[j][i]);
+      with_panel_width(w, [&](auto width) {
+        engine_->dispatch(n, [=](std::size_t begin, std::size_t end) {
+          const std::size_t wc = width;
+          for (std::size_t i = begin; i < end; ++i) {
+            for (std::size_t j = 0; j < wc; ++j) {
+              pp[i * wc + j] = static_cast<double>(cp[j][i]);
+            }
           }
-        }
+        });
       });
     }
 
@@ -137,21 +157,24 @@ void ReplicaEnsemble::compute_expected(bool batched) {
       std::vector<double*> outs(w);
       for (std::size_t j = 0; j < w; ++j) outs[j] = expected_[r0 + j].data();
       double* const* out = outs.data();
-      engine_->dispatch(blocks, [=](std::size_t bb, std::size_t be) {
-        double colsum[kMaxPanelWidth];
-        for (std::size_t b = bb; b < be; ++b) {
-          const std::size_t i1 = std::min(n, (b + 1) * kBlock);
-          for (std::size_t j = 0; j < w; ++j) colsum[j] = 0.0;
-          for (std::size_t i = b * kBlock; i < i1; ++i) {
-            for (std::size_t j = 0; j < w; ++j) {
-              double v = pp[i * w + j];
-              if (!(v > 0.0)) v = 0.0;  // negatives, -0.0, and NaN carry no mass
-              out[j][i] = v;
-              colsum[j] += v;
+      with_panel_width(w, [&](auto width) {
+        engine_->dispatch(blocks, [=](std::size_t bb, std::size_t be) {
+          const std::size_t wc = width;
+          double colsum[kMaxPanelWidth];
+          for (std::size_t b = bb; b < be; ++b) {
+            const std::size_t i1 = std::min(n, (b + 1) * kBlock);
+            for (std::size_t j = 0; j < wc; ++j) colsum[j] = 0.0;
+            for (std::size_t i = b * kBlock; i < i1; ++i) {
+              for (std::size_t j = 0; j < wc; ++j) {
+                double v = pp[i * wc + j];
+                if (!(v > 0.0)) v = 0.0;  // negatives, -0.0, and NaN carry no mass
+                out[j][i] = v;
+                colsum[j] += v;
+              }
             }
+            for (std::size_t j = 0; j < wc; ++j) bs[b * wc + j] = colsum[j];
           }
-          for (std::size_t j = 0; j < w; ++j) bs[b * w + j] = colsum[j];
-        }
+        });
       });
       engine_->dispatch(w, [=](std::size_t jb, std::size_t je) {
         for (std::size_t j = jb; j < je; ++j) {

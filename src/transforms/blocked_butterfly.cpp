@@ -1,11 +1,11 @@
 #include "transforms/blocked_butterfly.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "obs/trace.hpp"
 #include "support/bits.hpp"
 #include "support/contracts.hpp"
+#include "transforms/panel_butterfly.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -14,116 +14,12 @@ namespace {
 /// expose parallel work items (one tile per item).
 constexpr unsigned kMinTilesLog2 = 3;
 
-/// log2 of the staging sub-tile in doubles (2^12 * 8 B = 32 KiB, safely
-/// L1-resident).  When a first-band tile is much larger than this, the low
-/// levels are swept sub-tile by sub-tile so each sub-tile is loaded into L1
-/// once for all of them, before the remaining levels sweep the whole tile.
-constexpr unsigned kSubTileLog2 = 12;
-
-// ---------------------------------------------------------------------------
-// Microkernel (sv) path.  Each helper applies the exact per-element 2x2
-// sequence of the plain loops below — radix fusion and sub-tile staging only
-// reorder *independent* pairs, and the kernels themselves avoid FMA — so
-// every tier is bit-identical to the autovec path.
-// ---------------------------------------------------------------------------
-
-/// Sweeps levels [lo, hi) of a contiguous block of d doubles in place.
-/// Greedily fuses three levels per pass (radix-8), then two (radix-4),
-/// then finishes level by level.
-void sv_sweep_contiguous(double* yt, std::size_t d, const Factor2* fs,
-                         unsigned lo, unsigned hi, const SvKernels& k,
-                         unsigned max_radix) {
-  unsigned l = lo;
-  if (max_radix >= 8) {
-    for (; l + 3 <= hi; l += 3) {
-      const std::size_t cnt = std::size_t{1} << l;
-      for (std::size_t j = 0; j < d; j += cnt << 3) {
-        k.butterfly_oct_span(yt + j, cnt, cnt, fs[l], fs[l + 1], fs[l + 2]);
-      }
-    }
-  }
-  if (max_radix >= 4) {
-    for (; l + 2 <= hi; l += 2) {
-      const std::size_t cnt = std::size_t{1} << l;
-      for (std::size_t j = 0; j < d; j += cnt << 2) {
-        k.butterfly_quad_span(yt + j, yt + j + cnt, yt + j + 2 * cnt,
-                              yt + j + 3 * cnt, cnt, fs[l], fs[l + 1]);
-      }
-    }
-  }
-  for (; l < hi; ++l) {
-    const std::size_t cnt = std::size_t{1} << l;
-    for (std::size_t j = 0; j < d; j += cnt << 1) {
-      k.butterfly_span(yt + j, yt + j + cnt, cnt, fs[l]);
-    }
-  }
-}
-
-/// Sweeps all `levels` low levels of a contiguous tile of d = 2^levels
-/// doubles, staging the low levels through L1-resident sub-tiles when the
-/// tile is large enough for that to matter.
-void sv_sweep_tile(double* yt, std::size_t d, const Factor2* fs,
-                   unsigned levels, const SvKernels& k, unsigned max_radix) {
-  const std::size_t sub_d = std::size_t{1} << kSubTileLog2;
-  if (d > 2 * sub_d && levels > 1) {
-    const unsigned k_in = std::min(levels - 1, kSubTileLog2);
-    const std::size_t block = std::size_t{1} << k_in;
-    for (std::size_t j = 0; j < d; j += block) {
-      sv_sweep_contiguous(yt + j, block, fs, 0, k_in, k, max_radix);
-    }
-    sv_sweep_contiguous(yt, d, fs, k_in, levels, k, max_radix);
-  } else {
-    sv_sweep_contiguous(yt, d, fs, 0, levels, k, max_radix);
-  }
-}
-
-/// Sweeps the b levels of a high band over one gather panel: rows of `cols`
-/// contiguous doubles spaced 2^k0 apart starting at pb, with the same
-/// greedy radix fusion as the contiguous sweep.
-void sv_sweep_panel(double* pb, unsigned k0, unsigned b, std::size_t rows,
-                    std::size_t cols, const Factor2* bandf, const SvKernels& k,
-                    unsigned max_radix) {
-  unsigned l = 0;
-  if (max_radix >= 8) {
-    for (; l + 3 <= b; l += 3) {
-      const std::size_t rstride = std::size_t{1} << l;
-      const std::size_t stride = rstride << k0;
-      for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 3) {
-        for (std::size_t q = r0; q < r0 + rstride; ++q) {
-          k.butterfly_oct_span(pb + (q << k0), stride, cols, bandf[l],
-                               bandf[l + 1], bandf[l + 2]);
-        }
-      }
-    }
-  }
-  if (max_radix >= 4) {
-    for (; l + 2 <= b; l += 2) {
-      const std::size_t rstride = std::size_t{1} << l;
-      const std::size_t stride = rstride << k0;
-      for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 2) {
-        for (std::size_t q = r0; q < r0 + rstride; ++q) {
-          double* p0 = pb + (q << k0);
-          k.butterfly_quad_span(p0, p0 + stride, p0 + 2 * stride,
-                                p0 + 3 * stride, cols, bandf[l], bandf[l + 1]);
-        }
-      }
-    }
-  }
-  for (; l < b; ++l) {
-    const std::size_t rstride = std::size_t{1} << l;
-    const std::size_t stride = rstride << k0;
-    for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 1) {
-      for (std::size_t q = r0; q < r0 + rstride; ++q) {
-        double* lo = pb + (q << k0);
-        k.butterfly_span(lo, lo + stride, cols, bandf[l]);
-      }
-    }
-  }
-}
+/// Levels 0-2 of a SIMD-tier product run inside 8-double rows.
+constexpr unsigned kRowLevels = 3;
 
 }  // namespace
 
-BandBounds blocked_band_bounds(unsigned nu, const BlockedPlan& plan) {
+BandBounds row_band_bounds(unsigned nu, const BlockedPlan& plan) {
   require(plan.tile_log2 >= 1 && plan.tile_log2 <= 30,
           "blocked butterfly: tile_log2 out of range");
   require(plan.chunk_log2 < plan.tile_log2,
@@ -145,6 +41,17 @@ BandBounds blocked_band_bounds(unsigned nu, const BlockedPlan& plan) {
     const unsigned band = std::max(1u, plan.tile_log2 - chunk);
     out.bounds[out.count++] = std::min(nu, k0 + band);
   }
+  return out;
+}
+
+BandBounds blocked_band_bounds(unsigned nu, const BlockedPlan& plan) {
+  if (nu < kRowLevels || resolve_sv_kernels(plan.sv_kernel) == nullptr) {
+    return row_band_bounds(nu, plan);
+  }
+  require(nu <= kMaxChainLength, "blocked butterfly: chain length out of range");
+  BandBounds out = row_band_bounds(nu - kRowLevels, panel_plan(plan, 8));
+  if (out.count == 1) out.bounds[out.count++] = 0;  // one row: the stage alone
+  for (std::size_t i = 1; i < out.count; ++i) out.bounds[i] += kRowLevels;
   return out;
 }
 
@@ -183,14 +90,18 @@ void apply_blocked_butterfly_fused(std::span<const double> x, std::span<double> 
     return;
   }
 
-  const BandBounds bounds = blocked_band_bounds(nu, plan);
-  const std::size_t bands = bounds.bands();
+  // A SIMD table runs the product as an m = 8 panel of N/8 rows: levels
+  // 0-2 in registers per row, the rest through the panel band driver.
+  if (nu >= kRowLevels) {
+    if (const SvKernels* k = resolve_sv_kernels(plan.sv_kernel); k != nullptr) {
+      apply_sv_rows8(*k, x, y, factors, pre_scale, post_scale, engine, plan);
+      return;
+    }
+  }
 
-  // Null means "run the historical autovectorised loops"; otherwise the
-  // resolved microkernel table (bit-identical by contract) runs the sweeps
-  // with radix fusion and L1 sub-tile staging.
-  const SvKernels* kp = resolve_sv_kernels(plan.sv_kernel);
-  const unsigned max_radix = plan.sv_max_radix;
+  // The plain loops (the bitwise reference every tier reproduces).
+  const BandBounds bounds = row_band_bounds(nu, plan);
+  const std::size_t bands = bounds.bands();
 
   // Band 0: levels [0, k1) couple only bits below k1, so each contiguous
   // tile of 2^k1 elements is an independent work item; the pre-scale (and,
@@ -201,53 +112,36 @@ void apply_blocked_butterfly_fused(std::span<const double> x, std::span<double> 
     const std::size_t tile = std::size_t{1} << k1;
     const std::size_t tiles = n >> k1;
     const bool fuse_post = (bands == 1) && posts != nullptr;
-    if (kp != nullptr) {
-      const SvKernels& k = *kp;
-      engine.dispatch(tiles, [=, &k](std::size_t begin, std::size_t end) {
-        for (std::size_t t = begin; t < end; ++t) {
-          const std::size_t base = t << k1;
-          double* yt = ys + base;
-          if (pres != nullptr) {
-            k.mul_span(yt, xs + base, pres + base, tile);
-          } else if (xs != ys) {
-            std::memcpy(yt, xs + base, tile * sizeof(double));
-          }
-          sv_sweep_tile(yt, tile, fs, k1, k, max_radix);
-          if (fuse_post) k.mul_span_inplace(yt, posts + base, tile);
+    engine.dispatch(tiles, [=](std::size_t begin, std::size_t end) {
+      for (std::size_t t = begin; t < end; ++t) {
+        const std::size_t base = t << k1;
+        double* yt = ys + base;
+        if (pres != nullptr) {
+          const double* xt = xs + base;
+          const double* pt = pres + base;
+          for (std::size_t i = 0; i < tile; ++i) yt[i] = pt[i] * xt[i];
+        } else if (xs != ys) {
+          const double* xt = xs + base;
+          for (std::size_t i = 0; i < tile; ++i) yt[i] = xt[i];
         }
-      });
-    } else {
-      engine.dispatch(tiles, [=](std::size_t begin, std::size_t end) {
-        for (std::size_t t = begin; t < end; ++t) {
-          const std::size_t base = t << k1;
-          double* yt = ys + base;
-          if (pres != nullptr) {
-            const double* xt = xs + base;
-            const double* pt = pres + base;
-            for (std::size_t i = 0; i < tile; ++i) yt[i] = pt[i] * xt[i];
-          } else if (xs != ys) {
-            const double* xt = xs + base;
-            for (std::size_t i = 0; i < tile; ++i) yt[i] = xt[i];
-          }
-          for (unsigned l = 0; l < k1; ++l) {
-            const std::size_t stride = std::size_t{1} << l;
-            const Factor2 f = fs[l];
-            for (std::size_t j = 0; j < tile; j += stride << 1) {
-              for (std::size_t idx = j; idx < j + stride; ++idx) {
-                const double t1 = yt[idx];
-                const double t2 = yt[idx + stride];
-                yt[idx] = f.m00 * t1 + f.m01 * t2;
-                yt[idx + stride] = f.m10 * t1 + f.m11 * t2;
-              }
+        for (unsigned l = 0; l < k1; ++l) {
+          const std::size_t stride = std::size_t{1} << l;
+          const Factor2 f = fs[l];
+          for (std::size_t j = 0; j < tile; j += stride << 1) {
+            for (std::size_t idx = j; idx < j + stride; ++idx) {
+              const double t1 = yt[idx];
+              const double t2 = yt[idx + stride];
+              yt[idx] = f.m00 * t1 + f.m01 * t2;
+              yt[idx + stride] = f.m10 * t1 + f.m11 * t2;
             }
           }
-          if (fuse_post) {
-            const double* qt = posts + base;
-            for (std::size_t i = 0; i < tile; ++i) yt[i] *= qt[i];
-          }
         }
-      });
-    }
+        if (fuse_post) {
+          const double* qt = posts + base;
+          for (std::size_t i = 0; i < tile; ++i) yt[i] *= qt[i];
+        }
+      }
+    });
   }
 
   // High bands: levels [k0, k1) couple bits k0..k1-1.  An orbit is a panel
@@ -266,54 +160,36 @@ void apply_blocked_butterfly_fused(std::span<const double> x, std::span<double> 
     const std::size_t chunks_per_low = std::size_t{1} << (k0 - chunk);
     const bool fuse_post = (band == bands - 1) && posts != nullptr;
     const Factor2* bandf = fs + k0;
-    if (kp != nullptr) {
-      const SvKernels& k = *kp;
-      engine.dispatch(items, [=, &k](std::size_t begin, std::size_t end) {
-        for (std::size_t id = begin; id < end; ++id) {
-          const std::size_t high = id / chunks_per_low;
-          const std::size_t lc = id % chunks_per_low;
-          const std::size_t base = (high << k1) + (lc << chunk);
-          sv_sweep_panel(ys + base, k0, b, rows, cols, bandf, k, max_radix);
-          if (fuse_post) {
-            for (std::size_t r = 0; r < rows; ++r) {
-              k.mul_span_inplace(ys + base + (r << k0), posts + base + (r << k0),
-                                 cols);
-            }
-          }
-        }
-      });
-    } else {
-      engine.dispatch(items, [=](std::size_t begin, std::size_t end) {
-        for (std::size_t id = begin; id < end; ++id) {
-          const std::size_t high = id / chunks_per_low;
-          const std::size_t lc = id % chunks_per_low;
-          const std::size_t base = (high << k1) + (lc << chunk);
-          for (unsigned l = 0; l < b; ++l) {
-            const std::size_t rstride = std::size_t{1} << l;
-            const Factor2 f = bandf[l];
-            for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 1) {
-              for (std::size_t r = r0; r < r0 + rstride; ++r) {
-                double* lo = ys + base + (r << k0);
-                double* hi = lo + (rstride << k0);
-                for (std::size_t c = 0; c < cols; ++c) {
-                  const double t1 = lo[c];
-                  const double t2 = hi[c];
-                  lo[c] = f.m00 * t1 + f.m01 * t2;
-                  hi[c] = f.m10 * t1 + f.m11 * t2;
-                }
+    engine.dispatch(items, [=](std::size_t begin, std::size_t end) {
+      for (std::size_t id = begin; id < end; ++id) {
+        const std::size_t high = id / chunks_per_low;
+        const std::size_t lc = id % chunks_per_low;
+        const std::size_t base = (high << k1) + (lc << chunk);
+        for (unsigned l = 0; l < b; ++l) {
+          const std::size_t rstride = std::size_t{1} << l;
+          const Factor2 f = bandf[l];
+          for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 1) {
+            for (std::size_t r = r0; r < r0 + rstride; ++r) {
+              double* lo = ys + base + (r << k0);
+              double* hi = lo + (rstride << k0);
+              for (std::size_t c = 0; c < cols; ++c) {
+                const double t1 = lo[c];
+                const double t2 = hi[c];
+                lo[c] = f.m00 * t1 + f.m01 * t2;
+                hi[c] = f.m10 * t1 + f.m11 * t2;
               }
             }
           }
-          if (fuse_post) {
-            for (std::size_t r = 0; r < rows; ++r) {
-              double* lo = ys + base + (r << k0);
-              const double* q = posts + base + (r << k0);
-              for (std::size_t c = 0; c < cols; ++c) lo[c] *= q[c];
-            }
+        }
+        if (fuse_post) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            double* lo = ys + base + (r << k0);
+            const double* q = posts + base + (r << k0);
+            for (std::size_t c = 0; c < cols; ++c) lo[c] *= q[c];
           }
         }
-      });
-    }
+      }
+    });
   }
 }
 

@@ -23,6 +23,11 @@
 // The diagonal fitness scalings of the problem formulations (W = Q F etc.)
 // fuse into the first/last band: a solver matvec costs two fewer full
 // passes than scale + butterfly + scale run separately.
+//
+// With a SIMD single-vector table and nu >= 3 the product runs as the m = 8
+// panel of its N/8 rows (apply_sv_rows8, transforms/panel_butterfly).  The
+// plain loops here serve nu < 3, SvKernel::autovec and hosts without a
+// SIMD table, and are the bitwise reference for every tier.
 #pragma once
 
 #include <array>
@@ -37,17 +42,21 @@
 
 namespace qs::transforms {
 
-/// Tiling parameters for the banded butterfly.
+/// Tiling parameters for the banded butterfly.  Tile and chunk count panel
+/// rows: one double per row on the plain single-vector loops, m doubles for
+/// an m-wide panel, and 8 doubles for a single vector on a SIMD sv table,
+/// which runs as an m = 8 panel of N/8 rows (its in-row levels 0-2 come on
+/// top of the band levels counted here).
 struct BlockedPlan {
-  /// log2 of the tile size in doubles: the low band spans this many levels
-  /// and every work item's working set is capped at 2^tile_log2 doubles
-  /// (default 2^14 = 128 KiB, safely L2-resident).
+  /// log2 of the tile size in rows: the low band spans this many row levels
+  /// and every work item's working set is capped at 2^tile_log2 rows
+  /// (default 2^14; 128 KiB as single doubles, 1 MiB as rows of 8).
   unsigned tile_log2 = 14;
 
   /// log2 of the contiguous low-offset chunk a high-band work item owns.
-  /// Rows of a gather panel are bursts of 2^chunk_log2 doubles (default
-  /// 2^6 = one 512-byte burst), so high bands span at most
-  /// tile_log2 - chunk_log2 levels each.
+  /// Rows of a gather panel are bursts of 2^chunk_log2 rows (default 2^6:
+  /// 512 B as single doubles, 4 KiB as rows of 8), so high bands span at
+  /// most tile_log2 - chunk_log2 levels each.
   unsigned chunk_log2 = 6;
 
   /// Which single-vector microkernel table runs the band sweeps (see
@@ -56,17 +65,20 @@ struct BlockedPlan {
   /// loops.  Every choice is bit-identical — the SIMD tables avoid FMA.
   SvKernel sv_kernel = SvKernel::automatic;
 
-  /// Maximum fused radix of the microkernel sweeps: 8 fuses three levels
-  /// per pass (radix-8), 4 fuses two, 2 disables fusion.  Ignored on the
+  /// Maximum fused radix of the microkernel sweeps over levels >= 3 (the
+  /// in-row levels 0-2 always run as one stage): 8 fuses three levels per
+  /// pass (radix-8), 4 fuses two, 2 disables fusion.  Ignored on the
   /// autovec path.  Bit-identity holds for every setting — fusion only
   /// reorders independent pairs.
   unsigned sv_max_radix = 8;
 };
 
-/// Band boundaries [0 = b_0 < b_1 < ... < b_m = nu] the plan induces: band
-/// i applies levels [b_i, b_{i+1}).  The first band is capped so that at
-/// least ~8 tiles exist (parallelisable even for small nu); later bands are
-/// capped at tile_log2 - chunk_log2 levels so panels stay tile-sized.
+/// Band boundaries [0 = b_0 < b_1 < ... < b_m = nu] of the single-vector
+/// apply of 2^nu doubles under `plan`: band i applies levels
+/// [b_i, b_{i+1}).  On the plain loops these are row_band_bounds(nu, plan).
+/// When `plan.sv_kernel` resolves to a SIMD table and nu >= 3 the apply runs
+/// as 2^(nu-3) rows of 8, so these are row_band_bounds(nu - 3, plan)
+/// shifted up by the three in-row levels, which join band 0.
 std::vector<unsigned> blocked_band_boundaries(unsigned nu, const BlockedPlan& plan);
 
 /// Fixed-capacity form of the band boundaries (every band spans >= 1 level,
@@ -84,6 +96,12 @@ struct BandBounds {
 
 /// Allocation-free equivalent of blocked_band_boundaries.
 BandBounds blocked_band_bounds(unsigned nu, const BlockedPlan& plan);
+
+/// Band boundaries over 2^nu rows of any width, the split the band drivers
+/// sweep.  The first band is capped so that at least ~8 tiles exist
+/// (parallelisable even for small nu); later bands are capped at
+/// tile_log2 - chunk_log2 levels so gather panels stay tile-sized.
+BandBounds row_band_bounds(unsigned nu, const BlockedPlan& plan);
 
 /// In-place banded transform v <- (F_{nu-1} (x) ... (x) F_0) v through the
 /// engine, one dispatch per band.  Bit-identical to apply_butterfly with

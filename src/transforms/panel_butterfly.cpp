@@ -51,38 +51,44 @@ constexpr unsigned kMidTileLog2 = 17;
 /// Sweeps butterfly levels [l0, l1) of `fs` over a contiguous block of
 /// total_d doubles organised as rows of w doubles each — level l pairs rows
 /// r and r + 2^l, i.e. two w*2^l-double spans sitting next to each other.
-/// Three levels go at a time through the radix-8 oct kernel, then two
-/// through the radix-4 quad, then a final odd level through the pair
-/// kernel: same arithmetic, in the same ascending order, at 1/3 resp. 1/2
-/// the block traffic of single-level sweeps.  (A radix-16 variant was tried
-/// and measured ~25% slower — sixteen live rows exhaust the sixteen ymm
-/// registers and the spills cost more than the saved sweep.)
-void sweep_levels(const PanelKernels* kp, const Factor2* fs, std::size_t w,
-                  double* base, std::size_t total_d, unsigned l0, unsigned l1) {
+/// Up to `max_radix` = 8, three levels go at a time through the radix-8 oct
+/// kernel, then two through the radix-4 quad, then a final odd level
+/// through the pair kernel: same arithmetic, in the same ascending order,
+/// at 1/3 resp. 1/2 the block traffic of single-level sweeps.  (A radix-16
+/// variant was tried and measured ~25% slower — sixteen live rows exhaust
+/// the sixteen ymm registers and the spills cost more than the saved
+/// sweep.)
+void sweep_levels(const PanelKernels& k, unsigned max_radix, const Factor2* fs,
+                  std::size_t w, double* base, std::size_t total_d, unsigned l0,
+                  unsigned l1) {
   unsigned l = l0;
-  for (; l + 2 < l1; l += 3) {
-    const std::size_t cnt = (std::size_t{1} << l) * w;
-    const Factor2 f0 = fs[l];
-    const Factor2 f1 = fs[l + 1];
-    const Factor2 f2 = fs[l + 2];
-    for (std::size_t j = 0; j < total_d; j += cnt << 3) {
-      kp->butterfly_oct_span(base + j, cnt, cnt, f0, f1, f2);
+  if (max_radix >= 8) {
+    for (; l + 2 < l1; l += 3) {
+      const std::size_t cnt = (std::size_t{1} << l) * w;
+      const Factor2 f0 = fs[l];
+      const Factor2 f1 = fs[l + 1];
+      const Factor2 f2 = fs[l + 2];
+      for (std::size_t j = 0; j < total_d; j += cnt << 3) {
+        k.butterfly_oct_span(base + j, cnt, cnt, f0, f1, f2);
+      }
     }
   }
-  for (; l + 1 < l1; l += 2) {
-    const std::size_t cnt = (std::size_t{1} << l) * w;
-    const Factor2 f_lo = fs[l];
-    const Factor2 f_hi = fs[l + 1];
-    for (std::size_t j = 0; j < total_d; j += cnt << 2) {
-      kp->butterfly_quad_span(base + j, base + j + cnt, base + j + 2 * cnt,
+  if (max_radix >= 4) {
+    for (; l + 1 < l1; l += 2) {
+      const std::size_t cnt = (std::size_t{1} << l) * w;
+      const Factor2 f_lo = fs[l];
+      const Factor2 f_hi = fs[l + 1];
+      for (std::size_t j = 0; j < total_d; j += cnt << 2) {
+        k.butterfly_quad_span(base + j, base + j + cnt, base + j + 2 * cnt,
                               base + j + 3 * cnt, cnt, f_lo, f_hi);
+      }
     }
   }
   for (; l < l1; ++l) {
     const std::size_t cnt = (std::size_t{1} << l) * w;
     const Factor2 f = fs[l];
     for (std::size_t j = 0; j < total_d; j += cnt << 1) {
-      kp->butterfly_span(base + j, base + j + cnt, cnt, f);
+      k.butterfly_span(base + j, base + j + cnt, cnt, f);
     }
   }
 }
@@ -94,12 +100,12 @@ void sweep_levels(const PanelKernels* kp, const Factor2* fs, std::size_t w,
 /// 2^k-row stage block, and every element still sees its levels in
 /// ascending order, so the result is bit-identical to the single-stage
 /// sweep regardless of how many stages run.
-void sweep_levels_staged(const PanelKernels* kp, const Factor2* fs,
-                         std::size_t w, double* base, std::size_t total_d,
-                         unsigned levels) {
+void sweep_levels_staged(const PanelKernels& k, unsigned max_radix,
+                         const Factor2* fs, std::size_t w, double* base,
+                         std::size_t total_d, unsigned levels) {
   const std::size_t sub_d = std::size_t{1} << kSubTileLog2;
   if (total_d <= 2 * sub_d || levels <= 1) {
-    sweep_levels(kp, fs, w, base, total_d, 0, levels);
+    sweep_levels(k, max_radix, fs, w, base, total_d, 0, levels);
     return;
   }
   unsigned k_in = kSubTileLog2 > ceil_log2(w) ? kSubTileLog2 - ceil_log2(w) : 1;
@@ -114,17 +120,17 @@ void sweep_levels_staged(const PanelKernels* kp, const Factor2* fs,
     const std::size_t mid = (std::size_t{1} << k_mid) * w;
     for (std::size_t j = 0; j < total_d; j += mid) {
       for (std::size_t jj = 0; jj < mid; jj += sub) {
-        sweep_levels(kp, fs, w, base + j + jj, sub, 0, k_in);
+        sweep_levels(k, max_radix, fs, w, base + j + jj, sub, 0, k_in);
       }
-      sweep_levels(kp, fs, w, base + j, mid, k_in, k_mid);
+      sweep_levels(k, max_radix, fs, w, base + j, mid, k_in, k_mid);
     }
-    sweep_levels(kp, fs, w, base, total_d, k_mid, levels);
+    sweep_levels(k, max_radix, fs, w, base, total_d, k_mid, levels);
     return;
   }
   for (std::size_t j = 0; j < total_d; j += sub) {
-    sweep_levels(kp, fs, w, base + j, sub, 0, k_in);
+    sweep_levels(k, max_radix, fs, w, base + j, sub, 0, k_in);
   }
-  sweep_levels(kp, fs, w, base, total_d, k_in, levels);
+  sweep_levels(k, max_radix, fs, w, base, total_d, k_in, levels);
 }
 
 /// How a diagonal scaling span addresses the panel.
@@ -137,6 +143,161 @@ ScaleMode scale_mode(std::span<const double> s, std::size_t n, std::size_t m) {
           "panel butterfly: scalings must be empty, length N (broadcast), or "
           "length N*m (per column)");
   return ScaleMode::per_column;
+}
+
+/// One fused product Y <- D_post (Q (D_pre X)) as the band driver sees it:
+/// 2^nu interleaved rows of m doubles, `fs` the nu row levels.
+struct BandJob {
+  const double* xs;
+  double* ys;
+  std::size_t m;
+  unsigned nu;
+  const Factor2* fs;
+  const double* pres;  ///< read only when pre_mode != none
+  ScaleMode pre_mode;
+  const double* posts;  ///< read only when post_mode != none
+  ScaleMode post_mode;
+};
+
+/// The single-vector reshape's in-register stage: levels 0-2 applied inside
+/// every 8-double row (SvKernels::rows8_stage) in place of band 0's pre-scale
+/// pass, which it fuses.
+struct RowStage {
+  decltype(SvKernels::rows8_stage) apply;
+  Factor2 f0, f1, f2;
+};
+
+/// The band driver behind every m <= 8 product: band 0 on contiguous tiles
+/// of 2^k1 rows, then one dispatch per high band over gather panels.  `k`
+/// supplies the span kernels (the FMA panel table, or an sv table's
+/// two-rounding entries), `max_radix` caps their level fusion, and a
+/// non-null `stage` runs before the band-0 sweep and takes over the
+/// pre-scale.
+void run_bands(const PanelKernels& k, unsigned max_radix, const RowStage* stage,
+               [[maybe_unused]] const char* span_name, const BandJob& job,
+               const parallel::Engine& engine, const BlockedPlan& eff) {
+  const auto [xs, ys, m, nu, fs, pres, pre_mode, posts, post_mode] = job;
+  const std::size_t n = std::size_t{1} << nu;
+  const BandBounds bounds = row_band_bounds(nu, eff);
+  const std::size_t bands = bounds.bands();
+
+  // Band 0: levels [0, k1) stay inside contiguous tiles of 2^k1 panel rows
+  // (2^k1 * m doubles); the pre-scale (and, for a single-band problem, the
+  // post-scale) rides in the tile loop.  Each butterfly pair of rows is two
+  // contiguous bursts of stride*m doubles.  With nu = 0 the one row is the
+  // whole problem.
+  {
+    QS_TRACE_SPAN_ARG(span_name, kernel, 0);
+    const unsigned k1 = bands == 0 ? 0 : bounds[1];
+    const std::size_t tile = std::size_t{1} << k1;
+    const std::size_t tiles = n >> k1;
+    const bool fuse_post = bands <= 1 && post_mode != ScaleMode::none;
+    engine.dispatch(tiles, [=, &k](std::size_t begin, std::size_t end) {
+      for (std::size_t t = begin; t < end; ++t) {
+        const std::size_t base_e = t << k1;
+        const std::size_t base_d = base_e * m;
+        double* yt = ys + base_d;
+        if (stage != nullptr) {
+          const double* st =
+              pre_mode == ScaleMode::per_column ? pres + base_d : nullptr;
+          stage->apply(yt, xs + base_d, st, tile, stage->f0, stage->f1,
+                       stage->f2);
+        } else if (pre_mode == ScaleMode::broadcast) {
+          k.mul_rows_broadcast(yt, xs + base_d, pres + base_e, tile, m);
+        } else if (pre_mode == ScaleMode::per_column) {
+          k.mul_span(yt, xs + base_d, pres + base_d, tile * m);
+        } else if (xs != ys) {
+          std::memcpy(yt, xs + base_d, tile * m * sizeof(double));
+        }
+        sweep_levels_staged(k, max_radix, fs, m, yt, tile * m, k1);
+        if (fuse_post) {
+          if (post_mode == ScaleMode::broadcast) {
+            k.mul_rows_broadcast_inplace(yt, posts + base_e, tile, m);
+          } else {
+            k.mul_span_inplace(yt, posts + base_d, tile * m);
+          }
+        }
+      }
+    });
+  }
+
+  // High bands: levels [k0, k1) couple bits k0..k1-1 of the row index.  A
+  // work item owns one gather panel restricted to 2^chunk contiguous low
+  // rows, so every access is a contiguous burst of 2^chunk * m doubles.
+  for (std::size_t band = 1; band < bands; ++band) {
+    QS_TRACE_SPAN_ARG(span_name, kernel, band);
+    const unsigned k0 = bounds[band];
+    const unsigned k1 = bounds[band + 1];
+    const unsigned b = k1 - k0;
+    const unsigned chunk = std::min(eff.chunk_log2, k0);
+    const std::size_t rows = std::size_t{1} << b;
+    const std::size_t cols = std::size_t{1} << chunk;
+    const std::size_t cnt = cols * m;
+    const std::size_t items = n >> (b + chunk);
+    const std::size_t chunks_per_low = std::size_t{1} << (k0 - chunk);
+    const bool fuse_post = (band == bands - 1) && post_mode != ScaleMode::none;
+    const Factor2* bandf = fs + k0;
+    engine.dispatch(items, [=, &k](std::size_t begin, std::size_t end) {
+      for (std::size_t id = begin; id < end; ++id) {
+        const std::size_t high = id / chunks_per_low;
+        const std::size_t lc = id % chunks_per_low;
+        const std::size_t base_e = (high << k1) + (lc << chunk);
+        // Same radix-8/radix-4 fusion as the low band, on the gather rows
+        // r + k*s (s = 2^l band rows) spaced 2^k0 panel rows apart.
+        unsigned l = 0;
+        if (max_radix >= 8) {
+          for (; l + 2 < b; l += 3) {
+            const std::size_t rstride = std::size_t{1} << l;
+            const std::size_t step = (rstride << k0) * m;
+            const Factor2 f0 = bandf[l];
+            const Factor2 f1 = bandf[l + 1];
+            const Factor2 f2 = bandf[l + 2];
+            for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 3) {
+              for (std::size_t r = r0; r < r0 + rstride; ++r) {
+                k.butterfly_oct_span(ys + (base_e + (r << k0)) * m, step, cnt,
+                                     f0, f1, f2);
+              }
+            }
+          }
+        }
+        if (max_radix >= 4) {
+          for (; l + 1 < b; l += 2) {
+            const std::size_t rstride = std::size_t{1} << l;
+            const std::size_t step = (rstride << k0) * m;
+            const Factor2 f_lo = bandf[l];
+            const Factor2 f_hi = bandf[l + 1];
+            for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 2) {
+              for (std::size_t r = r0; r < r0 + rstride; ++r) {
+                double* p0 = ys + (base_e + (r << k0)) * m;
+                k.butterfly_quad_span(p0, p0 + step, p0 + 2 * step,
+                                      p0 + 3 * step, cnt, f_lo, f_hi);
+              }
+            }
+          }
+        }
+        for (; l < b; ++l) {
+          const std::size_t rstride = std::size_t{1} << l;
+          const Factor2 f = bandf[l];
+          for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 1) {
+            for (std::size_t r = r0; r < r0 + rstride; ++r) {
+              double* lo = ys + (base_e + (r << k0)) * m;
+              k.butterfly_span(lo, lo + (rstride << k0) * m, cnt, f);
+            }
+          }
+        }
+        if (fuse_post) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            const std::size_t row_e = base_e + (r << k0);
+            if (post_mode == ScaleMode::broadcast) {
+              k.mul_rows_broadcast_inplace(ys + row_e * m, posts + row_e, cols, m);
+            } else {
+              k.mul_span_inplace(ys + row_e * m, posts + row_e * m, cnt);
+            }
+          }
+        }
+      }
+    });
+  }
 }
 
 }  // namespace
@@ -158,6 +319,32 @@ BlockedPlan panel_plan(const BlockedPlan& plan, std::size_t m) {
   return eff;
 }
 
+void apply_sv_rows8(const SvKernels& k, std::span<const double> x,
+                    std::span<double> y, std::span<const Factor2> factors,
+                    std::span<const double> pre_scale,
+                    std::span<const double> post_scale,
+                    const parallel::Engine& engine, const BlockedPlan& plan) {
+  constexpr std::size_t kRow = 8;
+  const auto nu = static_cast<unsigned>(factors.size());
+  require(nu >= 3 && y.size() == std::size_t{1} << nu,
+          "apply_sv_rows8: need nu >= 3 factors for 2^nu doubles");
+  // The sv table's butterfly and scaling entries under the panel table's
+  // shape; the reshaped product uses only per-column (length N) scalings,
+  // so the broadcast entries are never reached.
+  const PanelKernels spans{k.butterfly_span, k.butterfly_quad_span,
+                           k.butterfly_oct_span, k.mul_span,
+                           k.mul_span_inplace, nullptr, nullptr, k.name};
+  const RowStage stage{k.rows8_stage, factors[0], factors[1], factors[2]};
+  const auto mode = [](std::span<const double> d) {
+    return d.empty() ? ScaleMode::none : ScaleMode::per_column;
+  };
+  const BandJob job{x.data(), y.data(), kRow, nu - 3, factors.data() + 3,
+                    pre_scale.data(), mode(pre_scale), post_scale.data(),
+                    mode(post_scale)};
+  run_bands(spans, plan.sv_max_radix, &stage, "fmmp.band", job, engine,
+            panel_plan(plan, kRow));
+}
+
 void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          std::span<double> y, std::size_t m,
                                          std::span<const Factor2> factors,
@@ -166,6 +353,12 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          const parallel::Engine& engine,
                                          const BlockedPlan& plan) {
   require(m >= 1, "panel butterfly: panel width m must be >= 1");
+  if (m == 1) {
+    // A one-column panel is a single vector: the sv contract and kernels.
+    apply_blocked_butterfly_fused(x, y, factors, pre_scale, post_scale, engine,
+                                  plan);
+    return;
+  }
   const std::size_t total = y.size();
   require(x.size() == total, "panel butterfly: x and y sizes differ");
   require(total % m == 0, "panel butterfly: panel size must be a multiple of m");
@@ -176,207 +369,14 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
   require(x.data() == y.data() || x.data() + total <= y.data() ||
               y.data() + total <= x.data(),
           "panel butterfly: x and y must alias exactly or not at all");
-  const ScaleMode pre_mode = scale_mode(pre_scale, n, m);
-  const ScaleMode post_mode = scale_mode(post_scale, n, m);
 
-  const double* xs = x.data();
-  double* ys = y.data();
-  const double* pres = pre_scale.empty() ? nullptr : pre_scale.data();
-  const double* posts = post_scale.empty() ? nullptr : post_scale.data();
-  const Factor2* fs = factors.data();
-  const PanelKernels* kp = &panel_kernels();
-
-  if (nu == 0) {
-    // Single panel row: just the scalings.
-    if (pre_mode == ScaleMode::broadcast) {
-      kp->mul_rows_broadcast(ys, xs, pres, 1, m);
-    } else if (pre_mode == ScaleMode::per_column) {
-      kp->mul_span(ys, xs, pres, m);
-    } else if (xs != ys) {
-      std::memcpy(ys, xs, m * sizeof(double));
-    }
-    if (post_mode == ScaleMode::broadcast) {
-      kp->mul_rows_broadcast_inplace(ys, posts, 1, m);
-    } else if (post_mode == ScaleMode::per_column) {
-      kp->mul_span_inplace(ys, posts, m);
-    }
-    return;
-  }
-
-  const BlockedPlan eff = panel_plan(plan, m);
-  const BandBounds bounds = blocked_band_bounds(nu, eff);
-  const std::size_t bands = bounds.bands();
-  QS_TRACE_KERNEL_TAG(kp);
-
-  // Band 0: levels [0, k1) stay inside contiguous tiles of 2^k1 panel rows
-  // (2^k1 * m doubles); the pre-scale (and, for a single-band problem, the
-  // post-scale) rides in the tile loop.  Each butterfly pair of rows is two
-  // contiguous bursts of stride*m doubles.
-  {
-    QS_TRACE_SPAN_ARG("fmmp.panel_band", kernel, 0);
-    const unsigned k1 = bounds[1];
-    const std::size_t tile = std::size_t{1} << k1;
-    const std::size_t tiles = n >> k1;
-    const bool fuse_post = (bands == 1) && post_mode != ScaleMode::none;
-    engine.dispatch(tiles, [=](std::size_t begin, std::size_t end) {
-      for (std::size_t t = begin; t < end; ++t) {
-        const std::size_t base_e = t << k1;
-        const std::size_t base_d = base_e * m;
-        double* yt = ys + base_d;
-        if (pre_mode == ScaleMode::broadcast) {
-          kp->mul_rows_broadcast(yt, xs + base_d, pres + base_e, tile, m);
-        } else if (pre_mode == ScaleMode::per_column) {
-          kp->mul_span(yt, xs + base_d, pres + base_d, tile * m);
-        } else if (xs != ys) {
-          std::memcpy(yt, xs + base_d, tile * m * sizeof(double));
-        }
-        sweep_levels_staged(kp, fs, m, yt, tile * m, k1);
-        if (fuse_post) {
-          if (post_mode == ScaleMode::broadcast) {
-            kp->mul_rows_broadcast_inplace(yt, posts + base_e, tile, m);
-          } else {
-            kp->mul_span_inplace(yt, posts + base_d, tile * m);
-          }
-        }
-      }
-    });
-  }
-
-  // High bands: levels [k0, k1) couple bits k0..k1-1 of the row index.  A
-  // work item owns one gather panel restricted to 2^chunk contiguous low
-  // rows, so every access is a contiguous burst of 2^chunk * m doubles.
-  for (std::size_t band = 1; band < bands; ++band) {
-    QS_TRACE_SPAN_ARG("fmmp.panel_band", kernel, band);
-    const unsigned k0 = bounds[band];
-    const unsigned k1 = bounds[band + 1];
-    const unsigned b = k1 - k0;
-    const unsigned chunk = std::min(eff.chunk_log2, k0);
-    const std::size_t rows = std::size_t{1} << b;
-    const std::size_t cols = std::size_t{1} << chunk;
-    const std::size_t cnt = cols * m;
-    const std::size_t items = n >> (b + chunk);
-    const std::size_t chunks_per_low = std::size_t{1} << (k0 - chunk);
-    const bool fuse_post = (band == bands - 1) && post_mode != ScaleMode::none;
-    const Factor2* bandf = fs + k0;
-    if (b >= 99) {
-      // Wide band: sweeping the strided gather rows directly would stream
-      // the whole panel once per two-to-three levels.  Instead copy each
-      // gather panel into a dense scratch block (rows*cnt <= 2^tile * m
-      // doubles — blocked_band_boundaries caps the band — i.e. the same
-      // cache footprint as a band-0 tile), run all b levels there with the
-      // contiguous sweep, and scatter back: one DRAM read and one DRAM
-      // write for the entire band, regardless of b.  The copies do not
-      // change any value and the level order is unchanged, so the result
-      // stays bit-identical to the direct path.
-      engine.dispatch(items, [=](std::size_t begin, std::size_t end) {
-        std::vector<double> scratch(rows * cnt);
-        double* sc = scratch.data();
-        for (std::size_t id = begin; id < end; ++id) {
-          const std::size_t high = id / chunks_per_low;
-          const std::size_t lc = id % chunks_per_low;
-          const std::size_t base_e = (high << k1) + (lc << chunk);
-          for (std::size_t r = 0; r < rows; ++r) {
-            std::memcpy(sc + r * cnt, ys + (base_e + (r << k0)) * m,
-                        cnt * sizeof(double));
-          }
-          sweep_levels_staged(kp, bandf, cnt, sc, rows * cnt, b);
-          for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t row_e = base_e + (r << k0);
-            double* dst = ys + row_e * m;
-            const double* src = sc + r * cnt;
-            if (!fuse_post) {
-              std::memcpy(dst, src, cnt * sizeof(double));
-            } else if (post_mode == ScaleMode::broadcast) {
-              kp->mul_rows_broadcast(dst, src, posts + row_e, cols, m);
-            } else {
-              kp->mul_span(dst, src, posts + row_e * m, cnt);
-            }
-          }
-        }
-      });
-      continue;
-    }
-    engine.dispatch(items, [=](std::size_t begin, std::size_t end) {
-      for (std::size_t id = begin; id < end; ++id) {
-        const std::size_t high = id / chunks_per_low;
-        const std::size_t lc = id % chunks_per_low;
-        const std::size_t base_e = (high << k1) + (lc << chunk);
-        // Same radix-8/radix-4 fusion as the low band, on the gather rows
-        // r + k*s (s = 2^l band rows) spaced 2^k0 panel rows apart.
-        unsigned l = 0;
-        for (; l + 2 < b; l += 3) {
-          const std::size_t rstride = std::size_t{1} << l;
-          const std::size_t step = (rstride << k0) * m;
-          const Factor2 f0 = bandf[l];
-          const Factor2 f1 = bandf[l + 1];
-          const Factor2 f2 = bandf[l + 2];
-          for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 3) {
-            for (std::size_t r = r0; r < r0 + rstride; ++r) {
-              kp->butterfly_oct_span(ys + (base_e + (r << k0)) * m, step, cnt,
-                                     f0, f1, f2);
-            }
-          }
-        }
-        for (; l + 1 < b; l += 2) {
-          const std::size_t rstride = std::size_t{1} << l;
-          const std::size_t step = (rstride << k0) * m;
-          const Factor2 f_lo = bandf[l];
-          const Factor2 f_hi = bandf[l + 1];
-          for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 2) {
-            for (std::size_t r = r0; r < r0 + rstride; ++r) {
-              double* p0 = ys + (base_e + (r << k0)) * m;
-              kp->butterfly_quad_span(p0, p0 + step, p0 + 2 * step,
-                                      p0 + 3 * step, cnt, f_lo, f_hi);
-            }
-          }
-        }
-        for (; l < b; ++l) {
-          const std::size_t rstride = std::size_t{1} << l;
-          const Factor2 f = bandf[l];
-          for (std::size_t r0 = 0; r0 < rows; r0 += rstride << 1) {
-            for (std::size_t r = r0; r < r0 + rstride; ++r) {
-              double* lo = ys + (base_e + (r << k0)) * m;
-              double* hi = lo + ((rstride << k0)) * m;
-              kp->butterfly_span(lo, hi, cnt, f);
-            }
-          }
-        }
-        if (fuse_post) {
-          for (std::size_t r = 0; r < rows; ++r) {
-            const std::size_t row_e = base_e + (r << k0);
-            if (post_mode == ScaleMode::broadcast) {
-              kp->mul_rows_broadcast_inplace(ys + row_e * m, posts + row_e, cols, m);
-            } else {
-              kp->mul_span_inplace(ys + row_e * m, posts + row_e * m, cnt);
-            }
-          }
-        }
-      }
-    });
-  }
-}
-
-void apply_blocked_panel_butterfly(std::span<double> panel, std::size_t m,
-                                   std::span<const Factor2> factors,
-                                   const parallel::Engine& engine,
-                                   const BlockedPlan& plan) {
-  apply_blocked_panel_butterfly_fused(panel, panel, m, factors, {}, {}, engine, plan);
-}
-
-void apply_panel_wide_fused(std::span<const double> x, std::span<double> y,
-                            std::size_t m, std::span<const Factor2> factors,
-                            std::span<const double> pre_scale,
-                            std::span<const double> post_scale,
-                            const parallel::Engine& engine,
-                            const BlockedPlan& plan) {
-  require(m >= 1, "panel butterfly: panel width m must be >= 1");
-  // Wide panels sweep at full width — every span primitive takes an
-  // arbitrary length, and per column the per-element butterfly sequence is
-  // identical to an m <= 8 run, so results are bit-identical per column to
-  // solving each 8-column block directly.  panel_plan's width shrink (keep
-  // tile * m at the m = 8 cache footprint) carries over unchanged: on the
-  // reference host it measured best-or-tied for m = 16 and 32 at every
-  // nu in {18..22} against two alternatives that were built and rejected:
+  // Widths past 8 sweep at full width under panel_plan's width-shrunk tile
+  // (tile * m stays at the m = 8 cache footprint).  Per column the
+  // per-element butterfly sequence is identical to an m <= 8 run, so results
+  // are bit-identical per column to solving each 8-column block directly.
+  // On the reference host this measured best-or-tied for m = 16 and 32 at
+  // every nu in {18..22} against two alternatives that were built and
+  // rejected:
   //   * explicit column staging (pack 8 columns at a time through a dense
   //     scratch panel, gather/scatter fused into the first/last band):
   //     1.6-2.4x slower at nu = 22 — 64-byte strided column windows stream
@@ -386,14 +386,19 @@ void apply_panel_wide_fused(std::span<const double> x, std::span<double> y,
   //     within noise of the plain plan at nu >= 20, slower below — the
   //     extra band the shrunken tile sometimes costs is cheaper than
   //     sweeping tile levels beyond L2.
-  apply_blocked_panel_butterfly_fused(x, y, m, factors, pre_scale, post_scale,
-                                      engine, plan);
+  const PanelKernels* kp = &panel_kernels();
+  QS_TRACE_KERNEL_TAG(kp);
+  const BandJob job{x.data(), y.data(), m, nu, factors.data(), pre_scale.data(),
+                    scale_mode(pre_scale, n, m), post_scale.data(),
+                    scale_mode(post_scale, n, m)};
+  run_bands(*kp, 8, nullptr, "fmmp.panel_band", job, engine, panel_plan(plan, m));
 }
 
-void apply_panel_wide(std::span<double> panel, std::size_t m,
-                      std::span<const Factor2> factors,
-                      const parallel::Engine& engine, const BlockedPlan& plan) {
-  apply_panel_wide_fused(panel, panel, m, factors, {}, {}, engine, plan);
+void apply_blocked_panel_butterfly(std::span<double> panel, std::size_t m,
+                                   std::span<const Factor2> factors,
+                                   const parallel::Engine& engine,
+                                   const BlockedPlan& plan) {
+  apply_blocked_panel_butterfly_fused(panel, panel, m, factors, {}, {}, engine, plan);
 }
 
 void pack_panel_column(std::span<const double> column, std::span<double> panel,

@@ -17,8 +17,13 @@
 // a scalar fallback; m is arbitrary — tails are handled).
 //
 // The band structure is exactly blocked_butterfly's; the tile budget is
-// shrunk by log2(m) so a tile of panel rows still fits the same cache
-// footprint as a single-vector tile.
+// shrunk by log2(m) - 3 past m = 8 so a tile of panel rows stays within the
+// m = 8 cache footprint.
+//
+// One band driver serves every m <= 8: a single vector on a SIMD sv table
+// is the m = 8 panel of its N/8 rows of 8 (apply_sv_rows8).  It runs the
+// same driver with the sv table's two-rounding span kernels plus an
+// in-register stage for levels 0-2; m >= 2 panels keep the FMA table.
 #pragma once
 
 #include <span>
@@ -56,6 +61,11 @@ void apply_blocked_panel_butterfly(std::span<double> panel, std::size_t m,
 /// The scalings ride inside the first/last band, costing no extra pass.
 /// x may alias y exactly (x.data() == y.data()) or not at all.  Requires
 /// x.size() == y.size() == 2^factors.size() * m.
+///
+/// m == 1 is a single vector and runs apply_blocked_butterfly_fused (the sv
+/// two-rounding contract, bit-identical to it).  m >= 2 runs the FMA panel
+/// table; widths past 8 sweep at full width under panel_plan's shrunk tile,
+/// bit-identical per column to solving each 8-column block directly.
 void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          std::span<double> y, std::size_t m,
                                          std::span<const Factor2> factors,
@@ -64,29 +74,17 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          const parallel::Engine& engine,
                                          const BlockedPlan& plan = {});
 
-/// Wide-panel (m > 8) fused product: the full-width direct sweep under
-/// panel_plan's width-shrunk tile (tile * m stays at the m = 8 cache
-/// footprint).  Per column the per-element butterfly sequence is identical
-/// to the m <= 8 path — band and stage boundaries only reorder work
-/// *across* elements — so results are bit-identical per column to solving
-/// each 8-column block directly.  This is the wide strategy that measured
-/// best on the reference host; explicit 8-column staging through a scratch
-/// panel ran 1.6-2.4x slower (strided column windows stream far below
-/// contiguous bandwidth) — see the .cpp for the full comparison.  Accepts
-/// the same scaling shapes as apply_blocked_panel_butterfly_fused; x may
-/// alias y exactly or not at all.
-void apply_panel_wide_fused(std::span<const double> x, std::span<double> y,
-                            std::size_t m, std::span<const Factor2> factors,
-                            std::span<const double> pre_scale,
-                            std::span<const double> post_scale,
-                            const parallel::Engine& engine,
-                            const BlockedPlan& plan = {});
-
-/// In-place wide-panel transform without scalings (see apply_panel_wide_fused).
-void apply_panel_wide(std::span<double> panel, std::size_t m,
-                      std::span<const Factor2> factors,
-                      const parallel::Engine& engine,
-                      const BlockedPlan& plan = {});
+/// apply_blocked_butterfly_fused on the SIMD sv table `k`, run as an m = 8
+/// panel of N/8 rows: k.rows8_stage applies levels 0-2 (and the pre-scale)
+/// in band 0, then the band driver sweeps levels 3..nu-1 with k's span
+/// kernels under panel_plan(plan, 8), fusion capped at plan.sv_max_radix.
+/// Bit-identical to the plain loops.  Requires nu = factors.size() >= 3;
+/// the caller has checked the shapes.
+void apply_sv_rows8(const SvKernels& k, std::span<const double> x,
+                    std::span<double> y, std::span<const Factor2> factors,
+                    std::span<const double> pre_scale,
+                    std::span<const double> post_scale,
+                    const parallel::Engine& engine, const BlockedPlan& plan);
 
 /// Interleaves column j of the panel from a contiguous vector:
 /// panel[i*m + j] = column[i].  Requires column.size() * m == panel.size()

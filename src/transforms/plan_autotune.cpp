@@ -81,17 +81,19 @@ BlockedPlan cache_heuristic_plan(const CacheHierarchy& caches, std::size_t m) {
   require(m >= 1, "cache_heuristic_plan: panel width m must be >= 1");
   BlockedPlan plan;  // defaults
   if (!caches.detected) return plan;
+  // A single vector on a SIMD sv table runs as rows of 8 doubles.
+  const std::size_t row = m == 1 && best_sv_kernels() != nullptr ? 8 : m;
   if (caches.l2_bytes != 0) {
-    // Tile of 2^t * m doubles targeting ~L2/3: the band touches the tile
-    // once per level plus the working set of x and y halves.
-    const std::size_t doubles = caches.l2_bytes / (3 * sizeof(double) * m);
+    // Tile of 2^t rows targeting ~L2/3: the band touches the tile once per
+    // level plus the working set of x and y halves.
+    const std::size_t doubles = caches.l2_bytes / (3 * sizeof(double) * row);
     plan.tile_log2 = clamp_range(floor_log2(std::max<std::size_t>(doubles, 2)),
                                  10u, 18u);
   }
   if (caches.l1d_bytes != 0) {
     // A gather-panel step streams 2^b rows of 2^chunk * m doubles; keep one
     // row pair within ~L1/8 so the butterfly pair stays L1-resident.
-    const std::size_t doubles = caches.l1d_bytes / (8 * sizeof(double) * m);
+    const std::size_t doubles = caches.l1d_bytes / (8 * sizeof(double) * row);
     plan.chunk_log2 = clamp_range(floor_log2(std::max<std::size_t>(doubles, 2)),
                                   4u, 8u);
   }

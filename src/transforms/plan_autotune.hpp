@@ -39,9 +39,9 @@ struct CacheHierarchy {
 CacheHierarchy detect_cache_hierarchy();
 
 /// A plan derived from cache sizes alone (no measurement): the tile targets
-/// about a third of L2 (in doubles, panel width m included), the chunk about
-/// an eighth of L1d per gather-panel row.  Falls back to the default plan
-/// when detection failed.
+/// about a third of L2 (in rows of m doubles — of 8 for m == 1 on a SIMD sv
+/// table, see BlockedPlan), the chunk about an eighth of L1d per
+/// gather-panel row.  Falls back to the default plan when detection failed.
 BlockedPlan cache_heuristic_plan(const CacheHierarchy& caches, std::size_t m = 1);
 
 /// One measured candidate.
@@ -64,10 +64,12 @@ struct AutotuneReport {
 /// by more than ~1% (so noise can not make the tuned plan a regression).
 ///
 /// For m == 1 the workload is the *single-vector* banded kernel (the one
-/// default solves run), and a second stage measures the single-vector
-/// microkernel tier x fused radix — {autovec, sv-avx2, sv-avx512} x
-/// {radix-4, radix-8}, restricted to tiers this build/CPU supports — with
-/// tile/chunk pinned at the stage-1 winner.  A tier/radix choice is adopted
+/// default solves run) — on a SIMD tier the m = 8 panel of its N/8 rows, so
+/// tile and chunk count rows of 8 there and plain doubles on autovec — and
+/// a second stage measures the single-vector microkernel tier x fused radix
+/// of the levels >= 3 sweep — {autovec, sv-avx2, sv-avx512} x {radix-4,
+/// radix-8}, restricted to tiers this build/CPU supports — with tile/chunk
+/// pinned at the stage-1 winner.  A tier/radix choice is adopted
 /// only when it beats the stage-1 pick (automatic tier, radix 8) by more
 /// than ~1%; every measured combination lands in the report's timings, so
 /// tier selection is auditable.  All combinations are bit-identical — this

@@ -82,6 +82,15 @@ void sv_butterfly_oct_span_scalar(double* p, std::size_t stride, std::size_t cnt
   }
 }
 
+void sv_rows8_stage_scalar(double* y, const double* x, const double* s,
+                           std::size_t rows, Factor2 f0, Factor2 f1,
+                           Factor2 f2) {
+  for (std::size_t i = 0; i < 8 * rows; ++i) y[i] = s != nullptr ? s[i] * x[i] : x[i];
+  for (std::size_t r = 0; r < rows; ++r) {
+    sv_butterfly_oct_span_scalar(y + 8 * r, 1, 1, f0, f1, f2);
+  }
+}
+
 void sv_mul_span_scalar(double* y, const double* x, const double* s,
                         std::size_t cnt) {
   for (std::size_t i = 0; i < cnt; ++i) y[i] = s[i] * x[i];
@@ -194,7 +203,7 @@ double sv_tree_abs_sum_scalar(const double* v, std::size_t n) {
 
 constexpr SvKernels kScalarSvKernels{
     sv_butterfly_span_scalar, sv_butterfly_quad_span_scalar,
-    sv_butterfly_oct_span_scalar, sv_mul_span_scalar,
+    sv_butterfly_oct_span_scalar, sv_rows8_stage_scalar, sv_mul_span_scalar,
     sv_mul_span_inplace_scalar, sv_tree_dot2_scalar,
     sv_tree_residual_shift_norm1_scalar, sv_tree_sum_scalar,
     sv_tree_abs_sum_scalar, "scalar",

@@ -26,8 +26,19 @@
 //
 // The radix-4/radix-8 kernels fuse two/three butterfly levels per sweep —
 // per element the same ascending per-level 2x2 applications, so fusion (and
-// the L1 sub-tile staging built on it in blocked_butterfly.cpp) preserves
+// the band/sub-tile staging of the panel driver that runs them) preserves
 // bit-identity; only the traversal order of *independent* pairs changes.
+// `sv_max_radix` caps that fusion for the levels >= 3 sweep.
+//
+// A SIMD-tier single-vector product runs as an m = 8 panel of N/8 rows
+// (apply_sv_rows8 in transforms/panel_butterfly): rows8_stage applies
+// levels 0-2 inside each 8-double row in registers, fused with the
+// pre-scale, and the panel band driver sweeps levels 3..nu-1 with this
+// table's span kernels — every span >= 8 doubles.  The row stage keeps the
+// scalar operand order per output, m00*lo + m01*hi and m10*lo + m11*hi (lo
+// the lower index), by blending each pair's elements into place rather
+// than commuting a sum.  NaN payloads are not pinned (a compiler may swap
+// a commutative add's operands in any tier); NaN positions are.
 //
 // The same table carries the power iteration's reductions.  A plain
 // `acc += ...` loop is one dependent add chain the compiler may not
@@ -75,6 +86,13 @@ struct SvKernels {
   /// (0,2)(1,3)(4,6)(5,7), then f2 pairs (0,4)(1,5)(2,6)(3,7).
   void (*butterfly_oct_span)(double* p, std::size_t stride, std::size_t cnt,
                              Factor2 f0, Factor2 f1, Factor2 f2);
+
+  /// Levels 0-2 inside each of `rows` contiguous 8-double rows: for every
+  /// row r, y[8r..8r+8) <- B2 B1 B0 (s[8r..8r+8) (*) x[8r..8r+8)), with the
+  /// pairs of butterfly_oct_span at stride 1.  `s` may be null (no scaling,
+  /// y-row <- B2 B1 B0 x-row); x may alias y exactly.
+  void (*rows8_stage)(double* y, const double* x, const double* s,
+                      std::size_t rows, Factor2 f0, Factor2 f1, Factor2 f2);
 
   /// y[i] = s[i] * x[i] for i in [0, cnt). x may alias y exactly.
   void (*mul_span)(double* y, const double* x, const double* s, std::size_t cnt);

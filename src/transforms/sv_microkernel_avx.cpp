@@ -180,6 +180,44 @@ void sv_butterfly_oct_span_avx2(double* p, std::size_t stride, std::size_t cnt,
   }
 }
 
+/// Levels 0 and 1 inside one 4-double vector, with the lane coefficients
+/// of sv_rows8_stage_avx2.  Each level swaps lanes with their partners and
+/// blends, so the first product always takes the pair's lower element and
+/// the second its higher one.
+inline __attribute__((always_inline)) __m256d sv_levels01_avx2(__m256d v,
+                                                             const __m256d* c) {
+  __m256d sw = _mm256_permute_pd(v, 0x5);  // swap adjacent lanes
+  v = muladd4(c[0], _mm256_blend_pd(v, sw, 0xA), c[1], _mm256_blend_pd(sw, v, 0xA));
+  sw = _mm256_permute2f128_pd(v, v, 0x01);  // swap the 128-bit halves
+  return muladd4(c[2], _mm256_blend_pd(v, sw, 0xC), c[3],
+                 _mm256_blend_pd(sw, v, 0xC));
+}
+
+void sv_rows8_stage_avx2(double* y, const double* x, const double* s,
+                         std::size_t rows, Factor2 f0, Factor2 f1, Factor2 f2) {
+  // Per level a pair's lower lane computes m00*lo + m01*hi and its higher
+  // lane m10*lo + m11*hi: the scalar operand order on every lane, never a
+  // commuted sum.  Level 2 pairs the row's two vectors lane by lane.
+  const __m256d c[4] = {_mm256_setr_pd(f0.m00, f0.m10, f0.m00, f0.m10),
+                        _mm256_setr_pd(f0.m01, f0.m11, f0.m01, f0.m11),
+                        _mm256_setr_pd(f1.m00, f1.m00, f1.m10, f1.m10),
+                        _mm256_setr_pd(f1.m01, f1.m01, f1.m11, f1.m11)};
+  const __m256d c00 = _mm256_set1_pd(f2.m00), c01 = _mm256_set1_pd(f2.m01);
+  const __m256d c10 = _mm256_set1_pd(f2.m10), c11 = _mm256_set1_pd(f2.m11);
+  for (std::size_t r = 0; r < rows; ++r) {
+    __m256d u = _mm256_loadu_pd(x + 8 * r);
+    __m256d w = _mm256_loadu_pd(x + 8 * r + 4);
+    if (s != nullptr) {
+      u = _mm256_mul_pd(_mm256_loadu_pd(s + 8 * r), u);
+      w = _mm256_mul_pd(_mm256_loadu_pd(s + 8 * r + 4), w);
+    }
+    u = sv_levels01_avx2(u, c);
+    w = sv_levels01_avx2(w, c);
+    _mm256_storeu_pd(y + 8 * r, muladd4(c00, u, c01, w));
+    _mm256_storeu_pd(y + 8 * r + 4, muladd4(c10, u, c11, w));
+  }
+}
+
 void sv_mul_span_avx2(double* y, const double* x, const double* s,
                       std::size_t cnt) {
   std::size_t i = 0;
@@ -318,7 +356,7 @@ double sv_tree_abs_sum_avx2(const double* v, std::size_t n) {
 
 constexpr SvKernels kAvx2SvKernels{
     sv_butterfly_span_avx2, sv_butterfly_quad_span_avx2,
-    sv_butterfly_oct_span_avx2, sv_mul_span_avx2,
+    sv_butterfly_oct_span_avx2, sv_rows8_stage_avx2, sv_mul_span_avx2,
     sv_mul_span_inplace_avx2, sv_tree_dot2_avx2,
     sv_tree_residual_shift_norm1_avx2, sv_tree_sum_avx2,
     sv_tree_abs_sum_avx2, "avx2",

@@ -178,6 +178,36 @@ void sv_butterfly_oct_span_avx512(double* p, std::size_t stride,
   }
 }
 
+void sv_rows8_stage_avx512(double* y, const double* x, const double* s,
+                           std::size_t rows, Factor2 f0, Factor2 f1,
+                           Factor2 f2) {
+  // Level l pairs the lanes that differ in bit l (kHi marks the higher
+  // lane).  Two masked lane swaps give every lane its pair's lower element
+  // (lo) and higher element (hi); with lane coefficients m00 / m01 on lower
+  // and m10 / m11 on higher lanes, c_lo*lo + c_hi*hi is the scalar
+  // expression in the scalar operand order on every lane, never a commuted
+  // sum.
+  constexpr __mmask8 kHi0 = 0xAA, kHi1 = 0xCC, kHi2 = 0xF0;
+  const auto coeff = [](double lower, double higher, __mmask8 hi_lanes) {
+    return _mm512_mask_blend_pd(hi_lanes, _mm512_set1_pd(lower),
+                                _mm512_set1_pd(higher));
+  };
+  const __m512d a_lo = coeff(f0.m00, f0.m10, kHi0), a_hi = coeff(f0.m01, f0.m11, kHi0);
+  const __m512d b_lo = coeff(f1.m00, f1.m10, kHi1), b_hi = coeff(f1.m01, f1.m11, kHi1);
+  const __m512d c_lo = coeff(f2.m00, f2.m10, kHi2), c_hi = coeff(f2.m01, f2.m11, kHi2);
+  for (std::size_t r = 0; r < rows; ++r) {
+    __m512d v = _mm512_loadu_pd(x + 8 * r);
+    if (s != nullptr) v = _mm512_mul_pd(_mm512_loadu_pd(s + 8 * r), v);
+    v = muladd8(a_lo, _mm512_mask_permute_pd(v, kHi0, v, 0x55), a_hi,
+                _mm512_mask_permute_pd(v, __mmask8(~kHi0), v, 0x55));
+    v = muladd8(b_lo, _mm512_mask_permutex_pd(v, kHi1, v, 0x4E), b_hi,
+                _mm512_mask_permutex_pd(v, __mmask8(~kHi1), v, 0x4E));
+    v = muladd8(c_lo, _mm512_mask_shuffle_f64x2(v, kHi2, v, v, 0x4E), c_hi,
+                _mm512_mask_shuffle_f64x2(v, __mmask8(~kHi2), v, v, 0x4E));
+    _mm512_storeu_pd(y + 8 * r, v);
+  }
+}
+
 void sv_mul_span_avx512(double* y, const double* x, const double* s,
                         std::size_t cnt) {
   std::size_t i = 0;
@@ -316,7 +346,7 @@ double sv_tree_abs_sum_avx512(const double* v, std::size_t n) {
 
 constexpr SvKernels kAvx512SvKernels{
     sv_butterfly_span_avx512, sv_butterfly_quad_span_avx512,
-    sv_butterfly_oct_span_avx512, sv_mul_span_avx512,
+    sv_butterfly_oct_span_avx512, sv_rows8_stage_avx512, sv_mul_span_avx512,
     sv_mul_span_inplace_avx512, sv_tree_dot2_avx512,
     sv_tree_residual_shift_norm1_avx512, sv_tree_sum_avx512,
     sv_tree_abs_sum_avx512, "avx512",

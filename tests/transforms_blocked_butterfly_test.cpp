@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/fmmp.hpp"
@@ -189,19 +190,31 @@ TEST(BlockedButterfly, SingleThreadPoolMatchesReference) {
 }
 
 TEST(BlockedButterfly, BandBoundariesCoverAllLevelsOnce) {
-  const BlockedPlan plan{.tile_log2 = 14, .chunk_log2 = 6};
-  for (unsigned nu = 0; nu <= 30; ++nu) {
-    const auto bounds = blocked_band_boundaries(nu, plan);
-    ASSERT_GE(bounds.size(), 1u);
-    EXPECT_EQ(bounds.front(), 0u);
-    if (nu == 0) {
-      EXPECT_EQ(bounds.size(), 1u);
-      continue;
-    }
-    EXPECT_EQ(bounds.back(), nu);
-    for (std::size_t i = 1; i < bounds.size(); ++i) {
-      EXPECT_LT(bounds[i - 1], bounds[i]);
-      EXPECT_LE(bounds[i] - bounds[i - 1], plan.tile_log2);
+  // Tiles count rows.  On a SIMD sv tier (nu >= 3) a single vector runs as
+  // rows of 8: the bounds are the row bounds of nu - 3 levels shifted up by
+  // the three in-row levels, which band 0 carries on top of its tile levels.
+  for (SvKernel tier : {SvKernel::automatic, SvKernel::autovec}) {
+    const BlockedPlan plan{.tile_log2 = 14, .chunk_log2 = 6, .sv_kernel = tier};
+    for (unsigned nu = 0; nu <= 30; ++nu) {
+      const bool rows_of_8 = nu >= 3 && resolve_sv_kernels(tier) != nullptr;
+      const auto bounds = blocked_band_boundaries(nu, plan);
+      ASSERT_GE(bounds.size(), 1u);
+      EXPECT_EQ(bounds.front(), 0u);
+      if (nu == 0) {
+        EXPECT_EQ(bounds.size(), 1u);
+        continue;
+      }
+      EXPECT_EQ(bounds.back(), nu);
+      for (std::size_t i = 1; i < bounds.size(); ++i) {
+        EXPECT_LT(bounds[i - 1], bounds[i]);
+        const unsigned in_row = rows_of_8 && i == 1 ? 3u : 0u;
+        EXPECT_LE(bounds[i] - bounds[i - 1], plan.tile_log2 + in_row);
+      }
+      const BandBounds rows = row_band_bounds(rows_of_8 ? nu - 3 : nu, plan);
+      ASSERT_EQ(bounds.size(), std::max<std::size_t>(rows.count, 2));
+      for (std::size_t i = 1; i < rows.count; ++i) {
+        EXPECT_EQ(bounds[i], rows[i] + (rows_of_8 ? 3u : 0u)) << "nu " << nu;
+      }
     }
   }
 }

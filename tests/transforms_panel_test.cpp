@@ -94,26 +94,43 @@ TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
 }
 
 TEST(PanelButterfly, WidthOneMatchesBlockedButterfly) {
-  // m = 1 reduces to the single-vector banded kernel: same bands, same
-  // operation order.  With the scalar microkernel table active the results
-  // are bit-identical; with FMA-fused SIMD kernels each butterfly rounds
-  // once less, so equality holds to a few ULP instead.
+  // m = 1 is a single vector by structure: the panel entry point runs the
+  // single-vector banded kernel under the same plan, so on every sv tier
+  // the results are bit-identical — plain and with fused broadcast
+  // scalings (length N, i.e. one column's diagonal), out-of-place and
+  // exactly aliased.
   const unsigned nu = 12;
   const std::size_t n = std::size_t{1} << nu;
   const auto factors = asymmetric_factors(nu, 7);
   const auto x = random_vector(n, 7);
-  std::vector<double> single = x;
-  std::vector<double> panel = x;
+  const auto pre = positive_vector(n, 8);
+  const auto post = positive_vector(n, 9);
   const auto& engine = parallel::serial_engine();
-  apply_blocked_butterfly(single, factors, engine);
-  apply_blocked_panel_butterfly(panel, 1, factors, engine);
-  const bool scalar_active =
-      std::string_view(panel_kernels().name) == std::string_view("scalar");
-  for (std::size_t i = 0; i < n; ++i) {
-    if (scalar_active) {
+  for (SvKernel tier : {SvKernel::automatic, SvKernel::autovec, SvKernel::avx2,
+                        SvKernel::avx512}) {
+    SCOPED_TRACE(to_string(tier));
+    BlockedPlan plan;
+    plan.sv_kernel = tier;
+    std::vector<double> single = x;
+    std::vector<double> panel = x;
+    apply_blocked_butterfly(single, factors, engine, plan);
+    apply_blocked_panel_butterfly(panel, 1, factors, engine, plan);
+    for (std::size_t i = 0; i < n; ++i) {
       ASSERT_EQ(single[i], panel[i]) << "index " << i;
-    } else {
-      ASSERT_NEAR(single[i], panel[i], kTol) << "index " << i;
+    }
+
+    std::vector<double> fused_single(n);
+    std::vector<double> fused_panel(n);
+    apply_blocked_butterfly_fused(x, fused_single, factors, pre, post, engine,
+                                  plan);
+    apply_blocked_panel_butterfly_fused(x, fused_panel, 1, factors, pre, post,
+                                        engine, plan);
+    std::vector<double> fused_in_place = x;
+    apply_blocked_panel_butterfly_fused(fused_in_place, fused_in_place, 1,
+                                        factors, pre, post, engine, plan);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(fused_single[i], fused_panel[i]) << "fused index " << i;
+      ASSERT_EQ(fused_single[i], fused_in_place[i]) << "in-place index " << i;
     }
   }
 }
@@ -361,8 +378,8 @@ TEST(PanelWide, WideFusedMatchesEightColumnBlocksBitwise) {
     for (parallel::Backend kind : kBackends) {
       const auto engine = parallel::make_engine(kind);
       std::vector<double> out(n * m);
-      apply_panel_wide_fused(panel, out, m, factors, pre, post, *engine,
-                             BlockedPlan{});
+      apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre, post,
+                                          *engine, BlockedPlan{});
       std::vector<double> column(n);
       for (std::size_t j = 0; j < m; ++j) {
         unpack_panel_column(out, m, j, column);
@@ -371,17 +388,17 @@ TEST(PanelWide, WideFusedMatchesEightColumnBlocksBitwise) {
 
       // In-place (x aliasing y exactly) must equal out-of-place bitwise.
       std::vector<double> in_place = panel;
-      apply_panel_wide_fused(in_place, in_place, m, factors, pre, post,
-                             *engine, BlockedPlan{});
+      apply_blocked_panel_butterfly_fused(in_place, in_place, m, factors, pre,
+                                          post, *engine, BlockedPlan{});
       expect_bitwise(out, in_place, "wide fused in-place");
 
       // The no-scalings wrapper agrees with empty spans through the fused
       // entry point.
       std::vector<double> plain = panel;
-      apply_panel_wide(plain, m, factors, *engine, BlockedPlan{});
+      apply_blocked_panel_butterfly(plain, m, factors, *engine, BlockedPlan{});
       std::vector<double> plain_ref(n * m);
-      apply_panel_wide_fused(panel, plain_ref, m, factors, {}, {}, *engine,
-                             BlockedPlan{});
+      apply_blocked_panel_butterfly_fused(panel, plain_ref, m, factors, {}, {},
+                                          *engine, BlockedPlan{});
       expect_bitwise(plain_ref, plain, "wide plain wrapper");
     }
   }

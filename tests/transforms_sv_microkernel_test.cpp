@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -145,6 +146,95 @@ TEST(SvMicrokernel, FusedRadixKernelsBitwiseEqualPairComposition) {
   }
 }
 
+/// Exact bit patterns (signed zeros, subnormals, infinities), with NaN
+/// matching NaN.  NaN payloads are not compared: when both operands of an
+/// add are NaN the result carries the first one's payload, and a compiler
+/// may swap the operands of a commutative add in any tier — two scalar
+/// compilations of the same expression already disagree there.
+void expect_same_bits(const std::vector<double>& expected,
+                      const std::vector<double>& actual, const char* what) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    if (std::isnan(expected[i])) {
+      ASSERT_TRUE(std::isnan(actual[i])) << what << " index " << i;
+      continue;
+    }
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(expected[i]),
+              std::bit_cast<std::uint64_t>(actual[i]))
+        << what << " index " << i << ": " << expected[i] << " vs " << actual[i];
+  }
+}
+
+/// Random values in [-1, 1) with about one element in five replaced by a
+/// special: -0.0, subnormals, +-Inf, and quiet NaNs with distinct payloads.
+std::vector<double> vector_with_specials(std::size_t n, std::uint64_t seed) {
+  const double specials[] = {
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -3.5e-310,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::bit_cast<double>(std::uint64_t{0x7FF8000000000001}),
+      std::bit_cast<double>(std::uint64_t{0xFFF800000000BEEF}),
+  };
+  std::vector<double> v(n);
+  Xoshiro256 rng(seed);
+  for (double& x : v) {
+    x = rng.uniform(-1.0, 1.0);
+    if (rng.uniform(0.0, 1.0) < 0.2) {
+      x = specials[static_cast<std::size_t>(rng.uniform(0.0, 7.0)) % 7];
+    }
+  }
+  return v;
+}
+
+TEST(SvMicrokernel, Rows8StageBitwiseMatchesThreeScalarLevels) {
+  // rows8_stage is levels 0-2 of the single-vector product inside each
+  // 8-double row, fused with the pre-scale.  Every tier must equal the
+  // scalar mul_span followed by three plain pair levels bit for bit, on
+  // inputs full of signed zeros, subnormals, infinities and NaNs.
+  const SvKernels& scalar = scalar_sv_kernels();
+  const Factor2 f0 = Factor2::asymmetric(0.013, 0.27);
+  const Factor2 f1 = Factor2::asymmetric(0.041, 0.18);
+  const Factor2 f2 = Factor2::asymmetric(0.009, 0.33);
+  for (const SvKernels* table : available_tables()) {
+    SCOPED_TRACE(table->name);
+    for (std::size_t rows : {1ul, 2ul, 3ul, 64ul, 1000ul}) {
+      const std::size_t n = 8 * rows;
+      const auto x = vector_with_specials(n, 300 + rows);
+      const auto s = vector_with_specials(n, 400 + rows);
+      for (const bool scaled : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "rows=" << rows
+                                          << " scaled=" << scaled);
+        std::vector<double> reference = x;
+        if (scaled) scalar.mul_span(reference.data(), x.data(), s.data(), n);
+        for (std::size_t r = 0; r < rows; ++r) {
+          double* q = reference.data() + 8 * r;
+          for (std::size_t k : {0ul, 2ul, 4ul, 6ul}) {
+            scalar.butterfly_span(q + k, q + k + 1, 1, f0);
+          }
+          for (std::size_t k : {0ul, 1ul, 4ul, 5ul}) {
+            scalar.butterfly_span(q + k, q + k + 2, 1, f1);
+          }
+          for (std::size_t k : {0ul, 1ul, 2ul, 3ul}) {
+            scalar.butterfly_span(q + k, q + k + 4, 1, f2);
+          }
+        }
+        const double* sp = scaled ? s.data() : nullptr;
+
+        std::vector<double> out(n);
+        table->rows8_stage(out.data(), x.data(), sp, rows, f0, f1, f2);
+        expect_same_bits(reference, out, "rows8_stage out-of-place");
+
+        std::vector<double> in_place = x;
+        table->rows8_stage(in_place.data(), in_place.data(), sp, rows, f0, f1,
+                           f2);
+        expect_same_bits(reference, in_place, "rows8_stage aliased");
+      }
+    }
+  }
+}
+
 TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
   // The whole banded apply — every tier, every fused radix, every backend —
   // against the forced-autovec path.  This is the acceptance criterion of
@@ -154,7 +244,8 @@ TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
       parallel::Backend::thread_pool};
   const SvKernel tiers[] = {SvKernel::automatic, SvKernel::avx2,
                             SvKernel::avx512};
-  for (unsigned nu : {4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u, 14u, 16u, 22u}) {
+  for (unsigned nu :
+       {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u, 14u, 16u, 22u}) {
     const std::size_t n = std::size_t{1} << nu;
     const auto factors = asymmetric_factors(nu, 1000 + nu);
     const auto x = random_vector(n, 2000 + nu);
@@ -189,33 +280,46 @@ TEST(SvMicrokernel, FusedScalingsBitIdenticalAcrossTiers) {
   // The fused pre/post diagonal scalings ride inside the first/last band on
   // both the autovec and the microkernel paths; a plain element-wise product
   // is bitwise the same in scalar and SIMD, so the whole fused product must
-  // be too — out-of-place and exactly-aliased in-place.
+  // be too — out-of-place and exactly-aliased in-place, for the pre-only
+  // (right), post-only (left) and pre+post (symmetric) formulations.
   const unsigned nu = 12;
   const std::size_t n = std::size_t{1} << nu;
   const auto factors = asymmetric_factors(nu, 77);
   const auto x = random_vector(n, 78);
-  const auto pre = positive_vector(n, 79);
-  const auto post = positive_vector(n, 80);
+  const auto pre_values = positive_vector(n, 79);
+  const auto post_values = positive_vector(n, 80);
+  const std::span<const double> none;
 
-  BlockedPlan reference_plan;
-  reference_plan.sv_kernel = SvKernel::autovec;
-  std::vector<double> reference(n);
-  apply_blocked_butterfly_fused(x, reference, factors, pre, post,
-                                parallel::serial_engine(), reference_plan);
+  for (const bool with_pre : {true, false}) {
+    for (const bool with_post : {true, false}) {
+      if (!with_pre && !with_post) continue;
+      const std::span<const double> pre = with_pre ? pre_values : none;
+      const std::span<const double> post = with_post ? post_values : none;
+      SCOPED_TRACE(::testing::Message() << "pre=" << with_pre
+                                        << " post=" << with_post);
 
-  for (SvKernel tier : {SvKernel::automatic, SvKernel::avx2, SvKernel::avx512}) {
-    BlockedPlan plan;
-    plan.sv_kernel = tier;
-    SCOPED_TRACE(to_string(tier));
-    std::vector<double> y(n);
-    apply_blocked_butterfly_fused(x, y, factors, pre, post,
-                                  parallel::serial_engine(), plan);
-    expect_bitwise(reference, y, "fused out-of-place");
+      BlockedPlan reference_plan;
+      reference_plan.sv_kernel = SvKernel::autovec;
+      std::vector<double> reference(n);
+      apply_blocked_butterfly_fused(x, reference, factors, pre, post,
+                                    parallel::serial_engine(), reference_plan);
 
-    std::vector<double> in_place = x;
-    apply_blocked_butterfly_fused(in_place, in_place, factors, pre, post,
-                                  parallel::serial_engine(), plan);
-    expect_bitwise(reference, in_place, "fused in-place");
+      for (SvKernel tier :
+           {SvKernel::automatic, SvKernel::avx2, SvKernel::avx512}) {
+        BlockedPlan plan;
+        plan.sv_kernel = tier;
+        SCOPED_TRACE(to_string(tier));
+        std::vector<double> y(n);
+        apply_blocked_butterfly_fused(x, y, factors, pre, post,
+                                      parallel::serial_engine(), plan);
+        expect_bitwise(reference, y, "fused out-of-place");
+
+        std::vector<double> in_place = x;
+        apply_blocked_butterfly_fused(in_place, in_place, factors, pre, post,
+                                      parallel::serial_engine(), plan);
+        expect_bitwise(reference, in_place, "fused in-place");
+      }
+    }
   }
 }
 

@@ -119,9 +119,7 @@ FamilyResult sweep_landscape_family(const core::MutationModel& model,
             "sweep_landscape_family: landscape dimension differs from Q");
   }
   const std::size_t m = family.size();
-  const parallel::Engine& engine = options.engine != nullptr
-                                       ? *options.engine
-                                       : parallel::serial_engine();
+  const parallel::Engine& engine = parallel::engine_or_serial(options.engine);
 
   // Interleaved per-column pre-scaling panel: column j carries F_j, so one
   // fused panel butterfly computes y_j = Q (F_j x_j) = W_j x_j for all j.

@@ -129,8 +129,7 @@ void FmmpOperator::apply_panel(std::span<const double> x, std::span<double> y,
       break;
   }
 
-  const parallel::Engine& engine =
-      engine_ != nullptr ? *engine_ : parallel::serial_engine();
+  const parallel::Engine& engine = parallel::engine_or_serial(engine_);
 
   if (model_.kind() != MutationKind::grouped) {
     // m == 1 runs the single-vector kernel; wider panels the panel driver.

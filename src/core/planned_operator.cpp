@@ -16,8 +16,7 @@ transforms::BlockedPlan resolve_plan(
     unsigned nu, const PlannedOperatorConfig& config,
     std::optional<transforms::AutotuneReport>& report) {
   if (!config.autotune) return config.plan;
-  const parallel::Engine& engine =
-      config.engine != nullptr ? *config.engine : parallel::serial_engine();
+  const parallel::Engine& engine = parallel::engine_or_serial(config.engine);
   report = transforms::autotune_blocked_plan(
       nu, engine, std::max<std::size_t>(config.autotune_panel_width, 1));
   return report->best;

@@ -1,12 +1,9 @@
 #include "distributed/distributed_solver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
-#include "distributed/reduction.hpp"
-#include "linalg/vector_ops.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span_wire.hpp"
@@ -21,23 +18,14 @@ namespace {
 
 // Collective tags.  The butterfly exchanges use the level index (0..nu-1)
 // so a rank one level ahead of its partner fails with a named tag mismatch;
-// the reduction/gather tags live above any level index.
+// the reduction/gather tags live above any level index.  The power loop's
+// allreduces share one tag: their lengths (2, 3 or 1) tell them apart.
 constexpr unsigned kTagStartNorm = 100;
-constexpr unsigned kTagXX = 101;
-constexpr unsigned kTagXY = 102;
-constexpr unsigned kTagRes2 = 103;
-constexpr unsigned kTagControl = 104;
-constexpr unsigned kTagNorm = 105;
-constexpr unsigned kTagSign = 106;
-constexpr unsigned kTagFinalNorm = 107;
+constexpr unsigned kTagLoop = 101;
 constexpr unsigned kTagGather = 108;
 constexpr unsigned kTagStats = 109;
 constexpr unsigned kTagSpanLens = 110;  ///< Packed span-buffer lengths.
 constexpr unsigned kTagSpanShip = 111;  ///< Span buffers gathered to root.
-
-/// Bit 32 of the per-check control word carries rank 0's wall-clock
-/// checkpoint cadence; bits below sum the ranks' cancellation votes.
-constexpr double kControlTimeBit = 4294967296.0;  // 2^32
 
 const char* kind_name(core::MutationKind kind) {
   switch (kind) {
@@ -111,6 +99,54 @@ void apply_w_rank(Exchange& exchange, const BlockLayout& layout,
     exchange_hist.record_ns(monotonic_ns() - exchange_start);
   }
 }
+
+/// One rank's side of the power loop: the product is this rank's share of
+/// the distributed Fmmp, and the loop's reductions and gathers go through
+/// the Exchange.
+class RankCollective final : public solvers::BlockCollective {
+ public:
+  RankCollective(Exchange& exchange, const BlockLayout& layout,
+                 std::span<const transforms::Factor2> sites,
+                 std::span<const double> fitness_block,
+                 const transforms::BlockedPlan& plan)
+      : exchange_(exchange),
+        layout_(layout),
+        sites_(sites),
+        fitness_block_(fitness_block),
+        plan_(plan),
+        sv_(transforms::resolve_sv_kernels(plan.sv_kernel)),
+        recv_(layout.block_size()) {}
+
+  void apply(std::span<const double> x, std::span<double> y) override {
+    apply_w_rank(exchange_, layout_, sites_, fitness_block_, plan_, sv_, x, y,
+                 recv_);
+  }
+  void allreduce(std::span<double> values) override {
+    exchange_.allreduce_sum(values, kTagLoop);
+  }
+  std::span<const double> gather(std::span<const double> x) override {
+    if (is_root()) full_.resize(x.size() * layout_.rank_count());
+    exchange_.gather_to_root(x, full_, kTagGather);
+    return full_;
+  }
+  bool is_root() const override { return exchange_.rank() == 0; }
+
+  /// gather(), handing over the buffer (rank 0's result vector).
+  std::vector<double> gather_result(std::span<const double> x) {
+    gather(x);
+    return std::move(full_);
+  }
+
+ private:
+  Exchange& exchange_;
+  const BlockLayout& layout_;
+  std::span<const transforms::Factor2> sites_;
+  std::span<const double> fitness_block_;
+  const transforms::BlockedPlan& plan_;
+  const transforms::SvKernels* sv_;
+  std::vector<double> recv_;  ///< The butterfly's partner block.
+  std::vector<double> full_;  ///< Rank 0's gather target.
+};
 
 /// Ships every rank's span buffer to rank 0 and merges them into its
 /// snapshot, so one Chrome trace shows per-rank tracks with the request's
@@ -292,58 +328,24 @@ DistributedPowerResult distributed_power_rank(
   require(fitness_block.size() == block,
           "distributed_power_rank: fitness block has the wrong size");
 
-  const transforms::SvKernels* sv =
-      transforms::resolve_sv_kernels(options.plan.sv_kernel);
-  // Block partials come from the same tree-ordered kernels the serial loop
-  // runs; any tier gives the same bits, so autovec plans use the scalar one.
-  const transforms::SvKernels& red = transforms::sv_kernels_or_scalar(sv);
-
   DistributedPowerResult out;
   out.rank_count = layout.rank_count();
   out.plan_kernel = transforms::resolved_sv_kernel_name(options.plan.sv_kernel);
   out.local_levels = log2_exact(block);
 
-  // Replicated control plane: every rank runs its own IterationDriver on
-  // identical allreduced values, so every verdict (convergence, stall,
-  // guard, cancellation) is taken identically everywhere.  Non-root ranks
-  // strip the I/O and observability hooks — those fire on rank 0 only —
-  // but keep identical decision state.
+  // Replicated control plane (solvers::run_power_loop): every rank runs
+  // its own IterationDriver on identical allreduced values.  Only rank 0
+  // fires the residual hook; checkpoints are gathered on every rank and
+  // written by rank 0.  Rank-local compute is serial and owns its buffers:
+  // the parallelism of a distributed solve is across ranks.
   DistributedPowerOptions local = options;
-  if (!root) {
-    local.checkpoint_path.clear();
-    local.checkpoint_sink = nullptr;
-    local.on_residual = nullptr;
-  }
-  bool agreed_stop = false;
-  const bool vote_stop = static_cast<bool>(options.should_stop);
-  const bool control_word_needed =
-      vote_stop || options.checkpoint_every_seconds > 0.0;
-  if (vote_stop) {
-    // The driver polls the *agreed* verdict, computed by the control-word
-    // allreduce below before each observe; any rank's vote cancels all.
-    local.should_stop = [&agreed_stop] { return agreed_stop; };
-  }
-  // Whether checkpoints are written at all — evaluated on the ORIGINAL
-  // options, which every rank shares, so the gather rendezvous below is a
-  // replicated decision even though only rank 0 writes.
-  const bool checkpoint_configured =
-      (options.checkpoint_every > 0 || options.checkpoint_every_seconds > 0.0) &&
-      (options.checkpoint_sink || !options.checkpoint_path.empty());
-
+  local.engine = nullptr;
+  local.workspace = nullptr;
+  if (!root) local.on_residual = nullptr;
   solvers::IterationDriver driver(local, io::SolverKind::power);
 
-  std::vector<double> x(block);
-  std::vector<double> y(block);
-  std::vector<double> recv(block);
-  std::vector<double> full;  // rank 0's gather target (checkpoints, result)
-  if (root && (checkpoint_configured || options.gather_eigenvector)) {
-    full.resize(block * static_cast<std::size_t>(layout.rank_count()));
-  }
-  auto full_span = [&]() {
-    return root ? std::span<double>(full) : std::span<double>{};
-  };
-
   solvers::IterationTrace trace;
+  trace.iterate.resize(block);
   if (resume != nullptr) {
     // Scalars verbatim on every rank; the iterate slice taken locally (the
     // wrappers validated finiteness and solver kind before spawning ranks).
@@ -354,132 +356,29 @@ DistributedPowerResult distributed_power_rank(
     trace.residual = resume->residual;
     driver.restore(*resume);
     const double* src = resume->eigenvector.data() + layout.block_begin(rank);
-    std::copy(src, src + block, x.begin());
+    std::copy(src, src + block, trace.iterate.begin());
   } else {
     // Cold start: the landscape block scaled by the reciprocal of the
     // global tree-ordered 1-norm — bit-identical to landscape_start.
+    const transforms::SvKernels& red = transforms::sv_kernels_or_scalar(
+        transforms::resolve_sv_kernels(options.plan.sv_kernel));
     const double norm = exchange.allreduce_sum(
         red.tree_abs_sum(fitness_block.data(), block), kTagStartNorm);
     require(norm > 0.0, "distributed_power_iteration: landscape has zero 1-norm");
     const double inv = 1.0 / norm;
-    for (std::size_t t = 0; t < block; ++t) x[t] = fitness_block[t] * inv;
-  }
-  out.eigenvalue = trace.eigenvalue;
-  out.residual = trace.residual;
-  out.iterations = trace.start_iteration;
-
-  const double mu = options.shift;
-  std::uint64_t last_checkpoint_ns = monotonic_ns();  // rank 0 time cadence
-  bool agreed_time_due = false;
-
-  // The loop below mirrors solvers::run_power_loop operation for operation:
-  // the same fused passes A, B, C on the block, with each block partial
-  // (a complete subtree of the serial tree) completed by a tree-ordered
-  // allreduce, so every global quantity equals the serial facade's bits.
-  for (unsigned it = trace.start_iteration + 1; it <= options.max_iterations;
-       ++it) {
-    QS_TRACE_SPAN_ARG("power.iteration", solver, it);
-    apply_w_rank(exchange, layout, sites, fitness_block, options.plan, sv, x, y,
-                 recv);
-    out.iterations = it;
-
-    double norm_local = 0.0;  // pass B's 1-norm partial of the shifted y
-    if (driver.should_check(it, options.max_iterations)) {
-      const transforms::TreeSums a = red.tree_dot2(x.data(), y.data(), block);
-      const double xx = exchange.allreduce_sum(a.first, kTagXX);
-      const double xy = exchange.allreduce_sum(a.second, kTagXY);
-      const double lambda = xy / xx;
-      const transforms::TreeSums b = red.tree_residual_shift_norm1(
-          x.data(), y.data(), block, lambda, mu, true);
-      norm_local = b.second;
-      const double res2 = exchange.allreduce_sum(b.first, kTagRes2);
-      if (!driver.guard({lambda, res2}, out)) break;
-      out.eigenvalue = lambda;
-      out.residual =
-          std::sqrt(res2) / std::max(std::abs(lambda) * std::sqrt(xx), 1e-300);
-
-      agreed_time_due = false;
-      if (control_word_needed) {
-        double word = 0.0;
-        if (vote_stop && options.should_stop()) word += 1.0;
-        if (root && options.checkpoint_every_seconds > 0.0 &&
-            static_cast<double>(monotonic_ns() - last_checkpoint_ns) * 1e-9 >=
-                options.checkpoint_every_seconds) {
-          word += kControlTimeBit;
-        }
-        const double agreed = exchange.allreduce_sum(word, kTagControl);
-        agreed_stop = std::fmod(agreed, kControlTimeBit) != 0.0;
-        agreed_time_due = agreed >= kControlTimeBit;
-      }
-
-      const solvers::IterationDriver::Verdict verdict =
-          driver.observe(it, out.residual, out);
-      if (verdict != solvers::IterationDriver::Verdict::proceed) {
-        if (verdict == solvers::IterationDriver::Verdict::cancelled &&
-            checkpoint_configured) {
-          // Flush the finite pre-update iterate (the result of iteration
-          // it-1), gathered to rank 0 — same content the serial loop
-          // writes, so a restart resumes exactly this aborted iteration.
-          exchange.gather_to_root(x, full_span(), kTagGather);
-          if (root) driver.write_checkpoint(it - 1, out, full, it - 1);
-        }
-        break;
-      }
-    } else {
-      norm_local = red.tree_residual_shift_norm1(x.data(), y.data(), block, 0.0,
-                                                 mu, false)
-                       .second;
-    }
-    const double norm = exchange.allreduce_sum(norm_local, kTagNorm);
-    if (!driver.guard({norm}, out)) break;
-    require(norm > 0.0, "distributed_power_iteration: iterate collapsed to zero");
-    const double inv = 1.0 / norm;
-    for (std::size_t t = 0; t < block; ++t) x[t] = y[t] * inv;
-
-    const bool iter_due = options.checkpoint_every > 0 &&
-                          it % options.checkpoint_every == 0;
-    if (checkpoint_configured && (iter_due || agreed_time_due)) {
-      // All ranks rendezvous for the gather (the decision is replicated:
-      // iteration cadence is deterministic, time cadence was agreed in the
-      // control word); only rank 0 writes.
-      exchange.gather_to_root(x, full_span(), kTagGather);
-      if (root) {
-        driver.write_checkpoint(it, out, full, it);
-        last_checkpoint_ns = monotonic_ns();
-      }
-      agreed_time_due = false;
-    }
+    for (std::size_t t = 0; t < block; ++t) trace.iterate[t] = fitness_block[t] * inv;
   }
 
-  if (out.failure == solvers::SolverFailure::none) {
-    // Perron orientation, then the final normalisation of the serial loop:
-    // both sums in tree order, the scaling by the reciprocal.  Gathered or
-    // not, the result is bit-identical to the facade's.
-    const double s =
-        exchange.allreduce_sum(red.tree_sum(x.data(), block), kTagSign);
-    if (s < 0.0) linalg::scale(x, -1.0);
-    if (options.gather_eigenvector) {
-      exchange.gather_to_root(x, full_span(), kTagGather);
-      if (root) {
-        out.eigenvector = std::move(full);
-        const double norm1 =
-            red.tree_abs_sum(out.eigenvector.data(), out.eigenvector.size());
-        linalg::scale(out.eigenvector, 1.0 / norm1);
-      }
-    } else {
-      // Capacity mode: no rank materialises the full vector; each block is
-      // scaled by the same global tree 1-norm, completed by an allreduce.
-      const double norm1 = exchange.allreduce_sum(
-          red.tree_abs_sum(x.data(), block), kTagFinalNorm);
-      linalg::scale(x, 1.0 / norm1);
-      out.eigenvector.assign(x.begin(), x.end());
-    }
-  } else if (options.gather_eigenvector) {
-    // Failed or cancelled: gather the last iterate anyway (post-mortem
-    // parity with the serial loop, which leaves it in place).
-    exchange.gather_to_root(x, full_span(), kTagGather);
-    if (root) out.eigenvector = std::move(full);
-  }
+  RankCollective collective(exchange, layout, sites, fitness_block, options.plan);
+  solvers::PowerResult r = solvers::run_power_loop(
+      collective, std::move(trace), std::move(driver), local, options.shift);
+  static_cast<solvers::IterationResult&>(out) = r;
+  // Gathered or not, the block is already oriented and normalised by the
+  // global tree 1-norm; a failed or cancelled solve gathers its last
+  // iterate anyway (post-mortem parity with the serial loop).
+  out.eigenvector = options.gather_eigenvector
+                        ? collective.gather_result(r.eigenvector)
+                        : std::move(r.eigenvector);
 
   // Aggregate traffic over all ranks.  The snapshot is taken before the
   // aggregation allreduce so the aggregation itself is not counted.

@@ -10,26 +10,26 @@
 // tree order of distributed/reduction.hpp, which makes every number the
 // solve produces independent of the rank count and the transport.
 //
-// The iteration control plane is solvers::IterationDriver, replicated
-// MPI-style: every rank runs its own driver on identical allreduced values,
-// so convergence, stall windows, NaN/Inf guards, and cancellation verdicts
-// are taken identically everywhere without extra communication; the only
-// agreement traffic is one small control-word allreduce per residual check,
-// exchanged when cooperative cancellation or wall-clock checkpointing is
-// configured.  Checkpoint writes and observability hooks fire on rank 0
-// only, against the gathered full iterate, so checkpoint files interoperate
-// with the serial solver's resume path.
+// Each rank runs the one power iteration, solvers::run_power_loop, over a
+// BlockCollective implemented with its Exchange.  Its control plane is
+// solvers::IterationDriver, replicated MPI-style: every rank runs its own
+// driver on identical allreduced values, so convergence, stall windows,
+// NaN/Inf guards, and cancellation verdicts are taken identically
+// everywhere; the stop vote and rank 0's wall-clock checkpoint cadence ride
+// in a control word with the residual sums (two allreduces per residual
+// check, one otherwise).  Checkpoint writes and observability hooks fire on
+// rank 0 only, against the gathered full iterate, so checkpoint files
+// interoperate with the serial solver's resume path.
 //
 // Equivalence contract (tested in tests/distributed_exchange_test.cpp and
 // derived in docs/distributed.md): for any power-of-two rank count and
 // either transport, the solve is BIT-IDENTICAL — eigenvalue, iteration
 // count, full residual stream, and eigenvector, gathered or not — to the
 // default serial facade solvers::solve(model, landscape) with the same
-// shift and plan.  Both start from landscape_start and form every sum with
-// the same tree-ordered SvKernels reductions (a rank's block sum is a
-// complete subtree of the serial sum), so the identity holds by
-// construction.  The serial loop run with distributed::tree_engine() as its
-// engine computes the same bits too.
+// shift and plan.  Both start from landscape_start and run the same loop,
+// which forms every sum with the same tree-ordered SvKernels reductions (a
+// rank's block sum is a complete subtree of the serial sum), so the
+// identity holds by construction — with any engine on the serial side.
 #pragma once
 
 #include <functional>
@@ -118,9 +118,10 @@ void distributed_apply_w(const core::MutationModel& model,
 /// checkpoint_sink / checkpoint_every[_seconds] (written by rank 0 against
 /// the gathered iterate; resumable by the serial solver and vice versa),
 /// on_residual (rank 0), and should_stop (polled on every rank, agreed via
-/// allreduce — any rank can cancel the whole solve).  `engine` is ignored:
-/// reductions are tree-ordered by construction and rank-local compute is
-/// serial (parallelism is across ranks).
+/// allreduce — any rank can cancel the whole solve).  `engine` and
+/// `workspace` are ignored: rank-local compute is serial and owns its
+/// buffers (parallelism is across ranks), and an engine would not change
+/// the bits anyway.
 struct DistributedPowerOptions : solvers::IterationOptions {
   /// Power-iteration shift (x <- (W - shift I) x updates).
   double shift = 0.0;
@@ -132,10 +133,10 @@ struct DistributedPowerOptions : solvers::IterationOptions {
   /// Transport to run on.
   ExchangeKind exchange = ExchangeKind::lockstep;
 
-  /// Gather the final eigenvector to rank 0 (and 1-normalise it exactly as
-  /// the serial solver does).  Disable for capacity runs where no single
-  /// rank should materialise the 2^nu vector; each rank then keeps its own
-  /// block, normalised by the tree-ordered global 1-norm.
+  /// Gather the final eigenvector to rank 0.  Disable for capacity runs
+  /// where no single rank should materialise the 2^nu vector; each rank
+  /// then keeps its own block.  Either way every block is normalised by the
+  /// tree-ordered global 1-norm, exactly as the serial solver normalises.
   bool gather_eigenvector = true;
 
   /// Per-chunk socket timeout of the process transport (ms); a dead peer

@@ -6,23 +6,6 @@ void TreeEngine::dispatch(std::size_t n, const parallel::RangeKernel& kernel) co
   if (n != 0) kernel(0, n);
 }
 
-double TreeEngine::reduce_sum(std::span<const double> v) const {
-  return tree_sum(v);
-}
-
-double TreeEngine::reduce_abs_sum(std::span<const double> v) const {
-  return tree_abs_sum(v);
-}
-
-double TreeEngine::reduce_sum_squares(std::span<const double> v) const {
-  return tree_sum_squares(v);
-}
-
-double TreeEngine::reduce_dot(std::span<const double> a,
-                              std::span<const double> b) const {
-  return tree_dot(a, b);
-}
-
 double TreeEngine::reduce_partials(std::size_t n,
                                    const parallel::PartialKernel& kernel) const {
   // Single-element kernel invocations: the partial for [i, i+1) is exactly

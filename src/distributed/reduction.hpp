@@ -17,11 +17,10 @@
 //
 // The grand total therefore equals the binary tree over the full vector,
 // bit for bit, for ANY power-of-two rank count — including rank_count = 1.
-// The serial facade's power loop sums in the same tree (the fused tree_*
-// entries of transforms::SvKernels), which is why a default solve
-// reproduces a distributed residual stream exactly; TreeEngine below plugs
-// the same order into solvers::IterationOptions::engine for engine-routed
-// serial runs (see docs/distributed.md).
+// Serial, engine-parallel and distributed solves all run one power loop
+// (solvers::run_power_loop) whose every sum is this tree, taken by the
+// fused tree_* entries of transforms::SvKernels, which is why their
+// residual streams agree exactly (see docs/distributed.md).
 #pragma once
 
 #include <cmath>
@@ -66,21 +65,16 @@ inline double tree_dot(std::span<const double> a, std::span<const double> b) {
                      [pa, pb](std::size_t i) { return pa[i] * pb[i]; });
 }
 
-/// Serial engine whose reductions all use the tree order above.  dispatch /
-/// reduce_partials run their kernels per element so the combination order is
-/// the engine's, not the kernel body's — slower than a fused sweep, but this
-/// engine exists for equivalence testing and facade comparisons, not for
-/// production throughput.
+/// Serial engine whose reduce_partials uses the tree order above: it runs
+/// the kernel per element, so the combination order is the engine's, not
+/// the kernel body's — slower than a fused sweep, but this engine exists for
+/// equivalence testing and facade comparisons, not for production
+/// throughput.  (The power loop gives the same bits with every engine.)
 class TreeEngine final : public parallel::Engine {
  public:
   std::string_view name() const override { return "tree-serial"; }
   unsigned concurrency() const override { return 1; }
   void dispatch(std::size_t n, const parallel::RangeKernel& kernel) const override;
-  double reduce_sum(std::span<const double> v) const override;
-  double reduce_abs_sum(std::span<const double> v) const override;
-  double reduce_sum_squares(std::span<const double> v) const override;
-  double reduce_dot(std::span<const double> a,
-                    std::span<const double> b) const override;
   double reduce_partials(std::size_t n,
                          const parallel::PartialKernel& kernel) const override;
 };

@@ -5,11 +5,13 @@
 // a kernel over N/2 independent work items and synchronises between levels;
 // the host loop owns the level iteration.  This engine reproduces exactly
 // that structure on the CPU: dispatch(n, kernel) runs a 1-D index space with
-// barrier semantics (all work items complete before dispatch returns), and
-// reductions cover the norm/residual computations the power iteration needs
-// between products.  Backends: a serial one (the "single CPU core" reference
-// of the paper's Figure 2) and an OpenMP one (the "parallel hardware" axis
-// of Figure 4).  See DESIGN.md, "Substitutions".
+// barrier semantics (all work items complete before dispatch returns).  An
+// engine is a fan-out, not a summation order: the power iteration splits
+// its reductions into aligned blocks it combines itself (solvers/
+// power_iteration.hpp), so every backend yields the same bits.  Backends: a
+// serial one (the "single CPU core" reference of the paper's Figure 2), an
+// OpenMP one (the "parallel hardware" axis of Figure 4) and a std::thread
+// pool.  See DESIGN.md, "Substitutions".
 #pragma once
 
 #include <cstddef>
@@ -91,19 +93,6 @@ class Engine {
   /// contract holds for reduce_partials; the partial sum is then discarded.
   virtual void dispatch(std::size_t n, const RangeKernel& kernel) const = 0;
 
-  /// Parallel reduction: sum of entries.
-  virtual double reduce_sum(std::span<const double> v) const = 0;
-
-  /// Parallel reduction: sum of absolute values (1-norm).
-  virtual double reduce_abs_sum(std::span<const double> v) const = 0;
-
-  /// Parallel reduction: sum of squares (squared 2-norm).
-  virtual double reduce_sum_squares(std::span<const double> v) const = 0;
-
-  /// Parallel reduction: inner product. Requires equal lengths.
-  virtual double reduce_dot(std::span<const double> a,
-                            std::span<const double> b) const = 0;
-
   /// Generic parallel reduction: sums the per-chunk partials of `kernel`
   /// over the index space [0, n).  The kernel must be safe to run
   /// concurrently on disjoint ranges; the combination order of partials is
@@ -126,6 +115,11 @@ std::unique_ptr<Engine> make_engine(Backend kind);
 
 /// Process-lifetime serial engine (always available).
 const Engine& serial_engine();
+
+/// What a null engine option means: `engine`, or the serial engine.
+inline const Engine& engine_or_serial(const Engine* engine) {
+  return engine != nullptr ? *engine : serial_engine();
+}
 
 /// Process-lifetime parallel engine: OpenMP when available, otherwise the
 /// serial engine.

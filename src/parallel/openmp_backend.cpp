@@ -1,12 +1,10 @@
 #include "parallel/openmp_backend.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 #include <mutex>
 
 #include "obs/trace.hpp"
-#include "support/contracts.hpp"
 
 #if defined(QS_HAVE_OPENMP)
 #include <omp.h>
@@ -71,45 +69,6 @@ void OpenMPBackend::dispatch(std::size_t n, const RangeKernel& kernel) const {
   error.rethrow_if_set();
 }
 
-double OpenMPBackend::reduce_sum(std::span<const double> v) const {
-  double acc = 0.0;
-  const double* data = v.data();
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(v.size());
-#pragma omp parallel for reduction(+ : acc) schedule(static)
-  for (std::ptrdiff_t i = 0; i < n; ++i) acc += data[i];
-  return acc;
-}
-
-double OpenMPBackend::reduce_abs_sum(std::span<const double> v) const {
-  double acc = 0.0;
-  const double* data = v.data();
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(v.size());
-#pragma omp parallel for reduction(+ : acc) schedule(static)
-  for (std::ptrdiff_t i = 0; i < n; ++i) acc += std::abs(data[i]);
-  return acc;
-}
-
-double OpenMPBackend::reduce_sum_squares(std::span<const double> v) const {
-  double acc = 0.0;
-  const double* data = v.data();
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(v.size());
-#pragma omp parallel for reduction(+ : acc) schedule(static)
-  for (std::ptrdiff_t i = 0; i < n; ++i) acc += data[i] * data[i];
-  return acc;
-}
-
-double OpenMPBackend::reduce_dot(std::span<const double> a,
-                                 std::span<const double> b) const {
-  require(a.size() == b.size(), "reduce_dot: dimension mismatch");
-  double acc = 0.0;
-  const double* pa = a.data();
-  const double* pb = b.data();
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(a.size());
-#pragma omp parallel for reduction(+ : acc) schedule(static)
-  for (std::ptrdiff_t i = 0; i < n; ++i) acc += pa[i] * pb[i];
-  return acc;
-}
-
 double OpenMPBackend::reduce_partials(std::size_t n, const PartialKernel& kernel) const {
   if (n == 0) return 0.0;
   QS_TRACE_COUNTER("engine.reduce_partials", 1);
@@ -145,32 +104,6 @@ unsigned OpenMPBackend::concurrency() const { return 1; }
 void OpenMPBackend::dispatch(std::size_t n, const RangeKernel& kernel) const {
   if (n == 0) return;
   kernel(0, n);
-}
-
-double OpenMPBackend::reduce_sum(std::span<const double> v) const {
-  double acc = 0.0;
-  for (double x : v) acc += x;
-  return acc;
-}
-
-double OpenMPBackend::reduce_abs_sum(std::span<const double> v) const {
-  double acc = 0.0;
-  for (double x : v) acc += std::abs(x);
-  return acc;
-}
-
-double OpenMPBackend::reduce_sum_squares(std::span<const double> v) const {
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return acc;
-}
-
-double OpenMPBackend::reduce_dot(std::span<const double> a,
-                                 std::span<const double> b) const {
-  require(a.size() == b.size(), "reduce_dot: dimension mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
 }
 
 double OpenMPBackend::reduce_partials(std::size_t n, const PartialKernel& kernel) const {

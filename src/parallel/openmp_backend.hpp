@@ -15,10 +15,6 @@ class OpenMPBackend final : public Engine {
   std::string_view name() const override;
   unsigned concurrency() const override;
   void dispatch(std::size_t n, const RangeKernel& kernel) const override;
-  double reduce_sum(std::span<const double> v) const override;
-  double reduce_abs_sum(std::span<const double> v) const override;
-  double reduce_sum_squares(std::span<const double> v) const override;
-  double reduce_dot(std::span<const double> a, std::span<const double> b) const override;
   double reduce_partials(std::size_t n, const PartialKernel& kernel) const override;
 };
 

@@ -1,9 +1,6 @@
 #include "parallel/serial_backend.hpp"
 
-#include <cmath>
-
 #include "obs/trace.hpp"
-#include "support/contracts.hpp"
 
 namespace qs::parallel {
 
@@ -14,32 +11,6 @@ void SerialBackend::dispatch(std::size_t n, const RangeKernel& kernel) const {
   // Single inline chunk: a throwing kernel body propagates directly to the
   // caller, which is exactly the Engine exception-safety contract.
   kernel(0, n);
-}
-
-double SerialBackend::reduce_sum(std::span<const double> v) const {
-  double acc = 0.0;
-  for (double x : v) acc += x;
-  return acc;
-}
-
-double SerialBackend::reduce_abs_sum(std::span<const double> v) const {
-  double acc = 0.0;
-  for (double x : v) acc += std::abs(x);
-  return acc;
-}
-
-double SerialBackend::reduce_sum_squares(std::span<const double> v) const {
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return acc;
-}
-
-double SerialBackend::reduce_dot(std::span<const double> a,
-                                 std::span<const double> b) const {
-  require(a.size() == b.size(), "reduce_dot: dimension mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
 }
 
 double SerialBackend::reduce_partials(std::size_t n, const PartialKernel& kernel) const {

@@ -1,11 +1,9 @@
 #include "parallel/thread_pool_backend.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <exception>
 
 #include "obs/trace.hpp"
-#include "support/contracts.hpp"
 
 namespace qs::parallel {
 
@@ -118,40 +116,6 @@ double ThreadPoolBackend::reduce_partials(std::size_t n, const PartialKernel& ke
   double total = 0.0;
   for (const PaddedPartial& p : partial) total += p.value;
   return total;
-}
-
-double ThreadPoolBackend::reduce_sum(std::span<const double> v) const {
-  return reduce_partials(v.size(), [&v](std::size_t begin, std::size_t end) {
-    double acc = 0.0;
-    for (std::size_t i = begin; i < end; ++i) acc += v[i];
-    return acc;
-  });
-}
-
-double ThreadPoolBackend::reduce_abs_sum(std::span<const double> v) const {
-  return reduce_partials(v.size(), [&v](std::size_t begin, std::size_t end) {
-    double acc = 0.0;
-    for (std::size_t i = begin; i < end; ++i) acc += std::abs(v[i]);
-    return acc;
-  });
-}
-
-double ThreadPoolBackend::reduce_sum_squares(std::span<const double> v) const {
-  return reduce_partials(v.size(), [&v](std::size_t begin, std::size_t end) {
-    double acc = 0.0;
-    for (std::size_t i = begin; i < end; ++i) acc += v[i] * v[i];
-    return acc;
-  });
-}
-
-double ThreadPoolBackend::reduce_dot(std::span<const double> a,
-                                     std::span<const double> b) const {
-  require(a.size() == b.size(), "reduce_dot: dimension mismatch");
-  return reduce_partials(a.size(), [&a, &b](std::size_t begin, std::size_t end) {
-    double acc = 0.0;
-    for (std::size_t i = begin; i < end; ++i) acc += a[i] * b[i];
-    return acc;
-  });
 }
 
 }  // namespace qs::parallel

@@ -150,9 +150,7 @@ BlockPowerResult run_block_loop(const core::FmmpOperator& op,
                                 std::span<double> y, std::size_t m,
                                 unsigned start_iterations) {
   const std::size_t n = op.dimension();
-  const parallel::Engine& engine = options.engine != nullptr
-                                       ? *options.engine
-                                       : parallel::serial_engine();
+  const parallel::Engine& engine = parallel::engine_or_serial(options.engine);
 
   BlockPowerResult result;
   result.iterations = start_iterations;
@@ -280,9 +278,7 @@ BlockPowerResult block_power_iteration(const core::FmmpOperator& op,
   const std::size_t n = op.dimension();
   const std::size_t m = resolve_block(options, n);
 
-  const parallel::Engine& engine = options.engine != nullptr
-                                       ? *options.engine
-                                       : parallel::serial_engine();
+  const parallel::Engine& engine = parallel::engine_or_serial(options.engine);
   IterationDriver driver(options, io::SolverKind::block_power);
 
   core::Workspace local_workspace;

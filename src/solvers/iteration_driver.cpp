@@ -80,7 +80,8 @@ bool IterationDriver::guard(std::span<const double> iterate,
 
 IterationDriver::Verdict IterationDriver::observe(unsigned iteration,
                                                   double residual,
-                                                  IterationResult& out) {
+                                                  IterationResult& out,
+                                                  std::optional<bool> stop) {
   if (options_.on_residual) options_.on_residual(iteration, residual);
   obs::metrics().record_residual(residual);
   QS_TRACE_INSTANT_ARG("solver.residual", solver, residual, iteration);
@@ -100,7 +101,7 @@ IterationDriver::Verdict IterationDriver::observe(unsigned iteration,
   }
   // Cooperative cancellation sits after the tolerance test: a solve that
   // converged on the same check its deadline expired still reports success.
-  if (options_.should_stop && options_.should_stop()) {
+  if (stop ? *stop : (options_.should_stop && options_.should_stop())) {
     QS_TRACE_INSTANT_ARG("solver.cancelled", solver, residual, iteration);
     out.converged = false;
     out.failure = SolverFailure::cancelled;
@@ -125,20 +126,20 @@ IterationDriver::Verdict IterationDriver::observe(unsigned iteration,
   return Verdict::proceed;
 }
 
+bool IterationDriver::checkpoint_time_due() const {
+  // Read the clock only when configured, so iteration-only checkpointing
+  // costs no clock call per iteration.
+  return options_.checkpoint_every_seconds > 0.0 &&
+         static_cast<double>(monotonic_ns() - last_checkpoint_ns_) * 1e-9 >=
+             options_.checkpoint_every_seconds;
+}
+
 void IterationDriver::maybe_checkpoint(unsigned iteration, IterationResult& out,
                                        std::span<const double> iterate,
                                        std::uint64_t matvec_count, double aux) {
-  if (!checkpointing_) return;
-  bool due = options_.checkpoint_every > 0 &&
-             iteration % options_.checkpoint_every == 0;
-  if (!due && options_.checkpoint_every_seconds > 0.0) {
-    // Time cadence: read the clock only when configured, so iteration-only
-    // checkpointing costs no clock call per iteration.
-    const std::uint64_t now = monotonic_ns();
-    due = static_cast<double>(now - last_checkpoint_ns_) * 1e-9 >=
-          options_.checkpoint_every_seconds;
+  if (checkpoint_due(iteration, checkpoint_time_due())) {
+    write_checkpoint(iteration, out, iterate, matvec_count, aux);
   }
-  if (due) write_checkpoint(iteration, out, iterate, matvec_count, aux);
 }
 
 void IterationDriver::write_checkpoint(unsigned iteration, IterationResult& out,

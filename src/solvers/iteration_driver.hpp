@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <functional>
 #include <initializer_list>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -73,7 +74,10 @@ struct IterationOptions {
   /// most this value (set equal to `tolerance` to make stalling a failure).
   double stall_accept = 1e-9;
 
-  /// Reduction backend; null means serial.
+  /// Fan-out backend; null means serial.  The power iteration splits each
+  /// pass over the iterate across the engine's lanes in aligned blocks
+  /// whose partial sums combine in the one tree order, so an engine changes
+  /// the speed of a solve, never its bits.
   const parallel::Engine* engine = nullptr;
 
   /// Preallocated scratch arena (see core/workspace.hpp); null makes each
@@ -92,10 +96,12 @@ struct IterationOptions {
   /// Wall-clock checkpoint cadence, unioned with the iteration cadence: a
   /// checkpoint is written when EITHER `checkpoint_every` iterations have
   /// passed OR this many seconds have elapsed since the last write (the
-  /// clock is read only at residual-guarded checkpoint opportunities, so
-  /// the actual period is quantised to iteration boundaries).  0 disables
-  /// the time cadence.  Use this instead of guessing an iteration count
-  /// when the per-iteration cost varies across hosts or problem sizes.
+  /// clock is read only at checkpoint opportunities, so the actual period
+  /// is quantised to iteration boundaries; the power iteration reads it at
+  /// residual checks, on the root, so every participant of a distributed
+  /// solve agrees on the write).  0 disables the time cadence.  Use this
+  /// instead of guessing an iteration count when the per-iteration cost
+  /// varies across hosts or problem sizes.
   double checkpoint_every_seconds = 0.0;
 
   /// Testing/observability seam: when set, checkpoints go through this sink
@@ -189,7 +195,25 @@ class IterationDriver {
   /// tolerance, and advances the stall-window accounting (operation for
   /// operation the power iteration's original algorithm).  The caller
   /// stamps out.eigenvalue / out.residual before calling.
-  Verdict observe(unsigned iteration, double residual, IterationResult& out);
+  /// A set `stop` is the caller's cancellation verdict, used instead of
+  /// polling should_stop (the power loop polls the hook itself and agrees
+  /// the vote across participants first); it too counts only after the
+  /// tolerance test.
+  Verdict observe(unsigned iteration, double residual, IterationResult& out,
+                  std::optional<bool> stop = std::nullopt);
+
+  /// Wall-clock cadence alone: true when checkpoint_every_seconds is set
+  /// and that long has passed since the last write (or construction).
+  bool checkpoint_time_due() const;
+
+  /// Whether iteration `iteration` writes a checkpoint, with the
+  /// wall-clock half of the cadence decided by the caller (`time_due`).
+  bool checkpoint_due(unsigned iteration, bool time_due) const {
+    return checkpointing_ &&
+           ((options_.checkpoint_every > 0 &&
+             iteration % options_.checkpoint_every == 0) ||
+            time_due);
+  }
 
   /// Periodic checkpoint: persists the current state when the cadence says
   /// so.  Call only after the health guards passed, so the last checkpoint

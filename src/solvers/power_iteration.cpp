@@ -1,11 +1,13 @@
 #include "solvers/power_iteration.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
 
 #include "core/workspace.hpp"
+#include "linalg/tree_reduce.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/trace.hpp"
 #include "support/contracts.hpp"
@@ -14,39 +16,119 @@
 namespace qs::solvers {
 namespace {
 
-/// The table every reduction without an engine runs on.  All tiers return
-/// the same bits (the tree order of linalg::tree_reduce); the widest is
-/// just the fastest.
+/// The table every reduction of the power iteration runs on.  All tiers
+/// return the same bits (the tree order of linalg::tree_reduce); the widest
+/// is just the fastest.
 const transforms::SvKernels& reduction_kernels() {
   return transforms::sv_kernels_or_scalar(transforms::best_sv_kernels());
 }
 
 /// x <- x / ||x||_1 with the tree-ordered 1-norm: multiply by the
-/// reciprocal, exactly as the distributed ranks normalise their blocks.
+/// reciprocal, exactly as the power loop normalises its blocks.
 void normalize1_tree(std::span<double> x, const char* what) {
   const double norm = reduction_kernels().tree_abs_sum(x.data(), x.size());
   require(norm > 0.0, what);
   linalg::scale(x, 1.0 / norm);
 }
 
-/// The core loop, shared by cold starts and resumes.  The iterate in
-/// `trace.iterate` is used verbatim (callers normalise cold starts; resumes
-/// must not re-normalise or the trajectory would diverge from the original
-/// run in the last bits); `driver` carries the (possibly restored)
-/// stall-window accounting.
-///
-/// With no engine (the facade's default) one step is the mat-vec plus three
-/// passes over the vectors, each sum in tree order:
-///   A  {x.x, x.y}                       (residual checks only)
-///   B  residual, y <- y - mu x, ||y||_1 (residual skipped off-cadence)
-///   C  x <- y / ||y||_1
-/// With an engine (parallel backends, tree_engine(), fault injection) every
-/// reduction and element-wise pass goes through the engine instead.
-PowerResult run_power_loop(const core::LinearOperator& op, IterationTrace trace,
-                           IterationDriver driver, const PowerOptions& options) {
-  const std::size_t n = static_cast<std::size_t>(op.dimension());
-  const parallel::Engine* engine = options.engine;
+/// Below this many doubles per block an engine does not split a pass: the
+/// dispatch would cost more than the block's arithmetic.
+constexpr std::size_t kMinFanOutBlock = std::size_t{1} << 12;
+
+/// An engine as a fan-out: [0, n) split into `count` aligned power-of-two
+/// blocks, one per lane, and each pass run block by block inside one
+/// dispatch.  A block is a complete subtree of the whole vector's summation
+/// tree, so the block partials combined with linalg::tree_reduce are the
+/// one-block sums bit for bit (the argument that makes ranks exact).  One
+/// block — no engine, one lane, a length that is not a power of two, or
+/// blocks below kMinFanOutBlock — runs inline.
+class FanOut {
+ public:
+  FanOut(const parallel::Engine& engine, std::size_t n) : engine_(engine), n_(n) {
+    const std::size_t lanes = std::bit_floor(std::max(engine.concurrency(), 1u));
+    if (std::has_single_bit(n) && n / lanes >= kMinFanOutBlock) {
+      count_ = lanes;
+      partials_.resize(count_);  // once per solve, not per pass
+    }
+  }
+
+  /// Runs body(begin, end) on every block.
+  template <typename Body>
+  void run(const Body& body) const {
+    if (count_ == 1) {
+      body(std::size_t{0}, n_);
+      return;
+    }
+    const std::size_t size = n_ / count_;
+    engine_.dispatch(count_, [&body, size](std::size_t first, std::size_t last) {
+      for (std::size_t b = first; b < last; ++b) body(b * size, (b + 1) * size);
+    });
+  }
+
+  /// Both sums of body(begin, end) -> TreeSums over the whole range.
+  template <typename Body>
+  transforms::TreeSums sums(const Body& body) {
+    if (count_ == 1) return body(std::size_t{0}, n_);
+    const std::size_t size = n_ / count_;
+    transforms::TreeSums* partials = partials_.data();
+    run([&body, partials, size](std::size_t begin, std::size_t end) {
+      partials[begin / size] = body(begin, end);
+    });
+    return {linalg::tree_reduce(std::size_t{0}, count_,
+                                [partials](std::size_t b) { return partials[b].first; }),
+            linalg::tree_reduce(std::size_t{0}, count_, [partials](std::size_t b) {
+              return partials[b].second;
+            })};
+  }
+
+ private:
+  const parallel::Engine& engine_;
+  std::size_t n_;
+  std::size_t count_ = 1;
+  std::vector<transforms::TreeSums> partials_;
+};
+
+/// Bit 32 of the per-check control word carries the root's wall-clock
+/// checkpoint cadence; the bits below sum the participants' stop votes.
+constexpr double kControlTimeBit = 4294967296.0;  // 2^32
+
+/// The serial solve's collective: one participant, so the product is the
+/// operator and the reductions and the gather are the identity.
+class OperatorCollective final : public BlockCollective {
+ public:
+  explicit OperatorCollective(const core::LinearOperator& op) : op_(op) {}
+  void apply(std::span<const double> x, std::span<double> y) override {
+    op_.apply(x, y);
+  }
+  void allreduce(std::span<double>) override {}
+  std::span<const double> gather(std::span<const double> x) override { return x; }
+  bool is_root() const override { return true; }
+
+ private:
+  const core::LinearOperator& op_;
+};
+
+/// True when `v` is already 1-norm normalised up to the rounding one
+/// normalisation leaves behind.  Scaling by a rounded reciprocal rounds
+/// each element once more, and the tree 1-norm of depth log2(n) rounds
+/// each partial, so the tree norm of a normalised vector lies within
+/// (log2(n) + 1) machine epsilons of 1; the bound below adds slack.
+bool normalised_to_rounding(std::span<const double> v) {
+  const double norm = reduction_kernels().tree_abs_sum(v.data(), v.size());
+  const double depth = static_cast<double>(std::bit_width(v.size()));
+  return std::abs(norm - 1.0) <=
+         (depth + 2.0) * std::numeric_limits<double>::epsilon();
+}
+
+}  // namespace
+
+PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
+                           IterationDriver driver,
+                           const IterationOptions& options, double shift) {
+  const std::size_t n = trace.iterate.size();
   const transforms::SvKernels& sv = reduction_kernels();
+  FanOut fan(parallel::engine_or_serial(options.engine), n);
+  const bool root = collective.is_root();
 
   PowerResult out;
   out.eigenvector = std::move(trace.iterate);
@@ -64,52 +146,48 @@ PowerResult run_power_loop(const core::LinearOperator& op, IterationTrace trace,
   std::span<double> x(out.eigenvector);
   double* yp = y.data();
   double* xp = x.data();
-  const double mu = options.shift;
+  const double mu = shift;
 
   for (unsigned it = trace.start_iteration + 1; it <= options.max_iterations; ++it) {
     QS_TRACE_SPAN_ARG("power.iteration", solver, it);
-    op.apply(x, y);  // y = W x (unshifted product)
+    collective.apply(x, y);  // y = W x (unshifted product)
     out.iterations = it;
 
-    // Without an engine, pass B shifts y and yields its 1-norm in the same
-    // sweep as the residual.  Its write to y is harmless on every early
-    // exit below: y is scratch, and x — what a cancelled solve flushes —
-    // is untouched until pass C.
+    // Pass B shifts y and yields its 1-norm in the same sweep as the
+    // residual.  Its write to y is harmless on every early exit below: y
+    // is scratch, and x — what a cancelled solve flushes — is untouched
+    // until pass C.
     double norm = 0.0;
+    bool time_due = false;
     if (driver.should_check(it, options.max_iterations)) {
       // Rayleigh quotient from the product already in hand.
-      double xx = 0.0;
-      double xy = 0.0;
-      if (engine == nullptr) {
-        const transforms::TreeSums a = sv.tree_dot2(xp, yp, n);
-        xx = a.first;
-        xy = a.second;
-      } else {
-        xx = engine->reduce_dot(x, x);
-        xy = engine->reduce_dot(x, y);
-      }
-      const double lambda = xy / xx;
+      const transforms::TreeSums a =
+          fan.sums([&sv, xp, yp](std::size_t begin, std::size_t end) {
+            return sv.tree_dot2(xp + begin, yp + begin, end - begin);
+          });
+      double dots[2] = {a.first, a.second};
+      collective.allreduce(dots);
+      const double xx = dots[0];
+      const double lambda = dots[1] / xx;
       // Residual ||y - lambda x||_2 formed explicitly.  (The algebraically
       // equivalent sqrt(yy - xy^2/xx) cancels catastrophically: its noise
       // floor is sqrt(eps) ~ 1e-8 in eigenvector error, far above the
       // tolerances this solver targets.)
-      double res2 = 0.0;
-      if (engine == nullptr) {
-        const transforms::TreeSums b =
-            sv.tree_residual_shift_norm1(xp, yp, n, lambda, mu, true);
-        res2 = b.first;
-        norm = b.second;
-      } else {
-        res2 = engine->reduce_partials(
-            n, [yp, xp, lambda](std::size_t begin, std::size_t end) {
-              double acc = 0.0;
-              for (std::size_t i = begin; i < end; ++i) {
-                const double r = yp[i] - lambda * xp[i];
-                acc += r * r;
-              }
-              return acc;
-            });
-      }
+      const transforms::TreeSums b =
+          fan.sums([&sv, xp, yp, lambda, mu](std::size_t begin, std::size_t end) {
+            return sv.tree_residual_shift_norm1(xp + begin, yp + begin, end - begin,
+                                                lambda, mu, true);
+          });
+      // The control word rides with the sums: any participant's stop vote
+      // cancels everywhere, and the root's clock decides the time cadence.
+      double control = 0.0;
+      if (options.should_stop && options.should_stop()) control += 1.0;
+      if (root && driver.checkpoint_time_due()) control += kControlTimeBit;
+      double sums[3] = {b.first, b.second, control};
+      collective.allreduce(sums);
+      const double res2 = sums[0];
+      norm = sums[1];
+      time_due = sums[2] >= kControlTimeBit;
       // Numerical-health guard: a NaN/Inf iterate makes both the Rayleigh
       // quotient and the residual non-finite.  Fail fast with a structured
       // reason instead of spinning max_iterations on garbage.
@@ -117,50 +195,45 @@ PowerResult run_power_loop(const core::LinearOperator& op, IterationTrace trace,
       out.eigenvalue = lambda;
       out.residual =
           std::sqrt(res2) / std::max(std::abs(lambda) * std::sqrt(xx), 1e-300);
-      const IterationDriver::Verdict verdict =
-          driver.observe(it, out.residual, out);
+      const IterationDriver::Verdict verdict = driver.observe(
+          it, out.residual, out, std::fmod(sums[2], kControlTimeBit) != 0.0);
       if (verdict != IterationDriver::Verdict::proceed) {
         // A cancelled solve (deadline, disconnect, SIGTERM) flushes its
         // finite pre-update iterate — the result of iteration it-1 — so a
         // restart resumes exactly this aborted iteration.
         if (verdict == IterationDriver::Verdict::cancelled &&
             driver.checkpointing()) {
-          driver.write_checkpoint(it - 1, out, out.eigenvector, it - 1);
+          const std::span<const double> full = collective.gather(x);
+          if (root) driver.write_checkpoint(it - 1, out, full, it - 1);
         }
         break;
       }
-    } else if (engine == nullptr) {
-      norm = sv.tree_residual_shift_norm1(xp, yp, n, 0.0, mu, false).second;
+    } else {
+      norm = fan.sums([&sv, xp, yp, mu](std::size_t begin, std::size_t end) {
+                  return sv.tree_residual_shift_norm1(xp + begin, yp + begin,
+                                                      end - begin, 0.0, mu, false);
+                }).second;
+      collective.allreduce(std::span<double>(&norm, 1));
     }
 
-    if (engine != nullptr) {
-      // Shifted update x <- (W - mu I) x through the engine, so a parallel
-      // backend covers the whole iteration, not just the reductions.
-      if (mu != 0.0) {
-        engine->dispatch(n, [yp, xp, mu](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) yp[i] -= mu * xp[i];
-        });
-      }
-      norm = engine->reduce_abs_sum(y);
-    }
     // The 1-norm is computed every iteration anyway, so checking it for
     // NaN/Inf costs one compare and catches a poisoned product at the
     // earliest possible iteration — before it can reach a checkpoint.
     if (!driver.guard({norm}, out)) break;
     require(norm > 0.0, "power_iteration: iterate collapsed to zero");
     const double inv = 1.0 / norm;
-    auto rescale = [yp, xp, inv](std::size_t begin, std::size_t end) {
+    fan.run([xp, yp, inv](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) xp[i] = yp[i] * inv;
-    };
-    if (engine != nullptr) {
-      engine->dispatch(n, rescale);
-    } else {
-      rescale(0, n);
-    }
+    });
 
     // Periodic checkpoint, written only after the health guard above passed:
-    // the last checkpoint on disk is always a finite, resumable state.
-    driver.maybe_checkpoint(it, out, out.eigenvector, it);
+    // the last checkpoint on disk is always a finite, resumable state.  The
+    // decision is replicated (iteration cadence, agreed time cadence), so
+    // every participant joins the gather.
+    if (driver.checkpoint_due(it, time_due)) {
+      const std::span<const double> full = collective.gather(x);
+      if (root) driver.write_checkpoint(it, out, full, it);
+    }
   }
 
   // A non-finite exit leaves the garbage iterate in place for post-mortem
@@ -168,28 +241,22 @@ PowerResult run_power_loop(const core::LinearOperator& op, IterationTrace trace,
   if (out.failure != SolverFailure::none) return out;
 
   // Perron orientation: the dominant eigenvector is nonnegative; flip if the
-  // iteration settled on the negative representative.  The final 1-norm is
-  // the tree-ordered one on every path, as on a distributed solve's ranks.
-  const double s = engine != nullptr ? engine->reduce_sum(x)
-                                     : sv.tree_sum(xp, n);
-  if (s < 0.0) linalg::scale(x, -1.0);
-  normalize1_tree(x, "power_iteration: zero eigenvector");
+  // iteration settled on the negative representative, and 1-normalise.  The
+  // flip does not change the 1-norm, so both sums travel in one allreduce,
+  // and -(x / norm) is x * (-1 / norm) exactly.
+  const transforms::TreeSums f = fan.sums([&sv, xp](std::size_t begin, std::size_t end) {
+    return transforms::TreeSums{sv.tree_sum(xp + begin, end - begin),
+                                sv.tree_abs_sum(xp + begin, end - begin)};
+  });
+  double final_sums[2] = {f.first, f.second};
+  collective.allreduce(final_sums);
+  require(final_sums[1] > 0.0, "power_iteration: zero eigenvector");
+  const double scale = (final_sums[0] < 0.0 ? -1.0 : 1.0) / final_sums[1];
+  fan.run([xp, scale](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) xp[i] *= scale;
+  });
   return out;
 }
-
-/// True when `v` is already 1-norm normalised up to the rounding one
-/// normalisation leaves behind.  Scaling by a rounded reciprocal rounds
-/// each element once more, and the tree 1-norm of depth log2(n) rounds
-/// each partial, so the tree norm of a normalised vector lies within
-/// (log2(n) + 1) machine epsilons of 1; the bound below adds slack.
-bool normalised_to_rounding(std::span<const double> v) {
-  const double norm = reduction_kernels().tree_abs_sum(v.data(), v.size());
-  const double depth = static_cast<double>(std::bit_width(v.size()));
-  return std::abs(norm - 1.0) <=
-         (depth + 2.0) * std::numeric_limits<double>::epsilon();
-}
-
-}  // namespace
 
 std::vector<double> landscape_start(const core::Landscape& landscape) {
   std::vector<double> s(landscape.values().begin(), landscape.values().end());
@@ -226,8 +293,10 @@ PowerResult power_iteration_owned(const core::LinearOperator& op,
       normalize1_tree(trace.iterate, "power_iteration: zero starting vector");
     }
   }
-  return run_power_loop(op, std::move(trace),
-                        IterationDriver(options, io::SolverKind::power), options);
+  OperatorCollective collective(op);
+  return run_power_loop(collective, std::move(trace),
+                        IterationDriver(options, io::SolverKind::power), options,
+                        options.shift);
 }
 
 }  // namespace detail
@@ -251,7 +320,9 @@ PowerResult resume_power_iteration(const core::LinearOperator& op,
     return out;
   }
   driver.restore(checkpoint);
-  return run_power_loop(op, std::move(trace), std::move(driver), options);
+  OperatorCollective collective(op);
+  return run_power_loop(collective, std::move(trace), std::move(driver), options,
+                        options.shift);
 }
 
 }  // namespace qs::solvers

@@ -12,9 +12,13 @@
 // Resilience: the loop runs through solvers/iteration_driver, which owns the
 // periodic checkpointing (write-to-temp-then-rename, checksummed), the stall
 // window, and the NaN/Inf health guards; a resumed run continues the
-// original residual trajectory bit for bit on the serial backend, and a
-// non-finite iterate is detected at residual-check cadence and reported as
-// a structured SolverFailure instead of spinning max_iterations on garbage.
+// original residual trajectory bit for bit, and a non-finite iterate is
+// detected at residual-check cadence and reported as a structured
+// SolverFailure instead of spinning max_iterations on garbage.
+//
+// There is one power iteration, run_power_loop below.  A serial solve, an
+// engine-parallel one and every rank of a distributed solve run it over a
+// BlockCollective; all of them produce the same bits.
 #pragma once
 
 #include <concepts>
@@ -76,9 +80,10 @@ PowerResult power_iteration(const core::LinearOperator& op, Start&& start,
 
 /// Resumes a power iteration from a checkpoint written by a previous run
 /// with the same operator and options.  The iterate is taken verbatim (no
-/// re-normalisation) and the stall-window state is restored, so on the
-/// serial backend the residual trajectory from the checkpoint iteration
-/// onward is bit-identical to the uninterrupted run.
+/// re-normalisation) and the stall-window state is restored, so the
+/// residual trajectory from the checkpoint iteration onward is
+/// bit-identical to the uninterrupted run, whichever engine or rank count
+/// wrote the checkpoint.
 PowerResult resume_power_iteration(const core::LinearOperator& op,
                                    const io::SolverCheckpoint& checkpoint,
                                    const PowerOptions& options = {});
@@ -88,5 +93,53 @@ PowerResult resume_power_iteration(const core::LinearOperator& op,
 /// distributed solve starts from (distributed::tree_landscape_start is
 /// this function).
 std::vector<double> landscape_start(const core::Landscape& landscape);
+
+/// What one participant of a power iteration needs from the others.  The
+/// iterate is split into aligned power-of-two blocks, one per participant;
+/// every sum of the loop is a block partial completed by `allreduce`, and a
+/// block partial is a complete subtree of the whole vector's summation tree
+/// (linalg/tree_reduce.hpp), so the totals do not depend on the split.  A
+/// serial solve is the one-participant case: the product is the operator,
+/// and the reduction and the gather are the identity.  The ranks of a
+/// distributed solve implement it over their Exchange.
+class BlockCollective {
+ public:
+  virtual ~BlockCollective() = default;
+
+  /// y = W x on this participant's block.
+  virtual void apply(std::span<const double> x, std::span<double> y) = 0;
+
+  /// Completes block partial sums element-wise, in tree order across the
+  /// participants; every participant receives the same bits.
+  virtual void allreduce(std::span<double> values) = 0;
+
+  /// Gathers the iterate blocks; returns the whole iterate on the root and
+  /// an empty span elsewhere.  Every participant must call it together.
+  virtual std::span<const double> gather(std::span<const double> x) = 0;
+
+  /// True on the participant that writes checkpoints.
+  virtual bool is_root() const = 0;
+};
+
+/// The power iteration: starting from `trace.iterate` (this participant's
+/// block, taken verbatim), iterate x <- (W - shift I) x / ||.||_1 until the
+/// driver stops it, then orient and 1-normalise the block.  The control
+/// plane is replicated: every participant runs its own `driver` on the
+/// same allreduced values, the stop vote and the root's wall-clock
+/// checkpoint cadence travel with the residual sums, and only the root
+/// writes checkpoints (of the gathered iterate) — so a checkpoint written
+/// under one decomposition resumes under any other.
+///
+/// Each step is the product plus three passes over the block:
+///   A  {x.x, x.y}                       (residual checks only)
+///   B  residual, y <- y - mu x, ||y||_1 (residual skipped off-cadence)
+///   C  x <- y / ||y||_1
+/// and one allreduce of {x.x, x.y} and one of {res2, ||y||_1, control} per
+/// residual check, one of {||y||_1} otherwise.  `options.engine` fans the
+/// passes out over aligned power-of-two sub-blocks; it changes the speed,
+/// never the bits.
+PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
+                           IterationDriver driver,
+                           const IterationOptions& options, double shift);
 
 }  // namespace qs::solvers

@@ -23,7 +23,7 @@ class SymmetricWContext {
                     const parallel::Engine* engine = nullptr)
       : model_(model),
         landscape_(landscape),
-        engine_(engine),
+        engine_(parallel::engine_or_serial(engine)),
         op_(model, landscape, core::Formulation::symmetric, engine),
         n_(static_cast<std::size_t>(model.dimension())),
         sqrt_f_(n_) {
@@ -42,13 +42,9 @@ class SymmetricWContext {
       op_.apply(x, y);
       const double* xp = x.data();
       double* yp = y.data();
-      if (engine_ != nullptr) {
-        engine_->dispatch(n_, [xp, yp, mu](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) yp[i] -= mu * xp[i];
-        });
-      } else {
-        for (std::size_t i = 0; i < n_; ++i) yp[i] -= mu * xp[i];
-      }
+      engine_.dispatch(n_, [xp, yp, mu](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) yp[i] -= mu * xp[i];
+      });
     };
   }
 
@@ -73,25 +69,21 @@ class SymmetricWContext {
     op_.apply(x, scratch);
     const double* xp = x.data();
     const double* sp = scratch.data();
-    double rq = 0.0;
-    double res2 = 0.0;
-    if (engine_ != nullptr) {
-      rq = engine_->reduce_dot(x, scratch);
-      res2 = engine_->reduce_partials(n_, [xp, sp, rq](std::size_t begin, std::size_t end) {
-        double acc = 0.0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const double r = sp[i] - rq * xp[i];
-          acc += r * r;
-        }
-        return acc;
-      });
-    } else {
-      rq = linalg::dot(x, scratch);
-      for (std::size_t i = 0; i < n_; ++i) {
-        const double r = sp[i] - rq * xp[i];
-        res2 += r * r;
-      }
-    }
+    const double rq =
+        engine_.reduce_partials(n_, [xp, sp](std::size_t begin, std::size_t end) {
+          double acc = 0.0;
+          for (std::size_t i = begin; i < end; ++i) acc += xp[i] * sp[i];
+          return acc;
+        });
+    const double res2 =
+        engine_.reduce_partials(n_, [xp, sp, rq](std::size_t begin, std::size_t end) {
+          double acc = 0.0;
+          for (std::size_t i = begin; i < end; ++i) {
+            const double r = sp[i] - rq * xp[i];
+            acc += r * r;
+          }
+          return acc;
+        });
     return {rq, std::sqrt(res2) / std::max(std::abs(rq), 1e-300)};
   }
 
@@ -122,7 +114,7 @@ class SymmetricWContext {
  private:
   const core::MutationModel& model_;
   const core::Landscape& landscape_;
-  const parallel::Engine* engine_;
+  const parallel::Engine& engine_;
   core::FmmpOperator op_;
   std::size_t n_;
   std::vector<double> sqrt_f_;

@@ -100,19 +100,6 @@ class FaultInjectingEngine final : public parallel::Engine {
   void dispatch(std::size_t n, const parallel::RangeKernel& kernel) const override;
   double reduce_partials(std::size_t n,
                          const parallel::PartialKernel& kernel) const override;
-  double reduce_sum(std::span<const double> v) const override {
-    return inner_.reduce_sum(v);
-  }
-  double reduce_abs_sum(std::span<const double> v) const override {
-    return inner_.reduce_abs_sum(v);
-  }
-  double reduce_sum_squares(std::span<const double> v) const override {
-    return inner_.reduce_sum_squares(v);
-  }
-  double reduce_dot(std::span<const double> a,
-                    std::span<const double> b) const override {
-    return inner_.reduce_dot(a, b);
-  }
 
   std::size_t dispatch_count() const { return dispatch_count_.load(); }
   std::size_t reduce_count() const { return reduce_count_.load(); }

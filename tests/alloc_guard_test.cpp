@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -18,7 +19,9 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "core/planned_operator.hpp"
+#include "distributed/reduction.hpp"
 #include "obs/trace.hpp"
+#include "parallel/engine.hpp"
 #include "solvers/arnoldi.hpp"
 #include "solvers/lanczos.hpp"
 #include "solvers/power_iteration.hpp"
@@ -66,49 +69,81 @@ TEST(AllocGuardTest, PowerIterationHotPathPerformsZeroHeapAllocations) {
   }
 }
 
-TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations) {
-  // The default (engine-less) loop runs the fused tree-ordered passes: a
-  // shifted solve with residual checks every third iteration runs pass B
-  // both with and without its residual sum, at a length (2^10) that takes
-  // the blockwise SIMD path.  None of it may touch the heap.
-  const auto model = core::MutationModel::uniform(10, 0.01);
-  const auto fitness = core::Landscape::random(10, 5.0, 1.0, 78);
-  const core::PlannedOperator op(model, fitness);
-
-  constexpr unsigned kIterations = 90;
-  solvers::PowerOptions options;
-  options.tolerance = 0.0;  // never converge: run all iterations
-  options.stall_window = 0;
-  options.max_iterations = kIterations;
-  options.residual_check_every = 3;
-  options.shift = 0.5;
-  options.workspace = &op.workspace();
-
-  std::array<std::uint64_t, kIterations + 1> samples{};
-  std::array<bool, kIterations + 1> sampled{};
-  options.on_residual = [&samples, &sampled](unsigned it, double) {
-    if (it < samples.size()) {
-      samples[it] = support::allocation_count();
-      sampled[it] = true;
+/// Four lanes run one after another on the calling thread: the power
+/// loop's four-block fan-out without a thread pool's own allocations.
+class InlineLanes final : public parallel::Engine {
+ public:
+  std::string_view name() const override { return "inline-lanes"; }
+  unsigned concurrency() const override { return 4; }
+  void dispatch(std::size_t n, const parallel::RangeKernel& kernel) const override {
+    const std::size_t chunk = (n + 3) / 4;
+    for (std::size_t begin = 0; begin < n; begin += chunk) {
+      kernel(begin, std::min(begin + chunk, n));
     }
-  };
-
-  const solvers::PowerResult result = solvers::power_iteration(op, {}, options);
-  ASSERT_EQ(result.iterations, kIterations);
-  ASSERT_EQ(result.failure, solvers::SolverFailure::none);
-
-  unsigned first = 0;
-  unsigned checks = 0;
-  for (unsigned it = 1; it <= kIterations; ++it) {
-    if (!sampled[it]) continue;
-    ++checks;
-    if (first == 0) {
-      first = it;
-      continue;
-    }
-    EXPECT_EQ(samples[it], samples[first]) << "allocation before iteration " << it;
   }
-  EXPECT_GE(checks, kIterations / 3);
+  double reduce_partials(std::size_t n,
+                         const parallel::PartialKernel& kernel) const override {
+    return n == 0 ? 0.0 : kernel(0, n);
+  }
+};
+
+TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations) {
+  // The loop runs the fused tree-ordered passes: a shifted solve with
+  // residual checks every third iteration runs pass B both with and
+  // without its residual sum, at lengths (2^10, 2^14) that take the
+  // blockwise SIMD path, with no engine, with the serial and tree engines,
+  // and fanned out over four blocks (per-block partial slots, span
+  // allreduces).  None of it may touch the heap.
+  const InlineLanes four_lanes;
+  const struct {
+    unsigned nu;
+    const parallel::Engine* engine;
+  } cases[] = {{10, nullptr},
+               {10, &parallel::serial_engine()},
+               {10, &distributed::tree_engine()},
+               {14, &four_lanes}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.engine != nullptr ? c.engine->name() : "no engine");
+    const auto model = core::MutationModel::uniform(c.nu, 0.01);
+    const auto fitness = core::Landscape::random(c.nu, 5.0, 1.0, 78);
+    const core::PlannedOperator op(model, fitness);
+
+    constexpr unsigned kIterations = 90;
+    solvers::PowerOptions options;
+    options.tolerance = 0.0;  // never converge: run all iterations
+    options.stall_window = 0;
+    options.max_iterations = kIterations;
+    options.residual_check_every = 3;
+    options.shift = 0.5;
+    options.workspace = &op.workspace();
+    options.engine = c.engine;
+
+    std::array<std::uint64_t, kIterations + 1> samples{};
+    std::array<bool, kIterations + 1> sampled{};
+    options.on_residual = [&samples, &sampled](unsigned it, double) {
+      if (it < samples.size()) {
+        samples[it] = support::allocation_count();
+        sampled[it] = true;
+      }
+    };
+
+    const solvers::PowerResult result = solvers::power_iteration(op, {}, options);
+    ASSERT_EQ(result.iterations, kIterations);
+    ASSERT_EQ(result.failure, solvers::SolverFailure::none);
+
+    unsigned first = 0;
+    unsigned checks = 0;
+    for (unsigned it = 1; it <= kIterations; ++it) {
+      if (!sampled[it]) continue;
+      ++checks;
+      if (first == 0) {
+        first = it;
+        continue;
+      }
+      EXPECT_EQ(samples[it], samples[first]) << "allocation before iteration " << it;
+    }
+    EXPECT_GE(checks, kIterations / 3);
+  }
 }
 
 // The Krylov cycle bodies DO allocate (the small dense Ritz eigensolve per

@@ -30,6 +30,7 @@
 #include "distributed/reduction.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/engine.hpp"
+#include "parallel/thread_pool_backend.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/rng.hpp"
 #include "transforms/sv_microkernel.hpp"
@@ -86,10 +87,19 @@ TEST(TreeReduction, TreeEngineMatchesTheFreeFunctions) {
   Xoshiro256 rng(3);
   for (double& x : v) x = rng.uniform(-1.0, 1.0);
   const parallel::Engine& engine = tree_engine();
-  EXPECT_EQ(engine.reduce_sum(v), tree_sum(v));
-  EXPECT_EQ(engine.reduce_abs_sum(v), tree_abs_sum(v));
-  EXPECT_EQ(engine.reduce_sum_squares(v), tree_sum_squares(v));
-  EXPECT_EQ(engine.reduce_dot(v, v), tree_dot(v, v));
+  // A left-to-right chunk kernel: the tree order must come from the engine.
+  auto reduce = [&engine, &v](auto leaf) {
+    return engine.reduce_partials(v.size(), [&leaf](std::size_t begin,
+                                                    std::size_t end) {
+      double acc = 0.0;
+      for (std::size_t i = begin; i < end; ++i) acc += leaf(i);
+      return acc;
+    });
+  };
+  EXPECT_EQ(reduce([&v](std::size_t i) { return v[i]; }), tree_sum(v));
+  EXPECT_EQ(reduce([&v](std::size_t i) { return std::abs(v[i]); }), tree_abs_sum(v));
+  EXPECT_EQ(reduce([&v](std::size_t i) { return v[i] * v[i]; }), tree_sum_squares(v));
+  EXPECT_EQ(reduce([&v](std::size_t i) { return v[i] * v[i]; }), tree_dot(v, v));
 }
 
 // ---------------------------------------------------------------------------
@@ -278,6 +288,12 @@ TEST_P(DistEquivalence, LockstepSolveIsBitIdenticalToTheSerialFacade) {
   EXPECT_EQ(residuals, facade.residuals);                     // full stream
   expect_bit_equal(dist.eigenvector, facade.result.eigenvector);
 
+  // Collectives, per rank: the start norm, {x.x, x.y} and {res2, ||y||_1,
+  // control} per iteration (a residual check every iteration), and the
+  // final {sign, 1-norm}.
+  EXPECT_EQ(dist.traffic.allreduce_calls,
+            std::size_t{c.ranks} * (2 * std::size_t{dist.iterations} + 2));
+
   // Plan provenance: the rank-local levels ran the banded kernel with the
   // plan's resolved sv tier, and the level split matches the layout.
   EXPECT_EQ(dist.plan_kernel,
@@ -332,10 +348,9 @@ TEST(DistEquivalenceExtra, CapacityModeKeepsOnlyTheRankBlock) {
 
   const auto full = distributed_power_iteration(model, landscape, 4);
   for (std::size_t i = 0; i < 64; ++i) {
-    // Same solve, different final normalisation order (tree vs serial):
-    // equal to rounding.
-    EXPECT_NEAR(dist.eigenvector[i], full.eigenvector[i],
-                1e-14 * std::abs(full.eigenvector[i]) + 1e-300);
+    // Same solve, same final normalisation (every block scaled by the
+    // allreduced tree 1-norm before any gather): the same bits.
+    EXPECT_EQ(dist.eigenvector[i], full.eigenvector[i]) << "entry " << i;
   }
 }
 
@@ -377,6 +392,71 @@ TEST(DistCancellation, AgreedStopFlushesACheckpointAndPartialTraffic) {
   // Partial traffic was aggregated before returning.
   EXPECT_GT(dist.traffic.messages, 0u);
   EXPECT_GT(dist.traffic.allreduce_calls, 0u);
+}
+
+// The other direction: a checkpoint written by an engine-parallel serial
+// solve (four lanes, so each pass runs as four 2^12 blocks) resumes serially
+// and at lockstep R = 2, and both continue the uninterrupted serial run's
+// trajectory bit for bit.
+void expect_engine_checkpoint_resumes_bit_identically() {
+  const unsigned nu = 14;
+  const auto model = core::MutationModel::uniform(nu, 0.02);
+  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 47);
+  const DistributedPowerOptions defaults;
+  const core::FmmpOperator op(model, landscape, core::Formulation::right,
+                              &parallel::serial_engine(),
+                              transforms::LevelOrder::ascending,
+                              core::EngineKernel::blocked, defaults.plan);
+  const auto start = tree_landscape_start(landscape);
+  solvers::PowerOptions popts;
+  popts.shift = core::conservative_shift(model, landscape);
+
+  std::vector<std::pair<unsigned, double>> ref_stream;
+  solvers::PowerOptions ref_opts = popts;
+  ref_opts.on_residual = [&ref_stream](unsigned it, double r) {
+    ref_stream.emplace_back(it, r);
+  };
+  const auto ref = solvers::power_iteration(op, start, ref_opts);
+  ASSERT_TRUE(ref.converged);
+  ASSERT_GT(ref.iterations, 6u) << "test needs a few iterations to interrupt";
+
+  parallel::ThreadPoolBackend pool(4);
+  std::vector<io::SolverCheckpoint> sunk;
+  solvers::PowerOptions ck_opts = popts;
+  ck_opts.engine = &pool;
+  ck_opts.checkpoint_every = 5;
+  ck_opts.checkpoint_sink = [&sunk](const io::SolverCheckpoint& ck) {
+    sunk.push_back(ck);
+  };
+  (void)solvers::power_iteration(op, start, ck_opts);
+  ASSERT_FALSE(sunk.empty());
+  const io::SolverCheckpoint& ck = sunk.front();
+  ASSERT_EQ(ck.iteration, 5u);
+  const std::vector<std::pair<unsigned, double>> ref_tail(ref_stream.begin() + 5,
+                                                          ref_stream.end());
+
+  std::vector<std::pair<unsigned, double>> serial_stream;
+  solvers::PowerOptions serial_opts = popts;
+  serial_opts.on_residual = [&serial_stream](unsigned it, double r) {
+    serial_stream.emplace_back(it, r);
+  };
+  const auto serial = solvers::resume_power_iteration(op, ck, serial_opts);
+  EXPECT_EQ(serial.eigenvalue, ref.eigenvalue);
+  EXPECT_EQ(serial.iterations, ref.iterations);
+  EXPECT_EQ(serial_stream, ref_tail);
+  expect_bit_equal(serial.eigenvector, ref.eigenvector);
+
+  std::vector<std::pair<unsigned, double>> dist_stream;
+  DistributedPowerOptions dopts;
+  dopts.shift = popts.shift;
+  dopts.on_residual = [&dist_stream](unsigned it, double r) {
+    dist_stream.emplace_back(it, r);
+  };
+  const auto dist = resume_distributed_power_iteration(model, landscape, 2, ck, dopts);
+  EXPECT_EQ(dist.eigenvalue, ref.eigenvalue);
+  EXPECT_EQ(dist.iterations, ref.iterations);
+  EXPECT_EQ(dist_stream, ref_tail);
+  expect_bit_equal(dist.eigenvector, ref.eigenvector);
 }
 
 TEST(DistResume, ResumingUnderADifferentRankCountIsBitIdentical) {
@@ -438,6 +518,8 @@ TEST(DistResume, ResumingUnderADifferentRankCountIsBitIdentical) {
   EXPECT_EQ(serial.eigenvalue, ref.eigenvalue);
   EXPECT_EQ(serial.iterations, ref.iterations);
   expect_bit_equal(serial.eigenvector, ref.eigenvector);
+
+  expect_engine_checkpoint_resumes_bit_identically();
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "parallel/engine.hpp"
+#include "parallel/thread_pool_backend.hpp"
 #include "solvers/arnoldi.hpp"
 #include "solvers/lanczos.hpp"
 #include "solvers/power_iteration.hpp"
@@ -73,6 +74,34 @@ TEST(FaultInjection, PowerIterationDetectsNanUnderParallelEngine) {
       faulty, solvers::landscape_start(landscape), opts);
   EXPECT_EQ(r.failure, solvers::SolverFailure::non_finite);
   EXPECT_FALSE(r.converged);
+}
+
+TEST(FaultInjection, ThrowInAPowerLoopBlockPassSurfacesAndTheEngineSurvives) {
+  // The operator runs without the engine, so every dispatch of the faulty
+  // engine is one of the power loop's block passes — A, B, C per residual
+  // check — and dispatch 5 is pass B of iteration 2, fanned out over four
+  // lanes in 2^12 blocks.
+  const unsigned nu = 14;
+  const auto model = core::MutationModel::uniform(nu, 0.02);
+  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 43);
+  const core::FmmpOperator op(model, landscape);
+  parallel::ThreadPoolBackend pool(4);
+  testing::FaultInjectingEngine::Config cfg;
+  cfg.throw_at_dispatch = 5;
+  const testing::FaultInjectingEngine engine(pool, cfg);
+  solvers::PowerOptions opts;
+  opts.engine = &engine;
+  const auto start = solvers::landscape_start(landscape);
+  EXPECT_THROW(solvers::power_iteration(op, start, opts), testing::InjectedFault);
+  EXPECT_EQ(engine.dispatch_count(), 5u);
+
+  // Past its fault the same engine runs a whole solve, to the serial bits.
+  const auto after = solvers::power_iteration(op, start, opts);
+  const auto serial = solvers::power_iteration(op, start);
+  ASSERT_TRUE(after.converged);
+  EXPECT_EQ(after.eigenvalue, serial.eigenvalue);
+  EXPECT_EQ(after.iterations, serial.iterations);
+  EXPECT_EQ(after.eigenvector, serial.eigenvector);
 }
 
 TEST(FaultInjection, LanczosDetectsNonFiniteState) {

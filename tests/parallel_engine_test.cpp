@@ -5,10 +5,14 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
+#include "core/fmmp.hpp"
 #include "core/mutation_model.hpp"
+#include "core/spectral.hpp"
 #include "parallel/thread_pool_backend.hpp"
+#include "solvers/power_iteration.hpp"
 #include "support/rng.hpp"
 
 namespace qs::parallel {
@@ -61,10 +65,18 @@ TEST_P(EngineTest, ReductionsMatchSerialReference) {
     sq += a[i] * a[i];
     dp += a[i] * b[i];
   }
-  EXPECT_NEAR(engine_->reduce_sum(a), sum, 1e-9);
-  EXPECT_NEAR(engine_->reduce_abs_sum(a), abs_sum, 1e-9);
-  EXPECT_NEAR(engine_->reduce_sum_squares(a), sq, 1e-9);
-  EXPECT_NEAR(engine_->reduce_dot(a, b), dp, 1e-9);
+  // Each reduction as the chunk kernel a caller hands to reduce_partials.
+  auto reduce = [this, n](auto leaf) {
+    return engine_->reduce_partials(n, [&leaf](std::size_t begin, std::size_t end) {
+      double acc = 0.0;
+      for (std::size_t i = begin; i < end; ++i) acc += leaf(i);
+      return acc;
+    });
+  };
+  EXPECT_NEAR(reduce([&a](std::size_t i) { return a[i]; }), sum, 1e-9);
+  EXPECT_NEAR(reduce([&a](std::size_t i) { return std::abs(a[i]); }), abs_sum, 1e-9);
+  EXPECT_NEAR(reduce([&a](std::size_t i) { return a[i] * a[i]; }), sq, 1e-9);
+  EXPECT_NEAR(reduce([&a, &b](std::size_t i) { return a[i] * b[i]; }), dp, 1e-9);
 }
 
 TEST_P(EngineTest, DispatchPropagatesKernelExceptions) {
@@ -95,7 +107,11 @@ TEST_P(EngineTest, DispatchPropagatesWhenEveryLaneThrows) {
                                    throw std::invalid_argument("all lanes");
                                  }),
                std::invalid_argument);
-  EXPECT_NEAR(engine_->reduce_sum(std::vector<double>{1.0, 2.0}), 3.0, 1e-15);
+  EXPECT_EQ(engine_->reduce_partials(
+                2, [](std::size_t begin, std::size_t end) {
+                  return static_cast<double>(end - begin);
+                }),
+            2.0);
 }
 
 TEST_P(EngineTest, ReducePartialsPropagatesKernelExceptions) {
@@ -160,6 +176,35 @@ TEST(ThreadPool, ExplicitThreadCountAndFmmpAgreement) {
   model.apply(serial);
   model.apply(pooled, *pool);
   for (std::size_t i = 0; i < 1024; ++i) ASSERT_DOUBLE_EQ(serial[i], pooled[i]);
+
+  // The power loop too: four lanes split each of its passes into four 2^12
+  // blocks written concurrently (the partial slots, the shifted product,
+  // the rescaled iterate), and the solve must still be the serial one, bit
+  // for bit.  Also the ThreadSanitizer case for those concurrent writes.
+  ThreadPoolBackend four_lanes(4);
+  const unsigned nu = 14;
+  const auto w_model = qs::core::MutationModel::uniform(nu, 0.02);
+  const auto landscape = qs::core::Landscape::random(nu, 5.0, 1.0, 21);
+  const qs::core::FmmpOperator op(w_model, landscape);
+  auto run = [&](const Engine* engine, std::vector<std::pair<unsigned, double>>& stream) {
+    qs::solvers::PowerOptions opts;
+    opts.shift = qs::core::conservative_shift(w_model, landscape);
+    opts.engine = engine;
+    opts.on_residual = [&stream](unsigned it, double r) { stream.emplace_back(it, r); };
+    return qs::solvers::power_iteration(op, qs::solvers::landscape_start(landscape),
+                                        opts);
+  };
+  std::vector<std::pair<unsigned, double>> serial_stream, pooled_stream;
+  const auto serial_solve = run(nullptr, serial_stream);
+  const auto pooled_solve = run(&four_lanes, pooled_stream);
+  ASSERT_TRUE(serial_solve.converged);
+  EXPECT_EQ(pooled_solve.eigenvalue, serial_solve.eigenvalue);
+  EXPECT_EQ(pooled_solve.iterations, serial_solve.iterations);
+  EXPECT_EQ(pooled_stream, serial_stream);
+  ASSERT_EQ(pooled_solve.eigenvector.size(), serial_solve.eigenvector.size());
+  for (std::size_t i = 0; i < serial_solve.eigenvector.size(); ++i) {
+    ASSERT_EQ(pooled_solve.eigenvector[i], serial_solve.eigenvector[i]) << "entry " << i;
+  }
 }
 
 TEST(ThreadPool, ManyThreadsOnFewItems) {

@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "distributed/reduction.hpp"
 #include "linalg/vector_ops.hpp"
+#include "parallel/engine.hpp"
 #include "support/contracts.hpp"
 
 namespace qs::solvers {
@@ -102,19 +107,39 @@ TEST(Facade, ApproximateXmvpIsCloseButNotExact) {
 }
 
 TEST(Facade, EngineOptionGivesSameAnswer) {
-  const unsigned nu = 9;
-  const auto model = core::MutationModel::uniform(nu, 0.02);
-  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 6);
-
-  const auto serial = solve(model, landscape);
-  SolveOptions engine_opts;
-  engine_opts.engine = &parallel::parallel_engine();
-  const auto parallel_result = solve(model, landscape, engine_opts);
-  ASSERT_TRUE(serial.converged && parallel_result.converged);
-  EXPECT_NEAR(serial.eigenvalue, parallel_result.eigenvalue, 1e-11);
-  EXPECT_LT(
-      linalg::max_abs_diff(serial.concentrations, parallel_result.concentrations),
-      1e-10);
+  // The engine drives both the product and the power loop's passes; neither
+  // changes a bit, so every backend gives the default solve's answer
+  // exactly: eigenvalue, iteration count, residual stream, concentrations.
+  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
+  const std::vector<const parallel::Engine*> engines = {
+      &parallel::serial_engine(), &parallel::parallel_engine(), pool.get(),
+      &distributed::tree_engine()};
+  for (unsigned nu : {9u, 12u, 16u}) {
+    const auto model = core::MutationModel::uniform(nu, 0.02);
+    const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 6);
+    auto run = [&model, &landscape](const parallel::Engine* engine,
+                                    std::vector<std::pair<unsigned, double>>& stream) {
+      SolveOptions opts;
+      opts.engine = engine;
+      opts.on_residual = [&stream](unsigned it, double r) { stream.emplace_back(it, r); };
+      return solve(model, landscape, opts);
+    };
+    std::vector<std::pair<unsigned, double>> serial_stream;
+    const auto serial = run(nullptr, serial_stream);
+    ASSERT_TRUE(serial.converged) << "nu=" << nu;
+    for (const parallel::Engine* engine : engines) {
+      SCOPED_TRACE(::testing::Message() << "nu=" << nu << " engine=" << engine->name());
+      std::vector<std::pair<unsigned, double>> stream;
+      const auto result = run(engine, stream);
+      EXPECT_EQ(result.eigenvalue, serial.eigenvalue);
+      EXPECT_EQ(result.iterations, serial.iterations);
+      EXPECT_EQ(stream, serial_stream);
+      ASSERT_EQ(result.concentrations.size(), serial.concentrations.size());
+      for (std::size_t i = 0; i < serial.concentrations.size(); ++i) {
+        ASSERT_EQ(result.concentrations[i], serial.concentrations[i]) << "entry " << i;
+      }
+    }
+  }
 }
 
 TEST(Facade, ShiftToggleDoesNotChangeTheAnswer) {

@@ -4,13 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "core/explicit_q.hpp"
 #include "core/fmmp.hpp"
 #include "core/spectral.hpp"
+#include "distributed/reduction.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/vector_ops.hpp"
+#include "parallel/engine.hpp"
 #include "support/contracts.hpp"
+#include "support/rng.hpp"
 
 namespace qs::solvers {
 namespace {
@@ -129,21 +134,85 @@ TEST(PowerIteration, ReportsNonConvergenceHonestly) {
   EXPECT_GT(r.residual, 1e-15);
 }
 
-TEST(PowerIteration, EngineReductionsMatchSerial) {
-  const unsigned nu = 9;
-  const auto model = core::MutationModel::uniform(nu, 0.03);
-  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 15);
-  const core::FmmpOperator op(model, landscape);
-  const auto start = landscape_start(landscape);
+/// A dense positive matrix of any order: the power loop's one-block path
+/// (a length that is not a power of two cannot be split into subtrees).
+class DenseOperator final : public core::LinearOperator {
+ public:
+  explicit DenseOperator(std::size_t n) : n_(n), a_(n * n) {
+    Xoshiro256 rng(19);
+    for (double& v : a_) v = rng.uniform(0.1, 1.0);
+  }
+  seq_t dimension() const override { return static_cast<seq_t>(n_); }
+  std::string_view name() const override { return "dense"; }
+  void apply(std::span<const double> x, std::span<double> y) const override {
+    for (std::size_t i = 0; i < n_; ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < n_; ++j) acc += a_[i * n_ + j] * x[j];
+      y[i] = acc;
+    }
+  }
 
-  PowerOptions serial_opts;
-  const auto serial = power_iteration(op, start, serial_opts);
-  PowerOptions engine_opts;
-  engine_opts.engine = &parallel::parallel_engine();
-  const auto engine = power_iteration(op, start, engine_opts);
-  ASSERT_TRUE(serial.converged);
-  ASSERT_TRUE(engine.converged);
-  EXPECT_NEAR(serial.eigenvalue, engine.eigenvalue, 1e-12);
+ private:
+  std::size_t n_;
+  std::vector<double> a_;
+};
+
+struct Trajectory {
+  PowerResult result;
+  std::vector<std::pair<unsigned, double>> residuals;
+};
+
+Trajectory run_with_engine(const core::LinearOperator& op,
+                           const std::vector<double>& start, double shift,
+                           const parallel::Engine* engine) {
+  Trajectory t;
+  PowerOptions opts;
+  opts.shift = shift;
+  opts.engine = engine;
+  opts.on_residual = [&t](unsigned it, double r) { t.residuals.emplace_back(it, r); };
+  t.result = power_iteration(op, start, opts);
+  return t;
+}
+
+void expect_same_bits(const Trajectory& a, const Trajectory& b) {
+  EXPECT_EQ(a.result.eigenvalue, b.result.eigenvalue);
+  EXPECT_EQ(a.result.iterations, b.result.iterations);
+  EXPECT_EQ(a.residuals, b.residuals);
+  ASSERT_EQ(a.result.eigenvector.size(), b.result.eigenvector.size());
+  for (std::size_t i = 0; i < a.result.eigenvector.size(); ++i) {
+    ASSERT_EQ(a.result.eigenvector[i], b.result.eigenvector[i]) << "entry " << i;
+  }
+}
+
+TEST(PowerIteration, EngineReductionsMatchSerial) {
+  // An engine only fans the loop's passes out over aligned blocks; the sums
+  // keep the one tree order, so every backend reproduces the engine-less
+  // solve bit for bit: eigenvalue, iteration count, residual stream and
+  // eigenvector.
+  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
+  const std::vector<const parallel::Engine*> engines = {
+      &parallel::serial_engine(), &parallel::parallel_engine(), pool.get(),
+      &distributed::tree_engine()};
+  for (unsigned nu : {9u, 12u, 16u}) {
+    const auto model = core::MutationModel::uniform(nu, 0.03);
+    const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 15);
+    const core::FmmpOperator op(model, landscape);
+    const auto start = landscape_start(landscape);
+    const double shift = core::conservative_shift(model, landscape);
+    const Trajectory serial = run_with_engine(op, start, shift, nullptr);
+    ASSERT_TRUE(serial.result.converged) << "nu=" << nu;
+    for (const parallel::Engine* engine : engines) {
+      SCOPED_TRACE(::testing::Message() << "nu=" << nu << " engine=" << engine->name());
+      expect_same_bits(run_with_engine(op, start, shift, engine), serial);
+    }
+  }
+  const DenseOperator dense(300);
+  const Trajectory serial = run_with_engine(dense, {}, 0.0, nullptr);
+  ASSERT_TRUE(serial.result.converged);
+  for (const parallel::Engine* engine : engines) {
+    SCOPED_TRACE(::testing::Message() << "dense engine=" << engine->name());
+    expect_same_bits(run_with_engine(dense, {}, 0.0, engine), serial);
+  }
 }
 
 TEST(PowerIteration, LandscapeStartIsNormalisedCopyOfF) {

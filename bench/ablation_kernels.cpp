@@ -4,11 +4,14 @@
 //    arithmetic, different memory traversal.
 //  * Serial Algorithm 1 vs engine-dispatched Algorithm 2 (the GPU kernel
 //    with the index mapping j = 2*ID - (ID & (stride-1))) on both backends.
+//
+// Every column times reference::ReferenceFmmp, the paper's algorithms
+// verbatim; the production banded kernel is timed by fig2_matvec_runtimes.
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/fmmp.hpp"
+#include "reference_fmmp.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -34,14 +37,15 @@ int main() {
     Xoshiro256 rng(nu);
     for (double& v : x) v = rng.uniform(0.0, 1.0);
 
-    const core::FmmpOperator asc(model, landscape, core::Formulation::right, nullptr,
-                                 transforms::LevelOrder::ascending);
-    const core::FmmpOperator desc(model, landscape, core::Formulation::right, nullptr,
-                                  transforms::LevelOrder::descending);
-    const core::FmmpOperator alg2_serial(model, landscape, core::Formulation::right,
-                                         &parallel::serial_engine());
-    const core::FmmpOperator alg2_engine(model, landscape, core::Formulation::right,
-                                         &parallel::parallel_engine());
+    using reference::ReferenceFmmp;
+    const ReferenceFmmp asc(model, landscape, core::Formulation::right, nullptr,
+                            transforms::LevelOrder::ascending);
+    const ReferenceFmmp desc(model, landscape, core::Formulation::right, nullptr,
+                             transforms::LevelOrder::descending);
+    const ReferenceFmmp alg2_serial(model, landscape, core::Formulation::right,
+                                    &parallel::serial_engine());
+    const ReferenceFmmp alg2_engine(model, landscape, core::Formulation::right,
+                                    &parallel::parallel_engine());
 
     const double t_asc = bench::time_best_of(3, [&] { asc.apply(x, y); });
     const double t_desc = bench::time_best_of(3, [&] { desc.apply(x, y); });

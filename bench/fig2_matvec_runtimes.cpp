@@ -6,11 +6,14 @@
 // Series (as in the paper): Xmvp(nu) — fully accurate sparsified XOR
 // product, cost Theta(N^2), equivalent to Smvp up to constants; Xmvp(1) —
 // the coarsest sparsification, Theta(N (nu+1)); Fmmp — the paper's exact
-// fast product, Theta(N log2 N).  The paper's expectation: Fmmp undercuts
-// even Xmvp(1) already for small nu while being exact.
+// fast product, Theta(N log2 N), timed as the paper's serial Algorithm 1
+// (reference::ReferenceFmmp: scale + level sweeps + scale).  The paper's
+// expectation: Fmmp undercuts even Xmvp(1) already for small nu while being
+// exact.
 //
-// Engine columns: per-level launches one kernel per butterfly level (nu
-// sweeps + 2 scaling sweeps per matvec); blocked launches one kernel per
+// Engine columns: per-level runs the reference Algorithm 2, one kernel per
+// butterfly level (nu sweeps + 2 scaling sweeps per matvec); blocked is the
+// production FmmpOperator, which launches one kernel per
 // level *band* with the diagonal F-scalings fused into the first/last band
 // (~nu/B sweeps).  Expected: blocked strictly faster at nu >= 20 on both
 // the openmp and thread_pool backends.
@@ -49,6 +52,7 @@
 #include "bench_common.hpp"
 #include "core/fmmp.hpp"
 #include "core/xmvp.hpp"
+#include "reference_fmmp.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -224,19 +228,21 @@ int main() {
     row.nu = nu;
     row.n = n;
 
-    const core::FmmpOperator fmmp(model, landscape);
-    row.fmmp_s = bench::time_best_of(3, [&] { fmmp.apply(x, y); });
-
-    auto time_engine = [&](const parallel::Engine* engine, core::EngineKernel kernel) {
-      const core::FmmpOperator op(model, landscape, core::Formulation::right, engine,
-                                  transforms::LevelOrder::ascending, kernel);
+    auto time_op = [&](const core::LinearOperator& op) {
       return bench::time_best_of(3, [&] { op.apply(x, y); });
     };
-    row.serial_blocked_s = time_engine(serial_engine.get(), core::EngineKernel::blocked);
-    row.omp_level_s = time_engine(omp_engine.get(), core::EngineKernel::per_level);
-    row.omp_blocked_s = time_engine(omp_engine.get(), core::EngineKernel::blocked);
-    row.pool_level_s = time_engine(pool_engine.get(), core::EngineKernel::per_level);
-    row.pool_blocked_s = time_engine(pool_engine.get(), core::EngineKernel::blocked);
+    auto per_level = [&](const parallel::Engine* engine) {
+      return reference::ReferenceFmmp(model, landscape, core::Formulation::right, engine);
+    };
+    auto blocked = [&](const parallel::Engine* engine) {
+      return core::FmmpOperator(model, landscape, core::Formulation::right, engine);
+    };
+    row.fmmp_s = time_op(reference::ReferenceFmmp(model, landscape));
+    row.serial_blocked_s = time_op(blocked(serial_engine.get()));
+    row.omp_level_s = time_op(per_level(omp_engine.get()));
+    row.omp_blocked_s = time_op(blocked(omp_engine.get()));
+    row.pool_level_s = time_op(per_level(pool_engine.get()));
+    row.pool_blocked_s = time_op(blocked(pool_engine.get()));
 
     const core::XmvpOperator xmvp1(model, landscape, 1);
     row.xmvp1_s = bench::time_best_of(3, [&] { xmvp1.apply(x, y); });
@@ -256,8 +262,7 @@ int main() {
     // backend (the block-solver workload without the panel kernel).
     for (const auto& [bname, engine] : backends) {
       const core::FmmpOperator op(model, landscape, core::Formulation::right,
-                                  engine, transforms::LevelOrder::ascending,
-                                  core::EngineKernel::blocked);
+                                  engine);
       const double t_single = bench::time_best_of(3, [&] { op.apply(x, y); });
       std::vector<std::string> cells = {std::to_string(nu), bname,
                                         format_short(t_single)};

@@ -7,7 +7,9 @@
 // parallel engine (DESIGN.md, Substitutions); on a single-core host the
 // engine curves coincide with the serial ones (the hardware shift
 // collapses), but the *algorithmic* slopes — the paper's main point — are
-// hardware independent and reproduce.
+// hardware independent and reproduce.  "ser-Fmmp" times the paper's serial
+// Algorithm 1 (reference::ReferenceFmmp); "eng-Fmmp" the production banded
+// FmmpOperator on the engine.
 //
 // The reference Pi(Xmvp(nu)) is measured up to nu = 12 and extrapolated
 // beyond from its fitted slope (the paper extrapolates it for nu >= 22).
@@ -19,6 +21,7 @@
 #include "core/fmmp.hpp"
 #include "core/spectral.hpp"
 #include "core/xmvp.hpp"
+#include "reference_fmmp.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/csv.hpp"
 #include "support/table.hpp"
@@ -76,7 +79,7 @@ int main() {
 
     const core::FmmpOperator fmmp_eng(model, landscape, core::Formulation::right, &gpu);
     const double t_fmmp_eng = run(fmmp_eng, 1e-13, &gpu);
-    const core::FmmpOperator fmmp_ser(model, landscape);
+    const reference::ReferenceFmmp fmmp_ser(model, landscape);
     const double t_fmmp_ser = run(fmmp_ser, 1e-13, nullptr);
 
     double t_x5_eng = 0.0, t_x5_ser = 0.0;

@@ -11,6 +11,7 @@
 #include "core/fmmp.hpp"
 #include "core/xmvp.hpp"
 #include "parallel/engine.hpp"
+#include "reference_fmmp.hpp"
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/butterfly.hpp"
@@ -67,17 +68,21 @@ void BM_FmmpApply(benchmark::State& state) {
 BENCHMARK(BM_FmmpApply)->DenseRange(10, 22, 4)->Complexity(benchmark::oNLogN);
 
 // Engine-backed Fmmp: arg0 = nu, arg1 = 0 for the per-level Algorithm 2
-// reference, 1 for the cache-blocked banded kernel (fused F-scalings).
+// reference (reference::ReferenceFmmp), 1 for the production banded kernel
+// (fused F-scalings).
 void BM_FmmpApplyEngine(benchmark::State& state) {
   const unsigned nu = static_cast<unsigned>(state.range(0));
-  const auto kernel = state.range(1) == 0 ? qs::core::EngineKernel::per_level
-                                          : qs::core::EngineKernel::blocked;
   const std::size_t n = std::size_t{1} << nu;
   const auto model = qs::core::MutationModel::uniform(nu, 0.01);
   const auto landscape = qs::core::Landscape::random(nu, 5.0, 1.0, 3);
-  const qs::core::FmmpOperator op(model, landscape, qs::core::Formulation::right,
-                                  &qs::parallel::parallel_engine(),
-                                  qs::transforms::LevelOrder::ascending, kernel);
+  const auto& engine = qs::parallel::parallel_engine();
+  const qs::reference::ReferenceFmmp per_level(model, landscape,
+                                               qs::core::Formulation::right, &engine);
+  const qs::core::FmmpOperator blocked(model, landscape, qs::core::Formulation::right,
+                                       &engine);
+  const qs::core::LinearOperator& op =
+      state.range(1) == 0 ? static_cast<const qs::core::LinearOperator&>(per_level)
+                          : blocked;
   auto x = random_vector(n, 4);
   std::vector<double> y(n);
   for (auto _ : state) {
@@ -96,7 +101,8 @@ void BM_MutationApplyPerLevel(benchmark::State& state) {
   const auto model = qs::core::MutationModel::uniform(nu, 0.01);
   auto v = random_vector(std::size_t{1} << nu, 5);
   for (auto _ : state) {
-    model.apply_per_level(v, qs::parallel::parallel_engine());
+    qs::transforms::apply_butterfly_per_level(v, model.site_factors(),
+                                              qs::parallel::parallel_engine());
     benchmark::DoNotOptimize(v.data());
   }
 }
@@ -142,9 +148,7 @@ void BM_FmmpApplyPanel(benchmark::State& state) {
   const auto model = qs::core::MutationModel::uniform(nu, 0.01);
   const auto landscape = qs::core::Landscape::random(nu, 5.0, 1.0, 3);
   const qs::core::FmmpOperator op(model, landscape, qs::core::Formulation::right,
-                                  &qs::parallel::parallel_engine(),
-                                  qs::transforms::LevelOrder::ascending,
-                                  qs::core::EngineKernel::blocked);
+                                  &qs::parallel::parallel_engine());
   auto x = random_vector(n * m, 11);
   std::vector<double> y(n * m);
   for (auto _ : state) {

@@ -3,23 +3,18 @@
 #include <cmath>
 #include <cstring>
 
-#include "linalg/vector_ops.hpp"
 #include "support/contracts.hpp"
-#include "transforms/blocked_butterfly.hpp"
 #include "transforms/panel_butterfly.hpp"
 
 namespace qs::core {
 
 FmmpOperator::FmmpOperator(MutationModel model, const Landscape& landscape,
                            Formulation formulation, const parallel::Engine* engine,
-                           transforms::LevelOrder order, EngineKernel kernel,
                            transforms::BlockedPlan plan)
     : model_(std::move(model)),
       landscape_(&landscape),
       formulation_(formulation),
       engine_(engine),
-      order_(order),
-      kernel_(kernel),
       plan_(plan) {
   require(model_.dimension() == landscape.dimension(),
           "FmmpOperator: mutation model and landscape dimensions differ");
@@ -36,6 +31,14 @@ void FmmpOperator::apply(std::span<const double> x, std::span<double> y) const {
   require(x.size() == dimension() && y.size() == dimension(),
           "FmmpOperator::apply: dimension mismatch");
   require(x.data() != y.data(), "FmmpOperator::apply: x and y must not alias");
+  apply_panel(x, y, 1);
+}
+
+void FmmpOperator::apply_panel(std::span<const double> x, std::span<double> y,
+                               std::size_t m) const {
+  require(m >= 1, "FmmpOperator::apply_panel: panel width m must be >= 1");
+  require(x.size() == dimension() * m && y.size() == x.size(),
+          "FmmpOperator::apply_panel: dimension mismatch");
 
   const auto f = landscape_->values();
 
@@ -57,82 +60,11 @@ void FmmpOperator::apply(std::span<const double> x, std::span<double> y) const {
       break;
   }
 
-  if (engine_ != nullptr && kernel_ == EngineKernel::blocked &&
-      model_.kind() != MutationKind::grouped) {
-    // Banded kernel: the scalings ride inside the first/last band, so the
-    // matvec costs two fewer full passes over the vector.
-    transforms::apply_blocked_butterfly_fused(x, y, model_.site_factors(), pre,
-                                              post, *engine_, plan_);
-    return;
-  }
-
-  if (engine_ != nullptr) {
-    // Per-level / grouped engine path: the scaling loops go through the
-    // engine too, so a parallel backend covers the whole matvec instead of
-    // Amdahl-capping it on serial O(N) scaling sweeps.
-    const double* xp = x.data();
-    double* yp = y.data();
-    if (!pre.empty()) {
-      const double* pp = pre.data();
-      engine_->dispatch(y.size(), [=](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) yp[i] = pp[i] * xp[i];
-      });
-    } else {
-      engine_->dispatch(y.size(), [=](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) yp[i] = xp[i];
-      });
-    }
-    if (kernel_ == EngineKernel::per_level) {
-      model_.apply_per_level(y, *engine_);
-    } else {
-      model_.apply(y, *engine_);
-    }
-    if (!post.empty()) {
-      const double* qp = post.data();
-      engine_->dispatch(y.size(), [=](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) yp[i] *= qp[i];
-      });
-    }
-    return;
-  }
-
-  // Serial path.
-  if (!pre.empty()) {
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] = pre[i] * x[i];
-  } else {
-    linalg::copy(x, y);
-  }
-  model_.apply(y, order_);
-  if (!post.empty()) {
-    for (std::size_t i = 0; i < y.size(); ++i) y[i] *= post[i];
-  }
-}
-
-void FmmpOperator::apply_panel(std::span<const double> x, std::span<double> y,
-                               std::size_t m) const {
-  require(m >= 1, "FmmpOperator::apply_panel: panel width m must be >= 1");
-  require(x.size() == dimension() * m && y.size() == x.size(),
-          "FmmpOperator::apply_panel: dimension mismatch");
-
-  const auto f = landscape_->values();
-  std::span<const double> pre, post;
-  switch (formulation_) {
-    case Formulation::right:
-      pre = f;
-      break;
-    case Formulation::symmetric:
-      pre = sqrt_f_;
-      post = sqrt_f_;
-      break;
-    case Formulation::left:
-      post = f;
-      break;
-  }
-
   const parallel::Engine& engine = parallel::engine_or_serial(engine_);
 
   if (model_.kind() != MutationKind::grouped) {
-    // m == 1 runs the single-vector kernel; wider panels the panel driver.
+    // Banded kernel: the scalings ride inside the first/last band.  m == 1
+    // runs the single-vector kernel; wider panels the panel driver.
     transforms::apply_blocked_panel_butterfly_fused(x, y, m,
                                                     model_.site_factors(), pre,
                                                     post, engine, plan_);

@@ -95,34 +95,6 @@ double MutationModel::class_value(unsigned k) const {
          std::pow(1.0 - p_, static_cast<double>(nu_ - k));
 }
 
-void MutationModel::apply(std::span<double> v, transforms::LevelOrder order) const {
-  require(v.size() == dimension(), "apply(): dimension mismatch");
-  if (kind_ == MutationKind::grouped) {
-    groups_->apply(v);
-    return;
-  }
-  transforms::apply_butterfly(v, sites_, order);
-}
-
-void MutationModel::apply(std::span<double> v, const parallel::Engine& engine) const {
-  require(v.size() == dimension(), "apply(): dimension mismatch");
-  if (kind_ == MutationKind::grouped) {
-    transforms::apply_blocked_kronecker(v, 1, *groups_, engine);
-    return;
-  }
-  transforms::apply_blocked_butterfly(v, sites_, engine);
-}
-
-void MutationModel::apply_blocked(std::span<double> v, const parallel::Engine& engine,
-                                  const transforms::BlockedPlan& plan) const {
-  require(v.size() == dimension(), "apply_blocked(): dimension mismatch");
-  if (kind_ == MutationKind::grouped) {
-    transforms::apply_blocked_kronecker(v, 1, *groups_, engine, plan);
-    return;
-  }
-  transforms::apply_blocked_butterfly(v, sites_, engine, plan);
-}
-
 void MutationModel::apply_panel(std::span<double> panel, std::size_t m,
                                 const parallel::Engine& engine,
                                 const transforms::BlockedPlan& plan) const {
@@ -133,91 +105,6 @@ void MutationModel::apply_panel(std::span<double> panel, std::size_t m,
     return;
   }
   transforms::apply_blocked_panel_butterfly(panel, m, sites_, engine, plan);
-}
-
-void MutationModel::apply_per_level(std::span<double> v,
-                                    const parallel::Engine& engine) const {
-  require(v.size() == dimension(), "apply_per_level(): dimension mismatch");
-  if (kind_ == MutationKind::grouped) {
-    apply_grouped(v, engine);
-    return;
-  }
-  // Algorithm 2 of the paper: per butterfly level, a kernel over the
-  // N/2 independent pair indices ID with j = 2*ID - (ID & (stride-1)).
-  double* data = v.data();
-  const std::size_t half = v.size() / 2;
-  for (unsigned k = 0; k < nu_; ++k) {
-    const std::size_t stride = std::size_t{1} << k;
-    const transforms::Factor2 f = sites_[k];
-    engine.dispatch(half, [data, stride, f](std::size_t begin, std::size_t end) {
-      for (std::size_t id = begin; id < end; ++id) {
-        const std::size_t j = 2 * id - (id & (stride - 1));
-        const double t1 = data[j];
-        const double t2 = data[j + stride];
-        data[j] = f.m00 * t1 + f.m01 * t2;
-        data[j + stride] = f.m10 * t1 + f.m11 * t2;
-      }
-    });
-  }
-}
-
-void MutationModel::apply_grouped(std::span<double> v,
-                                  const parallel::Engine& engine) const {
-  // Per-group reference path (one kernel launch per group; each work item
-  // owns one strided m-tuple, the generalisation of a butterfly pair to
-  // block size m).  Kept for apply_per_level; the banded grouped kernel in
-  // transforms/kronecker is benchmarked against it.
-  double* data = v.data();
-  const auto& kp = *groups_;
-  unsigned lo = 0;
-  for (std::size_t g = 0; g < kp.group_count(); ++g) {
-    const linalg::DenseMatrix& f = kp.factors()[g];
-    const std::size_t m = f.rows();
-    const std::size_t lo_stride = std::size_t{1} << lo;
-    const std::size_t items = v.size() / m;
-    engine.dispatch(items, [data, &f, m, lo_stride](std::size_t begin, std::size_t end) {
-      // Stack staging for the strided m-tuple: group sizes are a few bits
-      // (m rarely beyond 16), so the per-lane heap vector this replaces was
-      // pure allocator traffic on the hot path.
-      constexpr std::size_t kStackTuple = 64;
-      double stack_tmp[kStackTuple];
-      std::vector<double> heap_tmp;
-      double* tmp = stack_tmp;
-      if (m > kStackTuple) {
-        heap_tmp.resize(m);
-        tmp = heap_tmp.data();
-      }
-      for (std::size_t id = begin; id < end; ++id) {
-        const std::size_t high = id / lo_stride;
-        const std::size_t low = id % lo_stride;
-        const std::size_t base = high * (m * lo_stride) + low;
-        for (std::size_t r = 0; r < m; ++r) {
-          double acc = 0.0;
-          for (std::size_t c = 0; c < m; ++c) {
-            acc += f(r, c) * data[base + c * lo_stride];
-          }
-          tmp[r] = acc;
-        }
-        for (std::size_t r = 0; r < m; ++r) data[base + r * lo_stride] = tmp[r];
-      }
-    });
-    lo += kp.group_bits(g);
-  }
-}
-
-void MutationModel::apply_transposed(std::span<double> v) const {
-  require(v.size() == dimension(), "apply_transposed(): dimension mismatch");
-  if (kind_ == MutationKind::grouped) {
-    std::vector<linalg::DenseMatrix> transposed;
-    transposed.reserve(groups_->group_count());
-    for (const auto& f : groups_->factors()) transposed.push_back(f.transposed());
-    transforms::KroneckerProduct(std::move(transposed)).apply(v);
-    return;
-  }
-  std::vector<transforms::Factor2> transposed;
-  transposed.reserve(sites_.size());
-  for (const auto& f : sites_) transposed.push_back(f.transposed());
-  transforms::apply_butterfly(v, transposed);
 }
 
 const std::vector<transforms::Factor2>& MutationModel::site_factors() const {

@@ -11,9 +11,9 @@
 //   grouped   — Eq. (11): Q = (x)_{i} Q_{G_i} with column-stochastic blocks
 //               of size 2^{g_i} (dependent mutations within groups).
 //
-// All three expose the same implicit Theta(N log N)-ish mat-vec (the fast
-// mutation matrix product runs through transforms/butterfly or
-// transforms/kronecker) plus entrywise access for baselines and tests.
+// All three expose the same implicit Theta(N log N)-ish mat-vec (the banded
+// kernels of transforms/blocked_butterfly and transforms/kronecker) plus
+// entrywise access for baselines and tests.
 //
 // Bit convention: bit k of a sequence index is position k; factors are
 // indexed by position, factor 0 acting on the least significant bit.
@@ -85,39 +85,24 @@ class MutationModel {
   /// The class value Q_Gamma_k = p^k (1-p)^(nu-k) (uniform only).
   double class_value(unsigned k) const;
 
-  /// In-place fast product v <- Q v (the Fmmp of Section 2.1 for 2x2 kinds,
-  /// the grouped Kronecker product for Eq. (11)). Requires
+  /// In-place fast product v <- Q v: the banded butterfly of
+  /// transforms/blocked_butterfly for 2x2 kinds (the Fmmp of Section 2.1),
+  /// the group-banded Kronecker kernel of transforms/kronecker for Eq. (11).
+  /// One dispatch on `engine` per level band, tiled by `plan`; every engine
+  /// and plan computes the same bits as the paper's Algorithm 1.  Requires
   /// v.size() == dimension().
   void apply(std::span<double> v,
-             transforms::LevelOrder order = transforms::LevelOrder::ascending) const;
+             const parallel::Engine& engine = parallel::serial_engine(),
+             const transforms::BlockedPlan& plan = {}) const {
+    apply_panel(v, 1, engine, plan);
+  }
 
-  /// Engine-parallel fast product.  2x2 kinds run the cache-blocked banded
-  /// butterfly (one kernel launch per level *band*, every work item applying
-  /// the whole band inside an L2-resident tile); the grouped kind runs the
-  /// group-banded Kronecker kernel of transforms/kronecker, packing
-  /// consecutive groups into the same bands.
-  void apply(std::span<double> v, const parallel::Engine& engine) const;
-
-  /// Engine-parallel banded product with an explicit tiling plan (all kinds).
-  void apply_blocked(std::span<double> v, const parallel::Engine& engine,
-                     const transforms::BlockedPlan& plan) const;
-
-  /// Engine-parallel banded product on an interleaved panel of m vectors
+  /// Banded product on an interleaved panel of m vectors
   /// (panel[i*m + j] = element i of vector j): every column becomes Q column.
   /// Requires panel.size() == dimension() * m.
   void apply_panel(std::span<double> panel, std::size_t m,
                    const parallel::Engine& engine,
                    const transforms::BlockedPlan& plan = {}) const;
-
-  /// The paper's literal Algorithm 2: one kernel launch per butterfly level
-  /// with the GPU index mapping j = 2*ID - (ID & (stride - 1)); the grouped
-  /// kind launches once per group factor.  Kept as the reference engine path
-  /// the banded kernels are benchmarked against.
-  void apply_per_level(std::span<double> v, const parallel::Engine& engine) const;
-
-  /// v <- Q^T v (needed by left-eigenvector computations; equal to apply()
-  /// for symmetric models).
-  void apply_transposed(std::span<double> v) const;
 
   /// 2x2 site factors (uniform and per-site kinds). Requires
   /// kind() != grouped.
@@ -133,8 +118,6 @@ class MutationModel {
 
  private:
   MutationModel() = default;
-
-  void apply_grouped(std::span<double> v, const parallel::Engine& engine) const;
 
   MutationKind kind_ = MutationKind::uniform;
   unsigned nu_ = 0;

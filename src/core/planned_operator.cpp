@@ -28,24 +28,8 @@ PlannedOperator::PlannedOperator(MutationModel model, const Landscape& landscape
                                  const PlannedOperatorConfig& config) {
   const transforms::BlockedPlan plan = resolve_plan(model.nu(), config, report_);
 
-  // Default solves route through the serial engine instead of the classic
-  // serial path: same bit-for-bit results (the banded kernel's per-element
-  // arithmetic is identical to the classic ascending sweep, and the serial
-  // engine dispatches inline on the calling thread), but the product gets
-  // band blocking, fused scalings, and the single-vector SIMD microkernels.
-  // Restricted to the configurations where the engine path actually takes
-  // the banded kernel: per-level / descending / grouped requests keep their
-  // historical classic-path semantics.
-  const parallel::Engine* engine = config.engine;
-  if (engine == nullptr && config.kernel == EngineKernel::blocked &&
-      config.order == transforms::LevelOrder::ascending &&
-      model.kind() != MutationKind::grouped) {
-    engine = &parallel::serial_engine();
-  }
-
   op_ = std::make_unique<FmmpOperator>(std::move(model), landscape,
-                                       config.formulation, engine,
-                                       config.order, config.kernel, plan);
+                                       config.formulation, config.engine, plan);
 
   // Provenance for the metrics snapshot: which microkernel tiers the runtime
   // dispatch resolved to and which tiling plan the products will execute

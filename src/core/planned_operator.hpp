@@ -31,14 +31,10 @@ namespace qs::core {
 struct PlannedOperatorConfig {
   Formulation formulation = Formulation::right;
 
-  /// Execution engine; null routes default configurations (blocked kernel,
-  /// ascending order, non-grouped model) through the serial engine so they
-  /// get the banded kernel + single-vector microkernels — bit-identical to
-  /// the classic serial sweep.  Per-level/descending/grouped configurations
-  /// keep the classic serial path when null.
+  /// Execution engine the banded kernel's band sweeps run on; null means
+  /// the serial engine (inline on the calling thread).  Every engine
+  /// computes the same bits.
   const parallel::Engine* engine = nullptr;
-  transforms::LevelOrder order = transforms::LevelOrder::ascending;
-  EngineKernel kernel = EngineKernel::blocked;
 
   /// Starting tiling plan (the hand-tuned default unless overridden).
   transforms::BlockedPlan plan;

@@ -1,10 +1,12 @@
 #include "ode/time_varying.hpp"
 
+#include <array>
 #include <vector>
 
 #include "linalg/vector_ops.hpp"
+#include "support/bits.hpp"
 #include "support/contracts.hpp"
-#include "transforms/butterfly.hpp"
+#include "transforms/blocked_butterfly.hpp"
 
 namespace qs::ode {
 
@@ -29,14 +31,21 @@ double TimeVaryingReplicatorODE::derivative(double t, std::span<const double> x,
   require(x.data() != dx.data(),
           "TimeVaryingReplicatorODE::derivative: x and dx must not alias");
 
-  const double p = rate_at(t);
+  // Q(p(t)) is the uniform butterfly of the current rate: nu copies of one
+  // factor, staged on the stack so a derivative allocates nothing.
+  const unsigned nu = log2_exact(n);
+  std::array<transforms::Factor2, kMaxChainLength> factors;
+  factors.fill(transforms::Factor2::uniform(rate_at(t)));
+
   const auto f = landscape_->values();
   double phi = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     dx[i] = f[i] * x[i];
     phi += dx[i];
   }
-  transforms::apply_uniform_butterfly(dx, p);  // dx = Q(p(t)) (f .* x)
+  // dx = Q(p(t)) (f .* x)
+  transforms::apply_blocked_butterfly(dx, std::span(factors.data(), nu),
+                                      parallel::serial_engine());
   for (std::size_t i = 0; i < n; ++i) dx[i] -= phi * x[i];
   return phi;
 }

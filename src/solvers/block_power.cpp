@@ -337,9 +337,7 @@ BlockPowerResult top_k_spectrum(const core::MutationModel& model,
                                 const core::Landscape& landscape,
                                 const BlockPowerOptions& options) {
   const core::FmmpOperator op(model, landscape, core::Formulation::symmetric,
-                              options.engine,
-                              transforms::LevelOrder::ascending,
-                              core::EngineKernel::blocked, options.plan);
+                              options.engine, options.plan);
   BlockPowerResult result = block_power_iteration(op, options);
   to_concentrations(result, landscape);
   return result;
@@ -350,9 +348,7 @@ BlockPowerResult resume_top_k_spectrum(const core::MutationModel& model,
                                        const io::SolverCheckpoint& checkpoint,
                                        const BlockPowerOptions& options) {
   const core::FmmpOperator op(model, landscape, core::Formulation::symmetric,
-                              options.engine,
-                              transforms::LevelOrder::ascending,
-                              core::EngineKernel::blocked, options.plan);
+                              options.engine, options.plan);
   BlockPowerResult result = resume_block_power_iteration(op, checkpoint, options);
   to_concentrations(result, landscape);
   return result;

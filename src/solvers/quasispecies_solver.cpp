@@ -44,8 +44,6 @@ QuasispeciesResult solve(const core::MutationModel& model,
       core::PlannedOperatorConfig config;
       config.formulation = options.formulation;
       config.engine = options.engine;
-      config.order = options.level_order;
-      config.kernel = core::EngineKernel::blocked;
       config.plan = options.plan;
       config.autotune = options.autotune;
       auto owned = std::make_unique<core::PlannedOperator>(model, landscape, config);

@@ -25,7 +25,6 @@
 #include "io/binary_io.hpp"
 #include "solvers/iteration_driver.hpp"
 #include "transforms/blocked_butterfly.hpp"
-#include "transforms/butterfly.hpp"
 
 namespace qs::solvers {
 
@@ -48,7 +47,6 @@ struct SolveOptions : IterationOptions {
   MatvecKind matvec = MatvecKind::fmmp;
   unsigned xmvp_d_max = 5;        ///< Truncation radius when matvec == xmvp.
   bool use_shift = true;          ///< Apply mu = (1-2p)^nu f_min when possible.
-  transforms::LevelOrder level_order = transforms::LevelOrder::ascending;
 
   /// Tiling plan for the banded Fmmp kernel (see transforms/plan_autotune;
   /// the defaults are the hand-tuned fixed plan).  Other matvec kinds

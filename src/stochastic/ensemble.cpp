@@ -37,9 +37,7 @@ ReplicaEnsemble::ReplicaEnsemble(core::MutationModel model,
       landscape_(&landscape),
       options_(options),
       engine_(engine != nullptr ? engine : &parallel::serial_engine()),
-      op_(model_, landscape, core::Formulation::right, engine_,
-          transforms::LevelOrder::ascending, core::EngineKernel::blocked,
-          options.plan) {
+      op_(model_, landscape, core::Formulation::right, engine_, options.plan) {
   require(model_.dimension() == landscape.dimension(),
           "ReplicaEnsemble: model and landscape dimensions differ");
   require(options_.replicas >= 1, "ReplicaEnsemble: need at least one replica");

@@ -1,10 +1,10 @@
 // Cache-blocked, level-fused butterfly (the banded Fmmp kernel).
 //
-// The per-level engine path (Algorithm 2 of the paper) sweeps the whole
-// N-vector once per butterfly level and synchronises between levels: nu
-// passes and nu barriers for a product that does only 4N log2 N flops.  At
-// nu >= 20 the vector no longer fits in cache and the pass count — not the
-// flop count — is the cost model.
+// The paper's Algorithm 2 (the reference apply_butterfly_per_level) sweeps
+// the whole N-vector once per butterfly level and synchronises between
+// levels: nu passes and nu barriers for a product that does only 4N log2 N
+// flops.  At nu >= 20 the vector no longer fits in cache and the pass count
+// — not the flop count — is the cost model.
 //
 // This kernel partitions the nu levels into *bands* and runs one
 // engine.dispatch per band; every work item applies all levels of its band

@@ -51,4 +51,27 @@ void apply_uniform_butterfly(std::span<double> v, double p, LevelOrder order) {
   }
 }
 
+void apply_butterfly_per_level(std::span<double> v, std::span<const Factor2> factors,
+                               const parallel::Engine& engine) {
+  const std::size_t n = v.size();
+  require(is_power_of_two(n), "apply_butterfly_per_level: length must be a power of two");
+  const unsigned nu = log2_exact(n);
+  require(factors.size() == nu, "apply_butterfly_per_level: need exactly log2(N) factors");
+  double* data = v.data();
+  const std::size_t half = n / 2;
+  for (unsigned k = 0; k < nu; ++k) {
+    const std::size_t stride = std::size_t{1} << k;
+    const Factor2 f = factors[k];
+    engine.dispatch(half, [data, stride, f](std::size_t begin, std::size_t end) {
+      for (std::size_t id = begin; id < end; ++id) {
+        const std::size_t j = 2 * id - (id & (stride - 1));
+        const double t1 = data[j];
+        const double t2 = data[j + stride];
+        data[j] = f.m00 * t1 + f.m01 * t2;
+        data[j + stride] = f.m10 * t1 + f.m11 * t2;
+      }
+    });
+  }
+}
+
 }  // namespace qs::transforms

@@ -6,11 +6,19 @@
 // 2^k applies the factor M_k across bit k of the sequence index.  This is
 // the structural heart of the paper's Fmmp (Section 2.1) in its full
 // per-site generality (Section 2.2).
+//
+// The transforms below are the paper's Algorithm 1 (serial level sweeps, in
+// either level order) and Algorithm 2 (one engine launch per level with the
+// GPU index map) verbatim.  They are test oracles and bench baselines only:
+// every product in the library runs the banded kernel of
+// transforms/blocked_butterfly, which computes the same bits.
 #pragma once
 
 #include <array>
 #include <span>
 #include <vector>
+
+#include "parallel/engine.hpp"
 
 namespace qs::transforms {
 
@@ -59,7 +67,14 @@ void apply_uniform_butterfly(std::span<double> v, double p,
                              LevelOrder order = LevelOrder::ascending);
 
 /// In-place single level of stride 2^k: v <- (I (x) F (x) I) v with F on
-/// bit k. Exposed separately so the parallel engine can schedule levels.
+/// bit k.
 void apply_butterfly_level(std::span<double> v, const Factor2& f, unsigned k);
+
+/// The paper's Algorithm 2: the ascending butterfly with one engine launch
+/// per level over the N/2 independent pair indices ID, pair (j, j + stride)
+/// with j = 2*ID - (ID & (stride - 1)).  Bit-identical to apply_butterfly.
+/// Requires v.size() == 2^factors.size().
+void apply_butterfly_per_level(std::span<double> v, std::span<const Factor2> factors,
+                               const parallel::Engine& engine);
 
 }  // namespace qs::transforms

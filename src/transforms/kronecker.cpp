@@ -56,6 +56,46 @@ void KroneckerProduct::apply(std::span<double> v) const {
   }
 }
 
+void apply_kronecker_per_group(std::span<double> v, const KroneckerProduct& kp,
+                               const parallel::Engine& engine) {
+  require(v.size() == kp.dimension(), "apply_kronecker_per_group: dimension mismatch");
+  double* data = v.data();
+  unsigned lo = 0;
+  for (std::size_t g = 0; g < kp.group_count(); ++g) {
+    const linalg::DenseMatrix& f = kp.factors()[g];
+    const std::size_t m = f.rows();
+    const std::size_t lo_stride = std::size_t{1} << lo;
+    const std::size_t items = v.size() / m;
+    engine.dispatch(items, [data, &f, m, lo_stride](std::size_t begin, std::size_t end) {
+      // Stack staging for the strided m-tuple: group sizes are a few bits
+      // (m rarely beyond 16), so a per-lane heap vector would be pure
+      // allocator traffic.
+      constexpr std::size_t kStackTuple = 64;
+      double stack_tmp[kStackTuple];
+      std::vector<double> heap_tmp;
+      double* tmp = stack_tmp;
+      if (m > kStackTuple) {
+        heap_tmp.resize(m);
+        tmp = heap_tmp.data();
+      }
+      for (std::size_t id = begin; id < end; ++id) {
+        const std::size_t high = id / lo_stride;
+        const std::size_t low = id % lo_stride;
+        const std::size_t base = high * (m * lo_stride) + low;
+        for (std::size_t r = 0; r < m; ++r) {
+          double acc = 0.0;
+          for (std::size_t c = 0; c < m; ++c) {
+            acc += f(r, c) * data[base + c * lo_stride];
+          }
+          tmp[r] = acc;
+        }
+        for (std::size_t r = 0; r < m; ++r) data[base + r * lo_stride] = tmp[r];
+      }
+    });
+    lo += kp.group_bits(g);
+  }
+}
+
 double KroneckerProduct::stochastic_deviation() const {
   double worst = 0.0;
   for (const auto& f : factors_) {

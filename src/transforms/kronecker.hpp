@@ -9,6 +9,12 @@
 // Convention: factors[0] acts on the *least significant* bit group; the
 // matrix represented is factors[g-1] (x) ... (x) factors[0], consistent
 // with the 2x2 butterfly convention of transforms/butterfly.hpp.
+//
+// KroneckerProduct::apply (the serial factor-by-factor sweep, Algorithm 1's
+// grouped form) and apply_kronecker_per_group (one engine launch per group,
+// Algorithm 2's) are the paper's algorithms verbatim: test oracles and bench
+// baselines only.  Every grouped product in the library runs
+// apply_blocked_kronecker, which computes the same bits.
 #pragma once
 
 #include <cstddef>
@@ -52,7 +58,8 @@ class KroneckerProduct {
     return std::size_t{1} << total_bits_;
   }
 
-  /// In-place mat-vec v <- K v. Requires v.size() == dimension().
+  /// In-place mat-vec v <- K v, one serial sweep per factor (reference).
+  /// Requires v.size() == dimension().
   void apply(std::span<double> v) const;
 
   /// Maximum column-sum deviation from 1 across all factors (validity check
@@ -73,6 +80,13 @@ class KroneckerProduct {
 /// Dense Kronecker product A (x) B (small operands; test utility).
 linalg::DenseMatrix kronecker_dense(const linalg::DenseMatrix& a,
                                     const linalg::DenseMatrix& b);
+
+/// Per-group reference product v <- K v: one engine launch per group factor,
+/// each work item contracting one strided tuple of the group's size (the
+/// generalisation of a butterfly pair).  Bit-identical to
+/// KroneckerProduct::apply.  Requires v.size() == kp.dimension().
+void apply_kronecker_per_group(std::span<double> v, const KroneckerProduct& kp,
+                               const parallel::Engine& engine);
 
 /// Engine-parallel cache-blocked grouped Kronecker product on an interleaved
 /// panel of width m (m = 1 is the plain vector case): every column j of the

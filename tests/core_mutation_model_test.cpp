@@ -65,14 +65,14 @@ TEST(MutationModelUniform, EngineApplyMatchesSerial) {
   for (std::size_t i = 0; i < n; ++i) {
     serial[i] = engine_serial[i] = engine_omp[i] = rng.uniform(0.0, 1.0);
   }
-  model.apply(serial);
+  transforms::apply_butterfly(serial, model.site_factors());
   model.apply(engine_serial, parallel::serial_engine());
   model.apply(engine_omp, parallel::parallel_engine());
   for (std::size_t i = 0; i < n; ++i) {
-    // Algorithm 2 performs the identical arithmetic, so results are
-    // bit-identical to the serial butterfly.
-    EXPECT_DOUBLE_EQ(serial[i], engine_serial[i]);
-    EXPECT_DOUBLE_EQ(serial[i], engine_omp[i]);
+    // The banded kernel performs the identical per-element arithmetic, so
+    // results are bit-identical to the serial Algorithm 1 butterfly.
+    EXPECT_EQ(serial[i], engine_serial[i]);
+    EXPECT_EQ(serial[i], engine_omp[i]);
   }
 }
 
@@ -143,18 +143,6 @@ TEST(MutationModelPerSite, ApplyMatchesDense) {
   for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(v[i], expected[i], 1e-13);
 }
 
-TEST(MutationModelPerSite, TransposedApplyMatchesDenseTranspose) {
-  std::vector<transforms::Factor2> sites{asymmetric_site(0.25, 0.1),
-                                         asymmetric_site(0.05, 0.4)};
-  const auto model = MutationModel::per_site(sites);
-  const auto qt = build_q_dense(model).transposed();
-  std::vector<double> v{0.1, 0.4, 0.3, 0.2};
-  std::vector<double> expected(4);
-  qt.multiply(v, expected);
-  model.apply_transposed(v);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(v[i], expected[i], 1e-14);
-}
-
 TEST(MutationModelPerSite, RejectsNonStochasticFactor) {
   transforms::Factor2 bad{0.5, 0.5, 0.2, 0.5};  // column 0 sums to 0.7
   EXPECT_THROW(MutationModel::per_site({bad}), precondition_error);
@@ -184,9 +172,9 @@ TEST(MutationModelGrouped, EngineApplyMatchesSerial) {
   std::vector<double> serial(16), via_engine(16);
   Xoshiro256 rng(11);
   for (std::size_t i = 0; i < 16; ++i) serial[i] = via_engine[i] = rng.uniform(0.0, 1.0);
-  model.apply(serial);
+  model.group_product().apply(serial);
   model.apply(via_engine, parallel::parallel_engine());
-  for (std::size_t i = 0; i < 16; ++i) EXPECT_NEAR(serial[i], via_engine[i], 1e-15);
+  for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(serial[i], via_engine[i]);
 }
 
 TEST(MutationModelGrouped, OneBitGroupsEqualPerSite) {
@@ -221,7 +209,6 @@ TEST(MutationModel, ApplyRejectsWrongSize) {
   std::vector<double> v(8);
   EXPECT_THROW(model.apply(v), precondition_error);
   EXPECT_THROW(model.apply(v, parallel::serial_engine()), precondition_error);
-  EXPECT_THROW(model.apply_transposed(v), precondition_error);
 }
 
 TEST(MutationModel, MassPreservation) {

@@ -84,8 +84,7 @@ TEST(PlannedOperatorTest, AutotuneRetainsTheReportAndStaysTransparent) {
   // Whatever plan won, the product is the same arithmetic: a bare operator
   // handed the winning plan computes identical bits.
   const FmmpOperator bare(model, fitness, Formulation::right, nullptr,
-                          transforms::LevelOrder::ascending,
-                          EngineKernel::blocked, planned.plan());
+                          planned.plan());
   const std::size_t n = static_cast<std::size_t>(planned.dimension());
   const auto x = test_vector(n);
   std::vector<double> y_planned(n), y_bare(n);

@@ -214,9 +214,7 @@ FacadeRun run_facade(const core::MutationModel& model,
                      const DistributedPowerOptions& options) {
   FacadeRun out;
   const core::FmmpOperator op(model, landscape, core::Formulation::right,
-                              &parallel::serial_engine(),
-                              transforms::LevelOrder::ascending,
-                              core::EngineKernel::blocked, options.plan);
+                              &parallel::serial_engine(), options.plan);
   solvers::PowerOptions popts;
   static_cast<solvers::IterationOptions&>(popts) =
       static_cast<const solvers::IterationOptions&>(options);
@@ -404,9 +402,7 @@ void expect_engine_checkpoint_resumes_bit_identically() {
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 47);
   const DistributedPowerOptions defaults;
   const core::FmmpOperator op(model, landscape, core::Formulation::right,
-                              &parallel::serial_engine(),
-                              transforms::LevelOrder::ascending,
-                              core::EngineKernel::blocked, defaults.plan);
+                              &parallel::serial_engine(), defaults.plan);
   const auto start = tree_landscape_start(landscape);
   solvers::PowerOptions popts;
   popts.shift = core::conservative_shift(model, landscape);
@@ -507,9 +503,7 @@ TEST(DistResume, ResumingUnderADifferentRankCountIsBitIdentical) {
   // And the SERIAL solver can resume the distributed checkpoint to the same
   // bits — the checkpoint format is one world.
   const core::FmmpOperator op(model, landscape, core::Formulation::right,
-                              &parallel::serial_engine(),
-                              transforms::LevelOrder::ascending,
-                              core::EngineKernel::blocked, opts.plan);
+                              &parallel::serial_engine(), opts.plan);
   solvers::PowerOptions popts;
   popts.shift = opts.shift;
   popts.engine = &tree_engine();

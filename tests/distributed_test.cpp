@@ -9,6 +9,7 @@
 #include "distributed/block_layout.hpp"
 #include "distributed/distributed_solver.hpp"
 #include "linalg/vector_ops.hpp"
+#include "reference_fmmp.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
@@ -79,9 +80,9 @@ TEST_P(DistributedApply, MatchesSerialFmmpBitExactly) {
   Xoshiro256 rng(2);
   for (double& v : x) v = rng.uniform(0.0, 1.0);
 
-  // Serial reference.
+  // Serial reference (Algorithm 1).
   std::vector<double> expected(1024);
-  core::FmmpOperator(model, landscape).apply(x, expected);
+  reference::ReferenceFmmp(model, landscape).apply(x, expected);
 
   auto dv = DistributedVector::scatter(layout, x);
   TrafficStats stats;

@@ -10,6 +10,8 @@
 #include "ode/replicator.hpp"
 #include "solvers/quasispecies_solver.hpp"
 #include "support/contracts.hpp"
+#include "support/rng.hpp"
+#include "transforms/butterfly.hpp"
 
 namespace qs::ode {
 namespace {
@@ -32,6 +34,39 @@ TEST(TimeVarying, ConstantRateMatchesAutonomousODE) {
   }
   EXPECT_NEAR(t, 10.0, 1e-12);
   EXPECT_LT(linalg::max_abs_diff(x_var, x_auto), 1e-12);
+}
+
+TEST(TimeVarying, DerivativeMatchesAlgorithmOneBitForBit) {
+  // The derivative applies Q(p(t)) with the banded kernel over stack-staged
+  // factors; spelled out with the paper's Algorithm 1 it gives the same
+  // doubles, from a one-site chain up.
+  const auto rate = [](double t) { return 0.01 + 0.02 * t; };
+  for (const unsigned nu : {1u, 2u, 3u, 5u, 9u, 13u}) {
+    const std::size_t n = std::size_t{1} << nu;
+    const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 40 + nu);
+    const TimeVaryingReplicatorODE ode(landscape, rate);
+    std::vector<double> x(n);
+    Xoshiro256 rng(nu);
+    for (double& v : x) v = rng.uniform(0.0, 1.0);
+    for (const double t : {0.0, 0.5, 2.0}) {
+      std::vector<double> dx(n), expected(n);
+      const double phi = ode.derivative(t, x, dx);
+
+      const auto f = landscape.values();
+      double expected_phi = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        expected[i] = f[i] * x[i];
+        expected_phi += expected[i];
+      }
+      transforms::apply_uniform_butterfly(expected, rate(t));
+      for (std::size_t i = 0; i < n; ++i) expected[i] -= expected_phi * x[i];
+
+      EXPECT_EQ(phi, expected_phi) << "nu " << nu << " t " << t;
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(dx[i], expected[i]) << "nu " << nu << " t " << t << " i " << i;
+      }
+    }
+  }
 }
 
 TEST(TimeVarying, MassStaysOnTheSimplex) {

@@ -173,7 +173,7 @@ TEST(ThreadPool, ExplicitThreadCountAndFmmpAgreement) {
   std::vector<double> serial(1024), pooled(1024);
   qs::Xoshiro256 rng(5);
   for (std::size_t i = 0; i < 1024; ++i) serial[i] = pooled[i] = rng.uniform();
-  model.apply(serial);
+  qs::transforms::apply_butterfly(serial, model.site_factors());
   model.apply(pooled, *pool);
   for (std::size_t i = 0; i < 1024; ++i) ASSERT_DOUBLE_EQ(serial[i], pooled[i]);
 

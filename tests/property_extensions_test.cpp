@@ -11,6 +11,7 @@
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/krylov.hpp"
 #include "linalg/vector_ops.hpp"
+#include "reference_fmmp.hpp"
 #include "rna/alphabet.hpp"
 #include "rna/rna_model.hpp"
 #include "stochastic/sampling.hpp"
@@ -141,7 +142,7 @@ TEST_P(DistributedProperty, BlockedButterflyIsExact) {
   for (double& v : x) v = rng.uniform(0.0, 1.0);
 
   std::vector<double> expected(x.size());
-  core::FmmpOperator(model, landscape).apply(x, expected);
+  reference::ReferenceFmmp(model, landscape).apply(x, expected);
 
   auto dv = distributed::DistributedVector::scatter(layout, x);
   distributed::TrafficStats stats;

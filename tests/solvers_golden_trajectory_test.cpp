@@ -1,26 +1,25 @@
-// Golden-trajectory tests for the engine-routed default solve.
+// Golden-trajectory tests for the default solve.
 //
-// PR "engine-routed default solves" changed what a bare solve(model,
-// landscape) runs: with no engine configured the facade's planned operator
-// now routes through parallel::serial_engine() — band spans, the blocked
-// kernel, and the single-vector SIMD microkernels — instead of the classic
-// per-level serial loops.  The routing is only legal because the banded
-// kernel is BIT-IDENTICAL to the classic path, so these tests pin the
-// before/after behaviour at the strongest possible level: the complete
-// residual stream, the eigenvalue, and the concentration vector of a
-// default facade solve must equal a power iteration on a bare classic
-// FmmpOperator EXACTLY (ASSERT_EQ on doubles), shift handling included.
+// A bare solve(model, landscape) runs the facade's planned operator: band
+// spans, the banded kernel, and the single-vector SIMD microkernels on the
+// serial engine.  That kernel is BIT-IDENTICAL to the paper's Fmmp run
+// through its reference Algorithm 1, so these tests pin it at the strongest
+// possible level: the complete residual stream, the eigenvalue, and the
+// concentration vector of a default facade solve must equal a power
+// iteration on ReferenceFmmp (scale + Algorithm 1 + scale, no shared code
+// with the banded kernel) EXACTLY (ASSERT_EQ on doubles), shift handling
+// included.
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/fmmp.hpp"
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "core/spectral.hpp"
 #include "solvers/power_iteration.hpp"
 #include "solvers/quasispecies_solver.hpp"
 #include "support/rng.hpp"
+#include "reference_fmmp.hpp"
 #include "transforms/sv_microkernel.hpp"
 
 namespace qs::solvers {
@@ -31,13 +30,13 @@ struct Trajectory {
   std::vector<double> residuals;
 };
 
-/// The "before" behaviour: the classic serial FmmpOperator (no engine, no
-/// banding) driven by the same power iteration the facade uses, with the
-/// same start vector and the same conservative shift rule.
+/// The reference behaviour: ReferenceFmmp (the paper's Algorithm 1, no
+/// engine, no banding) driven by the same power iteration the facade uses,
+/// with the same start vector and the same conservative shift rule.
 Trajectory classic_reference(const core::MutationModel& model,
                              const core::Landscape& landscape,
                              PowerResult& out) {
-  const core::FmmpOperator classic(model, landscape);
+  const reference::ReferenceFmmp classic(model, landscape);
   Trajectory t;
   PowerOptions popts;
   popts.on_residual = [&t](unsigned it, double res) {
@@ -55,7 +54,7 @@ void expect_same_trajectory(const Trajectory& expected, const Trajectory& actual
   ASSERT_EQ(expected.iterations.size(), actual.iterations.size());
   for (std::size_t i = 0; i < expected.iterations.size(); ++i) {
     ASSERT_EQ(expected.iterations[i], actual.iterations[i]) << "check " << i;
-    // Bitwise: the routed banded path must not perturb a single residual.
+    // Bitwise: the banded kernel must not perturb a single residual.
     ASSERT_EQ(expected.residuals[i], actual.residuals[i])
         << "residual at iteration " << expected.iterations[i];
   }
@@ -63,8 +62,7 @@ void expect_same_trajectory(const Trajectory& expected, const Trajectory& actual
 
 TEST(GoldenTrajectory, DefaultFacadeSolveMatchesClassicOperatorBitForBit) {
   // The default-options facade call (shifted symmetric iteration) against
-  // the pre-routing classic path, on both a structured and a random
-  // landscape.
+  // the reference operator, on both a structured and a random landscape.
   const unsigned nu = 10;
   const auto model = core::MutationModel::uniform(nu, 0.01);
   const auto landscapes = {core::Landscape::single_peak(nu, 2.0, 1.0),
@@ -97,7 +95,7 @@ TEST(GoldenTrajectory, DefaultFacadeSolveMatchesClassicOperatorBitForBit) {
 TEST(GoldenTrajectory, AsymmetricModelUnshiftedSolveMatchesClassic) {
   // Per-site asymmetric factors: the facade cannot shift (model not
   // symmetric), so this pins the plain unshifted trajectory through the
-  // routed path.
+  // banded kernel.
   const unsigned nu = 9;
   std::vector<transforms::Factor2> sites;
   Xoshiro256 rng(3);
@@ -158,22 +156,11 @@ TEST(GoldenTrajectory, ResidualStreamInvariantAcrossSvKernelTiers) {
   }
 }
 
-TEST(GoldenTrajectory, UnroutedConfigurationsStillSolveCorrectly) {
-  // Configurations the routing rule must leave alone — descending level
-  // order and grouped models — keep converging to the same eigenpair (to
-  // tolerance, not bitwise: they legitimately run different kernels).
+TEST(GoldenTrajectory, GroupedModelSolveMatchesClassicBitForBit) {
+  // Grouped models (Eq. (11)) run the group-banded Kronecker kernel; their
+  // unshifted trajectory must equal the reference's serial factor sweeps.
   const unsigned nu = 8;
-  const auto model = core::MutationModel::uniform(nu, 0.01);
   const auto landscape = core::Landscape::single_peak(nu, 2.0, 1.0);
-  const auto reference = solve(model, landscape);
-  ASSERT_TRUE(reference.converged);
-
-  SolveOptions descending;
-  descending.level_order = transforms::LevelOrder::descending;
-  const auto r = solve(model, landscape, descending);
-  ASSERT_TRUE(r.converged);
-  EXPECT_NEAR(reference.eigenvalue, r.eigenvalue, 1e-10 * reference.eigenvalue);
-
   std::vector<linalg::DenseMatrix> groups;
   for (unsigned g = 0; g < 4; ++g) {
     linalg::DenseMatrix f(4, 4);
@@ -185,8 +172,26 @@ TEST(GoldenTrajectory, UnroutedConfigurationsStillSolveCorrectly) {
     groups.push_back(std::move(f));
   }
   const auto grouped = core::MutationModel::grouped(groups);
-  const auto gr = solve(grouped, landscape);
-  EXPECT_TRUE(gr.converged);
+
+  PowerResult reference;
+  const Trajectory expected = classic_reference(grouped, landscape, reference);
+  ASSERT_TRUE(reference.converged);
+
+  Trajectory actual;
+  SolveOptions options;
+  options.on_residual = [&actual](unsigned it, double res) {
+    actual.iterations.push_back(it);
+    actual.residuals.push_back(res);
+  };
+  const auto result = solve(grouped, landscape, options);
+  ASSERT_TRUE(result.converged);
+  expect_same_trajectory(expected, actual);
+  ASSERT_EQ(reference.eigenvalue, result.eigenvalue);
+  ASSERT_EQ(reference.eigenvector.size(), result.concentrations.size());
+  for (std::size_t i = 0; i < reference.eigenvector.size(); ++i) {
+    ASSERT_EQ(reference.eigenvector[i], result.concentrations[i])
+        << "concentration " << i;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Cross-backend equivalence tests for the cache-blocked banded butterfly:
-// every engine path of MutationModel::apply (serial, openmp, thread_pool,
-// and the blocked kernel at several tile sizes) must match the serial
-// reference apply_butterfly to <= 1e-14, per-site asymmetric factors
-// included.
+// MutationModel::apply on every engine (serial, openmp, thread_pool) and at
+// several tile sizes must match the serial reference apply_butterfly to
+// <= 1e-14, per-site asymmetric factors included; the Fmmp operator and the
+// per-level Algorithm 2 reference must match Algorithm 1 bit for bit.
 #include "transforms/blocked_butterfly.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "parallel/thread_pool_backend.hpp"
+#include "reference_fmmp.hpp"
 #include "support/rng.hpp"
 #include "transforms/butterfly.hpp"
 
@@ -37,6 +38,42 @@ std::vector<double> random_vector(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   for (double& x : v) x = rng.uniform(-1.0, 1.0);
   return v;
+}
+
+/// Grouped-model factors whose bit widths cycle 1, 2, 3 and sum to nu.
+/// Symmetric factors put `a` on the diagonal and share 1 - a evenly off it;
+/// general ones are random column-stochastic.
+std::vector<linalg::DenseMatrix> group_factors(unsigned nu, bool symmetric,
+                                               std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<linalg::DenseMatrix> groups;
+  for (unsigned used = 0, bits = 1; used < nu; used += bits, bits = bits % 3 + 1) {
+    bits = std::min(bits, nu - used);
+    const std::size_t s = std::size_t{1} << bits;
+    linalg::DenseMatrix f(s, s);
+    const double a = rng.uniform(0.6, 0.95);
+    for (std::size_t c = 0; c < s; ++c) {
+      double sum = 0.0;
+      for (std::size_t r = 0; r < s; ++r) {
+        f(r, c) = symmetric ? (r == c ? a : (1.0 - a) / static_cast<double>(s - 1))
+                            : rng.uniform(0.01, 1.0);
+        sum += f(r, c);
+      }
+      if (!symmetric) {
+        for (std::size_t r = 0; r < s; ++r) f(r, c) /= sum;
+      }
+    }
+    groups.push_back(std::move(f));
+  }
+  return groups;
+}
+
+void expect_bitwise(const std::vector<double>& expected,
+                    const std::vector<double>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(expected[i], actual[i]) << "index " << i;
+  }
 }
 
 void expect_near_all(const std::vector<double>& expected,
@@ -85,64 +122,80 @@ TEST(BlockedButterfly, SeveralTileSizesMatchReference) {
 
     for (const BlockedPlan& plan : plans) {
       std::vector<double> serial_v = x;
-      model.apply_blocked(serial_v, parallel::serial_engine(), plan);
+      model.apply(serial_v, parallel::serial_engine(), plan);
       expect_near_all(reference, serial_v, kTol);
 
       std::vector<double> pooled_v = x;
-      model.apply_blocked(pooled_v, *pool, plan);
+      model.apply(pooled_v, *pool, plan);
       expect_near_all(reference, pooled_v, kTol);
     }
   }
 }
 
 TEST(BlockedButterfly, PerLevelEnginePathMatchesBlocked) {
-  for (unsigned nu : {3u, 9u, 13u}) {
+  // Algorithm 2 (one launch per level, GPU index map) on every backend
+  // against Algorithm 1 and the banded kernel: the same bits.
+  const auto backends = {parallel::Backend::serial, parallel::Backend::openmp,
+                         parallel::Backend::thread_pool};
+  for (unsigned nu : {1u, 3u, 9u, 13u}) {
     const auto model = core::MutationModel::per_site(asymmetric_factors(nu, 400 + nu));
     const std::size_t n = std::size_t{1} << nu;
     const auto x = random_vector(n, 500 + nu);
 
+    std::vector<double> classic = x;
+    apply_butterfly(classic, model.site_factors());
     std::vector<double> blocked = x;
-    model.apply(blocked, parallel::serial_engine());
-    std::vector<double> per_level = x;
-    model.apply_per_level(per_level, parallel::serial_engine());
-    expect_near_all(blocked, per_level, kTol);
+    model.apply(blocked);
+    expect_bitwise(classic, blocked);
+    for (parallel::Backend kind : backends) {
+      const auto engine = parallel::make_engine(kind);
+      std::vector<double> per_level = x;
+      apply_butterfly_per_level(per_level, model.site_factors(), *engine);
+      expect_bitwise(classic, per_level);
+    }
   }
 }
 
 TEST(BlockedButterfly, FusedFmmpFormulationsMatchSerialOperator) {
-  const unsigned nu = 11;
-  const std::size_t n = std::size_t{1} << nu;
-  const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 7);
-  const auto x = random_vector(n, 42);
+  // FmmpOperator (banded kernel, scalings fused) against ReferenceFmmp
+  // (scale + Algorithm 1 + scale) and its Algorithm 2 form, bit for bit, for
+  // every kind, admissible formulation, nu and backend.
   const auto backends = {parallel::Backend::serial, parallel::Backend::openmp,
                          parallel::Backend::thread_pool};
+  const core::Formulation all[] = {core::Formulation::right,
+                                   core::Formulation::symmetric,
+                                   core::Formulation::left};
+  for (unsigned nu : {1u, 2u, 3u, 5u, 9u, 11u, 13u}) {
+    const std::size_t n = std::size_t{1} << nu;
+    const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 7 + nu);
+    const auto x = random_vector(n, 42 + nu);
+    const core::MutationModel models[] = {
+        core::MutationModel::uniform(nu, 0.02),
+        core::MutationModel::per_site(asymmetric_factors(nu, 7 + nu)),
+        core::MutationModel::grouped(group_factors(nu, true, 9 + nu)),
+        core::MutationModel::grouped(group_factors(nu, false, 11 + nu)),
+    };
+    for (const auto& model : models) {
+      for (core::Formulation formulation : all) {
+        if (formulation == core::Formulation::symmetric && !model.symmetric()) continue;
+        SCOPED_TRACE(::testing::Message()
+                     << "nu=" << nu << " kind=" << static_cast<int>(model.kind())
+                     << " formulation=" << static_cast<int>(formulation));
+        std::vector<double> expected(n);
+        reference::ReferenceFmmp(model, landscape, formulation).apply(x, expected);
 
-  // The symmetric formulation needs a symmetric model; right/left take the
-  // general asymmetric per-site factors.
-  const auto symmetric_model = core::MutationModel::uniform(nu, 0.02);
-  const auto general_model = core::MutationModel::per_site(asymmetric_factors(nu, 7));
-
-  for (core::Formulation formulation :
-       {core::Formulation::right, core::Formulation::symmetric, core::Formulation::left}) {
-    const auto& model =
-        formulation == core::Formulation::symmetric ? symmetric_model : general_model;
-    std::vector<double> reference(n);
-    const core::FmmpOperator serial_op(model, landscape, formulation);
-    serial_op.apply(x, reference);
-
-    for (parallel::Backend kind : backends) {
-      const auto engine = parallel::make_engine(kind);
-      const core::FmmpOperator fused(model, landscape, formulation, engine.get());
-      std::vector<double> y(n);
-      fused.apply(x, y);
-      expect_near_all(reference, y, kTol);
-
-      const core::FmmpOperator per_level(model, landscape, formulation, engine.get(),
-                                         transforms::LevelOrder::ascending,
-                                         core::EngineKernel::per_level);
-      std::vector<double> z(n);
-      per_level.apply(x, z);
-      expect_near_all(reference, z, kTol);
+        std::vector<double> y(n);
+        core::FmmpOperator(model, landscape, formulation).apply(x, y);
+        expect_bitwise(expected, y);
+        for (parallel::Backend kind : backends) {
+          const auto engine = parallel::make_engine(kind);
+          core::FmmpOperator(model, landscape, formulation, engine.get()).apply(x, y);
+          expect_bitwise(expected, y);
+          reference::ReferenceFmmp(model, landscape, formulation, engine.get())
+              .apply(x, y);
+          expect_bitwise(expected, y);
+        }
+      }
     }
   }
 }

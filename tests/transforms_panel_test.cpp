@@ -510,25 +510,30 @@ TEST(BlockedKronecker, MatchesSerialReferenceAcrossGroupShapes) {
 }
 
 TEST(BlockedKronecker, GroupedMutationModelEnginePathsMatchSerial) {
-  // MutationModel's grouped engine paths now route through the banded
-  // Kronecker kernel; all of them must match the serial reference apply().
+  // MutationModel's grouped product runs the banded Kronecker kernel on
+  // every engine and plan, and the per-group Algorithm 2 reference runs one
+  // launch per group: both must reproduce the serial KroneckerProduct::apply
+  // bit for bit.
   const auto factors = random_group_factors({2, 3, 1, 2}, 11);
   const auto model = core::MutationModel::grouped(factors);
   const std::size_t n = model.dimension();
   std::vector<double> reference = random_vector(n, 12);
   const std::vector<double> input = reference;
-  model.apply(reference);
+  model.group_product().apply(reference);
+  std::vector<double> v = input;
+  model.apply(v);
+  ASSERT_EQ(reference, v);
   for (parallel::Backend kind : kBackends) {
     const auto engine = parallel::make_engine(kind);
-    std::vector<double> v = input;
-    model.apply(std::span<double>(v), *engine);
-    expect_near_all(reference, v, kTol);
     v = input;
-    model.apply_blocked(v, *engine, BlockedPlan{5, 3});
-    expect_near_all(reference, v, kTol);
+    model.apply(v, *engine);
+    ASSERT_EQ(reference, v);
     v = input;
-    model.apply_per_level(v, *engine);
-    expect_near_all(reference, v, kTol);
+    model.apply(v, *engine, BlockedPlan{5, 3});
+    ASSERT_EQ(reference, v);
+    v = input;
+    apply_kronecker_per_group(v, model.group_product(), *engine);
+    ASSERT_EQ(reference, v);
   }
 }
 

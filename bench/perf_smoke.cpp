@@ -42,12 +42,21 @@
 //      in-register stage for levels 0-2 (measured ~0.95x on an AVX-512 host;
 //      ~2x before the reshape).  Catches the reshape silently falling back
 //      to 1-wide spans.  Skipped like check 7.
+//  10. a landscape-family solve (m = 8 random landscapes) takes <= 1.3x its
+//      own panel products run alone, back to back: between residual checks
+//      the family loop runs the fused product in place and nothing else, so
+//      only the two passes per check and the set-up remain on top
+//      (~1.75x when every product paid a column-sum and a rescale pass).
+//      Catches the loop growing per-product passes again.  Skipped like
+//      check 7.
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <span>
 #include <vector>
 
+#include "analysis/sweep.hpp"
 #include "bench_common.hpp"
 #include "core/fmmp.hpp"
 #include "linalg/vector_ops.hpp"
@@ -332,6 +341,51 @@ int main() {
                    "doubles ("
                 << t_rows << " s, " << ratio
                 << "x) — the 8-row reshape regressed\n";
+      ++failures;
+    }
+  }
+
+  if (transforms::best_sv_kernels() == nullptr) {
+    std::cout << "  family loop         : no SIMD table on this build/CPU — "
+                 "check 10 skipped\n";
+  } else {
+    // Check 10: the family loop's overhead over its own panel products.
+    std::vector<core::Landscape> family;
+    for (std::uint64_t j = 0; j < m; ++j) {
+      family.push_back(core::Landscape::random(nu, 5.0, 1.0, 200 + j));
+    }
+    analysis::FamilyOptions fopts;
+    fopts.tolerance = 1e-10;
+    fopts.engine = &engine;
+    std::vector<double> pre(n * m);
+    for (std::size_t j = 0; j < m; ++j) {
+      transforms::pack_panel_column(family[j].values(), pre, m, j);
+    }
+    const auto factors = model.site_factors();
+    // The two timings alternate, so host noise hits both best-ofs alike.
+    unsigned products = 0;
+    double t_family = 1e300, t_products = 1e300;
+    for (unsigned r = 0; r < 2 * reps; ++r) {
+      t_family = std::min(t_family, bench::time_best_of(1, [&] {
+        products =
+            analysis::sweep_landscape_family(model, family, fopts).panel_products;
+      }));
+      t_products = std::min(t_products, bench::time_best_of(1, [&] {
+        for (unsigned k = 0; k < products; ++k) {
+          transforms::apply_blocked_panel_butterfly_fused(xp, yp, m, factors, pre,
+                                                          {}, engine);
+        }
+      }));
+    }
+    const double ratio = t_family / t_products;
+    std::cout << "  family loop         : m=8 solve " << t_family << " s, its "
+              << products << " panel products alone " << t_products << " s ("
+              << ratio << "x)\n";
+    if (ratio > 1.3) {
+      std::cerr << "FAIL: the m = 8 family solve " << t_family
+                << " s exceeds 1.3x its own " << products << " panel products ("
+                << t_products << " s, " << ratio
+                << "x) — the family loop grew per-product passes\n";
       ++failures;
     }
   }

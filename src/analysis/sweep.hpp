@@ -78,8 +78,10 @@ struct FamilyOptions {
   double tolerance = 1e-12;
   unsigned max_iterations = 1000000;
 
-  /// Residuals are checked every k-th panel product (the eigenvalue
-  /// estimates update every product regardless).
+  /// Residuals are checked every k-th panel product and at max_iterations;
+  /// only these checks can end the solve, so panel_products is a multiple
+  /// of k unless max_iterations or a cancellation stops it.  The eigenvalue
+  /// estimates update at checks, not at every product.
   unsigned residual_check_every = 8;
 
   const parallel::Engine* engine = nullptr;
@@ -96,7 +98,10 @@ struct FamilyOptions {
   std::function<bool()> should_stop;
 };
 
-/// Joint solve of a same-Q landscape family.
+/// Joint solve of a same-Q landscape family.  Eigenvalues and residuals
+/// are those of the last residual check (a forced renormalisation computes
+/// them too; 0 and +inf before the first check).  The eigenvectors are the
+/// final iterate, 1-norm normalised: after a check, the checked product.
 struct FamilyResult {
   std::vector<double> eigenvalues;                ///< lambda_0 of W_j = Q F_j.
   std::vector<std::vector<double>> eigenvectors;  ///< Concentrations, 1-norm
@@ -110,12 +115,19 @@ struct FamilyResult {
 
 /// Solves the dominant eigenpair of W_j = Q F_j for a whole family of
 /// landscapes F_0..F_{m-1} sharing one mutation model Q in lock-step: the m
-/// iterates are interleaved into one panel, each power step is a single
+/// iterates are interleaved into one panel, and each power step is a single
 /// banded *panel* product (per-column pre-scalings, the butterfly amortised
-/// across the family), and each column is normalised against its own
-/// eigenvalue estimate.  This is the batched form of running m independent
-/// power iterations — same iterates, a fraction of the memory traffic.
-/// Typical use: parameter studies where the landscape varies and p is fixed.
+/// across the family).  This is the batched form of running m independent
+/// power iterations — same iterates up to scale, a fraction of the memory
+/// traffic.  Between residual checks a product runs in place and the
+/// iterate stays unnormalised; a check runs it out of place, then one pass
+/// sums both panels per column and a second forms the residuals and
+/// writes the normalised product back.  Renormalisations that cannot end
+/// the solve are forced often enough that no column's 1-norm leaves
+/// [2^-64, 2^64] (Q is column-stochastic, so a product scales it by a
+/// factor within the family's fitness range).  Every column sum is
+/// tree-ordered over rows, so all engines give the same bits.  Typical
+/// use: parameter studies where the landscape varies and p is fixed.
 /// Requires a non-empty family with every landscape of Q's dimension.
 FamilyResult sweep_landscape_family(const core::MutationModel& model,
                                     std::span<const core::Landscape> family,

@@ -7,9 +7,9 @@
 #include <utility>
 
 #include "core/workspace.hpp"
-#include "linalg/tree_reduce.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/trace.hpp"
+#include "parallel/fan_out.hpp"
 #include "support/contracts.hpp"
 #include "transforms/sv_microkernel.hpp"
 
@@ -31,62 +31,18 @@ void normalize1_tree(std::span<double> x, const char* what) {
   linalg::scale(x, 1.0 / norm);
 }
 
-/// Below this many doubles per block an engine does not split a pass: the
-/// dispatch would cost more than the block's arithmetic.
-constexpr std::size_t kMinFanOutBlock = std::size_t{1} << 12;
-
-/// An engine as a fan-out: [0, n) split into `count` aligned power-of-two
-/// blocks, one per lane, and each pass run block by block inside one
-/// dispatch.  A block is a complete subtree of the whole vector's summation
-/// tree, so the block partials combined with linalg::tree_reduce are the
-/// one-block sums bit for bit (the argument that makes ranks exact).  One
-/// block — no engine, one lane, a length that is not a power of two, or
-/// blocks below kMinFanOutBlock — runs inline.
-class FanOut {
- public:
-  FanOut(const parallel::Engine& engine, std::size_t n) : engine_(engine), n_(n) {
-    const std::size_t lanes = std::bit_floor(std::max(engine.concurrency(), 1u));
-    if (std::has_single_bit(n) && n / lanes >= kMinFanOutBlock) {
-      count_ = lanes;
-      partials_.resize(count_);  // once per solve, not per pass
-    }
-  }
-
-  /// Runs body(begin, end) on every block.
-  template <typename Body>
-  void run(const Body& body) const {
-    if (count_ == 1) {
-      body(std::size_t{0}, n_);
-      return;
-    }
-    const std::size_t size = n_ / count_;
-    engine_.dispatch(count_, [&body, size](std::size_t first, std::size_t last) {
-      for (std::size_t b = first; b < last; ++b) body(b * size, (b + 1) * size);
-    });
-  }
-
-  /// Both sums of body(begin, end) -> TreeSums over the whole range.
-  template <typename Body>
-  transforms::TreeSums sums(const Body& body) {
-    if (count_ == 1) return body(std::size_t{0}, n_);
-    const std::size_t size = n_ / count_;
-    transforms::TreeSums* partials = partials_.data();
-    run([&body, partials, size](std::size_t begin, std::size_t end) {
-      partials[begin / size] = body(begin, end);
-    });
-    return {linalg::tree_reduce(std::size_t{0}, count_,
-                                [partials](std::size_t b) { return partials[b].first; }),
-            linalg::tree_reduce(std::size_t{0}, count_, [partials](std::size_t b) {
-              return partials[b].second;
-            })};
-  }
-
- private:
-  const parallel::Engine& engine_;
-  std::size_t n_;
-  std::size_t count_ = 1;
-  std::vector<transforms::TreeSums> partials_;
-};
+/// Both sums of body(begin, end) -> TreeSums over the fan-out's range.
+template <typename Body>
+transforms::TreeSums tree_sums(parallel::FanOut& fan, const Body& body) {
+  const auto pair = [&body](std::size_t begin, std::size_t end, double* partial) {
+    const transforms::TreeSums t = body(begin, end);
+    partial[0] = t.first;
+    partial[1] = t.second;
+  };
+  double s[2];
+  fan.sums(2, pair, s);
+  return {s[0], s[1]};
+}
 
 /// Bit 32 of the per-check control word carries the root's wall-clock
 /// checkpoint cadence; the bits below sum the participants' stop votes.
@@ -127,7 +83,7 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
                            const IterationOptions& options, double shift) {
   const std::size_t n = trace.iterate.size();
   const transforms::SvKernels& sv = reduction_kernels();
-  FanOut fan(parallel::engine_or_serial(options.engine), n);
+  parallel::FanOut fan(parallel::engine_or_serial(options.engine), n);
   const bool root = collective.is_root();
 
   PowerResult out;
@@ -162,7 +118,7 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
     if (driver.should_check(it, options.max_iterations)) {
       // Rayleigh quotient from the product already in hand.
       const transforms::TreeSums a =
-          fan.sums([&sv, xp, yp](std::size_t begin, std::size_t end) {
+          tree_sums(fan, [&sv, xp, yp](std::size_t begin, std::size_t end) {
             return sv.tree_dot2(xp + begin, yp + begin, end - begin);
           });
       double dots[2] = {a.first, a.second};
@@ -173,8 +129,8 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
       // equivalent sqrt(yy - xy^2/xx) cancels catastrophically: its noise
       // floor is sqrt(eps) ~ 1e-8 in eigenvector error, far above the
       // tolerances this solver targets.)
-      const transforms::TreeSums b =
-          fan.sums([&sv, xp, yp, lambda, mu](std::size_t begin, std::size_t end) {
+      const transforms::TreeSums b = tree_sums(
+          fan, [&sv, xp, yp, lambda, mu](std::size_t begin, std::size_t end) {
             return sv.tree_residual_shift_norm1(xp + begin, yp + begin, end - begin,
                                                 lambda, mu, true);
           });
@@ -209,10 +165,10 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
         break;
       }
     } else {
-      norm = fan.sums([&sv, xp, yp, mu](std::size_t begin, std::size_t end) {
-                  return sv.tree_residual_shift_norm1(xp + begin, yp + begin,
-                                                      end - begin, 0.0, mu, false);
-                }).second;
+      norm = tree_sums(fan, [&sv, xp, yp, mu](std::size_t begin, std::size_t end) {
+               return sv.tree_residual_shift_norm1(xp + begin, yp + begin,
+                                                   end - begin, 0.0, mu, false);
+             }).second;
       collective.allreduce(std::span<double>(&norm, 1));
     }
 
@@ -244,10 +200,11 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
   // iteration settled on the negative representative, and 1-normalise.  The
   // flip does not change the 1-norm, so both sums travel in one allreduce,
   // and -(x / norm) is x * (-1 / norm) exactly.
-  const transforms::TreeSums f = fan.sums([&sv, xp](std::size_t begin, std::size_t end) {
-    return transforms::TreeSums{sv.tree_sum(xp + begin, end - begin),
-                                sv.tree_abs_sum(xp + begin, end - begin)};
-  });
+  const transforms::TreeSums f =
+      tree_sums(fan, [&sv, xp](std::size_t begin, std::size_t end) {
+        return transforms::TreeSums{sv.tree_sum(xp + begin, end - begin),
+                                    sv.tree_abs_sum(xp + begin, end - begin)};
+      });
   double final_sums[2] = {f.first, f.second};
   collective.allreduce(final_sums);
   require(final_sums[1] > 0.0, "power_iteration: zero eigenvector");

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "analysis/sweep.hpp"
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "core/planned_operator.hpp"
@@ -143,6 +144,53 @@ TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations
       EXPECT_EQ(samples[it], samples[first]) << "allocation before iteration " << it;
     }
     EXPECT_GE(checks, kIterations / 3);
+  }
+}
+
+TEST(AllocGuardTest, FamilyLoopPerformsZeroHeapAllocationsPerProduct) {
+  // The landscape-family loop allocates its panels, check-pass partials and
+  // row-tree scratch once per solve; its products — in place between checks,
+  // out of place with both check passes every third — must not touch the
+  // heap, at the one-column service width and the m = 8 study width, inline
+  // and fanned out over four blocks.  should_stop is polled once before
+  // every product, so it samples the counter between products.
+  const InlineLanes four_lanes;
+  const struct {
+    unsigned nu;
+    std::size_t m;
+    const parallel::Engine* engine;
+  } cases[] = {{10, 1, nullptr}, {10, 8, nullptr}, {14, 1, &four_lanes},
+               {14, 8, &four_lanes}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.m);
+    SCOPED_TRACE(c.engine != nullptr ? c.engine->name() : "no engine");
+    const auto model = core::MutationModel::uniform(c.nu, 0.01);
+    std::vector<core::Landscape> family;
+    for (std::size_t j = 0; j < c.m; ++j) {
+      family.push_back(core::Landscape::random(c.nu, 5.0, 1.0, 40 + j));
+    }
+
+    constexpr unsigned kProducts = 40;
+    analysis::FamilyOptions options;
+    options.tolerance = 0.0;  // never converge: run all products
+    options.max_iterations = kProducts;
+    options.residual_check_every = 3;
+    options.engine = c.engine;
+    std::array<std::uint64_t, kProducts + 1> samples{};
+    unsigned polls = 0;
+    options.should_stop = [&samples, &polls] {
+      if (polls < samples.size()) samples[polls] = support::allocation_count();
+      ++polls;
+      return false;
+    };
+
+    const analysis::FamilyResult result =
+        analysis::sweep_landscape_family(model, family, options);
+    ASSERT_EQ(result.panel_products, kProducts);
+    ASSERT_EQ(polls, kProducts);
+    for (unsigned k = 1; k < kProducts; ++k) {
+      EXPECT_EQ(samples[k], samples[0]) << "allocation before product " << k + 1;
+    }
   }
 }
 

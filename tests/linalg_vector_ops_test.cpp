@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "linalg/tree_reduce.hpp"
 #include "support/contracts.hpp"
+#include "support/rng.hpp"
 
 namespace qs::linalg {
 namespace {
@@ -99,6 +102,46 @@ TEST(VectorOps, DotRejectsDimensionMismatch) {
   EXPECT_THROW(max_abs_diff(x, y), qs::precondition_error);
   std::vector<double> z{1.0, 2.0};
   EXPECT_THROW(hadamard_scale(z, x), qs::precondition_error);
+}
+
+TEST(TreeReduceRows, EveryColumnIsTheTreeReduceOfItsRows) {
+  // Values spread over 2^+-30 make every change of summation order visible.
+  // Lengths cover one row, non-powers of two, a single leaf, many leaves,
+  // sub-ranges (an aligned block and a ragged tail), and widths from one
+  // column through rows wider than a whole leaf; the compile-time widths
+  // must give the runtime width's bits.
+  Xoshiro256 rng(11);
+  for (const std::size_t width : {1, 2, 3, 8, 16, 300}) {
+    for (const std::size_t rows : {1, 2, 3, 7, 64, 1000, 4096}) {
+      std::vector<double> panel(rows * width);
+      for (double& v : panel) {
+        const int exponent = static_cast<int>(rng.uniform_index(61)) - 30;
+        v = std::ldexp(rng.uniform(0.5, 1.0), exponent);
+      }
+      const auto row = [&panel, width](std::size_t i, double* v) {
+        for (std::size_t c = 0; c < width; ++c) v[c] = panel[i * width + c];
+      };
+      std::vector<double> scratch(tree_reduce_rows_scratch(width, rows));
+      std::vector<double> out(width), fixed(width);
+      const std::pair<std::size_t, std::size_t> ranges[] = {
+          {0, rows}, {rows / 2, rows}, {rows / 4, rows / 2}};
+      for (const auto& [begin, end] : ranges) {
+        SCOPED_TRACE(testing::Message() << "width " << width << " rows [" << begin
+                                        << ", " << end << ")");
+        tree_reduce_rows(begin, end, width, row, out.data(), scratch.data());
+        if (width == 8) {
+          tree_reduce_rows<8>(begin, end, width, row, fixed.data(), scratch.data());
+          EXPECT_EQ(fixed, out);
+        }
+        for (std::size_t c = 0; c < width; ++c) {
+          const auto leaf = [&panel, width, c](std::size_t i) {
+            return panel[i * width + c];
+          };
+          ASSERT_EQ(out[c], tree_reduce(begin, end, leaf)) << "column " << c;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
-// Block subspace iteration, plan autotuning, and landscape-family solves:
-// Ritz pairs must agree with the dense spectrum and with the one-at-a-time
-// deflation baseline on the paper's landscapes, the autotuner must return a
-// valid measured plan (default included), and the batched family solve must
-// reproduce the per-landscape facade results.
+// Block subspace iteration and plan autotuning: Ritz pairs must agree with
+// the dense spectrum and with the one-at-a-time deflation baseline on the
+// paper's landscapes, and the autotuner must return a valid measured plan
+// (default included).  Landscape-family solves: analysis_family_test.cpp.
 #include "solvers/block_power.hpp"
 
 #include <gtest/gtest.h>
@@ -174,81 +173,6 @@ TEST(PlanAutotune, TunedPlanSolvesToTheSameEigenpair) {
   ASSERT_TRUE(a.converged);
   ASSERT_TRUE(b.converged);
   EXPECT_NEAR(a.eigenvalue, b.eigenvalue, 1e-12 * a.eigenvalue);
-}
-
-TEST(LandscapeFamily, BatchedSolveMatchesPerLandscapeFacade) {
-  const unsigned nu = 6;
-  const auto model = core::MutationModel::uniform(nu, 0.01);
-  const std::vector<core::Landscape> family = {
-      core::Landscape::single_peak(nu, 2.0, 1.0),
-      core::Landscape::linear(nu, 2.0, 1.0),
-      core::Landscape::random(nu, 5.0, 1.0, 17)};
-
-  analysis::FamilyOptions fopts;
-  fopts.tolerance = 1e-12;
-  const auto batched = analysis::sweep_landscape_family(model, family, fopts);
-  ASSERT_TRUE(batched.converged);
-  ASSERT_EQ(batched.eigenvalues.size(), family.size());
-
-  for (std::size_t j = 0; j < family.size(); ++j) {
-    SolveOptions opts;
-    opts.use_shift = false;
-    const auto single = solve(model, family[j], opts);
-    ASSERT_TRUE(single.converged);
-    EXPECT_NEAR(batched.eigenvalues[j], single.eigenvalue,
-                1e-9 * single.eigenvalue)
-        << "landscape " << j;
-    for (std::size_t i = 0; i < single.concentrations.size(); ++i) {
-      EXPECT_NEAR(batched.eigenvectors[j][i], single.concentrations[i], 1e-8)
-          << "landscape " << j << " entry " << i;
-    }
-  }
-}
-
-TEST(LandscapeFamily, GroupedModelAndBackendsAgree) {
-  // The family path also covers grouped Q (scaling sweeps + banded grouped
-  // kernel) and every backend.
-  const unsigned nu = 6;
-  std::vector<linalg::DenseMatrix> groups;
-  for (unsigned g = 0; g < 3; ++g) {
-    linalg::DenseMatrix f(4, 4);
-    for (std::size_t c = 0; c < 4; ++c) {
-      for (std::size_t r = 0; r < 4; ++r) f(r, c) = r == c ? 0.91 : 0.03;
-    }
-    groups.push_back(std::move(f));
-  }
-  const auto model = core::MutationModel::grouped(groups);
-  ASSERT_EQ(model.nu(), nu);
-  const std::vector<core::Landscape> family = {
-      core::Landscape::single_peak(nu, 3.0, 1.0),
-      core::Landscape::random(nu, 5.0, 1.0, 29)};
-
-  std::vector<double> reference;
-  for (parallel::Backend kind : {parallel::Backend::serial,
-                                 parallel::Backend::openmp,
-                                 parallel::Backend::thread_pool}) {
-    const auto engine = parallel::make_engine(kind);
-    analysis::FamilyOptions fopts;
-    fopts.tolerance = 1e-12;
-    fopts.engine = engine.get();
-    const auto r = analysis::sweep_landscape_family(model, family, fopts);
-    ASSERT_TRUE(r.converged);
-    if (reference.empty()) {
-      reference = r.eigenvalues;
-      // Cross-check against the facade on the same grouped model.
-      for (std::size_t j = 0; j < family.size(); ++j) {
-        SolveOptions opts;
-        const auto single = solve(model, family[j], opts);
-        ASSERT_TRUE(single.converged);
-        EXPECT_NEAR(r.eigenvalues[j], single.eigenvalue,
-                    1e-9 * single.eigenvalue);
-      }
-    } else {
-      for (std::size_t j = 0; j < reference.size(); ++j) {
-        EXPECT_NEAR(r.eigenvalues[j], reference[j], 1e-10 * reference[j]);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -18,7 +18,6 @@
 #include "transforms/fwht.hpp"
 #include "transforms/sv_microkernel.hpp"
 #include "transforms/panel_butterfly.hpp"
-#include "transforms/panel_microkernel.hpp"
 
 namespace {
 
@@ -161,33 +160,9 @@ void BM_FmmpApplyPanel(benchmark::State& state) {
 BENCHMARK(BM_FmmpApplyPanel)
     ->ArgsProduct({benchmark::CreateDenseRange(14, 22, 4), {1, 4, 8}});
 
-// The bare span microkernels, active table vs the scalar reference:
-// arg0 = log2(span length), arg1 = 0 for scalar, 1 for the active (widest
-// supported) table.  Shows the raw SIMD win before cache effects.
-void BM_PanelKernelButterflySpan(benchmark::State& state) {
-  const std::size_t cnt = std::size_t{1} << state.range(0);
-  const auto& kernels = state.range(1) == 0
-                            ? qs::transforms::scalar_panel_kernels()
-                            : qs::transforms::panel_kernels();
-  auto lo = random_vector(cnt, 12);
-  auto hi = random_vector(cnt, 13);
-  const qs::transforms::Factor2 f = qs::transforms::Factor2::uniform(0.01);
-  for (auto _ : state) {
-    kernels.butterfly_span(lo.data(), hi.data(), cnt, f);
-    benchmark::DoNotOptimize(lo.data());
-    benchmark::DoNotOptimize(hi.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(2 * cnt));
-  state.SetLabel(kernels.name);
-}
-BENCHMARK(BM_PanelKernelButterflySpan)->ArgsProduct({{8, 12, 16}, {0, 1}});
-
-// The bare single-vector span microkernels, per tier: arg0 = log2(span
-// length), arg1 = tier (0 scalar, 1 avx2, 2 avx512 — unavailable tiers
-// skip).  Unlike the panel kernels these are non-FMA by contract, so this
-// row also shows what bit-identity costs relative to the FMA panel span
-// kernel above.
+// The bare span microkernels, per tier: arg0 = log2(span length), arg1 =
+// tier (0 scalar, 1 avx2, 2 avx512 — unavailable tiers skip).  Shows the
+// raw SIMD win over the scalar reference before cache effects.
 void BM_SvKernelButterflySpan(benchmark::State& state) {
   const qs::transforms::SvKernels* table = nullptr;
   switch (state.range(1)) {

@@ -39,9 +39,10 @@
 //   9. the single-vector fused apply on N doubles takes <= 1.5x the m = 8
 //      panel product over the same N doubles (N/8 rows, nu - 3 levels, the
 //      same pre-scale): a SIMD-tier single vector IS that panel plus an
-//      in-register stage for levels 0-2 (measured ~0.95x on an AVX-512 host;
-//      ~2x before the reshape).  Catches the reshape silently falling back
-//      to 1-wide spans.  Skipped like check 7.
+//      in-register stage for levels 0-2, and both run the one span-kernel
+//      table (measured ~0.95x on an AVX-512 host; ~2x before the reshape).
+//      Catches the reshape silently falling back to 1-wide spans.  Skipped
+//      like check 7.
 //  10. a landscape-family solve (m = 8 random landscapes) takes <= 1.3x its
 //      own panel products run alone, back to back: between residual checks
 //      the family loop runs the fused product in place and nothing else, so
@@ -68,7 +69,6 @@
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/panel_butterfly.hpp"
-#include "transforms/panel_microkernel.hpp"
 #include "transforms/sv_microkernel.hpp"
 #include "transforms/plan_autotune.hpp"
 
@@ -98,7 +98,8 @@ int main() {
   const double per_vector = t_panel / static_cast<double>(m);
 
   std::cout << "perf-smoke @ nu=" << nu << ", kernels="
-            << transforms::panel_kernels().name << "\n"
+            << transforms::resolved_sv_kernel_name(transforms::SvKernel::automatic)
+            << "\n"
             << "  classic Fmmp        : " << t_classic << " s\n"
             << "  blocked matvec (x1) : " << t_single << " s\n"
             << "  panel matvec (m=8)  : " << t_panel << " s ("

@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "transforms/panel_microkernel.hpp"
+#include "transforms/sv_microkernel.hpp"
 
 namespace qs::core {
 namespace {
@@ -31,12 +31,11 @@ PlannedOperator::PlannedOperator(MutationModel model, const Landscape& landscape
   op_ = std::make_unique<FmmpOperator>(std::move(model), landscape,
                                        config.formulation, config.engine, plan);
 
-  // Provenance for the metrics snapshot: which microkernel tiers the runtime
+  // Provenance for the metrics snapshot: which microkernel tier the runtime
   // dispatch resolved to and which tiling plan the products will execute
   // with.  This is what makes BENCH_fig2.json rows comparable across hosts.
   obs::MetricsRecorder& m = obs::metrics();
-  m.set_info("simd_tier", transforms::panel_kernels().name);
-  m.set_info("sv_kernel", transforms::resolved_sv_kernel_name(plan.sv_kernel));
+  m.set_info("simd_tier", transforms::resolved_sv_kernel_name(plan.sv_kernel));
   m.set_value("plan.tile_log2", plan.tile_log2);
   m.set_value("plan.chunk_log2", plan.chunk_log2);
   m.set_value("plan.sv_max_radix", plan.sv_max_radix);

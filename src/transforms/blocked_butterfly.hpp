@@ -59,16 +59,19 @@ struct BlockedPlan {
   /// most tile_log2 - chunk_log2 levels each.
   unsigned chunk_log2 = 6;
 
-  /// Which single-vector microkernel table runs the band sweeps (see
-  /// transforms/sv_microkernel.hpp).  `automatic` picks the widest SIMD
-  /// tier the build and CPU support; `autovec` forces the historical plain
-  /// loops.  Every choice is bit-identical — the SIMD tables avoid FMA.
+  /// Which microkernel table runs the band sweeps, for a single vector and
+  /// every m >= 2 panel alike (see transforms/sv_microkernel.hpp).
+  /// `automatic` picks the widest SIMD tier the build and CPU support;
+  /// `autovec` forces the historical plain loops for a single vector and
+  /// the scalar table for a panel.  Every choice is bit-identical — the
+  /// SIMD tables avoid FMA.
   SvKernel sv_kernel = SvKernel::automatic;
 
-  /// Maximum fused radix of the microkernel sweeps over levels >= 3 (the
-  /// in-row levels 0-2 always run as one stage): 8 fuses three levels per
-  /// pass (radix-8), 4 fuses two, 2 disables fusion.  Ignored on the
-  /// autovec path.  Bit-identity holds for every setting — fusion only
+  /// Maximum fused radix of the microkernel sweeps: 8 fuses three levels
+  /// per pass (radix-8), 4 fuses two, 2 disables fusion.  A single vector
+  /// applies it to levels >= 3 (its in-row levels 0-2 always run as one
+  /// stage) and ignores it on the autovec loops; an m >= 2 panel applies it
+  /// to every level.  Bit-identity holds for every setting — fusion only
   /// reorders independent pairs.
   unsigned sv_max_radix = 8;
 };

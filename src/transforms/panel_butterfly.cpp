@@ -6,7 +6,7 @@
 #include "obs/trace.hpp"
 #include "support/bits.hpp"
 #include "support/contracts.hpp"
-#include "transforms/panel_microkernel.hpp"
+#include "transforms/sv_microkernel.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -14,19 +14,19 @@ namespace {
 #if QS_TRACING_ON
 /// Tags each panel sweep with the microkernel table that served it.  The
 /// counter name must be a static string, so branch on the tier once.
-void trace_kernel_tag(const PanelKernels* kp) {
+void trace_kernel_tag(const SvKernels& k) {
   if (!qs::obs::enabled()) return;
-  if (std::strcmp(kp->name, "avx512") == 0) {
+  if (std::strcmp(k.name, "avx512") == 0) {
     QS_TRACE_COUNTER("kernel.dispatch.avx512", 1);
-  } else if (std::strcmp(kp->name, "avx2") == 0) {
+  } else if (std::strcmp(k.name, "avx2") == 0) {
     QS_TRACE_COUNTER("kernel.dispatch.avx2", 1);
   } else {
     QS_TRACE_COUNTER("kernel.dispatch.scalar", 1);
   }
 }
-#define QS_TRACE_KERNEL_TAG(kp) trace_kernel_tag(kp)
+#define QS_TRACE_KERNEL_TAG(k) trace_kernel_tag(k)
 #else
-#define QS_TRACE_KERNEL_TAG(kp) ((void)0)
+#define QS_TRACE_KERNEL_TAG(k) ((void)0)
 #endif
 
 constexpr unsigned ceil_log2(std::size_t m) {
@@ -58,7 +58,7 @@ constexpr unsigned kMidTileLog2 = 17;
 /// variant was tried and measured ~25% slower — sixteen live rows exhaust
 /// the sixteen ymm registers and the spills cost more than the saved
 /// sweep.)
-void sweep_levels(const PanelKernels& k, unsigned max_radix, const Factor2* fs,
+void sweep_levels(const SvKernels& k, unsigned max_radix, const Factor2* fs,
                   std::size_t w, double* base, std::size_t total_d, unsigned l0,
                   unsigned l1) {
   unsigned l = l0;
@@ -100,7 +100,7 @@ void sweep_levels(const PanelKernels& k, unsigned max_radix, const Factor2* fs,
 /// 2^k-row stage block, and every element still sees its levels in
 /// ascending order, so the result is bit-identical to the single-stage
 /// sweep regardless of how many stages run.
-void sweep_levels_staged(const PanelKernels& k, unsigned max_radix,
+void sweep_levels_staged(const SvKernels& k, unsigned max_radix,
                          const Factor2* fs, std::size_t w, double* base,
                          std::size_t total_d, unsigned levels) {
   const std::size_t sub_d = std::size_t{1} << kSubTileLog2;
@@ -159,21 +159,18 @@ struct BandJob {
   ScaleMode post_mode;
 };
 
-/// The single-vector reshape's in-register stage: levels 0-2 applied inside
-/// every 8-double row (SvKernels::rows8_stage) in place of band 0's pre-scale
-/// pass, which it fuses.
+/// The single-vector reshape's in-register stage: the factors of levels 0-2,
+/// applied inside every 8-double row (SvKernels::rows8_stage) in place of
+/// band 0's pre-scale pass, which it fuses.
 struct RowStage {
-  decltype(SvKernels::rows8_stage) apply;
   Factor2 f0, f1, f2;
 };
 
-/// The band driver behind every m <= 8 product: band 0 on contiguous tiles
-/// of 2^k1 rows, then one dispatch per high band over gather panels.  `k`
-/// supplies the span kernels (the FMA panel table, or an sv table's
-/// two-rounding entries), `max_radix` caps their level fusion, and a
-/// non-null `stage` runs before the band-0 sweep and takes over the
-/// pre-scale.
-void run_bands(const PanelKernels& k, unsigned max_radix, const RowStage* stage,
+/// The band driver behind every product: band 0 on contiguous tiles of 2^k1
+/// rows, then one dispatch per high band over gather panels.  `k` supplies
+/// the span kernels, `max_radix` caps their level fusion, and a non-null
+/// `stage` runs before the band-0 sweep and takes over the pre-scale.
+void run_bands(const SvKernels& k, unsigned max_radix, const RowStage* stage,
                [[maybe_unused]] const char* span_name, const BandJob& job,
                const parallel::Engine& engine, const BlockedPlan& eff) {
   const auto [xs, ys, m, nu, fs, pres, pre_mode, posts, post_mode] = job;
@@ -200,8 +197,8 @@ void run_bands(const PanelKernels& k, unsigned max_radix, const RowStage* stage,
         if (stage != nullptr) {
           const double* st =
               pre_mode == ScaleMode::per_column ? pres + base_d : nullptr;
-          stage->apply(yt, xs + base_d, st, tile, stage->f0, stage->f1,
-                       stage->f2);
+          k.rows8_stage(yt, xs + base_d, st, tile, stage->f0, stage->f1,
+                        stage->f2);
         } else if (pre_mode == ScaleMode::broadcast) {
           k.mul_rows_broadcast(yt, xs + base_d, pres + base_e, tile, m);
         } else if (pre_mode == ScaleMode::per_column) {
@@ -328,20 +325,14 @@ void apply_sv_rows8(const SvKernels& k, std::span<const double> x,
   const auto nu = static_cast<unsigned>(factors.size());
   require(nu >= 3 && y.size() == std::size_t{1} << nu,
           "apply_sv_rows8: need nu >= 3 factors for 2^nu doubles");
-  // The sv table's butterfly and scaling entries under the panel table's
-  // shape; the reshaped product uses only per-column (length N) scalings,
-  // so the broadcast entries are never reached.
-  const PanelKernels spans{k.butterfly_span, k.butterfly_quad_span,
-                           k.butterfly_oct_span, k.mul_span,
-                           k.mul_span_inplace, nullptr, nullptr, k.name};
-  const RowStage stage{k.rows8_stage, factors[0], factors[1], factors[2]};
+  const RowStage stage{factors[0], factors[1], factors[2]};
   const auto mode = [](std::span<const double> d) {
     return d.empty() ? ScaleMode::none : ScaleMode::per_column;
   };
   const BandJob job{x.data(), y.data(), kRow, nu - 3, factors.data() + 3,
                     pre_scale.data(), mode(pre_scale), post_scale.data(),
                     mode(post_scale)};
-  run_bands(spans, plan.sv_max_radix, &stage, "fmmp.band", job, engine,
+  run_bands(k, plan.sv_max_radix, &stage, "fmmp.band", job, engine,
             panel_plan(plan, kRow));
 }
 
@@ -354,7 +345,8 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          const BlockedPlan& plan) {
   require(m >= 1, "panel butterfly: panel width m must be >= 1");
   if (m == 1) {
-    // A one-column panel is a single vector: the sv contract and kernels.
+    // A one-column panel is a single vector (the 8-row reshape on a SIMD
+    // tier, the plain loops otherwise).
     apply_blocked_butterfly_fused(x, y, factors, pre_scale, post_scale, engine,
                                   plan);
     return;
@@ -386,12 +378,13 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
   //     within noise of the plain plan at nu >= 20, slower below — the
   //     extra band the shrunken tile sometimes costs is cheaper than
   //     sweeping tile levels beyond L2.
-  const PanelKernels* kp = &panel_kernels();
-  QS_TRACE_KERNEL_TAG(kp);
+  const SvKernels& k = sv_kernels_or_scalar(resolve_sv_kernels(plan.sv_kernel));
+  QS_TRACE_KERNEL_TAG(k);
   const BandJob job{x.data(), y.data(), m, nu, factors.data(), pre_scale.data(),
                     scale_mode(pre_scale, n, m), post_scale.data(),
                     scale_mode(post_scale, n, m)};
-  run_bands(*kp, 8, nullptr, "fmmp.panel_band", job, engine, panel_plan(plan, m));
+  run_bands(k, plan.sv_max_radix, nullptr, "fmmp.panel_band", job, engine,
+            panel_plan(plan, m));
 }
 
 void apply_blocked_panel_butterfly(std::span<double> panel, std::size_t m,

@@ -12,18 +12,19 @@
 //
 // and every butterfly pair (i, i + 2^l) becomes a pair of *contiguous*
 // m-double rows.  One sweep over the panel advances all m vectors through a
-// whole level band, and each 2x2 butterfly is a full-width vector FMA over
-// the m columns (SIMD microkernels from transforms/panel_microkernel, with
-// a scalar fallback; m is arbitrary — tails are handled).
+// whole level band, and each 2x2 butterfly is a full-width vector operation
+// over the m columns (the span kernels of transforms/sv_microkernel; m is
+// arbitrary — tails are handled).  Those kernels round twice per output,
+// exactly like the single-vector loops, so every column of a panel product
+// is bit-identical to the single-vector product of that column.
 //
 // The band structure is exactly blocked_butterfly's; the tile budget is
 // shrunk by log2(m) - 3 past m = 8 so a tile of panel rows stays within the
 // m = 8 cache footprint.
 //
-// One band driver serves every m <= 8: a single vector on a SIMD sv table
-// is the m = 8 panel of its N/8 rows of 8 (apply_sv_rows8).  It runs the
-// same driver with the sv table's two-rounding span kernels plus an
-// in-register stage for levels 0-2; m >= 2 panels keep the FMA table.
+// One band driver and one kernel table serve every width: a single vector
+// on a SIMD sv table is the m = 8 panel of its N/8 rows of 8
+// (apply_sv_rows8), which adds an in-register stage for levels 0-2.
 #pragma once
 
 #include <span>
@@ -62,10 +63,12 @@ void apply_blocked_panel_butterfly(std::span<double> panel, std::size_t m,
 /// x may alias y exactly (x.data() == y.data()) or not at all.  Requires
 /// x.size() == y.size() == 2^factors.size() * m.
 ///
-/// m == 1 is a single vector and runs apply_blocked_butterfly_fused (the sv
-/// two-rounding contract, bit-identical to it).  m >= 2 runs the FMA panel
-/// table; widths past 8 sweep at full width under panel_plan's shrunk tile,
-/// bit-identical per column to solving each 8-column block directly.
+/// m == 1 is a single vector and runs apply_blocked_butterfly_fused.
+/// m >= 2 runs the sv table `plan.sv_kernel` resolves to (the scalar table
+/// when it resolves to the autovec loops), fusion capped at
+/// plan.sv_max_radix; widths past 8 sweep at full width under panel_plan's
+/// shrunk tile.  Every column is bit-identical to
+/// apply_blocked_butterfly_fused on that column.
 void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          std::span<double> y, std::size_t m,
                                          std::span<const Factor2> factors,

@@ -151,8 +151,8 @@ AutotuneReport autotune_blocked_plan(unsigned nu, const parallel::Engine& engine
   }
 
   // For m == 1 measure the *single-vector* banded kernel — the one default
-  // solves and the Krylov cycles actually run, and the only consumer of the
-  // plan's sv_kernel/sv_max_radix fields; panels keep the panel workload.
+  // solves and the Krylov cycles actually run; panels keep the panel
+  // workload and the stage-1 tier and radix (automatic, 8).
   const auto measure = [&](const BlockedPlan& plan) {
     // Warm-up rep first (first-touch, frequency ramp), then best-of-repeats.
     if (m == 1) {

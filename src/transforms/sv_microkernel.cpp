@@ -100,6 +100,22 @@ void sv_mul_span_inplace_scalar(double* y, const double* s, std::size_t cnt) {
   for (std::size_t i = 0; i < cnt; ++i) y[i] *= s[i];
 }
 
+void sv_mul_rows_broadcast_scalar(double* y, const double* x, const double* s,
+                                  std::size_t rows, std::size_t m) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double sr = s[r];
+    for (std::size_t c = 0; c < m; ++c) y[r * m + c] = sr * x[r * m + c];
+  }
+}
+
+void sv_mul_rows_broadcast_inplace_scalar(double* y, const double* s,
+                                          std::size_t rows, std::size_t m) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double sr = s[r];
+    for (std::size_t c = 0; c < m; ++c) y[r * m + c] *= sr;
+  }
+}
+
 // Scalar tree reductions.  The blockwise path evaluates each 64-leaf block
 // into an array and halves it level by level (l[i] = l[2i] + l[2i+1]: the
 // block's subtree, bottom-up); every other length is tree_reduce itself.
@@ -204,7 +220,8 @@ double sv_tree_abs_sum_scalar(const double* v, std::size_t n) {
 constexpr SvKernels kScalarSvKernels{
     sv_butterfly_span_scalar, sv_butterfly_quad_span_scalar,
     sv_butterfly_oct_span_scalar, sv_rows8_stage_scalar, sv_mul_span_scalar,
-    sv_mul_span_inplace_scalar, sv_tree_dot2_scalar,
+    sv_mul_span_inplace_scalar, sv_mul_rows_broadcast_scalar,
+    sv_mul_rows_broadcast_inplace_scalar, sv_tree_dot2_scalar,
     sv_tree_residual_shift_norm1_scalar, sv_tree_sum_scalar,
     sv_tree_abs_sum_scalar, "scalar",
 };

@@ -1,23 +1,15 @@
-// Single-vector SIMD microkernels for the banded butterfly.
+// SIMD span microkernels for the banded butterfly: the one kernel table
+// every Fmmp product runs on, a single vector and an m-column panel alike.
 //
-// The panel (multi-vector) path has had hand-written AVX2/AVX-512 kernels
-// since the panel layer landed; the *single-vector* banded kernel — the one
-// every default solve(), Lanczos/Arnoldi cycle, and service request actually
-// runs — leaned on compiler autovectorisation.  This module closes that gap
-// with a second, separate kernel table specialised for contiguous
-// single-vector spans.
-//
-// The contract differs from transforms/panel_microkernel in one crucial way:
-// these kernels are BIT-IDENTICAL to the plain C++ banded loops.  The panel
-// kernels fuse each a*x + b*y into one FMA (one rounding); a solver that
-// switches kernel tier there changes results by a few ULP, which the panel
-// tests document.  The single-vector kernel sits underneath every default
-// solve, so a tier switch must not move a single bit: the SIMD
-// implementations here use separate vmulpd + vaddpd (two roundings, exactly
-// the scalar expression m00*t1 + m01*t2), their translation units are built
+// These kernels are BIT-IDENTICAL to the plain C++ banded loops.  The SIMD
+// implementations use separate vmulpd + vaddpd (two roundings, exactly the
+// scalar expression m00*t1 + m01*t2), their translation units are built
 // WITHOUT -mfma and with -ffp-contract=off, and the runtime probes require
 // only avx2 / avx512f (not fma).  scalar == avx2 == avx512 bitwise, and all
-// three equal the historical autovectorised loops.
+// three equal the historical autovectorised loops.  Because a panel sweep
+// applies the same per-element expression to each of its m columns, every
+// column of an m-wide product is bit-identical to the single-vector product
+// of that column: one table, one set of bits.
 //
 //   * scalar: always compiled, the reference table;
 //   * AVX2: compiled only when the build probe passed (QS_ENABLE_SIMD, see
@@ -38,7 +30,10 @@
 // scalar operand order per output, m00*lo + m01*hi and m10*lo + m11*hi (lo
 // the lower index), by blending each pair's elements into place rather
 // than commuting a sum.  NaN payloads are not pinned (a compiler may swap
-// a commutative add's operands in any tier); NaN positions are.
+// a commutative add's operands in any tier); NaN positions are.  An m >= 2
+// panel runs the same band driver and span kernels without the row stage
+// (the scalar table when the plan resolves to the autovec loops), plus the
+// broadcast-row scalings that share one diagonal across its m columns.
 //
 // The same table carries the power iteration's reductions.  A plain
 // `acc += ...` loop is one dependent add chain the compiler may not
@@ -64,11 +59,9 @@ struct TreeSums {
   double second;
 };
 
-/// Table of contiguous-span kernels the single-vector banded butterfly is
-/// built from, plus the power iteration's tree-ordered reductions.  The
-/// butterfly members have the same shapes as PanelKernels' (the banded
-/// sweep structure is shared); no broadcast-row ops — a single vector's
-/// diagonal scalings are plain element-wise products.
+/// Table of contiguous-span kernels the banded butterfly is built from (a
+/// single vector and every m-column panel), plus the power iteration's
+/// tree-ordered reductions.
 struct SvKernels {
   /// Butterfly across two contiguous spans: for i in [0, cnt),
   /// (lo[i], hi[i]) <- (m00 lo[i] + m01 hi[i], m10 lo[i] + m11 hi[i]).
@@ -100,6 +93,15 @@ struct SvKernels {
   /// y[i] *= s[i] for i in [0, cnt).
   void (*mul_span_inplace)(double* y, const double* s, std::size_t cnt);
 
+  /// Broadcast row scaling on an interleaved panel: for r in [0, rows) and
+  /// c in [0, m), y[r*m + c] = s[r] * x[r*m + c]. x may alias y exactly.
+  void (*mul_rows_broadcast)(double* y, const double* x, const double* s,
+                             std::size_t rows, std::size_t m);
+
+  /// y[r*m + c] *= s[r].
+  void (*mul_rows_broadcast_inplace)(double* y, const double* s,
+                                     std::size_t rows, std::size_t m);
+
   /// Rayleigh-quotient pass: {sum x[i]^2, sum x[i]*y[i]} over [0, n).
   TreeSums (*tree_dot2)(const double* x, const double* y, std::size_t n);
 
@@ -124,7 +126,8 @@ struct SvKernels {
 /// Which single-vector kernel a BlockedPlan requests.
 enum class SvKernel : unsigned char {
   automatic = 0,  ///< widest SIMD table the build + CPU support, else autovec
-  autovec,        ///< the plain C++ banded loops (compiler autovectorised)
+  autovec,        ///< the plain C++ banded loops (compiler autovectorised);
+                  ///< an m >= 2 panel runs the scalar table
   avx2,           ///< the 4-wide non-FMA table (autovec when unavailable)
   avx512,         ///< the 8-wide non-FMA table (autovec when unavailable)
 };

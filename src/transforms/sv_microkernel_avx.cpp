@@ -1,12 +1,12 @@
-// AVX2 instantiation of the single-vector microkernels.
+// AVX2 instantiation of the span microkernels.
 //
 // This translation unit is the only one compiled with -mavx2 (see
 // src/CMakeLists.txt); it is added to the build only when the QS_ENABLE_SIMD
 // probe passed, and its table is only selected when the running CPU reports
 // avx2 — the rest of the library never executes AVX2 instructions.
 //
-// Unlike the panel kernels, these deliberately do NOT use FMA: every output
-// is a separate vmulpd/vmulpd/vaddpd, i.e. the exact two-rounding expression
+// These deliberately do NOT use FMA: every output is a separate
+// vmulpd/vmulpd/vaddpd, i.e. the exact two-rounding expression
 // m00*t1 + m01*t2 of the scalar banded loops.  The TU is built without
 // -mfma and with -ffp-contract=off so the compiler cannot re-fuse them; the
 // runtime probe therefore only needs avx2 (not fma), and the table is
@@ -232,6 +232,25 @@ void sv_mul_span_inplace_avx2(double* y, const double* s, std::size_t cnt) {
   sv_mul_span_avx2(y, y, s, cnt);
 }
 
+void sv_mul_rows_broadcast_avx2(double* y, const double* x, const double* s,
+                                std::size_t rows, std::size_t m) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const __m256d sr = _mm256_set1_pd(s[r]);
+    const double* xr = x + r * m;
+    double* yr = y + r * m;
+    std::size_t c = 0;
+    for (; c + 4 <= m; c += 4) {
+      _mm256_storeu_pd(yr + c, _mm256_mul_pd(sr, _mm256_loadu_pd(xr + c)));
+    }
+    for (; c < m; ++c) yr[c] = s[r] * xr[c];
+  }
+}
+
+void sv_mul_rows_broadcast_inplace_avx2(double* y, const double* s,
+                                        std::size_t rows, std::size_t m) {
+  sv_mul_rows_broadcast_avx2(y, y, s, rows, m);
+}
+
 /// One or two leaf vectors of four consecutive elements.
 struct Leaves4 {
   __m256d a;
@@ -357,7 +376,8 @@ double sv_tree_abs_sum_avx2(const double* v, std::size_t n) {
 constexpr SvKernels kAvx2SvKernels{
     sv_butterfly_span_avx2, sv_butterfly_quad_span_avx2,
     sv_butterfly_oct_span_avx2, sv_rows8_stage_avx2, sv_mul_span_avx2,
-    sv_mul_span_inplace_avx2, sv_tree_dot2_avx2,
+    sv_mul_span_inplace_avx2, sv_mul_rows_broadcast_avx2,
+    sv_mul_rows_broadcast_inplace_avx2, sv_tree_dot2_avx2,
     sv_tree_residual_shift_norm1_avx2, sv_tree_sum_avx2,
     sv_tree_abs_sum_avx2, "avx2",
 };

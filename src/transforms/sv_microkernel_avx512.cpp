@@ -1,12 +1,11 @@
-// AVX-512F instantiation of the single-vector microkernels.
+// AVX-512F instantiation of the span microkernels.
 //
 // Compiled only when the top-level QS_ENABLE_SIMD avx512f probe passed; the
 // table is only selected when the running CPU reports avx512f.  Like the
-// AVX2 translation unit (and unlike the panel kernels), this deliberately
-// avoids FMA: separate vmulpd + vaddpd reproduce the scalar two-rounding
-// expression m00*t1 + m01*t2, the TU is built without -mfma and with
-// -ffp-contract=off, and the result is bit-identical to the scalar table
-// and the autovectorised banded loops.
+// AVX2 translation unit, this deliberately avoids FMA: separate vmulpd +
+// vaddpd reproduce the scalar two-rounding expression m00*t1 + m01*t2, the
+// TU is built without -mfma and with -ffp-contract=off, and the result is
+// bit-identical to the scalar table and the autovectorised banded loops.
 //
 // The tree_* reductions keep the scalar tree's shape: each 64-leaf block is
 // reduced level by level with even/odd lane permutes that add adjacent
@@ -222,6 +221,25 @@ void sv_mul_span_inplace_avx512(double* y, const double* s, std::size_t cnt) {
   sv_mul_span_avx512(y, y, s, cnt);
 }
 
+void sv_mul_rows_broadcast_avx512(double* y, const double* x, const double* s,
+                                  std::size_t rows, std::size_t m) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const __m512d sr = _mm512_set1_pd(s[r]);
+    const double* xr = x + r * m;
+    double* yr = y + r * m;
+    std::size_t c = 0;
+    for (; c + 8 <= m; c += 8) {
+      _mm512_storeu_pd(yr + c, _mm512_mul_pd(sr, _mm512_loadu_pd(xr + c)));
+    }
+    for (; c < m; ++c) yr[c] = s[r] * xr[c];
+  }
+}
+
+void sv_mul_rows_broadcast_inplace_avx512(double* y, const double* s,
+                                          std::size_t rows, std::size_t m) {
+  sv_mul_rows_broadcast_avx512(y, y, s, rows, m);
+}
+
 /// One or two leaf vectors of eight consecutive elements.
 struct Leaves8 {
   __m512d a;
@@ -347,7 +365,8 @@ double sv_tree_abs_sum_avx512(const double* v, std::size_t n) {
 constexpr SvKernels kAvx512SvKernels{
     sv_butterfly_span_avx512, sv_butterfly_quad_span_avx512,
     sv_butterfly_oct_span_avx512, sv_rows8_stage_avx512, sv_mul_span_avx512,
-    sv_mul_span_inplace_avx512, sv_tree_dot2_avx512,
+    sv_mul_span_inplace_avx512, sv_mul_rows_broadcast_avx512,
+    sv_mul_rows_broadcast_inplace_avx512, sv_tree_dot2_avx512,
     sv_tree_residual_shift_norm1_avx512, sv_tree_sum_avx512,
     sv_tree_abs_sum_avx512, "avx512",
 };

@@ -1,12 +1,14 @@
 // Equivalence tests for the multi-vector (panel) kernels: the interleaved
-// panel butterfly, its fused scalings (broadcast and per-column), the SIMD
-// microkernel dispatch, and the group-banded Kronecker kernel must all match
-// their single-vector serial references across every engine backend, panel
-// width (SIMD-divisible and tail cases), and tiling plan.
+// panel butterfly and its fused scalings (broadcast and per-column) run the
+// single-vector span-kernel table, so every column must be BIT-IDENTICAL to
+// the single-vector product of that column across every engine backend,
+// panel width (SIMD-divisible and tail cases), kernel tier and tiling plan.
+// The group-banded Kronecker kernel must match its serial reference.
 #include "transforms/panel_butterfly.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -18,7 +20,7 @@
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/butterfly.hpp"
 #include "transforms/kronecker.hpp"
-#include "transforms/panel_microkernel.hpp"
+#include "transforms/sv_microkernel.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -66,27 +68,95 @@ void expect_near_all(const std::vector<double>& expected,
   }
 }
 
+void expect_bitwise(const std::vector<double>& expected,
+                    const std::vector<double>& actual, const char* what) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(expected[i], actual[i]) << what << " index " << i;
+  }
+}
+
+// Every SvKernel choice that resolves to its own table on this build/CPU:
+// autovec (a panel runs the scalar table) plus each available SIMD tier.
+std::vector<SvKernel> resolvable_tiers() {
+  std::vector<SvKernel> tiers = {SvKernel::autovec};
+  for (SvKernel t : {SvKernel::avx2, SvKernel::avx512}) {
+    if (resolve_sv_kernels(t) != nullptr) tiers.push_back(t);
+  }
+  return tiers;
+}
+
+/// How the test scales a panel: no diagonals, one length-N diagonal shared
+/// by all columns, or each column its own (a length N*m scaling panel).
+enum class Scaling { none, broadcast, per_column };
+
 TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
-  for (unsigned nu : {1u, 3u, 6u, 10u, 12u}) {
+  // One kernel table: every column of an m-wide fused product must be the
+  // single-vector fused apply of that column, byte for byte — for every
+  // width (below, at and past each SIMD width, and the wide m = 16 sweep),
+  // every scaling mode, every engine and every kernel tier.
+  for (unsigned nu : {1u, 3u, 5u, 9u, 12u, 14u, 16u}) {
     const std::size_t n = std::size_t{1} << nu;
     const auto factors = asymmetric_factors(nu, nu);
-    for (std::size_t m : kWidths) {
-      // Reference: each column through the serial single-vector butterfly.
-      std::vector<std::vector<double>> columns(m);
-      std::vector<double> panel(n * m);
+    const auto pre_diag = positive_vector(n, 10 + nu);
+    const auto post_diag = positive_vector(n, 20 + nu);
+    for (std::size_t m : {2ul, 3ul, 5ul, 8ul, 16ul}) {
+      std::vector<std::vector<double>> columns(m), pres(m), posts(m);
+      std::vector<double> panel(n * m), pre_panel(n * m), post_panel(n * m);
       for (std::size_t j = 0; j < m; ++j) {
         columns[j] = random_vector(n, 100 * nu + j);
+        pres[j] = positive_vector(n, 300 * nu + j);
+        posts[j] = positive_vector(n, 500 * nu + j);
         pack_panel_column(columns[j], panel, m, j);
-        apply_butterfly(columns[j], factors);
+        pack_panel_column(pres[j], pre_panel, m, j);
+        pack_panel_column(posts[j], post_panel, m, j);
       }
-      for (parallel::Backend kind : kBackends) {
-        const auto engine = parallel::make_engine(kind);
-        std::vector<double> work = panel;
-        apply_blocked_panel_butterfly(work, m, factors, *engine);
-        std::vector<double> column(n);
-        for (std::size_t j = 0; j < m; ++j) {
-          unpack_panel_column(work, m, j, column);
-          expect_near_all(columns[j], column, kTol);
+      for (Scaling scaling :
+           {Scaling::none, Scaling::broadcast, Scaling::per_column}) {
+        std::span<const double> pre, post;
+        if (scaling == Scaling::broadcast) {
+          pre = pre_diag;
+          post = post_diag;
+        } else if (scaling == Scaling::per_column) {
+          pre = pre_panel;
+          post = post_panel;
+        }
+        for (SvKernel tier : resolvable_tiers()) {
+          BlockedPlan plan;
+          plan.sv_kernel = tier;
+          std::vector<std::vector<double>> reference(m, std::vector<double>(n));
+          for (std::size_t j = 0; j < m; ++j) {
+            std::span<const double> col_pre, col_post;
+            if (scaling == Scaling::broadcast) {
+              col_pre = pre_diag;
+              col_post = post_diag;
+            } else if (scaling == Scaling::per_column) {
+              col_pre = pres[j];
+              col_post = posts[j];
+            }
+            apply_blocked_butterfly_fused(columns[j], reference[j], factors,
+                                          col_pre, col_post,
+                                          parallel::serial_engine(), plan);
+          }
+          for (parallel::Backend kind : kBackends) {
+            SCOPED_TRACE(::testing::Message()
+                         << "nu=" << nu << " m=" << m << " scaling="
+                         << static_cast<int>(scaling) << " tier="
+                         << to_string(tier) << " backend="
+                         << static_cast<int>(kind));
+            const auto engine = parallel::make_engine(kind);
+            std::vector<double> out(n * m);
+            apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre,
+                                                post, *engine, plan);
+            std::vector<double> column(n);
+            for (std::size_t j = 0; j < m; ++j) {
+              unpack_panel_column(out, m, j, column);
+              ASSERT_EQ(std::memcmp(reference[j].data(), column.data(),
+                                    n * sizeof(double)),
+                        0)
+                  << "column " << j;
+            }
+          }
         }
       }
     }
@@ -156,10 +226,15 @@ TEST(PanelButterfly, FusedBroadcastScalingsMatchSingleVectorFused) {
       std::vector<double> out(n * m);
       apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre, post,
                                           *engine);
+      std::vector<double> in_place = panel;
+      apply_blocked_panel_butterfly_fused(in_place, in_place, m, factors, pre,
+                                          post, *engine);
       std::vector<double> column(n);
       for (std::size_t j = 0; j < m; ++j) {
         unpack_panel_column(out, m, j, column);
-        expect_near_all(reference[j], column, kTol);
+        expect_bitwise(reference[j], column, "broadcast column");
+        unpack_panel_column(in_place, m, j, column);
+        expect_bitwise(reference[j], column, "broadcast in-place column");
       }
     }
   }
@@ -193,14 +268,14 @@ TEST(PanelButterfly, PerColumnScalingsGiveEachColumnItsOwnDiagonal) {
       std::vector<double> column(n);
       for (std::size_t j = 0; j < m; ++j) {
         unpack_panel_column(out, m, j, column);
-        expect_near_all(reference[j], column, kTol);
+        expect_bitwise(reference[j], column, "per-column scaled column");
       }
     }
   }
 }
 
 TEST(PanelButterfly, PlanVariationsAllAgree) {
-  // Different tilings change the sweep order, never the math.
+  // Different tilings change the sweep order, never the bits.
   const unsigned nu = 12;
   const std::size_t n = std::size_t{1} << nu;
   const std::size_t m = 4;
@@ -216,7 +291,7 @@ TEST(PanelButterfly, PlanVariationsAllAgree) {
     std::vector<double> work = base;
     apply_blocked_panel_butterfly(work, m, factors, parallel::serial_engine(),
                                   plan);
-    expect_near_all(reference, work, kTol);
+    expect_bitwise(reference, work, "plan variation");
   }
 }
 
@@ -249,95 +324,46 @@ TEST(PanelButterfly, PackUnpackRoundTrip) {
   std::vector<double> column(n);
   for (std::size_t j = 0; j < m; ++j) {
     unpack_panel_column(panel, m, j, column);
-    expect_near_all(columns[j], column, 0.0);
+    expect_bitwise(columns[j], column, "round trip");
   }
 }
 
 TEST(PanelMicrokernels, ActiveKernelsMatchScalarIncludingTails) {
-  // The runtime-dispatched table (AVX2 where available) must agree with the
-  // always-compiled scalar kernels on every span length around the SIMD
-  // width, including the odd tails.
-  const PanelKernels& scalar = scalar_panel_kernels();
-  const PanelKernels& active = panel_kernels();
-  const Factor2 f = Factor2::asymmetric(0.013, 0.27);
-  for (std::size_t cnt : {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 15ul, 64ul, 101ul}) {
-    const auto lo0 = random_vector(cnt, cnt);
-    const auto hi0 = random_vector(cnt, cnt + 1);
-    const auto s = positive_vector(cnt, cnt + 2);
-
-    auto lo_a = lo0, hi_a = hi0, lo_b = lo0, hi_b = hi0;
-    scalar.butterfly_span(lo_a.data(), hi_a.data(), cnt, f);
-    active.butterfly_span(lo_b.data(), hi_b.data(), cnt, f);
-    expect_near_all(lo_a, lo_b, kTol);
-    expect_near_all(hi_a, hi_b, kTol);
-
-    std::vector<double> ya(cnt), yb(cnt);
-    scalar.mul_span(ya.data(), lo0.data(), s.data(), cnt);
-    active.mul_span(yb.data(), lo0.data(), s.data(), cnt);
-    expect_near_all(ya, yb, 0.0);  // plain multiply: bitwise equal
-
-    // Radix-4 quad: must equal two successive pair levels (any kernel mix).
-    const Factor2 f_hi = Factor2::asymmetric(0.041, 0.18);
-    auto quad_ref = random_vector(4 * cnt, cnt + 3);
-    auto quad_act = quad_ref;
-    {
-      double* q = quad_ref.data();
-      scalar.butterfly_span(q, q + cnt, cnt, f);
-      scalar.butterfly_span(q + 2 * cnt, q + 3 * cnt, cnt, f);
-      scalar.butterfly_span(q, q + 2 * cnt, cnt, f_hi);
-      scalar.butterfly_span(q + cnt, q + 3 * cnt, cnt, f_hi);
-    }
-    {
-      double* q = quad_act.data();
-      active.butterfly_quad_span(q, q + cnt, q + 2 * cnt, q + 3 * cnt, cnt, f,
-                                 f_hi);
-    }
-    expect_near_all(quad_ref, quad_act, kTol);
-
-    // Radix-8 oct: must equal three successive pair levels.
-    const Factor2 f_top = Factor2::asymmetric(0.009, 0.33);
-    auto oct_ref = random_vector(8 * cnt, cnt + 4);
-    auto oct_act = oct_ref;
-    {
-      double* q = oct_ref.data();
-      for (std::size_t k = 0; k < 8; k += 2) {
-        scalar.butterfly_span(q + k * cnt, q + (k + 1) * cnt, cnt, f);
-      }
-      for (std::size_t k : {0ul, 1ul, 4ul, 5ul}) {
-        scalar.butterfly_span(q + k * cnt, q + (k + 2) * cnt, cnt, f_hi);
-      }
-      for (std::size_t k = 0; k < 4; ++k) {
-        scalar.butterfly_span(q + k * cnt, q + (k + 4) * cnt, cnt, f_top);
-      }
-    }
-    active.butterfly_oct_span(oct_act.data(), cnt, cnt, f, f_hi, f_top);
-    expect_near_all(oct_ref, oct_act, kTol);
-
-    auto za = lo0, zb = lo0;
-    scalar.mul_span_inplace(za.data(), s.data(), cnt);
-    active.mul_span_inplace(zb.data(), s.data(), cnt);
-    expect_near_all(za, zb, 0.0);
+  // The panel-only entries of the span-kernel table (broadcast row
+  // scalings of an interleaved panel) on every tier this host resolves,
+  // the scalar table included, must equal the plain per-row multiply bit
+  // for bit: out of place, aliased and in place, at widths below, at and
+  // past each SIMD width, so every tier runs its column tail.
+  std::vector<const SvKernels*> tables = {&scalar_sv_kernels()};
+  for (SvKernel t : resolvable_tiers()) {
+    if (const SvKernels* k = resolve_sv_kernels(t)) tables.push_back(k);
   }
-  for (std::size_t m : {1ul, 3ul, 4ul, 5ul, 8ul}) {
-    const std::size_t rows = 9;
-    const auto x = random_vector(rows * m, m);
-    const auto s = positive_vector(rows, m + 1);
-    std::vector<double> ya(rows * m), yb(rows * m);
-    scalar.mul_rows_broadcast(ya.data(), x.data(), s.data(), rows, m);
-    active.mul_rows_broadcast(yb.data(), x.data(), s.data(), rows, m);
-    expect_near_all(ya, yb, 0.0);
-    auto za = x, zb = x;
-    scalar.mul_rows_broadcast_inplace(za.data(), s.data(), rows, m);
-    active.mul_rows_broadcast_inplace(zb.data(), s.data(), rows, m);
-    expect_near_all(za, zb, 0.0);
-  }
-}
+  for (const SvKernels* table : tables) {
+    SCOPED_TRACE(table->name);
+    for (std::size_t m : {1ul, 2ul, 3ul, 7ul, 8ul, 9ul, 16ul}) {
+      SCOPED_TRACE(::testing::Message() << "m=" << m);
+      const std::size_t rows = 9;
+      const auto x = random_vector(rows * m, 30 + m);
+      const auto s = positive_vector(rows, 40 + m);
+      std::vector<double> expected(rows * m);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < m; ++c) {
+          expected[r * m + c] = s[r] * x[r * m + c];
+        }
+      }
+      std::vector<double> y(rows * m);
+      table->mul_rows_broadcast(y.data(), x.data(), s.data(), rows, m);
+      expect_bitwise(expected, y, "mul_rows_broadcast");
 
-void expect_bitwise(const std::vector<double>& expected,
-                    const std::vector<double>& actual, const char* what) {
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(expected[i], actual[i]) << what << " index " << i;
+      auto aliased = x;
+      table->mul_rows_broadcast(aliased.data(), aliased.data(), s.data(), rows,
+                                m);
+      expect_bitwise(expected, aliased, "mul_rows_broadcast aliased");
+
+      auto in_place = x;
+      table->mul_rows_broadcast_inplace(in_place.data(), s.data(), rows, m);
+      expect_bitwise(expected, in_place, "mul_rows_broadcast_inplace");
+    }
   }
 }
 
@@ -558,7 +584,7 @@ TEST(PanelFmmp, MutationModelPanelMatchesPerColumnApply) {
         std::vector<double> column(n);
         for (std::size_t j = 0; j < m; ++j) {
           unpack_panel_column(work, m, j, column);
-          expect_near_all(reference[j], column, kTol);
+          expect_bitwise(reference[j], column, "model panel column");
         }
       }
     }
@@ -595,11 +621,11 @@ TEST(PanelFmmp, OperatorPanelMatchesPerColumnApplyAllFormulations) {
         std::vector<double> column(n);
         for (std::size_t j = 0; j < m; ++j) {
           unpack_panel_column(out, m, j, column);
-          expect_near_all(expected[j], column, kTol);
+          expect_bitwise(expected[j], column, "operator panel column");
         }
         // In-place panel application agrees with out-of-place.
         op.apply_panel(panel, panel, m);
-        expect_near_all(out, panel, 0.0);
+        expect_bitwise(out, panel, "operator panel in-place");
       }
     }
   }

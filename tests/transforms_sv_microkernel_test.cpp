@@ -1,9 +1,10 @@
-// Bit-identity tests for the single-vector SIMD microkernels: every kernel
-// tier (scalar, AVX2, AVX-512F) and every fused radix must reproduce the
-// plain autovectorised banded loops EXACTLY — ASSERT_EQ on doubles, not
+// Bit-identity tests for the SIMD span microkernels: every kernel tier
+// (scalar, AVX2, AVX-512F) and every fused radix must reproduce the plain
+// autovectorised banded loops EXACTLY — ASSERT_EQ on doubles, not
 // ASSERT_NEAR.  This is the module's contract (see sv_microkernel.hpp): the
-// single-vector kernel sits underneath every default solve, so switching
-// tiers must not move a single bit of any residual trajectory.
+// one kernel table sits underneath every default solve and every panel
+// product, so switching tiers must not move a single bit of any residual
+// trajectory.
 #include "transforms/sv_microkernel.hpp"
 
 #include <gtest/gtest.h>
@@ -107,7 +108,8 @@ TEST(SvMicrokernel, FusedRadixKernelsBitwiseEqualPairComposition) {
   const Factor2 f2 = Factor2::asymmetric(0.009, 0.33);
   for (const SvKernels* table : available_tables()) {
     SCOPED_TRACE(table->name);
-    for (std::size_t cnt : {1ul, 3ul, 4ul, 5ul, 8ul, 13ul, 16ul, 64ul}) {
+    for (std::size_t cnt :
+         {1ul, 2ul, 3ul, 4ul, 5ul, 7ul, 8ul, 13ul, 15ul, 16ul, 64ul, 101ul}) {
       // Radix-4: f0 on (r0,r1),(r2,r3) then f1 on (r0,r2),(r1,r3).
       auto quad_ref = random_vector(4 * cnt, cnt + 3);
       auto quad_act = quad_ref;

@@ -600,7 +600,7 @@ int run(const qs::ArgParser& args) {
   // plan directly (block, lanczos, arnoldi, rqi) and surfaces it on stdout
   // whenever a metrics snapshot was requested.
   if (args.has("metrics")) {
-    std::cout << "single-vector kernel tier: "
+    std::cout << "kernel tier: "
               << qs::transforms::resolved_sv_kernel_name(plan.sv_kernel)
               << " (max radix " << plan.sv_max_radix << ")\n";
   }
@@ -608,7 +608,7 @@ int run(const qs::ArgParser& args) {
   m.set_info("tool", "qs_solve");
   m.set_info("solver", solver);
   m.set_info("engine", engine != nullptr ? "parallel" : "serial");
-  m.set_info("sv_kernel",
+  m.set_info("simd_tier",
              qs::transforms::resolved_sv_kernel_name(plan.sv_kernel));
   m.set_value("plan.sv_max_radix", plan.sv_max_radix);
   m.set_value("nu", nu);

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "reference_fmmp.hpp"
+#include "reference/fmmp.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"

@@ -12,8 +12,8 @@
 
 #include "bench_common.hpp"
 #include "core/fmmp.hpp"
-#include "core/xmvp.hpp"
-#include "sparse/sparse_w.hpp"
+#include "reference/sparse_w.hpp"
+#include "reference/xmvp.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"

@@ -51,8 +51,8 @@
 
 #include "bench_common.hpp"
 #include "core/fmmp.hpp"
-#include "core/xmvp.hpp"
-#include "reference_fmmp.hpp"
+#include "reference/fmmp.hpp"
+#include "reference/xmvp.hpp"
 #include "support/csv.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"

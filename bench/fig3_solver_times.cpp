@@ -19,7 +19,7 @@
 #include "bench_common.hpp"
 #include "core/fmmp.hpp"
 #include "core/spectral.hpp"
-#include "core/xmvp.hpp"
+#include "reference/xmvp.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/csv.hpp"
 #include "support/table.hpp"

@@ -20,8 +20,8 @@
 #include "bench_common.hpp"
 #include "core/fmmp.hpp"
 #include "core/spectral.hpp"
-#include "core/xmvp.hpp"
-#include "reference_fmmp.hpp"
+#include "reference/fmmp.hpp"
+#include "reference/xmvp.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/csv.hpp"
 #include "support/table.hpp"

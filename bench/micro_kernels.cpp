@@ -9,12 +9,12 @@
 #include <vector>
 
 #include "core/fmmp.hpp"
-#include "core/xmvp.hpp"
 #include "parallel/engine.hpp"
-#include "reference_fmmp.hpp"
+#include "reference/butterfly.hpp"
+#include "reference/fmmp.hpp"
+#include "reference/xmvp.hpp"
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
-#include "transforms/butterfly.hpp"
 #include "transforms/fwht.hpp"
 #include "transforms/sv_microkernel.hpp"
 #include "transforms/panel_butterfly.hpp"

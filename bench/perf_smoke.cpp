@@ -64,13 +64,13 @@
 #include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "reference_fmmp.hpp"
+#include "reference/fmmp.hpp"
 #include "stochastic/ensemble.hpp"
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/panel_butterfly.hpp"
-#include "transforms/sv_microkernel.hpp"
 #include "transforms/plan_autotune.hpp"
+#include "transforms/sv_microkernel.hpp"
 
 int main() {
   using namespace qs;

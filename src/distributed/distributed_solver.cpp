@@ -342,7 +342,8 @@ DistributedPowerResult distributed_power_rank(
   local.engine = nullptr;
   local.workspace = nullptr;
   if (!root) local.on_residual = nullptr;
-  solvers::IterationDriver driver(local, io::SolverKind::power);
+  solvers::IterationDriver driver(local, io::SolverKind::power,
+                                 sequence_count(layout.nu()));
 
   solvers::IterationTrace trace;
   trace.iterate.resize(block);

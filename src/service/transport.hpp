@@ -18,7 +18,7 @@
 // startup via qs::ignore_sigpipe for non-socket fds).
 //
 // The Stream interface exists so tests can interpose fault injection
-// (testing/fault_injection: drop, delay, short-read, corrupt) between the
+// (reference/fault_injection: drop, delay, short-read, corrupt) between the
 // protocol layer and the file descriptor without touching kernel sockets.
 #pragma once
 

@@ -162,7 +162,7 @@ ArnoldiResult arnoldi_dominant_w(const core::MutationModel& model,
   require(start.empty() || start.size() == n,
           "arnoldi_dominant_w: starting vector has wrong dimension");
 
-  IterationDriver driver(options, io::SolverKind::arnoldi);
+  IterationDriver driver(options, io::SolverKind::arnoldi, n);
   std::vector<double> q0(n);
   {
     const auto f = landscape.values();
@@ -191,7 +191,7 @@ ArnoldiResult resume_arnoldi_dominant_w(const core::MutationModel& model,
   require(checkpoint.eigenvector.size() == n,
           "resume_arnoldi_dominant_w: checkpoint dimension does not match model");
 
-  IterationDriver driver(options, io::SolverKind::arnoldi);
+  IterationDriver driver(options, io::SolverKind::arnoldi, n);
   IterationTrace trace;
   ArnoldiResult out;
   if (!restore_trace(checkpoint, io::SolverKind::arnoldi, trace, out)) {

@@ -279,7 +279,7 @@ BlockPowerResult block_power_iteration(const core::FmmpOperator& op,
   const std::size_t m = resolve_block(options, n);
 
   const parallel::Engine& engine = parallel::engine_or_serial(options.engine);
-  IterationDriver driver(options, io::SolverKind::block_power);
+  IterationDriver driver(options, io::SolverKind::block_power, n);
 
   core::Workspace local_workspace;
   core::Workspace& workspace =
@@ -310,7 +310,7 @@ BlockPowerResult resume_block_power_iteration(const core::FmmpOperator& op,
   require(checkpoint.eigenvector.size() == n * m,
           "resume block power: checkpoint panel does not match n x m");
 
-  IterationDriver driver(options, io::SolverKind::block_power);
+  IterationDriver driver(options, io::SolverKind::block_power, n);
   IterationTrace trace;
   BlockPowerResult out;
   if (!restore_trace(checkpoint, io::SolverKind::block_power, trace, out)) {

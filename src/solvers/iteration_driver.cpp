@@ -1,5 +1,6 @@
 #include "solvers/iteration_driver.hpp"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -26,10 +27,16 @@ const char* kind_name(io::SolverKind kind) {
 
 }  // namespace
 
+double stall_floor_bound(std::size_t dimension) {
+  return kStallFloorSlack * static_cast<double>(std::bit_width(dimension)) *
+         std::numeric_limits<double>::epsilon();
+}
+
 IterationDriver::IterationDriver(const IterationOptions& options,
-                                 io::SolverKind kind)
+                                 io::SolverKind kind, std::size_t dimension)
     : options_(options),
       kind_(kind),
+      stall_floor_(stall_floor_bound(dimension)),
       checkpointing_((options.checkpoint_every > 0 ||
                       options.checkpoint_every_seconds > 0.0) &&
                      (options.checkpoint_sink || !options.checkpoint_path.empty())),
@@ -107,14 +114,16 @@ IterationDriver::Verdict IterationDriver::observe(unsigned iteration,
     out.failure = SolverFailure::cancelled;
     return Verdict::cancelled;
   }
-  // Stagnation: the residual has hit its numerical floor or the spectrum is
-  // so clustered that progress per window is negligible.  The test is
+  // Stagnation: the residual has hit its numerical floor.  The test is
   // window-based (best-vs-best across a whole window of checks) so that
-  // jitter around the floor cannot keep resetting it.
+  // jitter around the floor cannot keep resetting it, and it fires only
+  // near the floor bound: a window without progress far above it (the rise
+  // from the landscape start at the error threshold) starts a new window.
   best_residual_ = std::min(best_residual_, residual);
   if (options_.stall_window > 0 &&
       ++checks_without_progress_ >= options_.stall_window) {
-    if (best_residual_ >= window_start_best_ * 0.95) {
+    if (best_residual_ >= window_start_best_ * 0.95 &&
+        best_residual_ <= stall_floor_) {
       QS_TRACE_INSTANT_ARG("solver.stalled", solver, best_residual_, iteration);
       out.stalled = true;
       out.converged = residual <= options_.stall_accept;

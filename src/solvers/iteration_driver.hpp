@@ -18,13 +18,13 @@
 //     checkpoint writing, consumed by the solver loops through four calls
 //     (guard / observe / maybe_checkpoint / restore).
 //
-// Bit-compatibility contract: `observe` implements the power iteration's
-// original stall-window algorithm operation for operation, and `restore`
-// takes checkpointed state verbatim, so a resumed run reproduces the
-// original residual trajectory bit for bit on the serial backend — for
-// every solver, not just the power iteration.
+// Bit-compatibility contract: `observe` runs one stall-window algorithm for
+// every solver, and `restore` takes checkpointed state verbatim, so a
+// resumed run reproduces the original residual trajectory bit for bit on
+// the serial backend — for every solver, not just the power iteration.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <functional>
@@ -64,10 +64,14 @@ struct IterationOptions {
   /// changes reduction counts, not products).
   unsigned residual_check_every = 1;
 
-  /// Stagnation detection: if the best residual seen has not improved by at
-  /// least 5 % across a window of this many residual checks, the iteration
-  /// is either at its numerical floor or converging too slowly to ever
-  /// finish, and stops.  0 disables.
+  /// Stagnation detection at the numerical floor: the iteration stops as
+  /// stalled when the best residual seen has not improved by at least 5 %
+  /// across a window of this many residual checks AND that best residual
+  /// is at most the floor bound kStallFloorSlack * bit_width(N) * eps of
+  /// an N-element problem (stall_floor_bound; docs/THEORY.md section 5).
+  /// A window without progress above the bound is not a stall: near the
+  /// error threshold the residual first rises from the landscape start,
+  /// and such a solve still converges.  0 disables.
   unsigned stall_window = 100;
 
   /// A stalled run still counts as converged when its floor residual is at
@@ -126,6 +130,18 @@ struct IterationOptions {
   std::function<bool()> should_stop;
 };
 
+/// Slack of the stall floor bound over bit_width(N) * eps.  A tree-ordered
+/// sum rounds each partial about log2(N) times, so a converged iterate's
+/// relative residual sits near bit_width(N) * eps (measured 1e-19 to 5e-16
+/// for nu = 8 to 18); a clustered spectrum amplifies that floor by
+/// 1 / (1 - lambda_1 / lambda_0), which the slack absorbs up to ~1000.
+inline constexpr double kStallFloorSlack = 1000.0;
+
+/// The residual below which a window without progress counts as a stall
+/// for a problem of `dimension` unknowns: kStallFloorSlack * bit_width(N)
+/// * eps (about 4e-12 at N = 2^16).
+double stall_floor_bound(std::size_t dimension);
+
 /// Outcome fields shared by every solver's result struct.
 struct IterationResult {
   double eigenvalue = 0.0;          ///< Dominant eigenvalue estimate.
@@ -159,8 +175,10 @@ struct IterationTrace {
 class IterationDriver {
  public:
   /// `options` must outlive the driver; `kind` stamps every checkpoint so a
-  /// resume can refuse state written by a different iteration scheme.
-  IterationDriver(const IterationOptions& options, io::SolverKind kind);
+  /// resume can refuse state written by a different iteration scheme;
+  /// `dimension` is the problem size N that sets the stall floor bound.
+  IterationDriver(const IterationOptions& options, io::SolverKind kind,
+                  std::size_t dimension);
 
   /// Restores the stall-window accounting from a checkpoint, verbatim.
   void restore(const io::SolverCheckpoint& checkpoint);
@@ -192,8 +210,8 @@ class IterationDriver {
   };
 
   /// One residual observation: fires the on_residual hook, tests the
-  /// tolerance, and advances the stall-window accounting (operation for
-  /// operation the power iteration's original algorithm).  The caller
+  /// tolerance, and advances the stall-window accounting (a stall needs a
+  /// window without progress at or below the floor bound).  The caller
   /// stamps out.eigenvalue / out.residual before calling.
   /// A set `stop` is the caller's cancellation verdict, used instead of
   /// polling should_stop (the power loop polls the hook itself and agrees
@@ -233,6 +251,7 @@ class IterationDriver {
  private:
   const IterationOptions& options_;
   io::SolverKind kind_;
+  double stall_floor_;  ///< stall_floor_bound(dimension).
   bool checkpointing_ = false;
   double best_residual_;
   double window_start_best_;

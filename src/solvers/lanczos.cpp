@@ -156,7 +156,7 @@ LanczosResult lanczos_dominant_w(const core::MutationModel& model,
   require(start.empty() || start.size() == n,
           "lanczos_dominant_w: starting vector has wrong dimension");
 
-  IterationDriver driver(options, io::SolverKind::lanczos);
+  IterationDriver driver(options, io::SolverKind::lanczos, n);
   const auto f = landscape.values();
 
   // Start vector in symmetric scale: F^{1/2} * (given or landscape start).
@@ -186,7 +186,7 @@ LanczosResult resume_lanczos_dominant_w(const core::MutationModel& model,
   require(checkpoint.eigenvector.size() == n,
           "resume_lanczos_dominant_w: checkpoint dimension does not match model");
 
-  IterationDriver driver(options, io::SolverKind::lanczos);
+  IterationDriver driver(options, io::SolverKind::lanczos, n);
   IterationTrace trace;
   LanczosResult out;
   if (!restore_trace(checkpoint, io::SolverKind::lanczos, trace, out)) {

@@ -252,7 +252,7 @@ PowerResult power_iteration_owned(const core::LinearOperator& op,
   }
   OperatorCollective collective(op);
   return run_power_loop(collective, std::move(trace),
-                        IterationDriver(options, io::SolverKind::power), options,
+                        IterationDriver(options, io::SolverKind::power, n), options,
                         options.shift);
 }
 
@@ -266,7 +266,7 @@ PowerResult resume_power_iteration(const core::LinearOperator& op,
   require(checkpoint.eigenvector.size() == n,
           "resume_power_iteration: checkpoint dimension does not match operator");
 
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, n);
   IterationTrace trace;
   PowerResult out;
   if (!restore_trace(checkpoint, io::SolverKind::power, trace, out)) {

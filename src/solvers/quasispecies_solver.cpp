@@ -7,11 +7,8 @@
 #include "analysis/error_classes.hpp"
 #include "core/fmmp.hpp"
 #include "core/planned_operator.hpp"
-#include "core/smvp.hpp"
 #include "core/spectral.hpp"
-#include "core/xmvp.hpp"
 #include "obs/trace.hpp"
-#include "sparse/sparse_w.hpp"
 #include "solvers/power_iteration.hpp"
 #include "solvers/reduced_solver.hpp"
 #include "support/contracts.hpp"
@@ -34,49 +31,24 @@ QuasispeciesResult solve(const core::MutationModel& model,
   require(model.dimension() == landscape.dimension(),
           "solve: model and landscape dimensions differ");
 
-  std::unique_ptr<core::LinearOperator> op;
-  core::PlannedOperator* planned = nullptr;
-  switch (options.matvec) {
-    case MatvecKind::fmmp: {
-      // The facade's fast path goes through the planned operator: it owns
-      // the (possibly autotuned) banded plan and the scratch workspace the
-      // solver loop below borrows, so repeated applies allocate nothing.
-      core::PlannedOperatorConfig config;
-      config.formulation = options.formulation;
-      config.engine = options.engine;
-      config.plan = options.plan;
-      config.autotune = options.autotune;
-      auto owned = std::make_unique<core::PlannedOperator>(model, landscape, config);
-      planned = owned.get();
-      op = std::move(owned);
-      break;
-    }
-    case MatvecKind::xmvp:
-      op = std::make_unique<core::XmvpOperator>(model, landscape, options.xmvp_d_max,
-                                                options.formulation, options.engine);
-      break;
-    case MatvecKind::smvp:
-      op = std::make_unique<core::SmvpOperator>(model, landscape, options.formulation,
-                                                options.engine);
-      break;
-    case MatvecKind::sparse:
-      require(options.formulation == core::Formulation::right,
-              "solve: the sparse matvec kind materialises the right "
-              "formulation only");
-      op = std::make_unique<sparse::SparseWOperator>(model, landscape,
-                                                     options.xmvp_d_max,
-                                                     options.engine);
-      break;
-  }
+  // The planned operator owns the (possibly autotuned) banded plan and the
+  // scratch workspace the solver loop below borrows, so repeated applies
+  // allocate nothing.
+  core::PlannedOperatorConfig config;
+  config.formulation = options.formulation;
+  config.engine = options.engine;
+  config.plan = options.plan;
+  config.autotune = options.autotune;
+  auto planned = std::make_unique<core::PlannedOperator>(model, landscape, config);
+  core::Workspace& workspace = planned->workspace();
+  std::unique_ptr<core::LinearOperator> op = std::move(planned);
   if (options.wrap_operator) op = options.wrap_operator(std::move(op));
 
   PowerOptions popts;
   // The whole shared iteration block — tolerance, caps, stall window,
   // engine, workspace, checkpointing, hooks — forwards in one assignment.
   static_cast<IterationOptions&>(popts) = options;
-  if (popts.workspace == nullptr && planned != nullptr) {
-    popts.workspace = &planned->workspace();
-  }
+  if (popts.workspace == nullptr) popts.workspace = &workspace;
   if (options.use_shift && model.symmetric() &&
       model.kind() != core::MutationKind::grouped) {
     popts.shift = core::conservative_shift(model, landscape);

@@ -8,6 +8,13 @@
 // Results are always reported in the `right` formulation, i.e. as relative
 // concentrations.
 //
+// The product is always Fmmp, through core::PlannedOperator.  The paper's
+// baselines (Smvp, Xmvp(d), the CSR-materialised truncated W) are oracles
+// and bench baselines in the quasispecies_reference target; a reference
+// solve passes one of those operators to
+// power_iteration(const LinearOperator&, start, PowerOptions) with the same
+// shift and start the facade would use.
+//
 // Resilience: with a checkpoint path configured the solve periodically
 // persists its state and can resume after a crash; on a detected non-finite
 // iterate (or a stall above the acceptance floor) it restarts once from the
@@ -28,15 +35,6 @@
 
 namespace qs::solvers {
 
-/// Which mat-vec drives the power iteration for general landscapes.
-enum class MatvecKind {
-  fmmp,    ///< fast mutation matrix product, Theta(N log2 N), exact
-  xmvp,    ///< XOR-based sparsified product Xmvp(d), approximate for d < nu
-  smvp,    ///< dense standard product, Theta(N^2), small nu only
-  sparse,  ///< CSR-materialised truncated product (same math as xmvp,
-           ///< explicit storage; uses xmvp_d_max)
-};
-
 /// Options for the facade: the shared iteration block (tolerance, iteration
 /// cap, stall window, engine/workspace, periodic checkpointing and the
 /// checkpoint/residual hooks — all forwarded to the underlying power
@@ -44,18 +42,15 @@ enum class MatvecKind {
 /// selection.
 struct SolveOptions : IterationOptions {
   core::Formulation formulation = core::Formulation::right;
-  MatvecKind matvec = MatvecKind::fmmp;
-  unsigned xmvp_d_max = 5;        ///< Truncation radius when matvec == xmvp.
   bool use_shift = true;          ///< Apply mu = (1-2p)^nu f_min when possible.
 
   /// Tiling plan for the banded Fmmp kernel (see transforms/plan_autotune;
-  /// the defaults are the hand-tuned fixed plan).  Other matvec kinds
-  /// ignore it.
+  /// the defaults are the hand-tuned fixed plan).
   transforms::BlockedPlan plan;
 
-  /// Autotune the banded Fmmp plan for this machine before the solve
-  /// (matvec == fmmp only): the facade's core::PlannedOperator then owns the
-  /// winning plan and its report.  `plan` seeds the candidate set.
+  /// Autotune the banded Fmmp plan for this machine before the solve: the
+  /// facade's core::PlannedOperator then owns the winning plan and its
+  /// report.  `plan` seeds the candidate set.
   bool autotune = false;
 
   /// Resume a previous run: start from this checkpoint instead of the
@@ -70,8 +65,9 @@ struct SolveOptions : IterationOptions {
   /// Set false to fail immediately.
   bool recover = true;
 
-  /// Testing seam: when set, the constructed mat-vec operator is passed
-  /// through this wrapper before the solve (e.g. to interpose
+  /// Testing and instrumentation seam: when set, the constructed Fmmp
+  /// operator is passed through this wrapper before the solve (e.g. to time
+  /// each product, or to interpose the reference library's
   /// testing::FaultInjectingOperator).  The wrapper owns the inner operator.
   std::function<std::unique_ptr<core::LinearOperator>(
       std::unique_ptr<core::LinearOperator>)>
@@ -88,7 +84,7 @@ struct QuasispeciesResult : IterationResult {
   unsigned recovery_attempts = 0;     ///< Restarts the degradation rule used.
 };
 
-/// Solves for a general landscape (power iteration on the selected product).
+/// Solves for a general landscape (shifted power iteration on Fmmp).
 QuasispeciesResult solve(const core::MutationModel& model,
                          const core::Landscape& landscape,
                          const SolveOptions& options = {});

@@ -288,7 +288,8 @@ WEigenResult inverse_iteration_w(const core::MutationModel& model,
   WEigenResult bad;
   if (poisoned_start(start, bad)) return bad;
   const SymmetricWContext ctx(model, landscape, options.engine);
-  IterationDriver driver(options, io::SolverKind::shift_invert);
+  IterationDriver driver(options, io::SolverKind::shift_invert,
+                         static_cast<std::size_t>(model.dimension()));
   return run_shifted_outer(ctx, ctx.symmetric_start(start), options,
                            std::move(driver), mu,
                            /*rayleigh_after_residual=*/0.0);
@@ -299,7 +300,8 @@ WEigenResult resume_inverse_iteration_w(const core::MutationModel& model,
                                         const io::SolverCheckpoint& checkpoint,
                                         const ShiftInvertOptions& options) {
   const SymmetricWContext ctx(model, landscape, options.engine);
-  IterationDriver driver(options, io::SolverKind::shift_invert);
+  IterationDriver driver(options, io::SolverKind::shift_invert,
+                         static_cast<std::size_t>(model.dimension()));
   IterationTrace trace;
   WEigenResult out;
   if (!restore_shift_invert(ctx, checkpoint, driver, trace, out)) return out;
@@ -317,7 +319,8 @@ WEigenResult rayleigh_quotient_iteration_w(const core::MutationModel& model,
   WEigenResult bad;
   if (poisoned_start(start, bad)) return bad;
   const SymmetricWContext ctx(model, landscape, options.engine);
-  IterationDriver driver(options, io::SolverKind::shift_invert);
+  IterationDriver driver(options, io::SolverKind::shift_invert,
+                         static_cast<std::size_t>(model.dimension()));
   // A generic start has an *interior* Rayleigh quotient, and pure RQI
   // converges to whatever eigenvalue is nearest — not necessarily the
   // dominant one.  A short power-iteration warm-up (cheap Fmmp products)
@@ -340,7 +343,8 @@ WEigenResult resume_rayleigh_quotient_iteration_w(
     const core::MutationModel& model, const core::Landscape& landscape,
     const io::SolverCheckpoint& checkpoint, const ShiftInvertOptions& options) {
   const SymmetricWContext ctx(model, landscape, options.engine);
-  IterationDriver driver(options, io::SolverKind::shift_invert);
+  IterationDriver driver(options, io::SolverKind::shift_invert,
+                         static_cast<std::size_t>(model.dimension()));
   IterationTrace trace;
   WEigenResult out;
   if (!restore_shift_invert(ctx, checkpoint, driver, trace, out)) return out;
@@ -358,7 +362,8 @@ WEigenResult smallest_eigenpair_w(const core::MutationModel& model,
                                   const core::Landscape& landscape,
                                   const ShiftInvertOptions& options) {
   const SymmetricWContext ctx(model, landscape, options.engine);
-  IterationDriver driver(options, io::SolverKind::shift_invert);
+  IterationDriver driver(options, io::SolverKind::shift_invert,
+                         static_cast<std::size_t>(model.dimension()));
   // Shift just below the paper's lower bound (1-2p)^nu f_min <= lambda_min:
   // the nearest eigenvalue to mu is then *guaranteed* to be lambda_min, the
   // system stays positive definite (CG path), and once the iterate has

@@ -141,14 +141,14 @@ void ReplicaEnsemble::compute_expected(bool batched) {
     // Unpack in one i-major sweep (column-major reads would touch a whole
     // cache line per element — w strided passes over the panel), fusing the
     // sanitiser's clamp + normaliser sum into the same sweep: partial sums
-    // land in FIXED 4096-element blocks and are reduced in block order, so
-    // the normaliser — hence the whole trajectory — is bit-identical no
-    // matter how the engine chunks the index space.  Only the scale sweep
-    // remains as a second pass.
+    // land in the FIXED kNormaliserBlock blocks of sanitize_distribution and
+    // are reduced in block order, so the normaliser — hence the whole
+    // trajectory — is bit-identical to the sequential path's, however the
+    // engine chunks the index space.  Only the scale sweep remains as a
+    // second pass.
     {
       QS_TRACE_SPAN("ensemble.unpack", kernel);
-      constexpr std::size_t kBlock = 4096;
-      const std::size_t blocks = (n + kBlock - 1) / kBlock;
+      const std::size_t blocks = (n + kNormaliserBlock - 1) / kNormaliserBlock;
       block_sums_.assign(blocks * w, 0.0);
       const double* pp = panel.data();
       double* bs = block_sums_.data();
@@ -160,9 +160,9 @@ void ReplicaEnsemble::compute_expected(bool batched) {
           const std::size_t wc = width;
           double colsum[kMaxPanelWidth];
           for (std::size_t b = bb; b < be; ++b) {
-            const std::size_t i1 = std::min(n, (b + 1) * kBlock);
+            const std::size_t i1 = std::min(n, (b + 1) * kNormaliserBlock);
             for (std::size_t j = 0; j < wc; ++j) colsum[j] = 0.0;
-            for (std::size_t i = b * kBlock; i < i1; ++i) {
+            for (std::size_t i = b * kNormaliserBlock; i < i1; ++i) {
               for (std::size_t j = 0; j < wc; ++j) {
                 double v = pp[i * wc + j];
                 if (!(v > 0.0)) v = 0.0;  // negatives, -0.0, and NaN carry no mass

@@ -121,10 +121,17 @@ void sanitize_distribution(std::span<double> probabilities) {
   require(!probabilities.empty(), "sanitize_distribution: empty vector");
   // Clamp BEFORE summing: the clamped mass then never enters the
   // normaliser, so the rescaled entries sum to 1 exactly (to rounding).
+  const std::size_t n = probabilities.size();
   double total = 0.0;
-  for (double& v : probabilities) {
-    if (!(v > 0.0)) v = 0.0;  // negatives, -0.0, and NaN carry no mass
-    total += v;
+  for (std::size_t b = 0; b < n; b += kNormaliserBlock) {
+    const std::size_t end = std::min(n, b + kNormaliserBlock);
+    double block = 0.0;
+    for (std::size_t i = b; i < end; ++i) {
+      double& v = probabilities[i];
+      if (!(v > 0.0)) v = 0.0;  // negatives, -0.0, and NaN carry no mass
+      block += v;
+    }
+    total += block;
   }
   require(total > 0.0 && std::isfinite(total),
           "sanitize_distribution: no positive mass");

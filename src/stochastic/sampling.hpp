@@ -7,6 +7,7 @@
 // deterministic RNG so simulation runs are reproducible by seed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -46,13 +47,21 @@ void multinomial_sample_into(Xoshiro256& rng, std::uint64_t n,
 /// positive-weight category).
 std::size_t categorical_sample(Xoshiro256& rng, std::span<const double> weights);
 
+/// Block length of every normaliser sum over a distribution: partial sums
+/// run left to right inside fixed blocks of this many entries and combine
+/// in block order.  sanitize_distribution and the ensemble's batched unpack
+/// (which fans the blocks across engine lanes) share it, so both give the
+/// same normaliser bit for bit at every dimension.
+inline constexpr std::size_t kNormaliserBlock = 4096;
+
 /// Turns an almost-probability vector (nonnegative up to rounding dust,
 /// almost 1-norm-1) into an exact sampler input: clamps negative entries to
 /// zero FIRST, then renormalises, so the result is nonnegative and sums to
 /// 1 to machine precision regardless of how much negative dust the fast
 /// mutation product left behind.  The reverse order (normalise, then clamp)
 /// re-introduces a sum error of twice the clamped mass and can trip the
-/// samplers' |sum - 1| < 1e-6 precondition.  Requires positive total mass.
+/// samplers' |sum - 1| < 1e-6 precondition.  The normaliser is summed in
+/// kNormaliserBlock blocks.  Requires positive total mass.
 void sanitize_distribution(std::span<double> probabilities);
 
 }  // namespace qs::stochastic

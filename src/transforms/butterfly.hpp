@@ -1,4 +1,4 @@
-// Generic 2x2-factor Kronecker butterfly transforms.
+// The 2x2 site factor of the Kronecker-structured mutation matrix.
 //
 // Every mutation matrix of the form Q = M_{nu-1} (x) ... (x) M_0 with 2x2
 // factors (uniform error rate, per-site error rates, asymmetric 0->1 / 1->0
@@ -7,18 +7,15 @@
 // the structural heart of the paper's Fmmp (Section 2.1) in its full
 // per-site generality (Section 2.2).
 //
-// The transforms below are the paper's Algorithm 1 (serial level sweeps, in
-// either level order) and Algorithm 2 (one engine launch per level with the
-// GPU index map) verbatim.  They are test oracles and bench baselines only:
-// every product in the library runs the banded kernel of
-// transforms/blocked_butterfly, which computes the same bits.
+// Every product in the library runs the banded kernel of
+// transforms/blocked_butterfly.  The paper's Algorithm 1 and Algorithm 2,
+// which compute the same bits level by level, live in the
+// quasispecies_reference target (reference/butterfly.hpp) as test oracles
+// and bench baselines.
 #pragma once
 
-#include <array>
-#include <span>
-#include <vector>
-
-#include "parallel/engine.hpp"
+#include <algorithm>
+#include <cmath>
 
 namespace qs::transforms {
 
@@ -41,40 +38,12 @@ struct Factor2 {
   }
 
   /// Maximum column-sum deviation from 1.
-  double stochastic_deviation() const;
+  double stochastic_deviation() const {
+    return std::max(std::abs(m00 + m10 - 1.0), std::abs(m01 + m11 - 1.0));
+  }
 
   /// Transposed factor.
   constexpr Factor2 transposed() const { return {m00, m10, m01, m11}; }
 };
-
-/// Order in which the butterfly levels are traversed.  Both orders compute
-/// the same product because the level operators commute; they differ in
-/// memory traversal, which is what the paper's Eq. (9) vs Eq. (10)
-/// distinction amounts to for an iterative implementation.
-enum class LevelOrder {
-  ascending,   ///< stride 1, 2, 4, ... (Eq. (9) unrolled bottom-up)
-  descending,  ///< stride N/2, ..., 2, 1 (Eq. (10))
-};
-
-/// In-place transform v <- (F_{nu-1} (x) ... (x) F_0) v where factors[k]
-/// acts on bit k. Requires v.size() == 2^factors.size().
-void apply_butterfly(std::span<double> v, std::span<const Factor2> factors,
-                     LevelOrder order = LevelOrder::ascending);
-
-/// Uniform special case: every level applies Factor2::uniform(p); this is
-/// the literal Algorithm 1 of the paper.
-void apply_uniform_butterfly(std::span<double> v, double p,
-                             LevelOrder order = LevelOrder::ascending);
-
-/// In-place single level of stride 2^k: v <- (I (x) F (x) I) v with F on
-/// bit k.
-void apply_butterfly_level(std::span<double> v, const Factor2& f, unsigned k);
-
-/// The paper's Algorithm 2: the ascending butterfly with one engine launch
-/// per level over the N/2 independent pair indices ID, pair (j, j + stride)
-/// with j = 2*ID - (ID & (stride - 1)).  Bit-identical to apply_butterfly.
-/// Requires v.size() == 2^factors.size().
-void apply_butterfly_per_level(std::span<double> v, std::span<const Factor2> factors,
-                               const parallel::Engine& engine);
 
 }  // namespace qs::transforms

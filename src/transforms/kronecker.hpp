@@ -10,11 +10,12 @@
 // matrix represented is factors[g-1] (x) ... (x) factors[0], consistent
 // with the 2x2 butterfly convention of transforms/butterfly.hpp.
 //
-// KroneckerProduct::apply (the serial factor-by-factor sweep, Algorithm 1's
-// grouped form) and apply_kronecker_per_group (one engine launch per group,
-// Algorithm 2's) are the paper's algorithms verbatim: test oracles and bench
-// baselines only.  Every grouped product in the library runs
-// apply_blocked_kronecker, which computes the same bits.
+// Every grouped product in the library runs apply_blocked_kronecker.  The
+// paper's algorithms verbatim — the serial factor-by-factor sweep
+// (Algorithm 1's grouped form) and one engine launch per group (Algorithm
+// 2's), which compute the same bits — live with the dense materialisation
+// in the quasispecies_reference target (reference/kronecker.hpp) as test
+// oracles and bench baselines.
 #pragma once
 
 #include <cstddef>
@@ -46,8 +47,8 @@ class KroneckerProduct {
   unsigned group_bits(std::size_t i) const { return group_bits_[i]; }
 
   /// Total bit width nu = sum_i g_i. May exceed the explicitly indexable
-  /// range (factors are stored per group); apply()/to_dense() additionally
-  /// require total_bits() <= kMaxChainLength.
+  /// range (factors are stored per group); a product additionally requires
+  /// total_bits() <= kMaxChainLength.
   unsigned total_bits() const { return total_bits_; }
 
   /// Dimension N = 2^nu of the represented matrix.
@@ -58,35 +59,16 @@ class KroneckerProduct {
     return std::size_t{1} << total_bits_;
   }
 
-  /// In-place mat-vec v <- K v, one serial sweep per factor (reference).
-  /// Requires v.size() == dimension().
-  void apply(std::span<double> v) const;
-
   /// Maximum column-sum deviation from 1 across all factors (validity check
   /// for mutation models: the Kronecker product of column-stochastic factors
   /// is column stochastic).
   double stochastic_deviation() const;
-
-  /// Materialises the full dense matrix; for tests, requires dimension()
-  /// small enough to allocate.
-  linalg::DenseMatrix to_dense() const;
 
  private:
   std::vector<linalg::DenseMatrix> factors_;
   std::vector<unsigned> group_bits_;
   unsigned total_bits_ = 0;
 };
-
-/// Dense Kronecker product A (x) B (small operands; test utility).
-linalg::DenseMatrix kronecker_dense(const linalg::DenseMatrix& a,
-                                    const linalg::DenseMatrix& b);
-
-/// Per-group reference product v <- K v: one engine launch per group factor,
-/// each work item contracting one strided tuple of the group's size (the
-/// generalisation of a butterfly pair).  Bit-identical to
-/// KroneckerProduct::apply.  Requires v.size() == kp.dimension().
-void apply_kronecker_per_group(std::span<double> v, const KroneckerProduct& kp,
-                               const parallel::Engine& engine);
 
 /// Engine-parallel cache-blocked grouped Kronecker product on an interleaved
 /// panel of width m (m = 1 is the plain vector case): every column j of the

@@ -6,8 +6,10 @@
 #include <cmath>
 #include <vector>
 
-#include "core/explicit_q.hpp"
 #include "core/site_process.hpp"
+#include "reference/butterfly.hpp"
+#include "reference/explicit_q.hpp"
+#include "reference/kronecker.hpp"
 #include "support/binomial.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
@@ -172,7 +174,7 @@ TEST(MutationModelGrouped, EngineApplyMatchesSerial) {
   std::vector<double> serial(16), via_engine(16);
   Xoshiro256 rng(11);
   for (std::size_t i = 0; i < 16; ++i) serial[i] = via_engine[i] = rng.uniform(0.0, 1.0);
-  model.group_product().apply(serial);
+  transforms::apply_kronecker(serial, model.group_product());
   model.apply(via_engine, parallel::parallel_engine());
   for (std::size_t i = 0; i < 16; ++i) EXPECT_EQ(serial[i], via_engine[i]);
 }

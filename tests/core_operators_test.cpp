@@ -7,10 +7,10 @@
 
 #include "core/fmmp.hpp"
 #include "core/site_process.hpp"
-#include "core/smvp.hpp"
-#include "core/xmvp.hpp"
 #include "linalg/vector_ops.hpp"
-#include "reference_fmmp.hpp"
+#include "reference/fmmp.hpp"
+#include "reference/smvp.hpp"
+#include "reference/xmvp.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 

@@ -8,9 +8,9 @@
 #include <map>
 #include <vector>
 
-#include "core/explicit_q.hpp"
 #include "core/site_process.hpp"
 #include "linalg/jacobi_eigen.hpp"
+#include "reference/explicit_q.hpp"
 #include "support/binomial.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"

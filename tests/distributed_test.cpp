@@ -9,7 +9,7 @@
 #include "distributed/block_layout.hpp"
 #include "distributed/distributed_solver.hpp"
 #include "linalg/vector_ops.hpp"
-#include "reference_fmmp.hpp"
+#include "reference/fmmp.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"

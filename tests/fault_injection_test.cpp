@@ -1,7 +1,7 @@
 // Fault-injection tests: every failure family the resilience layer handles
 // (poisoned products, throwing kernels, failing checkpoint I/O) is injected
 // deterministically and the corresponding guard is shown to fire.
-#include "testing/fault_injection.hpp"
+#include "reference/fault_injection.hpp"
 
 #include <gtest/gtest.h>
 

@@ -7,15 +7,15 @@
 
 #include "analysis/error_classes.hpp"
 #include "analysis/threshold.hpp"
-#include "core/explicit_q.hpp"
 #include "core/fmmp.hpp"
-#include "core/smvp.hpp"
 #include "core/spectral.hpp"
-#include "core/xmvp.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/vector_ops.hpp"
 #include "ode/integrators.hpp"
 #include "ode/replicator.hpp"
+#include "reference/explicit_q.hpp"
+#include "reference/smvp.hpp"
+#include "reference/xmvp.hpp"
 #include "solvers/kronecker_solver.hpp"
 #include "solvers/power_iteration.hpp"
 #include "solvers/quasispecies_solver.hpp"
@@ -172,13 +172,13 @@ TEST(Integration, GeneralizedMutationBeyondUniformRates) {
   const auto fast = solvers::solve(model, landscape, opts);
   ASSERT_TRUE(fast.converged);
 
-  solvers::SolveOptions dense_opts;
-  dense_opts.matvec = solvers::MatvecKind::smvp;
-  const auto dense = solvers::solve(model, landscape, dense_opts);
+  // The facade's iteration on Smvp: an asymmetric model runs unshifted.
+  const core::SmvpOperator smvp(model, landscape);
+  const auto dense = solvers::power_iteration(smvp, solvers::landscape_start(landscape));
   ASSERT_TRUE(dense.converged);
 
   EXPECT_NEAR(fast.eigenvalue, dense.eigenvalue, 1e-10);
-  EXPECT_LT(linalg::max_abs_diff(fast.concentrations, dense.concentrations), 1e-10);
+  EXPECT_LT(linalg::max_abs_diff(fast.concentrations, dense.eigenvector), 1e-10);
 }
 
 

@@ -28,10 +28,17 @@ namespace {
 
 using Verdict = IterationDriver::Verdict;
 
+/// The problem size every driver below is built for: its stall floor bound
+/// is stall_floor_bound(kDimension), about 4e-12.
+constexpr std::size_t kDimension = std::size_t{1} << 16;
+
+/// A residual at the numerical floor, far below that bound.
+constexpr double kFloor = 1e-16;
+
 TEST(IterationDriverTest, ObserveConvergesAtTheTolerance) {
   IterationOptions options;
   options.tolerance = 1e-8;
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   IterationResult out;
 
   EXPECT_EQ(driver.observe(1, 1e-7, out), Verdict::proceed);
@@ -45,7 +52,7 @@ TEST(IterationDriverTest, ObserveFiresTheResidualHook) {
   options.tolerance = 0.0;
   std::vector<std::pair<unsigned, double>> seen;
   options.on_residual = [&](unsigned it, double res) { seen.emplace_back(it, res); };
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   IterationResult out;
 
   driver.observe(3, 0.5, out);
@@ -60,16 +67,16 @@ TEST(IterationDriverTest, StallWindowFiresAndStallAcceptDecidesConvergence) {
   options.tolerance = 0.0;  // never converge on tolerance
   options.stall_window = 3;
   options.stall_accept = 1e-2;
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   IterationResult out;
 
   // The first full window only establishes the reference best (it always
   // counts as progress against the initial infinity); a second window with a
-  // flat residual then fires the stall.
+  // flat residual at the floor then fires the stall.
   for (unsigned it = 1; it <= 5; ++it) {
-    EXPECT_EQ(driver.observe(it, 1e-3, out), Verdict::proceed) << it;
+    EXPECT_EQ(driver.observe(it, kFloor, out), Verdict::proceed) << it;
   }
-  EXPECT_EQ(driver.observe(6, 1e-3, out), Verdict::stalled);
+  EXPECT_EQ(driver.observe(6, kFloor, out), Verdict::stalled);
   EXPECT_TRUE(out.stalled);
   // The floor sits below stall_accept, so the stalled run still counts as
   // converged.
@@ -80,23 +87,53 @@ TEST(IterationDriverTest, StallAboveStallAcceptIsNotConverged) {
   IterationOptions options;
   options.tolerance = 0.0;
   options.stall_window = 2;
-  options.stall_accept = 1e-9;
-  IterationDriver driver(options, io::SolverKind::power);
+  options.stall_accept = 1e-20;  // below the floor
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   IterationResult out;
 
-  EXPECT_EQ(driver.observe(1, 0.5, out), Verdict::proceed);
-  EXPECT_EQ(driver.observe(2, 0.5, out), Verdict::proceed);  // reference window
-  EXPECT_EQ(driver.observe(3, 0.5, out), Verdict::proceed);
-  EXPECT_EQ(driver.observe(4, 0.5, out), Verdict::stalled);
+  EXPECT_EQ(driver.observe(1, kFloor, out), Verdict::proceed);
+  EXPECT_EQ(driver.observe(2, kFloor, out), Verdict::proceed);  // reference window
+  EXPECT_EQ(driver.observe(3, kFloor, out), Verdict::proceed);
+  EXPECT_EQ(driver.observe(4, kFloor, out), Verdict::stalled);
   EXPECT_TRUE(out.stalled);
   EXPECT_FALSE(out.converged);
+}
+
+TEST(IterationDriverTest, FlatWindowsAboveTheFloorBoundAreNotAStall) {
+  // Near the error threshold the residual first rises from the landscape
+  // start, so whole windows pass without a new best far above the floor.
+  // Those keep iterating; the same flat windows at the floor stall.
+  EXPECT_EQ(stall_floor_bound(kDimension),
+            kStallFloorSlack * 17.0 * std::numeric_limits<double>::epsilon());
+  IterationOptions options;
+  options.tolerance = 0.0;
+  options.stall_window = 2;
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
+  IterationResult out;
+
+  unsigned it = 0;
+  for (double residual : {1e-3, 2e-3, 2e-3, 2e-3, 2e-3, 2e-3, 2e-3, 2e-3}) {
+    EXPECT_EQ(driver.observe(++it, residual, out), Verdict::proceed) << it;
+  }
+  // Just above the bound is still not the floor.
+  const double above = 1.01 * stall_floor_bound(kDimension);
+  for (int k = 0; k < 6; ++k) {
+    EXPECT_EQ(driver.observe(++it, above, out), Verdict::proceed) << it;
+  }
+  EXPECT_FALSE(out.stalled);
+  EXPECT_EQ(driver.observe(++it, kFloor, out), Verdict::proceed);
+  EXPECT_EQ(driver.observe(++it, kFloor, out), Verdict::proceed);
+  EXPECT_EQ(driver.observe(++it, kFloor, out), Verdict::proceed);
+  EXPECT_EQ(driver.observe(++it, kFloor, out), Verdict::stalled);
+  EXPECT_TRUE(out.stalled);
+  EXPECT_TRUE(out.converged);  // the floor sits below the default stall_accept
 }
 
 TEST(IterationDriverTest, ProgressResetsTheStallWindow) {
   IterationOptions options;
   options.tolerance = 0.0;
   options.stall_window = 2;
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   IterationResult out;
 
   // Each window ends with the best residual improved by more than 5 %, so
@@ -110,7 +147,7 @@ TEST(IterationDriverTest, ProgressResetsTheStallWindow) {
 
 TEST(IterationDriverTest, GuardStampsAStructuredFailure) {
   IterationOptions options;
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   IterationResult out;
 
   EXPECT_TRUE(driver.guard({1.0, 2.0}, out));
@@ -135,7 +172,7 @@ TEST(IterationDriverTest, CheckpointCadenceAndPayloadThroughTheSink) {
   options.checkpoint_sink = [&](const io::SolverCheckpoint& ck) {
     checkpoints.push_back(ck);
   };
-  IterationDriver driver(options, io::SolverKind::lanczos);
+  IterationDriver driver(options, io::SolverKind::lanczos, kDimension);
   ASSERT_TRUE(driver.checkpointing());
 
   IterationResult out;
@@ -167,7 +204,7 @@ TEST(IterationDriverTest, TimeCadenceAloneDrivesCheckpointsAndResetsOnWrite) {
   options.checkpoint_every_seconds = 0.005;
   unsigned writes = 0;
   options.checkpoint_sink = [&](const io::SolverCheckpoint&) { ++writes; };
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   ASSERT_TRUE(driver.checkpointing());
 
   IterationResult out;
@@ -191,7 +228,7 @@ TEST(IterationDriverTest, TimeAndIterationCadencesAreAUnion) {
   options.checkpoint_every_seconds = 3600.0;
   unsigned writes = 0;
   options.checkpoint_sink = [&](const io::SolverCheckpoint&) { ++writes; };
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   IterationResult out;
   const std::vector<double> iterate = {1.0};
   for (unsigned it = 1; it <= 7; ++it) driver.maybe_checkpoint(it, out, iterate);
@@ -203,7 +240,7 @@ TEST(IterationDriverTest, TimeAndIterationCadencesAreAUnion) {
   both.checkpoint_every_seconds = 0.005;
   unsigned timed_writes = 0;
   both.checkpoint_sink = [&](const io::SolverCheckpoint&) { ++timed_writes; };
-  IterationDriver timed(both, io::SolverKind::power);
+  IterationDriver timed(both, io::SolverKind::power, kDimension);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   timed.maybe_checkpoint(2, out, iterate);  // not a multiple of 1000000
   EXPECT_EQ(timed_writes, 1u);
@@ -212,14 +249,14 @@ TEST(IterationDriverTest, TimeAndIterationCadencesAreAUnion) {
 TEST(IterationDriverTest, NegativeSecondsCadenceIsRejected) {
   IterationOptions options;
   options.checkpoint_every_seconds = -1.0;
-  EXPECT_THROW(IterationDriver(options, io::SolverKind::power),
+  EXPECT_THROW(IterationDriver(options, io::SolverKind::power, kDimension),
                precondition_error);
 }
 
 TEST(IterationDriverTest, NoPathAndNoSinkMeansNoCheckpointing) {
   IterationOptions options;
   options.checkpoint_every = 1;  // cadence alone is not enough
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   EXPECT_FALSE(driver.checkpointing());
 }
 
@@ -229,7 +266,7 @@ TEST(IterationDriverTest, AThrowingSinkIsCountedNotFatal) {
   options.checkpoint_sink = [](const io::SolverCheckpoint&) {
     throw std::runtime_error("disk full");
   };
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
   IterationResult out;
   const std::vector<double> iterate = {1.0};
 
@@ -252,27 +289,27 @@ TEST(IterationDriverTest, RestoreContinuesTheStallAccountingVerbatim) {
   // One full flat window establishes the reference best, then two more flat
   // checks leave the first driver one check away from stalling; the
   // checkpoint carries exactly that state.
-  IterationDriver first(options, io::SolverKind::power);
+  IterationDriver first(options, io::SolverKind::power, kDimension);
   IterationResult out;
-  for (unsigned it = 1; it <= 5; ++it) first.observe(it, 1e-3, out);
+  for (unsigned it = 1; it <= 5; ++it) first.observe(it, kFloor, out);
   const std::vector<double> iterate = {1.0};
   first.write_checkpoint(5, out, iterate);
   ASSERT_EQ(checkpoints.size(), 1u);
   EXPECT_EQ(checkpoints.front().checks_without_progress, 2u);
-  EXPECT_EQ(checkpoints.front().window_start_best, 1e-3);
+  EXPECT_EQ(checkpoints.front().window_start_best, kFloor);
 
   // A restored driver stalls on its very next flat check — exactly where
   // the uninterrupted run would have.
-  IterationDriver second(options, io::SolverKind::power);
+  IterationDriver second(options, io::SolverKind::power, kDimension);
   second.restore(checkpoints.front());
   IterationResult out2;
-  EXPECT_EQ(second.observe(6, 1e-3, out2), Verdict::stalled);
+  EXPECT_EQ(second.observe(6, kFloor, out2), Verdict::stalled);
   EXPECT_TRUE(out2.stalled);
 
   // A fresh driver without the restored state needs its full window again.
-  IterationDriver fresh(options, io::SolverKind::power);
+  IterationDriver fresh(options, io::SolverKind::power, kDimension);
   IterationResult out3;
-  EXPECT_EQ(fresh.observe(6, 1e-3, out3), Verdict::proceed);
+  EXPECT_EQ(fresh.observe(6, kFloor, out3), Verdict::proceed);
 }
 
 TEST(IterationDriverTest, CheckpointPathRoundTripsThroughBinaryIo) {
@@ -283,7 +320,7 @@ TEST(IterationDriverTest, CheckpointPathRoundTripsThroughBinaryIo) {
   IterationOptions options;
   options.checkpoint_every = 1;
   options.checkpoint_path = path;
-  IterationDriver driver(options, io::SolverKind::arnoldi);
+  IterationDriver driver(options, io::SolverKind::arnoldi, kDimension);
   ASSERT_TRUE(driver.checkpointing());
 
   IterationResult out;
@@ -307,7 +344,7 @@ TEST(IterationDriverTest, CheckpointPathRoundTripsThroughBinaryIo) {
 TEST(IterationDriverTest, ShouldCheckHonoursCadenceAndTheFinalIteration) {
   IterationOptions options;
   options.residual_check_every = 4;
-  IterationDriver driver(options, io::SolverKind::power);
+  IterationDriver driver(options, io::SolverKind::power, kDimension);
 
   EXPECT_FALSE(driver.should_check(1, 10));
   EXPECT_TRUE(driver.should_check(4, 10));
@@ -318,7 +355,7 @@ TEST(IterationDriverTest, ShouldCheckHonoursCadenceAndTheFinalIteration) {
 TEST(IterationDriverTest, ZeroResidualCadenceIsRejected) {
   IterationOptions options;
   options.residual_check_every = 0;
-  EXPECT_THROW(IterationDriver(options, io::SolverKind::power),
+  EXPECT_THROW(IterationDriver(options, io::SolverKind::power, kDimension),
                precondition_error);
 }
 

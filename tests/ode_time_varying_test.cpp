@@ -8,10 +8,10 @@
 #include "linalg/vector_ops.hpp"
 #include "ode/integrators.hpp"
 #include "ode/replicator.hpp"
+#include "reference/butterfly.hpp"
 #include "solvers/quasispecies_solver.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
-#include "transforms/butterfly.hpp"
 
 namespace qs::ode {
 namespace {

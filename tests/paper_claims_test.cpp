@@ -6,10 +6,10 @@
 
 #include <cmath>
 
-#include "core/explicit_q.hpp"
-#include "core/xmvp.hpp"
-#include "solvers/quasispecies_solver.hpp"
 #include "linalg/dense_matrix.hpp"
+#include "reference/explicit_q.hpp"
+#include "reference/xmvp.hpp"
+#include "solvers/quasispecies_solver.hpp"
 #include "support/binomial.hpp"
 #include "support/bits.hpp"
 

@@ -12,6 +12,7 @@
 #include "core/mutation_model.hpp"
 #include "core/spectral.hpp"
 #include "parallel/thread_pool_backend.hpp"
+#include "reference/butterfly.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/rng.hpp"
 

@@ -5,13 +5,13 @@
 #include <cmath>
 #include <set>
 
-#include "core/explicit_q.hpp"
 #include "core/fmmp.hpp"
 #include "distributed/distributed_solver.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/krylov.hpp"
 #include "linalg/vector_ops.hpp"
-#include "reference_fmmp.hpp"
+#include "reference/explicit_q.hpp"
+#include "reference/fmmp.hpp"
 #include "rna/alphabet.hpp"
 #include "rna/rna_model.hpp"
 #include "stochastic/sampling.hpp"

@@ -9,11 +9,11 @@
 #include <cmath>
 
 #include "analysis/error_classes.hpp"
-#include "core/explicit_q.hpp"
 #include "core/fmmp.hpp"
-#include "core/smvp.hpp"
 #include "core/spectral.hpp"
 #include "linalg/vector_ops.hpp"
+#include "reference/explicit_q.hpp"
+#include "reference/smvp.hpp"
 #include "solvers/power_iteration.hpp"
 #include "solvers/reduced_solver.hpp"
 #include "support/rng.hpp"

@@ -14,10 +14,10 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "io/binary_io.hpp"
+#include "reference/fault_injection.hpp"
 #include "solvers/power_iteration.hpp"
 #include "solvers/quasispecies_solver.hpp"
 #include "support/contracts.hpp"
-#include "testing/fault_injection.hpp"
 
 namespace qs {
 namespace {

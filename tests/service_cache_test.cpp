@@ -11,7 +11,7 @@
 #include <fstream>
 #include <limits>
 
-#include "testing/fault_injection.hpp"
+#include "reference/fault_injection.hpp"
 
 namespace qs::service {
 namespace {

@@ -6,10 +6,10 @@
 
 #include <cstring>
 
+#include "reference/fault_injection.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/transport.hpp"
-#include "testing/fault_injection.hpp"
 
 namespace qs::service {
 namespace {

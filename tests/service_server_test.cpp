@@ -16,10 +16,10 @@
 #include <future>
 #include <thread>
 
+#include "reference/fault_injection.hpp"
 #include "service/client.hpp"
 #include "solvers/quasispecies_solver.hpp"
 #include "stochastic/ensemble.hpp"
-#include "testing/fault_injection.hpp"
 
 namespace qs::service {
 namespace {

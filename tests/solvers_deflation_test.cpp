@@ -5,10 +5,10 @@
 
 #include <cmath>
 
-#include "core/explicit_q.hpp"
 #include "core/fmmp.hpp"
 #include "core/spectral.hpp"
 #include "linalg/jacobi_eigen.hpp"
+#include "reference/explicit_q.hpp"
 #include "support/contracts.hpp"
 
 namespace qs::solvers {

@@ -6,13 +6,31 @@
 #include <utility>
 #include <vector>
 
+#include "core/spectral.hpp"
 #include "distributed/reduction.hpp"
 #include "linalg/vector_ops.hpp"
 #include "parallel/engine.hpp"
+#include "reference/smvp.hpp"
+#include "reference/sparse_w.hpp"
+#include "reference/xmvp.hpp"
+#include "solvers/power_iteration.hpp"
 #include "support/contracts.hpp"
 
 namespace qs::solvers {
 namespace {
+
+/// The facade's solve on a reference product: the same shifted power
+/// iteration from the same landscape start, with `op` in place of Fmmp.
+/// (The uniform models below are symmetric, so the facade shifts.)
+PowerResult reference_solve(const core::LinearOperator& op,
+                            const core::MutationModel& model,
+                            const core::Landscape& landscape,
+                            double tolerance = SolveOptions{}.tolerance) {
+  PowerOptions opts;
+  opts.tolerance = tolerance;
+  opts.shift = core::conservative_shift(model, landscape);
+  return power_iteration(op, landscape_start(landscape), opts);
+}
 
 TEST(Facade, GeneralAndReducedPathsAgreeOnErrorClassLandscape) {
   const unsigned nu = 9;
@@ -37,31 +55,23 @@ TEST(Facade, GeneralAndReducedPathsAgreeOnErrorClassLandscape) {
             1e-8);
 }
 
-TEST(Facade, AllMatvecKindsAgree) {
+TEST(Facade, AgreesWithSmvpAndXmvpOracles) {
   const unsigned nu = 8;
   const auto model = core::MutationModel::uniform(nu, 0.02);
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 3);
 
-  SolveOptions fmmp_opts;
-  fmmp_opts.matvec = MatvecKind::fmmp;
-  const auto fmmp = solve(model, landscape, fmmp_opts);
-
-  SolveOptions xmvp_opts;
-  xmvp_opts.matvec = MatvecKind::xmvp;
-  xmvp_opts.xmvp_d_max = nu;  // exact
-  const auto xmvp = solve(model, landscape, xmvp_opts);
-
-  SolveOptions smvp_opts;
-  smvp_opts.matvec = MatvecKind::smvp;
-  const auto smvp = solve(model, landscape, smvp_opts);
+  const auto fmmp = solve(model, landscape);
+  const auto xmvp =
+      reference_solve(core::XmvpOperator(model, landscape, nu), model, landscape);
+  const auto smvp = reference_solve(core::SmvpOperator(model, landscape), model, landscape);
 
   ASSERT_TRUE(fmmp.converged);
   ASSERT_TRUE(xmvp.converged);
   ASSERT_TRUE(smvp.converged);
   EXPECT_NEAR(fmmp.eigenvalue, smvp.eigenvalue, 1e-11);
   EXPECT_NEAR(xmvp.eigenvalue, smvp.eigenvalue, 1e-11);
-  EXPECT_LT(linalg::max_abs_diff(fmmp.concentrations, smvp.concentrations), 1e-10);
-  EXPECT_LT(linalg::max_abs_diff(xmvp.concentrations, smvp.concentrations), 1e-10);
+  EXPECT_LT(linalg::max_abs_diff(fmmp.concentrations, smvp.eigenvector), 1e-10);
+  EXPECT_LT(linalg::max_abs_diff(xmvp.eigenvector, smvp.eigenvector), 1e-10);
 }
 
 TEST(Facade, FormulationsYieldTheSameConcentrations) {
@@ -91,19 +101,15 @@ TEST(Facade, ApproximateXmvpIsCloseButNotExact) {
   const auto model = core::MutationModel::uniform(nu, 0.01);
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 5);
 
-  SolveOptions exact_opts;
-  const auto exact = solve(model, landscape, exact_opts);
-
-  SolveOptions approx_opts;
-  approx_opts.matvec = MatvecKind::xmvp;
-  approx_opts.xmvp_d_max = 5;
-  approx_opts.tolerance = 1e-10;  // the paper's tau for d = 5
-  const auto approx = solve(model, landscape, approx_opts);
+  const auto exact = solve(model, landscape);
+  // The paper's tau for d = 5 is 1e-10.
+  const auto approx = reference_solve(core::XmvpOperator(model, landscape, 5), model,
+                                      landscape, 1e-10);
 
   ASSERT_TRUE(exact.converged);
   ASSERT_TRUE(approx.converged);
   EXPECT_NEAR(approx.eigenvalue, exact.eigenvalue, 1e-6);
-  EXPECT_LT(linalg::max_abs_diff(approx.concentrations, exact.concentrations), 1e-6);
+  EXPECT_LT(linalg::max_abs_diff(approx.eigenvector, exact.concentrations), 1e-6);
 }
 
 TEST(Facade, EngineOptionGivesSameAnswer) {
@@ -173,38 +179,27 @@ TEST(Facade, RejectsDimensionMismatch) {
   EXPECT_THROW(solve(model, landscape), precondition_error);
 }
 
-
-TEST(Facade, SparseMatvecKindMatchesXmvp) {
+TEST(Facade, SparseWOracleMatchesXmvp) {
   // The CSR materialisation and the implicit XOR product are the same
-  // truncated matrix; through the facade they must produce the same solve.
+  // truncated matrix, exact at d = nu: through the facade's power iteration
+  // they must produce the same solve, and the facade's.
   const unsigned nu = 8;
   const auto model = core::MutationModel::uniform(nu, 0.02);
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 9);
 
-  SolveOptions xmvp_opts;
-  xmvp_opts.matvec = MatvecKind::xmvp;
-  xmvp_opts.xmvp_d_max = nu;
-  const auto via_xmvp = solve(model, landscape, xmvp_opts);
-
-  SolveOptions sparse_opts;
-  sparse_opts.matvec = MatvecKind::sparse;
-  sparse_opts.xmvp_d_max = nu;
-  const auto via_sparse = solve(model, landscape, sparse_opts);
+  const auto via_xmvp =
+      reference_solve(core::XmvpOperator(model, landscape, nu), model, landscape);
+  const auto via_sparse =
+      reference_solve(sparse::SparseWOperator(model, landscape, nu), model, landscape);
+  const auto facade = solve(model, landscape);
 
   ASSERT_TRUE(via_xmvp.converged);
   ASSERT_TRUE(via_sparse.converged);
+  ASSERT_TRUE(facade.converged);
   EXPECT_NEAR(via_xmvp.eigenvalue, via_sparse.eigenvalue, 1e-11);
-  EXPECT_LT(linalg::max_abs_diff(via_xmvp.concentrations, via_sparse.concentrations),
-            1e-10);
-}
-
-TEST(Facade, SparseKindRejectsNonRightFormulations) {
-  const auto model = core::MutationModel::uniform(4, 0.1);
-  const auto landscape = core::Landscape::flat(4, 1.0);
-  SolveOptions opts;
-  opts.matvec = MatvecKind::sparse;
-  opts.formulation = core::Formulation::symmetric;
-  EXPECT_THROW(solve(model, landscape, opts), precondition_error);
+  EXPECT_LT(linalg::max_abs_diff(via_xmvp.eigenvector, via_sparse.eigenvector), 1e-10);
+  EXPECT_NEAR(facade.eigenvalue, via_sparse.eigenvalue, 1e-11);
+  EXPECT_LT(linalg::max_abs_diff(facade.concentrations, via_sparse.eigenvector), 1e-10);
 }
 
 }  // namespace

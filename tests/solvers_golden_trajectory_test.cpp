@@ -16,10 +16,10 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "core/spectral.hpp"
+#include "reference/fmmp.hpp"
 #include "solvers/power_iteration.hpp"
 #include "solvers/quasispecies_solver.hpp"
 #include "support/rng.hpp"
-#include "reference_fmmp.hpp"
 #include "transforms/sv_microkernel.hpp"
 
 namespace qs::solvers {

@@ -7,13 +7,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/explicit_q.hpp"
 #include "core/fmmp.hpp"
 #include "core/spectral.hpp"
 #include "distributed/reduction.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/vector_ops.hpp"
 #include "parallel/engine.hpp"
+#include "reference/explicit_q.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 

@@ -4,11 +4,11 @@
 
 #include <cmath>
 
-#include "core/explicit_q.hpp"
 #include "core/fmmp.hpp"
 #include "core/spectral.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/vector_ops.hpp"
+#include "reference/explicit_q.hpp"
 #include "solvers/lanczos.hpp"
 #include "solvers/power_iteration.hpp"
 #include "solvers/shift_invert.hpp"

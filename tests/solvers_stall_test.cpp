@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include "core/fmmp.hpp"
+#include "core/landscape.hpp"
 #include "core/spectral.hpp"
 #include "solvers/power_iteration.hpp"
+#include "solvers/quasispecies_solver.hpp"
 #include "support/contracts.hpp"
 
 namespace qs::solvers {
@@ -92,6 +94,33 @@ TEST(Stall, SlowButConvergingRunsAreNotCutPrematurely) {
   EXPECT_TRUE(r.converged);
   EXPECT_FALSE(r.stalled);
   EXPECT_GT(r.iterations, 150u);  // genuinely slow...
+}
+
+TEST(Stall, ErrorThresholdSweepConvergesWithoutRecovery) {
+  // Near the error threshold the residual first rises from the peak-shaped
+  // landscape start, so whole stall windows pass without a new best far
+  // above the numerical floor.  None of them is a stall: with the default
+  // options every p across the nu = 16 threshold converges on the first
+  // attempt, to the exact reduced solution.
+  const unsigned nu = 16;
+  const auto classes = core::ErrorClassLandscape::single_peak(nu, 2.0, 1.0);
+  const auto landscape = classes.expand();
+  SolveOptions opts;
+  opts.tolerance = 1e-10;
+  for (int step = 0; step <= 20; ++step) {
+    const double p = 0.0430 + 1e-4 * step;
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    const auto r = solve(core::MutationModel::uniform(nu, p), landscape, opts);
+    ASSERT_TRUE(r.converged);
+    EXPECT_FALSE(r.stalled);
+    EXPECT_EQ(r.recovery_attempts, 0u);
+    const auto exact = solve(p, classes);
+    ASSERT_EQ(r.class_concentrations.size(), exact.class_concentrations.size());
+    for (unsigned k = 0; k <= nu; ++k) {
+      EXPECT_NEAR(r.class_concentrations[k], exact.class_concentrations[k], 1e-8)
+          << "class " << k;
+    }
+  }
 }
 
 }  // namespace

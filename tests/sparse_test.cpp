@@ -2,11 +2,11 @@
 #include <gtest/gtest.h>
 
 #include "core/fmmp.hpp"
-#include "core/xmvp.hpp"
 #include "linalg/vector_ops.hpp"
+#include "reference/csr.hpp"
+#include "reference/sparse_w.hpp"
+#include "reference/xmvp.hpp"
 #include "solvers/power_iteration.hpp"
-#include "sparse/csr.hpp"
-#include "sparse/sparse_w.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
 

@@ -81,10 +81,11 @@ TEST(ReplicaEnsemble, ExpectedMatchesWrightFisherPerReplica) {
 
 TEST(ReplicaEnsemble, BatchedAndSequentialExpectedAgree) {
   // Panel and single-vector products run the same span kernels, so every
-  // panel column is the single-vector product bit for bit; with n <= 4096
-  // the batched normaliser is one block, summed in the sequential order, so
-  // the whole expected distribution is bitwise equal.
-  for (const unsigned nu : {8u, 12u}) {
+  // panel column is the single-vector product bit for bit; both normalisers
+  // sum in the same kNormaliserBlock blocks in block order, so the whole
+  // expected distribution is bitwise equal — with one block (nu <= 12) and
+  // with several (nu = 13, 14).
+  for (const unsigned nu : {8u, 12u, 13u, 14u}) {
     SCOPED_TRACE(::testing::Message() << "nu=" << nu);
     const auto model = core::MutationModel::uniform(nu, 0.015);
     const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 11);

@@ -14,9 +14,9 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "parallel/thread_pool_backend.hpp"
-#include "reference_fmmp.hpp"
+#include "reference/butterfly.hpp"
+#include "reference/fmmp.hpp"
 #include "support/rng.hpp"
-#include "transforms/butterfly.hpp"
 
 namespace qs::transforms {
 namespace {

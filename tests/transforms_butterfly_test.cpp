@@ -1,14 +1,14 @@
 // Unit tests for the 2x2-factor Kronecker butterfly transforms.
-#include "transforms/butterfly.hpp"
+#include "reference/butterfly.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "linalg/dense_matrix.hpp"
+#include "reference/kronecker.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
-#include "transforms/kronecker.hpp"
 
 namespace qs::transforms {
 namespace {

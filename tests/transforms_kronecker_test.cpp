@@ -1,5 +1,5 @@
 // Unit tests for grouped Kronecker products.
-#include "transforms/kronecker.hpp"
+#include "reference/kronecker.hpp"
 
 #include <gtest/gtest.h>
 
@@ -48,12 +48,12 @@ TEST(KroneckerProduct, ApplyMatchesDense) {
   EXPECT_EQ(kp.dimension(), 16u);
   EXPECT_EQ(kp.total_bits(), 4u);
 
-  const linalg::DenseMatrix dense = kp.to_dense();
+  const linalg::DenseMatrix dense = to_dense(kp);
   std::vector<double> v(16), expected(16);
   Xoshiro256 rng(5);
   for (double& x : v) x = rng.uniform(-1.0, 1.0);
   dense.multiply(v, expected);
-  kp.apply(v);
+  apply_kronecker(v, kp);
   for (std::size_t i = 0; i < 16; ++i) EXPECT_NEAR(v[i], expected[i], 1e-13);
 }
 
@@ -64,7 +64,7 @@ TEST(KroneckerProduct, SingleFactorIsThatMatrix) {
   Xoshiro256 rng(8);
   for (double& x : v) x = rng.uniform(-1.0, 1.0);
   f.multiply(v, expected);
-  kp.apply(v);
+  apply_kronecker(v, kp);
   for (std::size_t i = 0; i < 8; ++i) EXPECT_NEAR(v[i], expected[i], 1e-14);
 }
 
@@ -73,7 +73,7 @@ TEST(KroneckerProduct, StochasticFactorsGiveStochasticProduct) {
                                            random_stochastic(2, 12)};
   const KroneckerProduct kp(factors);
   EXPECT_LT(kp.stochastic_deviation(), 1e-12);
-  EXPECT_LT(kp.to_dense().max_column_sum_deviation(), 1e-12);
+  EXPECT_LT(to_dense(kp).max_column_sum_deviation(), 1e-12);
 }
 
 TEST(KroneckerProduct, LsbConventionMatchesButterfly) {
@@ -84,7 +84,7 @@ TEST(KroneckerProduct, LsbConventionMatchesButterfly) {
   const KroneckerProduct kp({f0, f1});
   // Applying to e_0 must mix indices 0 and 1 (bit 0), not 0 and 2.
   std::vector<double> v{1.0, 0.0, 0.0, 0.0};
-  kp.apply(v);
+  apply_kronecker(v, kp);
   EXPECT_DOUBLE_EQ(v[0], 0.9);
   EXPECT_DOUBLE_EQ(v[1], 0.1);
   EXPECT_DOUBLE_EQ(v[2], 0.0);
@@ -102,7 +102,7 @@ TEST(KroneckerProduct, MassPreservation) {
     x = rng.uniform(0.0, 1.0);
     mass += x;
   }
-  kp.apply(v);
+  apply_kronecker(v, kp);
   double after = 0.0;
   for (double x : v) after += x;
   EXPECT_NEAR(after, mass, 1e-13 * mass);
@@ -118,7 +118,7 @@ TEST(KroneckerProduct, RejectsBadFactors) {
 TEST(KroneckerProduct, ApplyRejectsWrongDimension) {
   const KroneckerProduct kp({random_stochastic(4, 30)});
   std::vector<double> v(8);
-  EXPECT_THROW(kp.apply(v), qs::precondition_error);
+  EXPECT_THROW(apply_kronecker(v, kp), qs::precondition_error);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "parallel/engine.hpp"
+#include "reference/kronecker.hpp"
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/butterfly.hpp"
@@ -516,7 +517,7 @@ TEST(BlockedKronecker, MatchesSerialReferenceAcrossGroupShapes) {
       for (std::size_t j = 0; j < m; ++j) {
         reference[j] = random_vector(n, 70 + j);
         pack_panel_column(reference[j], panel, m, j);
-        kp.apply(reference[j]);
+        apply_kronecker(reference[j], kp);
       }
       for (parallel::Backend kind : kBackends) {
         const auto engine = parallel::make_engine(kind);
@@ -545,7 +546,7 @@ TEST(BlockedKronecker, GroupedMutationModelEnginePathsMatchSerial) {
   const std::size_t n = model.dimension();
   std::vector<double> reference = random_vector(n, 12);
   const std::vector<double> input = reference;
-  model.group_product().apply(reference);
+  apply_kronecker(reference, model.group_product());
   std::vector<double> v = input;
   model.apply(v);
   ASSERT_EQ(reference, v);

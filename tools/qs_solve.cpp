@@ -41,7 +41,6 @@ void print_usage() {
       "  lanczos             restarted Lanczos (faster, more memory)\n"
       "  arnoldi             restarted Arnoldi (asymmetric-capable)\n"
       "  rqi                 Rayleigh quotient iteration (shift-and-invert)\n"
-      "  xmvp                power iteration on Xmvp(--dmax D, default 5)\n"
       "  block               block subspace iteration (same as --block-size 2)\n"
       "options:\n"
       "  --reduced           use the exact (nu+1)^2 reduction (error-class\n"
@@ -70,7 +69,7 @@ void print_usage() {
       "  --save-landscape F  persist the landscape in binary form\n"
       "resilience (every full solver; not --reduced):\n"
       "  --checkpoint FILE   periodically persist the solver state to FILE\n"
-      "                      (atomic + checksummed; for power/xmvp also\n"
+      "                      (atomic + checksummed; for power also\n"
       "                      written on exit) so an interrupted run can\n"
       "                      restart with --resume\n"
       "  --checkpoint-every N  iterations between checkpoints (default 1000;\n"
@@ -279,6 +278,14 @@ int run(const qs::ArgParser& args) {
     print_usage();
     return 0;
   }
+  // Xmvp(d) is the paper's baseline product, not a production solver: it
+  // lives in the reference library, which this tool does not link.
+  if (args.get("solver", "power") == "xmvp" || args.has("dmax")) {
+    throw CliError{
+        "--solver xmvp and --dmax are not qs_solve options: Xmvp(d) is a "
+        "reference baseline; bench/fig3_solver_times times the power "
+        "iteration on it"};
+  }
   const unsigned nu = static_cast<unsigned>(args.get_long("nu", 0, 1, 1000));
   if (nu == 0) throw CliError{"--nu is required (try --help)"};
   const double p = args.get_double("p", 0.0, 1e-12, 0.5);
@@ -454,17 +461,13 @@ int run(const qs::ArgParser& args) {
     concentrations = r.eigenvectors.front();
     iterations = r.iterations;
     residual = r.residuals.front();
-  } else if (solver == "power" || solver == "xmvp") {
+  } else if (solver == "power") {
     qs::solvers::SolveOptions opts;
     opts.tolerance = tolerance;
     opts.use_shift = !args.has("no-shift");
     opts.engine = engine;
     opts.plan = plan;
     opts.recover = !args.has("no-recover");
-    if (solver == "xmvp") {
-      opts.matvec = qs::solvers::MatvecKind::xmvp;
-      opts.xmvp_d_max = static_cast<unsigned>(args.get_long("dmax", 5, 0, nu));
-    }
     apply_resilience(resilience, opts);
     if (resilience.resume) opts.resume = &*resilience.resume;
     const auto r = qs::solvers::solve(model, landscape, opts);
@@ -581,11 +584,11 @@ int run(const qs::ArgParser& args) {
   if (args.has("classes-csv")) {
     write_classes_csv(args.get("classes-csv", ""), classes);
   }
-  // End-of-run checkpoint: only the power/xmvp iterate *is* the
+  // End-of-run checkpoint: only the power iterate *is* the
   // concentration vector, so only there is this snapshot resumable.  The
   // other solvers persist their native state (restart vector, panel, shift)
   // through the driver's periodic checkpoints instead.
-  if (args.has("checkpoint") && (solver == "power" || solver == "xmvp")) {
+  if (args.has("checkpoint") && solver == "power") {
     qs::io::SolverCheckpoint state;
     state.iteration = iterations;
     state.eigenvalue = eigenvalue;

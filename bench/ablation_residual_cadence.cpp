@@ -1,11 +1,11 @@
 // Ablation: residual-check cadence in the power iteration.
 //
 // The product W x is reused for the update, so a residual check costs only
-// reductions.  In the fused loop (solvers/power_iteration.cpp) every
-// iteration reads its vectors in pass B (shift + 1-norm) and pass C
-// (rescale) anyway; a check adds pass A (x.x and x.y over x and y) plus one
-// more leaf per element in pass B (the residual term) — no extra sweep for
-// the residual itself.  Checking every k-th iteration skips that at the
+// reductions: two passes over x and y (solvers/power_iteration.cpp).
+// Between checks the loop normalises nothing: a product runs out of place
+// followed by one shift pass (or in place when unshifted and the product
+// allows it), up to K products per stretch for an operator that reports
+// its fitness range.  Checking every k-th iteration skips the passes at the
 // price of overshooting convergence by up to k-1 products.  This bench
 // measures the trade on one problem family.
 #include <iostream>

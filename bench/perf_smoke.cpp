@@ -30,12 +30,12 @@
 //      22) — catches the sv dispatch silently falling back to the plain
 //      loops.  Skipped gracefully on hosts where no SIMD table is available
 //      (best_sv_kernels() == nullptr): there autovec IS the best kernel.
-//   8. the power loop's three fused tree-ordered passes (A: x.x and x.y;
-//      B: residual, shift, 1-norm; C: rescale) beat the six-pass sequence
-//      they replaced — dot, dot, residual, shift, norm1, rescale, four of
-//      them one dependent add chain each — by >= 1.3x on the same vectors
-//      (measured 3-4x on an AVX-512 host at nu = 16).  Catches the loop
-//      silently falling back to serial add chains.  Skipped like check 7.
+//   8. the power loop's two tree-ordered check passes (1: x.x, x.y and
+//      ||y - mu x||_1; 2: residual, shift and rescale) beat the six-pass
+//      sequence they replaced — dot, dot, residual, shift, norm1, rescale,
+//      four of them one dependent add chain each — by >= 1.3x on the same
+//      vectors.  Catches the loop silently falling back to serial add
+//      chains.  Skipped like check 7.
 //   9. the single-vector fused apply on N doubles takes <= 1.5x the m = 8
 //      panel product over the same N doubles (N/8 rows, nu - 3 levels, the
 //      same pre-scale): a SIMD-tier single vector IS that panel plus an
@@ -45,8 +45,8 @@
 //      like check 7.
 //  10. a landscape-family solve (m = 8 random landscapes) takes <= 1.3x its
 //      own panel products run alone, back to back: between residual checks
-//      the family loop runs the fused product in place and nothing else, so
-//      only the two passes per check and the set-up remain on top
+//      the power loop runs the family's fused product in place and nothing
+//      else, so only the two passes per check and the set-up remain on top
 //      (~1.75x when every product paid a column-sum and a rescale pass).
 //      Catches the loop growing per-product passes again.  Skipped like
 //      check 7.
@@ -269,10 +269,10 @@ int main() {
     std::cout << "  fused reductions    : no SIMD table on this build/CPU — "
                  "check 8 skipped\n";
   } else {
-    // Check 8: one power-iteration step's vector work, minus the mat-vec.
-    // Both versions update x and y in place exactly as the loop does; x
-    // stays 1-norm normalised, so repeated reps stay finite and equally
-    // expensive.
+    // Check 8: one power-iteration check's vector work, minus the mat-vec.
+    // Both versions leave the next iterate 1-norm normalised, the six
+    // passes in x and the two in y (where the loop then swaps roles), so
+    // repeated reps stay finite and equally expensive.
     std::vector<double> xv(n), yv(n);
     for (double& v : xv) v = rng.uniform(0.0, 1.0);
     for (double& v : yv) v = rng.uniform(0.0, 1.0);
@@ -293,17 +293,15 @@ int main() {
       sink = sink + res2;
     });
     const double t_fused = bench::time_best_of(reps, [&] {
-      const transforms::TreeSums a = sv->tree_dot2(xv.data(), yv.data(), n);
-      const double lambda = a.second / a.first;
-      const transforms::TreeSums b = sv->tree_residual_shift_norm1(
-          xv.data(), yv.data(), n, lambda, mu, true);
-      const double inv = 1.0 / b.second;
-      for (std::size_t i = 0; i < n; ++i) xv[i] = yv[i] * inv;
-      sink = sink + b.first;
+      const transforms::TreeSums a =
+          sv->tree_check_sums(xv.data(), yv.data(), n, mu);
+      const double res2 = sv->tree_residual_update(
+          xv.data(), yv.data(), n, a.second / a.first, mu, 1.0 / a.third);
+      sink = sink + res2;
     });
     const double speedup = t_six / t_fused;
     std::cout << "  fused reductions    : six passes " << t_six << " s, "
-              << sv->name << " three passes " << t_fused << " s (" << speedup
+              << sv->name << " two passes " << t_fused << " s (" << speedup
               << "x)\n";
     if (!std::isfinite(sink) || speedup < 1.3) {
       std::cerr << "FAIL: the fused tree-ordered passes " << t_fused

@@ -4,16 +4,14 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "analysis/error_classes.hpp"
 #include "core/fmmp.hpp"
 #include "core/planned_operator.hpp"
 #include "core/spectral.hpp"
 #include "core/workspace.hpp"
-#include "linalg/tree_reduce.hpp"
 #include "linalg/vector_ops.hpp"
-#include "obs/trace.hpp"
-#include "parallel/fan_out.hpp"
 #include "solvers/power_iteration.hpp"
 #include "solvers/reduced_solver.hpp"
 #include "support/contracts.hpp"
@@ -114,86 +112,47 @@ SweepResult sweep_error_rates(const core::Landscape& landscape,
 
 namespace {
 
-/// The two passes of a family residual check over an n x m panel pair,
-/// fanned out over the engine in aligned row blocks.  Every column sum is
-/// tree-ordered over rows, so each engine returns the serial bits; all
-/// scratch is allocated once per solve.  The widths the service (m = 1)
-/// and study batches (m = 8) run get fixed-width loops: at nu = 16 their
-/// passes measured ~4x (m = 1) and ~1.3x (m = 8) faster than the
-/// runtime-width loops other widths take.
-class CheckPasses {
+/// A landscape family as the power loop's one participant: m interleaved
+/// columns, column j pre-scaled by F_j, so one fused panel butterfly
+/// computes W_j x_j = Q (F_j x_j) for every j at once.  Products may run in
+/// place: the fused kernel allows exact aliasing, and the grouped scaling
+/// sweep is element-wise.
+class FamilyCollective final : public solvers::BlockCollective {
  public:
-  CheckPasses(const parallel::Engine& engine, std::size_t n, std::size_t m)
-      : fan_(engine, n, 2 * m, m),
-        m_(m),
-        stride_(linalg::tree_reduce_rows_scratch(2 * m, n)),
-        scratch_(fan_.blocks() * stride_) {}
+  FamilyCollective(const core::MutationModel& model, std::span<const double> pre,
+                   std::size_t m, core::FitnessRange range,
+                   const parallel::Engine& engine, const transforms::BlockedPlan& plan)
+      : model_(model), pre_(pre), m_(m), range_(range), engine_(engine), plan_(plan) {}
 
-  /// Pass 1: sums[j] = sum_i x_ij and sums[m + j] = sum_i y_ij.
-  void column_sums(const double* x, const double* y, double* sums) {
-    if (m_ == 1) return column_sums<1>(x, y, sums);
-    if (m_ == 8) return column_sums<8>(x, y, sums);
-    column_sums<0>(x, y, sums);
+  void apply(std::span<const double> x, std::span<double> y) override {
+    if (model_.kind() != core::MutationKind::grouped) {
+      transforms::apply_blocked_panel_butterfly_fused(
+          x, y, m_, model_.site_factors(), pre_, {}, engine_, plan_);
+      return;
+    }
+    const double* xp = x.data();
+    const double* pp = pre_.data();
+    double* yp = y.data();
+    engine_.dispatch(y.size(), [=](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) yp[i] = pp[i] * xp[i];
+    });
+    model_.apply_panel(y, m_, engine_, plan_);
   }
-
-  /// Pass 2: num[j] = sum_i |y_ij - lambda_j x_ij|, and x_ij <- y_ij inv_j
-  /// in the same sweep.
-  void residual_renormalise(double* x, const double* y, const double* lambda,
-                            const double* inv, double* num) {
-    if (m_ == 1) return residual_renormalise<1>(x, y, lambda, inv, num);
-    if (m_ == 8) return residual_renormalise<8>(x, y, lambda, inv, num);
-    residual_renormalise<0>(x, y, lambda, inv, num);
-  }
+  void allreduce(std::span<double>) override {}
+  std::span<const double> gather(std::span<const double> x) override { return x; }
+  bool is_root() const override { return true; }
+  unsigned participants() const override { return 1; }
+  std::size_t width() const override { return m_; }
+  bool aliasing() const override { return true; }
+  std::optional<core::FitnessRange> fitness_range() const override { return range_; }
 
  private:
-  template <std::size_t M>
-  void column_sums(const double* x, const double* y, double* sums) {
-    const std::size_t m = M != 0 ? M : m_;
-    const auto row = [x, y, m](std::size_t i, double* v) {
-      const double* xr = x + i * m;
-      const double* yr = y + i * m;
-      for (std::size_t c = 0; c < m; ++c) {
-        v[c] = xr[c];
-        v[m + c] = yr[c];
-      }
-    };
-    reduce<2 * M>(2 * m, row, sums);
-  }
-
-  template <std::size_t M>
-  void residual_renormalise(double* x, const double* y, const double* lambda,
-                            const double* inv, double* num) {
-    const std::size_t m = M != 0 ? M : m_;
-    const auto row = [x, y, lambda, inv, m](std::size_t i, double* v) {
-      double* xr = x + i * m;
-      const double* yr = y + i * m;
-      for (std::size_t c = 0; c < m; ++c) {
-        v[c] = std::abs(yr[c] - lambda[c] * xr[c]);
-        xr[c] = yr[c] * inv[c];
-      }
-    };
-    reduce<M>(m, row, num);
-  }
-
-  /// Column sums of `row` over the panel, one tree per fan-out block, each
-  /// block with its own slice of the scratch.
-  template <std::size_t W, typename Row>
-  void reduce(std::size_t width, const Row& row, double* out) {
-    double* scratch = scratch_.data();
-    const std::size_t block = fan_.block_size();
-    const std::size_t stride = stride_;
-    const auto body = [&row, scratch, block, stride, width](
-                          std::size_t begin, std::size_t end, double* partial) {
-      linalg::tree_reduce_rows<W>(begin, end, width, row, partial,
-                                  scratch + begin / block * stride);
-    };
-    fan_.sums(width, body, out);
-  }
-
-  parallel::FanOut fan_;
+  const core::MutationModel& model_;
+  std::span<const double> pre_;
   std::size_t m_;
-  std::size_t stride_;
-  std::vector<double> scratch_;
+  core::FitnessRange range_;
+  const parallel::Engine& engine_;
+  const transforms::BlockedPlan& plan_;
 };
 
 }  // namespace
@@ -202,162 +161,84 @@ FamilyResult sweep_landscape_family(const core::MutationModel& model,
                                     std::span<const core::Landscape> family,
                                     const FamilyOptions& options) {
   require(!family.empty(), "sweep_landscape_family: empty family");
-  require(options.residual_check_every >= 1,
-          "sweep_landscape_family: residual_check_every must be >= 1");
   const std::size_t n = model.dimension();
   for (const core::Landscape& f : family) {
     require(f.dimension() == n,
             "sweep_landscape_family: landscape dimension differs from Q");
   }
   const std::size_t m = family.size();
-  const parallel::Engine& engine = parallel::engine_or_serial(options.engine);
 
-  // Column j's pre-scale is F_j, so one fused panel butterfly computes
-  // W_j x_j = Q (F_j x_j) for every j at once.  A one-column family scales
-  // by the landscape's own values: there is no panel to interleave.
-  const transforms::SvKernels& sv =
-      transforms::sv_kernels_or_scalar(transforms::best_sv_kernels());
-  double f_min = std::numeric_limits<double>::infinity();
-  double f_max = 0.0;
-  std::vector<const double*> values(m);
-  std::vector<double> start_sums(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    values[j] = family[j].values().data();
-    start_sums[j] = sv.tree_sum(values[j], n);
-    f_min = std::min(f_min, family[j].min_fitness());
-    f_max = std::max(f_max, family[j].max_fitness());
+  // The loop starts from the paper's landscape start, per column.  A
+  // one-column family iterates in landscape_start itself and scales by the
+  // landscape's own values; a wider one interleaves the columns (with
+  // landscape_start's arithmetic: F_j times the reciprocal of its tree
+  // 1-norm) and their pre-scales into panels.
+  core::FitnessRange range{std::numeric_limits<double>::infinity(), 0.0};
+  for (const core::Landscape& f : family) {
+    range.min = std::min(range.min, f.min_fitness());
+    range.max = std::max(range.max, f.max_fitness());
   }
-  // The panels are written once, row by row, without a zero-fill first.  A
-  // one-column family iterates in the vector it returns; a wider one in an
-  // interleaved panel that is unpacked at the end.
-  const std::size_t panel_size = m > 1 ? n * m : 0;
-  const auto pre_panel = std::make_unique_for_overwrite<double[]>(panel_size);
-  auto y_panel = std::make_unique_for_overwrite<double[]>(n * m);
-  const auto x_panel = std::make_unique_for_overwrite<double[]>(panel_size);
-  std::vector<double> column(m == 1 ? n : 0);
-  const std::span<double> x =
-      m > 1 ? std::span<double>(x_panel.get(), panel_size) : std::span<double>(column);
-  const std::span<double> y(y_panel.get(), n * m);
-  for (std::size_t i = 0; i < n; ++i) {
+  solvers::IterationTrace trace;
+  trace.residual = std::numeric_limits<double>::infinity();
+  std::unique_ptr<double[]> pre_panel;
+  if (m == 1) {
+    trace.iterate = solvers::landscape_start(family.front());
+  } else {
+    const transforms::SvKernels& sv =
+        transforms::sv_kernels_or_scalar(transforms::best_sv_kernels());
+    std::vector<const double*> values(m);
+    std::vector<double> inv(m);
     for (std::size_t j = 0; j < m; ++j) {
-      if (m > 1) pre_panel[i * m + j] = values[j][i];
-      // the paper's landscape start, per column
-      x[i * m + j] = values[j][i] / start_sums[j];
+      values[j] = family[j].values().data();
+      const double norm = sv.tree_abs_sum(values[j], n);
+      require(norm > 0.0, "landscape_start: landscape has zero 1-norm");
+      inv[j] = 1.0 / norm;
+    }
+    trace.iterate.resize(n * m);
+    pre_panel = std::make_unique_for_overwrite<double[]>(n * m);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        pre_panel[i * m + j] = values[j][i];
+        trace.iterate[i * m + j] = values[j][i] * inv[j];
+      }
     }
   }
   const std::span<const double> pre =
-      m > 1 ? std::span<const double>(pre_panel.get(), panel_size)
-            : family.front().values();
+      m > 1 ? std::span<const double>(pre_panel.get(), n * m) : family.front().values();
 
-  // Between residual checks the iterate is left unnormalised.  Q is
-  // column-stochastic, so each product scales a nonnegative column's 1-norm
-  // by a factor in [f_min, f_max]; renormalising at least every
-  // `renormalise_every` products keeps every iterate within 2^+-64 of norm 1.
-  const double spread = std::log2(std::max(f_max, 1.0 / f_min));
-  const double bound = std::floor(64.0 / spread);
-  const unsigned renormalise_every =
-      bound >= static_cast<double>(options.max_iterations)
-          ? options.max_iterations
-          : std::max(1u, static_cast<unsigned>(bound));
+  // The family stops by the facade's rule: the shared iteration block with
+  // the family's tolerance, cap, cadence, engine and cancellation, and the
+  // stall window of IterationOptions' defaults.  The loop runs unshifted.
+  solvers::IterationOptions iteration;
+  iteration.tolerance = options.tolerance;
+  iteration.max_iterations = options.max_iterations;
+  iteration.residual_check_every = options.residual_check_every;
+  iteration.engine = options.engine;
+  iteration.should_stop = options.should_stop;
+  FamilyCollective collective(model, pre, m, range,
+                              parallel::engine_or_serial(options.engine),
+                              options.plan);
+  solvers::PowerResult r = solvers::run_power_loop(
+      collective, std::move(trace),
+      solvers::IterationDriver(iteration, io::SolverKind::power, n), iteration, 0.0);
 
-  // out = W x, out of place (out = y) or in place (out = x); the fused
-  // kernel allows exact aliasing, and the grouped scaling sweep is
-  // element-wise.
-  const bool grouped = model.kind() == core::MutationKind::grouped;
-  const auto panel_product = [&](std::span<double> out) {
-    if (!grouped) {
-      transforms::apply_blocked_panel_butterfly_fused(
-          x, out, m, model.site_factors(), pre, {}, engine, options.plan);
-      return;
-    }
-    const double* xp = x.data();
-    const double* pp = pre.data();
-    double* op = out.data();
-    engine.dispatch(n * m, [=](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) op[i] = pp[i] * xp[i];
-    });
-    model.apply_panel(out, m, engine, options.plan);
-  };
-
-  CheckPasses passes(engine, n, m);
   FamilyResult result;
-  result.eigenvalues.assign(m, 0.0);
-  result.residuals.assign(m, std::numeric_limits<double>::infinity());
-  std::vector<double> sums(2 * m), inv(m), num(m);
-  unsigned unnormalised = 0;  // products since x was last renormalised
-  while (result.panel_products < options.max_iterations) {
-    if (options.should_stop && options.should_stop()) {
-      result.cancelled = true;
-      break;
-    }
-    const unsigned product = result.panel_products + 1;
-    const bool scheduled = product % options.residual_check_every == 0 ||
-                           product >= options.max_iterations;
-    const bool check = scheduled || unnormalised + 1 >= renormalise_every;
-    {
-      // One span per power step: under a service batch TraceScope these
-      // inherit the batch's trace id, so a merged Chrome trace shows the
-      // solver iterations nested inside the request timeline.
-      QS_TRACE_SPAN_ARG("sweep.panel_product", solver,
-                        static_cast<std::int64_t>(result.panel_products));
-      panel_product(check ? y : x);
-    }
-    result.panel_products = product;
-    if (!check) {
-      ++unnormalised;
-      continue;
-    }
-    unnormalised = 0;
-
-    // Pass 1 sums both iterates; lambda_j = ||W x_j||_1 / ||x_j||_1 for the
-    // nonnegative iterates and column-stochastic Q.  Pass 2 forms the
-    // relative residual ||y_j - lambda_j x_j||_1 / ||y_j||_1, which is
-    // ||W xh - lambda xh||_1 / lambda for xh = x_j / ||x_j||_1, and writes
-    // x_j <- y_j / ||y_j||_1 in the same sweep.
-    passes.column_sums(x.data(), y.data(), sums.data());
-    for (std::size_t j = 0; j < m; ++j) {
-      result.eigenvalues[j] = sums[m + j] / sums[j];
-      inv[j] = 1.0 / sums[m + j];
-    }
-    passes.residual_renormalise(x.data(), y.data(), result.eigenvalues.data(),
-                                inv.data(), num.data());
-    bool done = true;
-    double worst = 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double norm = sums[m + j];
-      const double r = norm > 0.0 ? num[j] / norm : num[j];
-      result.residuals[j] = r;
-      if (!std::isfinite(r) || r > options.tolerance) done = false;
-      worst = std::max(worst, r);
-    }
-    QS_TRACE_INSTANT_ARG("sweep.residual", solver, worst,
-                         static_cast<std::int64_t>(product));
-    // A renormalisation forced by the overflow bound never ends the solve:
-    // the panel-product count stays a multiple of residual_check_every.
-    if (scheduled && done) {
-      result.converged = true;
-      break;
-    }
-  }
-
-  // Only a cancellation leaves the loop between checks, with x unnormalised.
-  if (unnormalised > 0) {
-    for (std::size_t j = 0; j < m; ++j) {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < n; ++i) sum += x[i * m + j];
-      for (std::size_t i = 0; i < n; ++i) x[i * m + j] /= sum;
-    }
-  }
+  result.eigenvalues = std::move(r.column_eigenvalues);
+  result.residuals = std::move(r.column_residuals);
+  result.panel_products = r.iterations;
+  result.converged = r.converged;
+  result.cancelled = r.failure == solvers::SolverFailure::cancelled;
   result.eigenvectors.resize(m);
   if (m == 1) {
-    result.eigenvectors[0] = std::move(column);
+    result.eigenvectors[0] = std::move(r.eigenvector);
   } else {
-    // The product panel is dead: released first, its pages can back the
+    // The loop's product panel is released by now: its pages back the
     // eigenvectors instead of fresh ones.
-    y_panel.reset();
     for (std::vector<double>& v : result.eigenvectors) v.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < m; ++j) result.eigenvectors[j][i] = x[i * m + j];
+      for (std::size_t j = 0; j < m; ++j) {
+        result.eigenvectors[j][i] = r.eigenvector[i * m + j];
+      }
     }
   }
   return result;

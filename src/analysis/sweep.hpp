@@ -73,15 +73,15 @@ void write_sweep_csv(const SweepResult& sweep, std::ostream& out);
 
 /// Options for landscape-family solves.
 struct FamilyOptions {
-  /// Per-landscape convergence threshold on the relative 1-norm residual
-  /// ||W_j x_j - lambda_j x_j||_1 / lambda_j.
+  /// Convergence threshold on every landscape's relative 2-norm residual
+  /// ||W_j x_j - lambda_j x_j||_2 / (lambda_j ||x_j||_2), the facade's rule.
   double tolerance = 1e-12;
   unsigned max_iterations = 1000000;
 
   /// Residuals are checked every k-th panel product and at max_iterations;
   /// only these checks can end the solve, so panel_products is a multiple
-  /// of k unless max_iterations or a cancellation stops it.  The eigenvalue
-  /// estimates update at checks, not at every product.
+  /// of k unless max_iterations, a stall or a cancellation stops it.  The
+  /// eigenvalue estimates update at checks, not at every product.
   unsigned residual_check_every = 8;
 
   const parallel::Engine* engine = nullptr;
@@ -89,8 +89,9 @@ struct FamilyOptions {
   /// Tiling plan for the banded panel kernels.
   transforms::BlockedPlan plan;
 
-  /// Cooperative cancellation, polled once per panel product: returning
-  /// true ends the joint solve at the next iteration boundary with
+  /// Cooperative cancellation, polled once per panel product (at a
+  /// residual check, after the tolerance test): returning true ends the
+  /// joint solve at the next iteration boundary with
   /// cancelled = true on the result (converged stays false).  Must be
   /// cheap and thread-safe (typically an atomic load); the solver service
   /// uses it to abort batches whose deadlines passed or whose clients all
@@ -98,10 +99,11 @@ struct FamilyOptions {
   std::function<bool()> should_stop;
 };
 
-/// Joint solve of a same-Q landscape family.  Eigenvalues and residuals
-/// are those of the last residual check (a forced renormalisation computes
-/// them too; 0 and +inf before the first check).  The eigenvectors are the
-/// final iterate, 1-norm normalised: after a check, the checked product.
+/// Joint solve of a same-Q landscape family.  Eigenvalues (Rayleigh
+/// quotients) and relative 2-norm residuals are those of the last residual
+/// check (0 and +inf before the first).  The eigenvectors are the final
+/// iterate, 1-norm normalised: after the check that stopped the solve, the
+/// checked iterate.
 struct FamilyResult {
   std::vector<double> eigenvalues;                ///< lambda_0 of W_j = Q F_j.
   std::vector<std::vector<double>> eigenvectors;  ///< Concentrations, 1-norm
@@ -109,7 +111,8 @@ struct FamilyResult {
   std::vector<double> residuals;                  ///< Relative residual per j.
   unsigned panel_products = 0;  ///< Panel matvecs performed (each advances
                                 ///< every landscape one power step).
-  bool converged = false;       ///< All landscapes met the tolerance.
+  bool converged = false;       ///< All landscapes met the tolerance (or
+                                ///< stalled below the facade's stall_accept).
   bool cancelled = false;       ///< should_stop() ended the solve early.
 };
 
@@ -117,18 +120,17 @@ struct FamilyResult {
 /// landscapes F_0..F_{m-1} sharing one mutation model Q in lock-step: the m
 /// iterates are interleaved into one panel, and each power step is a single
 /// banded *panel* product (per-column pre-scalings, the butterfly amortised
-/// across the family).  This is the batched form of running m independent
-/// power iterations — same iterates up to scale, a fraction of the memory
-/// traffic.  Between residual checks a product runs in place and the
-/// iterate stays unnormalised; a check runs it out of place, then one pass
-/// sums both panels per column and a second forms the residuals and
-/// writes the normalised product back.  Renormalisations that cannot end
-/// the solve are forced often enough that no column's 1-norm leaves
-/// [2^-64, 2^64] (Q is column-stochastic, so a product scales it by a
-/// factor within the family's fitness range).  Every column sum is
-/// tree-ordered over rows, so all engines give the same bits.  Typical
-/// use: parameter studies where the landscape varies and p is fixed.
-/// Requires a non-empty family with every landscape of Q's dimension.
+/// across the family).  The family is one width-m participant of
+/// solvers::run_power_loop, unshifted: between residual checks a product
+/// runs in place and the iterate stays unnormalised, a check runs it out of
+/// place with two passes, renormalisations that cannot end the solve keep
+/// every column's 1-norm within 2^+-64, and the solve stops by the facade's
+/// rule on the worst column.  Every column sum is tree-ordered over rows,
+/// so all engines give the same bits, and a one-column family is
+/// solvers::solve with use_shift = false and this cadence, bit for bit.
+/// Typical use: parameter studies where the landscape varies and p is
+/// fixed.  Requires a non-empty family with every landscape of Q's
+/// dimension.
 FamilyResult sweep_landscape_family(const core::MutationModel& model,
                                     std::span<const core::Landscape> family,
                                     const FamilyOptions& options = {});

@@ -41,6 +41,9 @@ class FmmpOperator final : public LinearOperator {
   /// dimension() and x, y not aliased.
   void apply(std::span<const double> x, std::span<double> y) const override;
   std::string_view name() const override { return "Fmmp"; }
+  std::optional<FitnessRange> fitness_range() const override {
+    return FitnessRange{landscape_->min_fitness(), landscape_->max_fitness()};
+  }
 
   /// Panel product Y <- W X on an interleaved panel of m vectors
   /// (x[i*m + j] = element i of column j); every column of y becomes

@@ -15,6 +15,7 @@
 // dense baseline, the sparsified Xmvp, or the fast Fmmp.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <string_view>
 
@@ -28,6 +29,14 @@ enum class Formulation {
   right,      ///< W = Q * F     (Eq. (3); concentrations directly)
   symmetric,  ///< W = F^{1/2} Q F^{1/2}  (Eq. (4); symmetric eigenproblem)
   left,       ///< W = F * Q     (Eq. (5))
+};
+
+/// The range [min, max] of the landscape a product multiplies by.  With Q
+/// column-stochastic, W = Q F (in any formulation) maps a nonnegative x to
+/// a vector whose 1-norm lies in [min, max] * ||x||_1.
+struct FitnessRange {
+  double min;
+  double max;
 };
 
 /// Abstract mat-vec y = W x.  Implementations are not required to be
@@ -46,6 +55,11 @@ class LinearOperator {
 
   /// Identifier for logs and bench output, e.g. "Fmmp" or "Xmvp(5)".
   virtual std::string_view name() const = 0;
+
+  /// The fitness range bounding one product's growth of a nonnegative
+  /// iterate, when the operator knows it: the power iteration then leaves
+  /// its iterate unnormalised between residual checks.  Empty by default.
+  virtual std::optional<FitnessRange> fitness_range() const { return std::nullopt; }
 };
 
 /// Converts an eigenvector between formulations in place, then re-normalises

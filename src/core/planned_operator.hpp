@@ -67,6 +67,9 @@ class PlannedOperator final : public LinearOperator {
     op_->apply(x, y);
   }
   std::string_view name() const override { return "PlannedFmmp"; }
+  std::optional<FitnessRange> fitness_range() const override {
+    return op_->fitness_range();
+  }
 
   /// Panel product Y <- W X on an interleaved panel of m vectors; see
   /// FmmpOperator::apply_panel.

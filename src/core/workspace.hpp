@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -52,7 +53,13 @@ class Workspace {
   std::size_t bytes() const;
 
  private:
-  std::vector<std::vector<double>> slots_;
+  /// A slot's buffer: allocated without a zero-fill, so the first take of
+  /// a size touches each page once, in the caller's first write.
+  struct Buffer {
+    std::unique_ptr<double[]> data;
+    std::size_t size = 0;
+  };
+  std::vector<Buffer> slots_;
 };
 
 }  // namespace qs::core

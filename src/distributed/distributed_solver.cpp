@@ -1,6 +1,7 @@
 #include "distributed/distributed_solver.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -19,9 +20,11 @@ namespace {
 // Collective tags.  The butterfly exchanges use the level index (0..nu-1)
 // so a rank one level ahead of its partner fails with a named tag mismatch;
 // the reduction/gather tags live above any level index.  The power loop's
-// allreduces share one tag: their lengths (2, 3 or 1) tell them apart.
+// allreduces share one tag: their lengths (3, 2 or 2) and order tell them
+// apart.
 constexpr unsigned kTagStartNorm = 100;
 constexpr unsigned kTagLoop = 101;
+constexpr unsigned kTagFitnessRange = 102;
 constexpr unsigned kTagGather = 108;
 constexpr unsigned kTagStats = 109;
 constexpr unsigned kTagSpanLens = 110;  ///< Packed span-buffer lengths.
@@ -108,12 +111,14 @@ class RankCollective final : public solvers::BlockCollective {
   RankCollective(Exchange& exchange, const BlockLayout& layout,
                  std::span<const transforms::Factor2> sites,
                  std::span<const double> fitness_block,
-                 const transforms::BlockedPlan& plan)
+                 const transforms::BlockedPlan& plan,
+                 std::optional<core::FitnessRange> fitness_range)
       : exchange_(exchange),
         layout_(layout),
         sites_(sites),
         fitness_block_(fitness_block),
         plan_(plan),
+        fitness_range_(fitness_range),
         sv_(transforms::resolve_sv_kernels(plan.sv_kernel)),
         recv_(layout.block_size()) {}
 
@@ -130,6 +135,10 @@ class RankCollective final : public solvers::BlockCollective {
     return full_;
   }
   bool is_root() const override { return exchange_.rank() == 0; }
+  unsigned participants() const override { return exchange_.rank_count(); }
+  std::optional<core::FitnessRange> fitness_range() const override {
+    return fitness_range_;
+  }
 
   /// gather(), handing over the buffer (rank 0's result vector).
   std::vector<double> gather_result(std::span<const double> x) {
@@ -143,6 +152,7 @@ class RankCollective final : public solvers::BlockCollective {
   std::span<const transforms::Factor2> sites_;
   std::span<const double> fitness_block_;
   const transforms::BlockedPlan& plan_;
+  std::optional<core::FitnessRange> fitness_range_;
   const transforms::SvKernels* sv_;
   std::vector<double> recv_;  ///< The butterfly's partner block.
   std::vector<double> full_;  ///< Rank 0's gather target.
@@ -370,7 +380,27 @@ DistributedPowerResult distributed_power_rank(
     for (std::size_t t = 0; t < block; ++t) trace.iterate[t] = fitness_block[t] * inv;
   }
 
-  RankCollective collective(exchange, layout, sites, fitness_block, options.plan);
+  // The fitness range lets the loop leave its iterate unnormalised between
+  // residual checks, as a serial solve does; with a check every iteration
+  // it has no use, and the collective that gathers it is skipped.  Every
+  // rank publishes its block's extremes in its own slots, so the sums are
+  // the extremes themselves.
+  std::optional<core::FitnessRange> fitness_range;
+  if (options.residual_check_every > 1) {
+    std::vector<double> extremes(2 * std::size_t{layout.rank_count()}, 0.0);
+    const auto [lo, hi] = std::minmax_element(fitness_block.begin(), fitness_block.end());
+    extremes[2 * rank] = *lo;
+    extremes[2 * rank + 1] = *hi;
+    exchange.allreduce_sum(std::span<double>(extremes), kTagFitnessRange);
+    fitness_range = core::FitnessRange{extremes[0], extremes[1]};
+    for (unsigned r = 1; r < layout.rank_count(); ++r) {
+      fitness_range->min = std::min(fitness_range->min, extremes[2 * r]);
+      fitness_range->max = std::max(fitness_range->max, extremes[2 * r + 1]);
+    }
+  }
+
+  RankCollective collective(exchange, layout, sites, fitness_block, options.plan,
+                            fitness_range);
   solvers::PowerResult r = solvers::run_power_loop(
       collective, std::move(trace), std::move(driver), local, options.shift);
   static_cast<solvers::IterationResult&>(out) = r;

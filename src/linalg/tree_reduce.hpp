@@ -13,8 +13,8 @@
 //     SIMD kernels can evaluate it in registers instead of along one
 //     dependent add chain (transforms/sv_microkernel.hpp).
 //
-// The landscape-family loop sums each column of an interleaved panel in the
-// same order, over rows (tree_reduce_rows below).
+// The power loop sums each column of an interleaved panel in the same
+// order, over rows (tree_reduce_rows below).
 #pragma once
 
 #include <algorithm>

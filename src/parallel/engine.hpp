@@ -6,10 +6,9 @@
 // the host loop owns the level iteration.  This engine reproduces exactly
 // that structure on the CPU: dispatch(n, kernel) runs a 1-D index space with
 // barrier semantics (all work items complete before dispatch returns).  An
-// engine is a fan-out, not a summation order: the power iteration and the
-// landscape-family loop split their reductions into aligned blocks they
-// combine themselves (parallel/fan_out.hpp), so every backend yields the
-// same bits.  Backends: a
+// engine is a fan-out, not a summation order: the power iteration splits
+// its reductions into aligned blocks it combines itself
+// (solvers/power_iteration.cpp), so every backend yields the same bits.  Backends: a
 // serial one (the "single CPU core" reference of the paper's Figure 2), an
 // OpenMP one (the "parallel hardware" axis of Figure 4) and a std::thread
 // pool.  See DESIGN.md, "Substitutions".

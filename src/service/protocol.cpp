@@ -160,8 +160,9 @@ bool retryable(StatusCode code) {
 
 std::vector<std::uint8_t> scenario_fingerprint(const SolveRequest& request) {
   std::vector<std::uint8_t> bytes;
-  bytes.reserve(48);
+  bytes.reserve(52);
   Writer w(bytes);
+  w.put(kSolverRevision);
   w.put(request.nu);
   w.put(static_cast<std::uint32_t>(request.landscape));
   w.put(request.param0);

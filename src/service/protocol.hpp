@@ -95,9 +95,10 @@ bool retryable(StatusCode code);
 /// width, cache hit, deadline slack).
 struct SolveReply {
   StatusCode status = StatusCode::internal_error;
-  double eigenvalue = 0.0;
-  double residual = 0.0;
-  std::uint64_t iterations = 0;
+  double eigenvalue = 0.0;   ///< Rayleigh quotient of the answer.
+  double residual = 0.0;     ///< Relative 2-norm residual ||Wx - lambda x||_2
+                             ///< / (lambda ||x||_2), the facade's measure.
+  std::uint64_t iterations = 0;  ///< Panel products of the batch's solve.
   std::vector<double> class_concentrations;  ///< [Gamma_0..Gamma_nu] when ok.
   std::string message;                       ///< Diagnostic for non-ok codes.
 
@@ -110,6 +111,13 @@ struct SolveReply {
   std::uint64_t trace_id = 0;     ///< Echo of the request's trace id.
 };
 
+/// Revision of the solver behind every answer, the first field of
+/// scenario_fingerprint.  The disk cache outlives the daemon binary, so a
+/// change to a solve's bits or stopping rule bumps it, and answers cached
+/// by an older solver miss instead of being served.  2: misses stop by the
+/// facade's rule (the relative 2-norm residual of solvers::run_power_loop).
+inline constexpr std::uint32_t kSolverRevision = 2;
+
 /// FNV-1a64 content hash of everything that determines the answer — the
 /// cache/dedupe index.  Equal keys are only *probably* the same
 /// computation; confirm with scenario_fingerprint before serving one
@@ -117,9 +125,9 @@ struct SolveReply {
 std::uint64_t scenario_key(const SolveRequest& request);
 
 /// Canonical little-endian encoding of exactly the fields scenario_key
-/// hashes.  Byte equality of fingerprints == identical computation; this is
-/// the collision-proof witness stored beside every cache entry and checked
-/// on every hit and in-batch dedupe.
+/// hashes, led by kSolverRevision.  Byte equality of fingerprints ==
+/// identical computation; this is the collision-proof witness stored beside
+/// every cache entry and checked on every hit and in-batch dedupe.
 std::vector<std::uint8_t> scenario_fingerprint(const SolveRequest& request);
 
 /// FNV-1a64 over (nu, p): requests sharing a mutation model coalesce.

@@ -10,7 +10,10 @@
 //     mutation model Q, so the batch solves jointly through
 //     analysis::sweep_landscape_family: the m scenarios' landscapes become
 //     the panel columns of W_j = Q F_j and every power step advances all
-//     of them in one memory sweep.  Identical scenarios within a batch
+//     of them in one memory sweep.  The batch runs solvers::run_power_loop,
+//     so it stops by qs_solve's rule: the relative 2-norm residual of each
+//     column against the request's tolerance, with the facade's stall
+//     window and health guard.  Identical scenarios within a batch
 //     (byte-verified via scenario_fingerprint, never by hash alone) dedupe
 //     to one column.  Before solving, each scenario consults the
 //     crash-safe ScenarioCache; hits reply without touching a solver, and

@@ -5,13 +5,16 @@
 #include <cmath>
 #include <limits>
 #include <utility>
+#include <vector>
 
 #include "core/workspace.hpp"
+#include "linalg/tree_reduce.hpp"
 #include "linalg/vector_ops.hpp"
 #include "obs/trace.hpp"
-#include "parallel/fan_out.hpp"
+#include "parallel/engine.hpp"
 #include "support/contracts.hpp"
 #include "transforms/sv_microkernel.hpp"
+#include "transforms/sv_tree_blocks.hpp"
 
 namespace qs::solvers {
 namespace {
@@ -31,19 +34,6 @@ void normalize1_tree(std::span<double> x, const char* what) {
   linalg::scale(x, 1.0 / norm);
 }
 
-/// Both sums of body(begin, end) -> TreeSums over the fan-out's range.
-template <typename Body>
-transforms::TreeSums tree_sums(parallel::FanOut& fan, const Body& body) {
-  const auto pair = [&body](std::size_t begin, std::size_t end, double* partial) {
-    const transforms::TreeSums t = body(begin, end);
-    partial[0] = t.first;
-    partial[1] = t.second;
-  };
-  double s[2];
-  fan.sums(2, pair, s);
-  return {s[0], s[1]};
-}
-
 /// Bit 32 of the per-check control word carries the root's wall-clock
 /// checkpoint cadence; the bits below sum the participants' stop votes.
 constexpr double kControlTimeBit = 4294967296.0;  // 2^32
@@ -59,6 +49,10 @@ class OperatorCollective final : public BlockCollective {
   void allreduce(std::span<double>) override {}
   std::span<const double> gather(std::span<const double> x) override { return x; }
   bool is_root() const override { return true; }
+  unsigned participants() const override { return 1; }
+  std::optional<core::FitnessRange> fitness_range() const override {
+    return op_.fitness_range();
+  }
 
  private:
   const core::LinearOperator& op_;
@@ -76,142 +70,327 @@ bool normalised_to_rounding(std::span<const double> v) {
          (depth + 2.0) * std::numeric_limits<double>::epsilon();
 }
 
+/// K, the most products an iterate may go unnormalised (0: no bound).  Q is
+/// column-stochastic, so a product scales a nonnegative column's 1-norm by
+/// a factor within [f_min - mu, f_max - mu]; K products keep it within
+/// 2^+-64 of its last normalisation.
+unsigned stretch_bound(const std::optional<core::FitnessRange>& range, double mu) {
+  if (!range.has_value() || !(range->min - mu > 0.0)) return 1;
+  const double spread =
+      std::log2(std::max(range->max - mu, 1.0 / (range->min - mu)));
+  const double bound = std::floor(64.0 / spread);
+  if (!(bound < static_cast<double>(std::numeric_limits<unsigned>::max()))) return 0;
+  return std::max(1u, static_cast<unsigned>(bound));
+}
+
+/// Below this many doubles per block an engine does not split a pass: the
+/// dispatch would cost more than the block's arithmetic.
+constexpr std::size_t kMinFanOutBlock = std::size_t{1} << 12;
+
+/// The loop's passes over a block of `rows` rows of m interleaved columns.
+/// An engine chunks an index space however its backend likes and combines
+/// partials in its own order, so the passes fix the split instead: the rows
+/// become `blocks_` aligned power-of-two blocks, one per engine lane, each
+/// run inside one dispatch.  A block is a complete subtree of every
+/// column's linalg::tree_reduce tree, so block partials combined with
+/// tree_reduce are the one-block sums bit for bit, on every engine (the
+/// argument that makes distributed ranks exact).  One block — one lane, a
+/// row count that is not a power of two, or blocks below kMinFanOutBlock
+/// doubles — runs inline.  One column and the study width m = 8 run the
+/// SvKernels reductions; other widths reduce whole rows
+/// (transforms/sv_tree_blocks.hpp).  All scratch is allocated here, once
+/// per solve.
+class Passes {
+ public:
+  Passes(const parallel::Engine& engine, std::size_t rows, std::size_t m)
+      : engine_(engine),
+        sv_(reduction_kernels()),
+        rows_(rows),
+        m_(m),
+        stride_(m == 1 || m == 8
+                    ? 0
+                    : std::max({linalg::tree_reduce_rows_scratch(m, rows),
+                                linalg::tree_reduce_rows_scratch(2 * m, rows),
+                                linalg::tree_reduce_rows_scratch(3 * m, rows)})) {
+    const std::size_t lanes = std::bit_floor(std::max(engine.concurrency(), 1u));
+    if (std::has_single_bit(rows) && rows / lanes * m >= kMinFanOutBlock) {
+      blocks_ = lanes;
+      partials_.resize(blocks_ * 3 * m);
+    }
+    scratch_.resize(blocks_ * stride_);
+  }
+
+  /// Pass 1: out[c] = x.x, out[m + c] = x.y and out[2m + c] = ||y - mu x||_1
+  /// of column c.
+  void check_sums(const double* x, const double* y, double mu, double* out) {
+    const std::size_t m = m_;
+    sums(3 * m, [&](std::size_t begin, std::size_t end, double* partial) {
+      const double* xb = x + begin * m;
+      const double* yb = y + begin * m;
+      if (m == 1) {
+        const transforms::TreeSums t = sv_.tree_check_sums(xb, yb, end - begin, mu);
+        partial[0] = t.first;
+        partial[1] = t.second;
+        partial[2] = t.third;
+      } else if (m == 8) {
+        sv_.panel8_check_sums(xb, yb, end - begin, mu, partial);
+      } else {
+        transforms::panel_check_sums<0>(xb, yb, end - begin, m, mu, partial,
+                                        scratch(begin));
+      }
+    }, out);
+  }
+
+  /// Pass 2: out[c] = ||y - lambda_c x||_2^2 of column c, and
+  /// y <- (y - mu x) inv_c in the same sweep.
+  void residual_update(const double* x, double* y, const double* lambda,
+                       double mu, const double* inv, double* out) {
+    const std::size_t m = m_;
+    sums(m, [&](std::size_t begin, std::size_t end, double* partial) {
+      const double* xb = x + begin * m;
+      double* yb = y + begin * m;
+      if (m == 1) {
+        partial[0] =
+            sv_.tree_residual_update(xb, yb, end - begin, lambda[0], mu, inv[0]);
+      } else if (m == 8) {
+        sv_.panel8_residual_update(xb, yb, end - begin, lambda, mu, inv, partial);
+      } else {
+        transforms::panel_residual_update<0>(xb, yb, end - begin, m, lambda, mu,
+                                             inv, partial, scratch(begin));
+      }
+    }, out);
+  }
+
+  /// out[c] = sum of column c, out[m + c] = its 1-norm.
+  void orientation_sums(const double* x, double* out) {
+    const std::size_t m = m_;
+    sums(2 * m, [&](std::size_t begin, std::size_t end, double* partial) {
+      const double* xb = x + begin * m;
+      if (m == 1) {
+        partial[0] = sv_.tree_sum(xb, end - begin);
+        partial[1] = sv_.tree_abs_sum(xb, end - begin);
+      } else if (m == 8) {
+        sv_.panel8_orientation_sums(xb, end - begin, partial);
+      } else {
+        transforms::panel_orientation_sums<0>(xb, end - begin, m, partial,
+                                              scratch(begin));
+      }
+    }, out);
+  }
+
+  /// y <- y - mu x, element-wise.
+  void shift(const double* x, double* y, double mu) {
+    const std::size_t m = m_;
+    run([x, y, mu, m](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin * m; i < end * m; ++i) y[i] -= mu * x[i];
+    });
+  }
+
+  /// out <- x scale_c per column (out may be x).
+  void scale(const double* x, const double* scale, double* out) {
+    const std::size_t m = m_;
+    run([x, scale, out, m](std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        for (std::size_t c = 0; c < m; ++c) out[i * m + c] = x[i * m + c] * scale[c];
+      }
+    });
+  }
+
+ private:
+  /// Runs body(begin, end) on every block of rows.
+  template <typename Body>
+  void run(const Body& body) const {
+    if (blocks_ == 1) return body(std::size_t{0}, rows_);
+    const std::size_t size = rows_ / blocks_;
+    engine_.dispatch(blocks_, [&body, size](std::size_t first, std::size_t last) {
+      for (std::size_t b = first; b < last; ++b) body(b * size, (b + 1) * size);
+    });
+  }
+
+  /// `width` tree-ordered sums over all rows: body(begin, end, partial)
+  /// writes its block's sums to partial[0..width), and out[k] is the
+  /// tree_reduce of the blocks' k-th partials.
+  template <typename Body>
+  void sums(std::size_t width, const Body& body, double* out) {
+    if (blocks_ == 1) return body(std::size_t{0}, rows_, out);
+    const std::size_t size = rows_ / blocks_;
+    double* partials = partials_.data();
+    run([&body, partials, size, width](std::size_t begin, std::size_t end) {
+      body(begin, end, partials + begin / size * width);
+    });
+    for (std::size_t k = 0; k < width; ++k) {
+      out[k] = linalg::tree_reduce(std::size_t{0}, blocks_, [partials, width, k](std::size_t b) {
+        return partials[b * width + k];
+      });
+    }
+  }
+
+  /// The scratch slice of the block that starts at row `begin`.
+  double* scratch(std::size_t begin) {
+    return scratch_.data() + begin / (rows_ / blocks_) * stride_;
+  }
+
+  const parallel::Engine& engine_;
+  const transforms::SvKernels& sv_;
+  std::size_t rows_;
+  std::size_t m_;
+  std::size_t stride_;
+  std::size_t blocks_ = 1;
+  std::vector<double> partials_;
+  std::vector<double> scratch_;
+};
+
 }  // namespace
 
 PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
                            IterationDriver driver,
                            const IterationOptions& options, double shift) {
-  const std::size_t n = trace.iterate.size();
-  const transforms::SvKernels& sv = reduction_kernels();
-  parallel::FanOut fan(parallel::engine_or_serial(options.engine), n);
+  const std::size_t m = collective.width();
+  const std::size_t size = trace.iterate.size();
+  require(m >= 1 && size % m == 0, "run_power_loop: iterate is not m columns wide");
+  Passes passes(parallel::engine_or_serial(options.engine), size / m, m);
   const bool root = collective.is_root();
+  const bool sole = collective.participants() == 1;
+  const double mu = shift;
 
   PowerResult out;
   out.eigenvector = std::move(trace.iterate);
   out.eigenvalue = trace.eigenvalue;
   out.residual = trace.residual;
   out.iterations = trace.start_iteration;
+  out.column_eigenvalues.assign(m, trace.eigenvalue);
+  out.column_residuals.assign(m, trace.residual);
 
   // The product buffer comes from the shared workspace when one is
   // configured, so repeated solves (sweeps, recovery retries) reuse it.
+  // After a check the two buffers trade roles, so the iterate lives in
+  // either.
   core::Workspace local_workspace;
   core::Workspace& workspace =
       options.workspace != nullptr ? *options.workspace : local_workspace;
-  std::span<double> y = workspace.take(core::Workspace::Slot::product, n);
+  double* xp = out.eigenvector.data();
+  double* yp = workspace.take(core::Workspace::Slot::product, size).data();
+  const auto x = [&xp, size] { return std::span<double>(xp, size); };
 
-  std::span<double> x(out.eigenvector);
-  double* yp = y.data();
-  double* xp = x.data();
-  const double mu = shift;
+  // Per-column scratch: pass 1's sums, pass 2's residuals plus the control
+  // word, and the Rayleigh quotients and reciprocal norms between them.
+  std::vector<double> sums(3 * m), tail(m + 1), lambda(m), inv(m), res(m);
+
+  // Iterations that run the check passes without observing them: every
+  // K-th, when K products between scheduled checks could leave the
+  // iterate's 1-norm range, and every periodic-checkpoint iteration.
+  const unsigned stretch = stretch_bound(collective.fitness_range(), mu);
+  const bool forced_renormalisation =
+      stretch != 0 && stretch < options.residual_check_every;
+  const bool in_place = mu == 0.0 && collective.aliasing();
 
   for (unsigned it = trace.start_iteration + 1; it <= options.max_iterations; ++it) {
+    const bool scheduled = driver.should_check(it, options.max_iterations);
+    const bool check = scheduled ||
+                       (forced_renormalisation && it % stretch == 0) ||
+                       driver.checkpoint_due(it, false);
+    if (!scheduled && sole && options.should_stop && options.should_stop()) {
+      QS_TRACE_INSTANT_ARG("solver.cancelled", solver, out.residual, it);
+      out.failure = SolverFailure::cancelled;
+      break;
+    }
     QS_TRACE_SPAN_ARG("power.iteration", solver, it);
-    collective.apply(x, y);  // y = W x (unshifted product)
+    collective.apply(x(), std::span<double>(check || !in_place ? yp : xp, size));
     out.iterations = it;
+    if (!check) {
+      if (!in_place) {
+        if (mu != 0.0) passes.shift(xp, yp, mu);
+        std::swap(xp, yp);
+      }
+      continue;
+    }
 
-    // Pass B shifts y and yields its 1-norm in the same sweep as the
-    // residual.  Its write to y is harmless on every early exit below: y
-    // is scratch, and x — what a cancelled solve flushes — is untouched
-    // until pass C.
-    double norm = 0.0;
-    bool time_due = false;
-    if (driver.should_check(it, options.max_iterations)) {
-      // Rayleigh quotient from the product already in hand.
-      const transforms::TreeSums a =
-          tree_sums(fan, [&sv, xp, yp](std::size_t begin, std::size_t end) {
-            return sv.tree_dot2(xp + begin, yp + begin, end - begin);
-          });
-      double dots[2] = {a.first, a.second};
-      collective.allreduce(dots);
-      const double xx = dots[0];
-      const double lambda = dots[1] / xx;
-      // Residual ||y - lambda x||_2 formed explicitly.  (The algebraically
-      // equivalent sqrt(yy - xy^2/xx) cancels catastrophically: its noise
-      // floor is sqrt(eps) ~ 1e-8 in eigenvector error, far above the
-      // tolerances this solver targets.)
-      const transforms::TreeSums b = tree_sums(
-          fan, [&sv, xp, yp, lambda, mu](std::size_t begin, std::size_t end) {
-            return sv.tree_residual_shift_norm1(xp + begin, yp + begin, end - begin,
-                                                lambda, mu, true);
-          });
-      // The control word rides with the sums: any participant's stop vote
-      // cancels everywhere, and the root's clock decides the time cadence.
-      double control = 0.0;
-      if (options.should_stop && options.should_stop()) control += 1.0;
-      if (root && driver.checkpoint_time_due()) control += kControlTimeBit;
-      double sums[3] = {b.first, b.second, control};
-      collective.allreduce(sums);
-      const double res2 = sums[0];
-      norm = sums[1];
-      time_due = sums[2] >= kControlTimeBit;
-      // Numerical-health guard: a NaN/Inf iterate makes both the Rayleigh
-      // quotient and the residual non-finite.  Fail fast with a structured
-      // reason instead of spinning max_iterations on garbage.
-      if (!driver.guard({lambda, res2}, out)) break;
-      out.eigenvalue = lambda;
-      out.residual =
-          std::sqrt(res2) / std::max(std::abs(lambda) * std::sqrt(xx), 1e-300);
+    // Pass 1: the Rayleigh quotient from the product in hand, and the
+    // 1-norm of the shifted product.
+    passes.check_sums(xp, yp, mu, sums.data());
+    collective.allreduce(sums);
+    for (std::size_t c = 0; c < m; ++c) lambda[c] = sums[m + c] / sums[c];
+    // Numerical-health guard: a NaN/Inf iterate makes the Rayleigh
+    // quotient or a norm non-finite.  Fail fast with a structured reason
+    // instead of spinning max_iterations on garbage.
+    if (!driver.guard(lambda, out) || !driver.guard(sums, out)) break;
+    for (std::size_t c = 0; c < m; ++c) {
+      require(sums[2 * m + c] > 0.0, "power_iteration: iterate collapsed to zero");
+      inv[c] = 1.0 / sums[2 * m + c];
+    }
+
+    // Pass 2: the residual ||y - lambda x||_2 formed explicitly (the
+    // algebraically equivalent sqrt(yy - xy^2/xx) cancels catastrophically:
+    // its noise floor is sqrt(eps) ~ 1e-8 in eigenvector error, far above
+    // the tolerances this solver targets), and y normalised in place.  The
+    // control word rides with the sums: any participant's stop vote cancels
+    // everywhere, and the root's clock decides the time cadence.
+    passes.residual_update(xp, yp, lambda.data(), mu, inv.data(), tail.data());
+    double control = 0.0;
+    if (scheduled && options.should_stop && options.should_stop()) control += 1.0;
+    if (root && driver.checkpoint_time_due()) control += kControlTimeBit;
+    tail[m] = control;
+    collective.allreduce(tail);
+    const bool time_due = tail[m] >= kControlTimeBit;
+    if (!driver.guard(std::span<const double>(tail).first(m), out)) break;
+
+    if (scheduled) {
+      std::size_t worst = 0;
+      for (std::size_t c = 0; c < m; ++c) {
+        res[c] = std::sqrt(tail[c]) /
+                 std::max(std::abs(lambda[c]) * std::sqrt(sums[c]), 1e-300);
+        if (res[c] > res[worst]) worst = c;
+      }
+      out.column_eigenvalues = lambda;
+      out.column_residuals = res;
+      out.eigenvalue = lambda[worst];
+      out.residual = res[worst];
       const IterationDriver::Verdict verdict = driver.observe(
-          it, out.residual, out, std::fmod(sums[2], kControlTimeBit) != 0.0);
+          it, out.residual, out, std::fmod(tail[m], kControlTimeBit) != 0.0);
       if (verdict != IterationDriver::Verdict::proceed) {
         // A cancelled solve (deadline, disconnect, SIGTERM) flushes its
         // finite pre-update iterate — the result of iteration it-1 — so a
         // restart resumes exactly this aborted iteration.
         if (verdict == IterationDriver::Verdict::cancelled &&
             driver.checkpointing()) {
-          const std::span<const double> full = collective.gather(x);
+          const std::span<const double> full = collective.gather(x());
           if (root) driver.write_checkpoint(it - 1, out, full, it - 1);
         }
         break;
       }
-    } else {
-      norm = tree_sums(fan, [&sv, xp, yp, mu](std::size_t begin, std::size_t end) {
-               return sv.tree_residual_shift_norm1(xp + begin, yp + begin,
-                                                   end - begin, 0.0, mu, false);
-             }).second;
-      collective.allreduce(std::span<double>(&norm, 1));
     }
+    std::swap(xp, yp);
 
-    // The 1-norm is computed every iteration anyway, so checking it for
-    // NaN/Inf costs one compare and catches a poisoned product at the
-    // earliest possible iteration — before it can reach a checkpoint.
-    if (!driver.guard({norm}, out)) break;
-    require(norm > 0.0, "power_iteration: iterate collapsed to zero");
-    const double inv = 1.0 / norm;
-    fan.run([xp, yp, inv](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) xp[i] = yp[i] * inv;
-    });
-
-    // Periodic checkpoint, written only after the health guard above passed:
-    // the last checkpoint on disk is always a finite, resumable state.  The
+    // Periodic checkpoint, written only after the health guards passed: the
+    // last checkpoint on disk is always a finite, resumable state.  The
     // decision is replicated (iteration cadence, agreed time cadence), so
     // every participant joins the gather.
     if (driver.checkpoint_due(it, time_due)) {
-      const std::span<const double> full = collective.gather(x);
+      const std::span<const double> full = collective.gather(x());
       if (root) driver.write_checkpoint(it, out, full, it);
     }
   }
 
   // A non-finite exit leaves the garbage iterate in place for post-mortem
   // inspection but skips the orientation fix (flipping NaNs is meaningless).
-  if (out.failure != SolverFailure::none) return out;
+  double* result = out.eigenvector.data();
+  if (out.failure == SolverFailure::non_finite) {
+    if (xp != result) std::copy(xp, xp + size, result);
+    return out;
+  }
 
-  // Perron orientation: the dominant eigenvector is nonnegative; flip if the
-  // iteration settled on the negative representative, and 1-normalise.  The
-  // flip does not change the 1-norm, so both sums travel in one allreduce,
-  // and -(x / norm) is x * (-1 / norm) exactly.
-  const transforms::TreeSums f =
-      tree_sums(fan, [&sv, xp](std::size_t begin, std::size_t end) {
-        return transforms::TreeSums{sv.tree_sum(xp + begin, end - begin),
-                                    sv.tree_abs_sum(xp + begin, end - begin)};
-      });
-  double final_sums[2] = {f.first, f.second};
+  // Perron orientation: the dominant eigenvector is nonnegative; flip a
+  // column that settled on the negative representative, and 1-normalise.
+  // The flip does not change the 1-norm, so both sums travel in one
+  // allreduce, and -(x / norm) is x * (-1 / norm) exactly.
+  std::vector<double> final_sums(2 * m);
+  passes.orientation_sums(xp, final_sums.data());
   collective.allreduce(final_sums);
-  require(final_sums[1] > 0.0, "power_iteration: zero eigenvector");
-  const double scale = (final_sums[0] < 0.0 ? -1.0 : 1.0) / final_sums[1];
-  fan.run([xp, scale](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) xp[i] *= scale;
-  });
+  for (std::size_t c = 0; c < m; ++c) {
+    require(final_sums[m + c] > 0.0, "power_iteration: zero eigenvector");
+    inv[c] = (final_sums[c] < 0.0 ? -1.0 : 1.0) / final_sums[m + c];
+  }
+  passes.scale(xp, inv.data(), result);
   return out;
 }
 

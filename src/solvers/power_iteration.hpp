@@ -17,11 +17,13 @@
 // SolverFailure instead of spinning max_iterations on garbage.
 //
 // There is one power iteration, run_power_loop below.  A serial solve, an
-// engine-parallel one and every rank of a distributed solve run it over a
-// BlockCollective; all of them produce the same bits.
+// engine-parallel one, every rank of a distributed solve and a landscape
+// family's panel (analysis::sweep_landscape_family) run it over a
+// BlockCollective; a column gets the same bits on all of them.
 #pragma once
 
 #include <concepts>
+#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -46,7 +48,14 @@ struct PowerOptions : IterationOptions {
 /// iterations, residual, converged/stalled/failure, checkpoint statistics)
 /// plus the eigenvector.
 struct PowerResult : IterationResult {
-  std::vector<double> eigenvector;  ///< 1-norm normalised, nonnegative.
+  std::vector<double> eigenvector;  ///< 1-norm normalised, nonnegative (per
+                                    ///< column of an interleaved panel).
+  /// Per column: the Rayleigh quotient and relative residual of the last
+  /// residual check (the trace's values before the first).  The scalar
+  /// eigenvalue and residual are those of the column with the largest
+  /// residual, the one the driver observed.
+  std::vector<double> column_eigenvalues;
+  std::vector<double> column_residuals;
 };
 
 /// Runs the (shifted) power iteration on `op` starting from `start`
@@ -95,18 +104,22 @@ PowerResult resume_power_iteration(const core::LinearOperator& op,
 std::vector<double> landscape_start(const core::Landscape& landscape);
 
 /// What one participant of a power iteration needs from the others.  The
-/// iterate is split into aligned power-of-two blocks, one per participant;
-/// every sum of the loop is a block partial completed by `allreduce`, and a
-/// block partial is a complete subtree of the whole vector's summation tree
-/// (linalg/tree_reduce.hpp), so the totals do not depend on the split.  A
-/// serial solve is the one-participant case: the product is the operator,
-/// and the reduction and the gather are the identity.  The ranks of a
-/// distributed solve implement it over their Exchange.
+/// iterate is split into aligned power-of-two blocks of rows, one per
+/// participant, and a row holds m interleaved columns, each iterated
+/// independently; every sum of the loop is a per-column block partial
+/// completed by `allreduce`, and a block partial is a complete subtree of
+/// the whole column's summation tree (linalg/tree_reduce.hpp), so the totals
+/// do not depend on the split.  A serial solve is the one-participant,
+/// one-column case: the product is the operator, and the reduction and the
+/// gather are the identity.  A landscape family is one participant with m
+/// columns; the ranks of a distributed solve implement one column over
+/// their Exchange.
 class BlockCollective {
  public:
   virtual ~BlockCollective() = default;
 
-  /// y = W x on this participant's block.
+  /// y = W x on this participant's block (every column at once).  When
+  /// aliasing() is true, x and y may be the same span.
   virtual void apply(std::span<const double> x, std::span<double> y) = 0;
 
   /// Completes block partial sums element-wise, in tree order across the
@@ -119,25 +132,51 @@ class BlockCollective {
 
   /// True on the participant that writes checkpoints.
   virtual bool is_root() const = 0;
+
+  /// Number of participants.  A lone participant may stop between checks.
+  virtual unsigned participants() const = 0;
+
+  /// Columns m of the iterate.
+  virtual std::size_t width() const { return 1; }
+
+  /// True when apply(x, x) is exact.
+  virtual bool aliasing() const { return false; }
+
+  /// The fitness range of every column's product (core::FitnessRange),
+  /// when known; it bounds how long an iterate may stay unnormalised.
+  virtual std::optional<core::FitnessRange> fitness_range() const {
+    return std::nullopt;
+  }
 };
 
 /// The power iteration: starting from `trace.iterate` (this participant's
-/// block, taken verbatim), iterate x <- (W - shift I) x / ||.||_1 until the
-/// driver stops it, then orient and 1-normalise the block.  The control
-/// plane is replicated: every participant runs its own `driver` on the
-/// same allreduced values, the stop vote and the root's wall-clock
-/// checkpoint cadence travel with the residual sums, and only the root
-/// writes checkpoints (of the gathered iterate) — so a checkpoint written
-/// under one decomposition resumes under any other.
+/// block, taken verbatim), iterate x <- (W - shift I) x / ||.||_1 column by
+/// column until the driver stops it, then orient and 1-normalise every
+/// column.  The control plane is replicated: every participant runs its own
+/// `driver` on the same allreduced values, observing the column with the
+/// largest residual; the stop vote and the root's wall-clock checkpoint
+/// cadence travel with the residual sums, and only the root writes
+/// checkpoints (of the gathered iterate) — so a checkpoint written under one
+/// decomposition resumes under any other.
 ///
-/// Each step is the product plus three passes over the block:
-///   A  {x.x, x.y}                       (residual checks only)
-///   B  residual, y <- y - mu x, ||y||_1 (residual skipped off-cadence)
-///   C  x <- y / ||y||_1
-/// and one allreduce of {x.x, x.y} and one of {res2, ||y||_1, control} per
-/// residual check, one of {||y||_1} otherwise.  `options.engine` fans the
-/// passes out over aligned power-of-two sub-blocks; it changes the speed,
-/// never the bits.
+/// A residual check (every options.residual_check_every-th product and the
+/// last) is the product out of place plus two passes over the block:
+///   1  {x.x, x.y, ||y - mu x||_1}               per column, one allreduce
+///   2  ||y - lambda x||_2^2, y <- (y - mu x) / ||y - mu x||_1,
+///                                               per column, one allreduce
+/// after which y is the iterate; a check that stops the solve keeps the
+/// checked iterate x.  Between checks a product runs with no reduction: in
+/// place when shift == 0 and the collective allows aliasing, otherwise out
+/// of place followed, when shift != 0, by one pass y <- y - mu x.  Such an
+/// unnormalised stretch lasts at most K = floor(64 / log2 s) products, s the
+/// larger of f_max - mu and 1 / (f_min - mu) over the collective's fitness
+/// range (K = 1 without one): when K is below the check cadence, every K-th
+/// iteration runs the check passes without observing them, and so does one
+/// that is due a periodic checkpoint.  Only checks write checkpoints.
+/// A lone participant polls should_stop before every product that does not
+/// end in a scheduled check, and stops there without a checkpoint flush.
+/// `options.engine` fans the passes out over aligned power-of-two row
+/// blocks; it changes the speed, never the bits.
 PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
                            IterationDriver driver,
                            const IterationOptions& options, double shift);

@@ -1,6 +1,9 @@
 #include "support/args.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
+#include <iostream>
 
 #include "support/contracts.hpp"
 
@@ -17,6 +20,7 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
     }
     const std::string body = arg.substr(2);
     const auto eq = body.find('=');
+    order_.push_back(body.substr(0, eq));
     if (eq != std::string::npos) {
       options_[body.substr(0, eq)] = body.substr(eq + 1);
       continue;
@@ -64,11 +68,15 @@ long ArgParser::get_long(const std::string& name, long fallback, long lo,
   return value;
 }
 
-std::vector<std::string> ArgParser::provided_options() const {
-  std::vector<std::string> names;
-  names.reserve(options_.size());
-  for (const auto& [name, value] : options_) names.push_back(name);
-  return names;
+bool ArgParser::only_known(std::initializer_list<std::string_view> known) const {
+  for (const std::string& name : order_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::cerr << std::filesystem::path(program_).filename().string()
+                << ": unknown option --" << name << "\n";
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace qs

@@ -5,9 +5,10 @@
 // option handling with validation and error messages.
 #pragma once
 
+#include <initializer_list>
 #include <map>
-#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace qs {
@@ -37,12 +38,15 @@ class ArgParser {
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Names of all options that were provided (for unknown-option checks).
-  std::vector<std::string> provided_options() const;
+  /// False, after printing "<program>: unknown option --<name>" to stderr,
+  /// when an option outside `known` (the options the tool reads) was given;
+  /// <name> is the first such option in command-line order.  Tools exit 2.
+  bool only_known(std::initializer_list<std::string_view> known) const;
 
  private:
   std::string program_;
   std::map<std::string, std::string> options_;
+  std::vector<std::string> order_;  ///< Option names in command-line order.
   std::vector<std::string> positional_;
 };
 

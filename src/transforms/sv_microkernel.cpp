@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "linalg/tree_reduce.hpp"
 #include "transforms/sv_tree_blocks.hpp"
 
 namespace qs::transforms {
@@ -116,113 +115,42 @@ void sv_mul_rows_broadcast_inplace_scalar(double* y, const double* s,
   }
 }
 
-// Scalar tree reductions.  The blockwise path evaluates each 64-leaf block
-// into an array and halves it level by level (l[i] = l[2i] + l[2i+1]: the
-// block's subtree, bottom-up); every other length is tree_reduce itself.
+// Scalar tree reductions: a single vector is the one-column panel, whose
+// column sum over rows is the vector's tree sum (transforms/sv_tree_blocks).
 
-/// One or two leaf values of an element.
-struct LeafPair {
-  double a;
-  double b;
-};
-
-/// Tree sums of leaf(i).a (and, when Two, leaf(i).b) over [0, n), n
-/// blockwise.  `leaf` runs exactly once per element, in ascending order.
-template <bool Two, typename Leaf>
-TreeSums tree_blocks_scalar(std::size_t n, const Leaf& leaf) {
-  double pending_a[kTreeCounterDepth] = {};
-  double pending_b[kTreeCounterDepth] = {};
-  double la[kTreeBlock];
-  double lb[kTreeBlock];
-  const std::size_t blocks = n / kTreeBlock;
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const std::size_t base = blk * kTreeBlock;
-    for (std::size_t i = 0; i < kTreeBlock; ++i) {
-      const LeafPair l = leaf(base + i);
-      la[i] = l.a;
-      if constexpr (Two) lb[i] = l.b;
-    }
-    for (std::size_t w = kTreeBlock / 2; w >= 1; w /= 2) {
-      for (std::size_t i = 0; i < w; ++i) {
-        la[i] = la[2 * i] + la[2 * i + 1];
-        if constexpr (Two) lb[i] = lb[2 * i] + lb[2 * i + 1];
-      }
-    }
-    tree_counter_push(pending_a, blk, la[0]);
-    if constexpr (Two) tree_counter_push(pending_b, blk, lb[0]);
-  }
-  return {tree_counter_root(pending_a, blocks),
-          Two ? tree_counter_root(pending_b, blocks) : 0.0};
+TreeSums sv_tree_check_sums_scalar(const double* x, const double* y,
+                                   std::size_t n, double mu) {
+  double s[3];
+  panel_check_sums<1>(x, y, n, 1, mu, s, nullptr);
+  return {s[0], s[1], s[2]};
 }
 
-TreeSums sv_tree_dot2_scalar(const double* x, const double* y, std::size_t n) {
-  if (!tree_blockwise(n)) {
-    return {linalg::tree_reduce(std::size_t{0}, n,
-                                [x](std::size_t i) { return x[i] * x[i]; }),
-            linalg::tree_reduce(std::size_t{0}, n,
-                                [x, y](std::size_t i) { return x[i] * y[i]; })};
-  }
-  return tree_blocks_scalar<true>(n, [x, y](std::size_t i) {
-    return LeafPair{x[i] * x[i], x[i] * y[i]};
-  });
-}
-
-TreeSums sv_tree_residual_shift_norm1_scalar(const double* x, double* y,
-                                             std::size_t n, double lambda,
-                                             double mu, bool want_residual) {
-  auto residual = [x, y, lambda](std::size_t i) {
-    const double r = y[i] - lambda * x[i];
-    return r * r;
-  };
-  auto shifted_abs = [x, y, mu](std::size_t i) {
-    if (mu == 0.0) return std::abs(y[i]);
-    const double z = y[i] - mu * x[i];
-    y[i] = z;
-    return std::abs(z);
-  };
-  if (!tree_blockwise(n)) {
-    // The residual reads y before the shift overwrites it.
-    const double res2 =
-        want_residual ? linalg::tree_reduce(std::size_t{0}, n, residual) : 0.0;
-    return {res2, linalg::tree_reduce(std::size_t{0}, n, shifted_abs)};
-  }
-  if (!want_residual) {
-    return {0.0, tree_blocks_scalar<false>(n, [&](std::size_t i) {
-                   return LeafPair{shifted_abs(i), 0.0};
-                 }).first};
-  }
-  return tree_blocks_scalar<true>(n, [&](std::size_t i) {
-    const double r2 = residual(i);
-    return LeafPair{r2, shifted_abs(i)};
-  });
+double sv_tree_residual_update_scalar(const double* x, double* y, std::size_t n,
+                                      double lambda, double mu, double inv) {
+  double s;
+  panel_residual_update<1>(x, y, n, 1, &lambda, mu, &inv, &s, nullptr);
+  return s;
 }
 
 double sv_tree_sum_scalar(const double* v, std::size_t n) {
-  if (!tree_blockwise(n)) {
-    return linalg::tree_reduce(std::size_t{0}, n,
-                               [v](std::size_t i) { return v[i]; });
-  }
-  return tree_blocks_scalar<false>(n, [v](std::size_t i) {
-           return LeafPair{v[i], 0.0};
-         }).first;
+  double s[2];
+  panel_orientation_sums<1>(v, n, 1, s, nullptr);
+  return s[0];
 }
 
 double sv_tree_abs_sum_scalar(const double* v, std::size_t n) {
-  if (!tree_blockwise(n)) {
-    return linalg::tree_reduce(std::size_t{0}, n,
-                               [v](std::size_t i) { return std::abs(v[i]); });
-  }
-  return tree_blocks_scalar<false>(n, [v](std::size_t i) {
-           return LeafPair{std::abs(v[i]), 0.0};
-         }).first;
+  double s[2];
+  panel_orientation_sums<1>(v, n, 1, s, nullptr);
+  return s[1];
 }
 
 constexpr SvKernels kScalarSvKernels{
     sv_butterfly_span_scalar, sv_butterfly_quad_span_scalar,
     sv_butterfly_oct_span_scalar, sv_rows8_stage_scalar, sv_mul_span_scalar,
     sv_mul_span_inplace_scalar, sv_mul_rows_broadcast_scalar,
-    sv_mul_rows_broadcast_inplace_scalar, sv_tree_dot2_scalar,
-    sv_tree_residual_shift_norm1_scalar, sv_tree_sum_scalar,
+    sv_mul_rows_broadcast_inplace_scalar, sv_tree_check_sums_scalar,
+    sv_tree_residual_update_scalar, panel8_check_sums, panel8_residual_update,
+    panel8_orientation_sums, sv_tree_sum_scalar,
     sv_tree_abs_sum_scalar, "scalar",
 };
 

@@ -43,8 +43,8 @@
 // exactly the bits of the scalar tree_reduce, and a distributed rank's
 // block sum is a complete subtree of the serial one.  Lengths that are not
 // a power of two, or shorter than one block, fall back to tree_reduce.  The
-// fused entries let one power-iteration step read its vectors three times
-// instead of six (solvers/power_iteration.cpp).
+// two check entries let one power-iteration step read its vectors in two
+// passes instead of six (solvers/power_iteration.cpp).
 #pragma once
 
 #include <cstddef>
@@ -53,10 +53,11 @@
 
 namespace qs::transforms {
 
-/// Two sums returned by one fused reduction pass.
+/// Up to three sums returned by one fused reduction pass.
 struct TreeSums {
   double first;
   double second;
+  double third;
 };
 
 /// Table of contiguous-span kernels the banded butterfly is built from (a
@@ -102,16 +103,29 @@ struct SvKernels {
   void (*mul_rows_broadcast_inplace)(double* y, const double* s,
                                      std::size_t rows, std::size_t m);
 
-  /// Rayleigh-quotient pass: {sum x[i]^2, sum x[i]*y[i]} over [0, n).
-  TreeSums (*tree_dot2)(const double* x, const double* y, std::size_t n);
+  /// Pass 1 of a power-iteration check over [0, n): {sum x[i]^2,
+  /// sum x[i]*y[i], sum |y[i] - mu*x[i]|}.  mu == 0 sums |y[i]| (the
+  /// unshifted iteration takes no product with x).
+  TreeSums (*tree_check_sums)(const double* x, const double* y, std::size_t n,
+                              double mu);
 
-  /// Residual, shift and 1-norm in one pass over [0, n):
-  /// first = sum (y[i] - lambda*x[i])^2 (0 when !want_residual), then
-  /// y[i] <- y[i] - mu*x[i] in place and second = sum |y[i]| of the shifted
-  /// values.  mu == 0 leaves y untouched (the unshifted iteration).
-  TreeSums (*tree_residual_shift_norm1)(const double* x, double* y,
-                                        std::size_t n, double lambda,
-                                        double mu, bool want_residual);
+  /// Pass 2 of a check over [0, n): returns sum (y[i] - lambda*x[i])^2 and,
+  /// in the same sweep, writes y[i] <- (y[i] - mu*x[i]) * inv (mu == 0:
+  /// y[i] * inv).  The residual reads y before the write.
+  double (*tree_residual_update)(const double* x, double* y, std::size_t n,
+                                 double lambda, double mu, double inv);
+
+  /// The check passes and the orientation sums of an interleaved 8-column
+  /// panel of `rows` rows: per column, the sums of tree_check_sums,
+  /// tree_residual_update (lambda and inv per column) and {tree_sum,
+  /// tree_abs_sum}, each in tree order over rows.  `out` receives one
+  /// block of 8 per sum: 24, 8 and 16 values.
+  void (*panel8_check_sums)(const double* x, const double* y, std::size_t rows,
+                            double mu, double* out);
+  void (*panel8_residual_update)(const double* x, double* y, std::size_t rows,
+                                 const double* lambda, double mu,
+                                 const double* inv, double* out);
+  void (*panel8_orientation_sums)(const double* x, std::size_t rows, double* out);
 
   /// sum v[i] over [0, n).
   double (*tree_sum)(const double* v, std::size_t n);

@@ -251,10 +251,11 @@ void sv_mul_rows_broadcast_inplace_avx2(double* y, const double* s,
   sv_mul_rows_broadcast_avx2(y, y, s, rows, m);
 }
 
-/// One or two leaf vectors of four consecutive elements.
+/// Up to three leaf vectors of four consecutive elements.
 struct Leaves4 {
   __m256d a;
   __m256d b;
+  __m256d c;
 };
 
 /// Two tree levels at once: a, b, c, d hold 16 consecutive partials of one
@@ -275,101 +276,98 @@ inline __attribute__((always_inline)) double tree_finish4(__m256d p) {
       _mm_add_sd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd(h, 1)));
 }
 
-/// Tree sums of leaf(i).a (and, when Two, leaf(i).b) over [0, n), n
-/// blockwise.  leaf(i) returns the leaves of elements i..i+3 and runs
-/// exactly once per 4 elements, in ascending order.
-template <bool Two, typename Leaf>
+/// The first K sums of leaf(i).{a, b, c} over [0, n), n blockwise.  leaf(i)
+/// returns the leaves of elements i..i+3 and runs exactly once per 4
+/// elements, in ascending order.
+template <std::size_t K, typename Leaf>
 TreeSums tree_blocks_avx2(std::size_t n, const Leaf& leaf) {
-  double pending_a[kTreeCounterDepth] = {};
-  double pending_b[kTreeCounterDepth] = {};
+  double pending[K][kTreeCounterDepth] = {};
   const std::size_t blocks = n / kTreeBlock;
   for (std::size_t blk = 0; blk < blocks; ++blk) {
     const std::size_t base = blk * kTreeBlock;
-    __m256d qa[4];
-    __m256d qb[4];
-    for (std::size_t k = 0; k < 4; ++k) {
-      const std::size_t i = base + 16 * k;
+    __m256d q[K][4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      const std::size_t i = base + 16 * j;
       const Leaves4 l0 = leaf(i);
       const Leaves4 l1 = leaf(i + 4);
       const Leaves4 l2 = leaf(i + 8);
       const Leaves4 l3 = leaf(i + 12);
-      qa[k] = tree_step4(l0.a, l1.a, l2.a, l3.a);
-      if constexpr (Two) qb[k] = tree_step4(l0.b, l1.b, l2.b, l3.b);
+      q[0][j] = tree_step4(l0.a, l1.a, l2.a, l3.a);
+      if constexpr (K > 1) q[1][j] = tree_step4(l0.b, l1.b, l2.b, l3.b);
+      if constexpr (K > 2) q[2][j] = tree_step4(l0.c, l1.c, l2.c, l3.c);
     }
-    tree_counter_push(pending_a, blk,
-                      tree_finish4(tree_step4(qa[0], qa[1], qa[2], qa[3])));
-    if constexpr (Two) {
-      tree_counter_push(pending_b, blk,
-                        tree_finish4(tree_step4(qb[0], qb[1], qb[2], qb[3])));
+    for (std::size_t k = 0; k < K; ++k) {
+      tree_counter_push(pending[k], blk,
+                        tree_finish4(tree_step4(q[k][0], q[k][1], q[k][2], q[k][3])));
     }
   }
-  return {tree_counter_root(pending_a, blocks),
-          Two ? tree_counter_root(pending_b, blocks) : 0.0};
+  double out[3] = {};
+  for (std::size_t k = 0; k < K; ++k) out[k] = tree_counter_root(pending[k], blocks);
+  return {out[0], out[1], out[2]};
 }
 
-TreeSums sv_tree_dot2_avx2(const double* x, const double* y, std::size_t n) {
-  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_dot2(x, y, n);
-  return tree_blocks_avx2<true>(n, [x, y](std::size_t i) {
-    const __m256d xv = _mm256_loadu_pd(x + i);
-    return Leaves4{_mm256_mul_pd(xv, xv),
-                   _mm256_mul_pd(xv, _mm256_loadu_pd(y + i))};
-  });
-}
-
-template <bool Residual, bool Shift>
-TreeSums residual_shift_norm1_avx2(const double* x, double* y, std::size_t n,
-                                   double lambda, double mu) {
-  const __m256d lam = _mm256_set1_pd(lambda);
+template <bool Shift>
+TreeSums check_sums_avx2(const double* x, const double* y, std::size_t n,
+                         double mu) {
   const __m256d shift = _mm256_set1_pd(mu);
   const __m256d sign = _mm256_set1_pd(-0.0);
-  const TreeSums s = tree_blocks_avx2<Residual>(n, [=](std::size_t i) {
+  return tree_blocks_avx2<3>(n, [=](std::size_t i) {
     const __m256d xv = _mm256_loadu_pd(x + i);
     const __m256d yv = _mm256_loadu_pd(y + i);
-    __m256d z = yv;
-    if constexpr (Shift) {
-      z = _mm256_sub_pd(yv, _mm256_mul_pd(shift, xv));
-      _mm256_storeu_pd(y + i, z);
-    }
-    const __m256d abs_z = _mm256_andnot_pd(sign, z);
-    if constexpr (Residual) {
-      const __m256d r = _mm256_sub_pd(yv, _mm256_mul_pd(lam, xv));
-      return Leaves4{_mm256_mul_pd(r, r), abs_z};
-    } else {
-      return Leaves4{abs_z, abs_z};
-    }
+    const __m256d z = Shift ? _mm256_sub_pd(yv, _mm256_mul_pd(shift, xv)) : yv;
+    return Leaves4{_mm256_mul_pd(xv, xv), _mm256_mul_pd(xv, yv),
+                   _mm256_andnot_pd(sign, z)};
   });
-  return Residual ? s : TreeSums{0.0, s.first};
 }
 
-TreeSums sv_tree_residual_shift_norm1_avx2(const double* x, double* y,
-                                           std::size_t n, double lambda,
-                                           double mu, bool want_residual) {
+TreeSums sv_tree_check_sums_avx2(const double* x, const double* y,
+                                 std::size_t n, double mu) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_check_sums(x, y, n, mu);
+  return mu != 0.0 ? check_sums_avx2<true>(x, y, n, mu)
+                   : check_sums_avx2<false>(x, y, n, mu);
+}
+
+template <bool Shift>
+double residual_update_avx2(const double* x, double* y, std::size_t n,
+                            double lambda, double mu, double inv) {
+  const __m256d lam = _mm256_set1_pd(lambda);
+  const __m256d shift = _mm256_set1_pd(mu);
+  const __m256d scale = _mm256_set1_pd(inv);
+  return tree_blocks_avx2<1>(n, [=](std::size_t i) {
+           const __m256d xv = _mm256_loadu_pd(x + i);
+           const __m256d yv = _mm256_loadu_pd(y + i);
+           const __m256d r = _mm256_sub_pd(yv, _mm256_mul_pd(lam, xv));
+           const __m256d z =
+               Shift ? _mm256_sub_pd(yv, _mm256_mul_pd(shift, xv)) : yv;
+           _mm256_storeu_pd(y + i, _mm256_mul_pd(z, scale));
+           const __m256d r2 = _mm256_mul_pd(r, r);
+           return Leaves4{r2, r2, r2};
+         }).first;
+}
+
+double sv_tree_residual_update_avx2(const double* x, double* y, std::size_t n,
+                                    double lambda, double mu, double inv) {
   if (!tree_blockwise(n)) {
-    return scalar_sv_kernels().tree_residual_shift_norm1(x, y, n, lambda, mu,
-                                                         want_residual);
+    return scalar_sv_kernels().tree_residual_update(x, y, n, lambda, mu, inv);
   }
-  if (want_residual) {
-    return mu != 0.0 ? residual_shift_norm1_avx2<true, true>(x, y, n, lambda, mu)
-                     : residual_shift_norm1_avx2<true, false>(x, y, n, lambda, mu);
-  }
-  return mu != 0.0 ? residual_shift_norm1_avx2<false, true>(x, y, n, lambda, mu)
-                   : residual_shift_norm1_avx2<false, false>(x, y, n, lambda, mu);
+  return mu != 0.0 ? residual_update_avx2<true>(x, y, n, lambda, mu, inv)
+                   : residual_update_avx2<false>(x, y, n, lambda, mu, inv);
 }
 
 double sv_tree_sum_avx2(const double* v, std::size_t n) {
   if (!tree_blockwise(n)) return scalar_sv_kernels().tree_sum(v, n);
-  return tree_blocks_avx2<false>(n, [v](std::size_t i) {
+  return tree_blocks_avx2<1>(n, [v](std::size_t i) {
            const __m256d a = _mm256_loadu_pd(v + i);
-           return Leaves4{a, a};
+           return Leaves4{a, a, a};
          }).first;
 }
 
 double sv_tree_abs_sum_avx2(const double* v, std::size_t n) {
   if (!tree_blockwise(n)) return scalar_sv_kernels().tree_abs_sum(v, n);
   const __m256d sign = _mm256_set1_pd(-0.0);
-  return tree_blocks_avx2<false>(n, [v, sign](std::size_t i) {
+  return tree_blocks_avx2<1>(n, [v, sign](std::size_t i) {
            const __m256d a = _mm256_andnot_pd(sign, _mm256_loadu_pd(v + i));
-           return Leaves4{a, a};
+           return Leaves4{a, a, a};
          }).first;
 }
 
@@ -377,8 +375,9 @@ constexpr SvKernels kAvx2SvKernels{
     sv_butterfly_span_avx2, sv_butterfly_quad_span_avx2,
     sv_butterfly_oct_span_avx2, sv_rows8_stage_avx2, sv_mul_span_avx2,
     sv_mul_span_inplace_avx2, sv_mul_rows_broadcast_avx2,
-    sv_mul_rows_broadcast_inplace_avx2, sv_tree_dot2_avx2,
-    sv_tree_residual_shift_norm1_avx2, sv_tree_sum_avx2,
+    sv_mul_rows_broadcast_inplace_avx2, sv_tree_check_sums_avx2,
+    sv_tree_residual_update_avx2, panel8_check_sums, panel8_residual_update,
+    panel8_orientation_sums, sv_tree_sum_avx2,
     sv_tree_abs_sum_avx2, "avx2",
 };
 

@@ -240,10 +240,11 @@ void sv_mul_rows_broadcast_inplace_avx512(double* y, const double* s,
   sv_mul_rows_broadcast_avx512(y, y, s, rows, m);
 }
 
-/// One or two leaf vectors of eight consecutive elements.
+/// Up to three leaf vectors of eight consecutive elements.
 struct Leaves8 {
   __m512d a;
   __m512d b;
+  __m512d c;
 };
 
 /// One tree level: a and b hold 16 consecutive partials; the result holds
@@ -265,100 +266,94 @@ inline __attribute__((always_inline)) double tree_finish8(__m512d p) {
   return _mm512_cvtsd_f64(tree_pair8(h, h));
 }
 
-/// Tree sums of leaf(i).a (and, when Two, leaf(i).b) over [0, n), n
-/// blockwise.  leaf(i) returns the leaves of elements i..i+7 and runs
-/// exactly once per 8 elements, in ascending order.
-template <bool Two, typename Leaf>
+/// The first K sums of leaf(i).{a, b, c} over [0, n), n blockwise.  leaf(i)
+/// returns the leaves of elements i..i+7 and runs exactly once per 8
+/// elements, in ascending order.
+template <std::size_t K, typename Leaf>
 TreeSums tree_blocks_avx512(std::size_t n, const Leaf& leaf) {
-  double pending_a[kTreeCounterDepth] = {};
-  double pending_b[kTreeCounterDepth] = {};
+  double pending[K][kTreeCounterDepth] = {};
   const std::size_t blocks = n / kTreeBlock;
   for (std::size_t blk = 0; blk < blocks; ++blk) {
     const std::size_t base = blk * kTreeBlock;
-    __m512d pa[4];
-    __m512d pb[4];
-    for (std::size_t k = 0; k < 4; ++k) {
-      const Leaves8 l0 = leaf(base + 16 * k);
-      const Leaves8 l1 = leaf(base + 16 * k + 8);
-      pa[k] = tree_pair8(l0.a, l1.a);
-      if constexpr (Two) pb[k] = tree_pair8(l0.b, l1.b);
+    __m512d p[K][4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      const Leaves8 l0 = leaf(base + 16 * j);
+      const Leaves8 l1 = leaf(base + 16 * j + 8);
+      p[0][j] = tree_pair8(l0.a, l1.a);
+      if constexpr (K > 1) p[1][j] = tree_pair8(l0.b, l1.b);
+      if constexpr (K > 2) p[2][j] = tree_pair8(l0.c, l1.c);
     }
-    tree_counter_push(pending_a, blk,
-                      tree_finish8(tree_pair8(tree_pair8(pa[0], pa[1]),
-                                              tree_pair8(pa[2], pa[3]))));
-    if constexpr (Two) {
-      tree_counter_push(pending_b, blk,
-                        tree_finish8(tree_pair8(tree_pair8(pb[0], pb[1]),
-                                                tree_pair8(pb[2], pb[3]))));
+    for (std::size_t k = 0; k < K; ++k) {
+      tree_counter_push(pending[k], blk,
+                        tree_finish8(tree_pair8(tree_pair8(p[k][0], p[k][1]),
+                                                tree_pair8(p[k][2], p[k][3]))));
     }
   }
-  return {tree_counter_root(pending_a, blocks),
-          Two ? tree_counter_root(pending_b, blocks) : 0.0};
+  double out[3] = {};
+  for (std::size_t k = 0; k < K; ++k) out[k] = tree_counter_root(pending[k], blocks);
+  return {out[0], out[1], out[2]};
 }
 
-TreeSums sv_tree_dot2_avx512(const double* x, const double* y, std::size_t n) {
-  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_dot2(x, y, n);
-  return tree_blocks_avx512<true>(n, [x, y](std::size_t i) {
-    const __m512d xv = _mm512_loadu_pd(x + i);
-    return Leaves8{_mm512_mul_pd(xv, xv),
-                   _mm512_mul_pd(xv, _mm512_loadu_pd(y + i))};
-  });
-}
-
-template <bool Residual, bool Shift>
-TreeSums residual_shift_norm1_avx512(const double* x, double* y, std::size_t n,
-                                     double lambda, double mu) {
-  const __m512d lam = _mm512_set1_pd(lambda);
+template <bool Shift>
+TreeSums check_sums_avx512(const double* x, const double* y, std::size_t n,
+                           double mu) {
   const __m512d shift = _mm512_set1_pd(mu);
-  const TreeSums s = tree_blocks_avx512<Residual>(n, [=](std::size_t i) {
+  return tree_blocks_avx512<3>(n, [=](std::size_t i) {
     const __m512d xv = _mm512_loadu_pd(x + i);
     const __m512d yv = _mm512_loadu_pd(y + i);
-    __m512d z = yv;
-    if constexpr (Shift) {
-      z = _mm512_sub_pd(yv, _mm512_mul_pd(shift, xv));
-      _mm512_storeu_pd(y + i, z);
-    }
-    const __m512d abs_z = _mm512_abs_pd(z);
-    if constexpr (Residual) {
-      const __m512d r = _mm512_sub_pd(yv, _mm512_mul_pd(lam, xv));
-      return Leaves8{_mm512_mul_pd(r, r), abs_z};
-    } else {
-      return Leaves8{abs_z, abs_z};
-    }
+    const __m512d z = Shift ? _mm512_sub_pd(yv, _mm512_mul_pd(shift, xv)) : yv;
+    return Leaves8{_mm512_mul_pd(xv, xv), _mm512_mul_pd(xv, yv),
+                   _mm512_abs_pd(z)};
   });
-  return Residual ? s : TreeSums{0.0, s.first};
 }
 
-TreeSums sv_tree_residual_shift_norm1_avx512(const double* x, double* y,
-                                             std::size_t n, double lambda,
-                                             double mu, bool want_residual) {
+TreeSums sv_tree_check_sums_avx512(const double* x, const double* y,
+                                   std::size_t n, double mu) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_check_sums(x, y, n, mu);
+  return mu != 0.0 ? check_sums_avx512<true>(x, y, n, mu)
+                   : check_sums_avx512<false>(x, y, n, mu);
+}
+
+template <bool Shift>
+double residual_update_avx512(const double* x, double* y, std::size_t n,
+                              double lambda, double mu, double inv) {
+  const __m512d lam = _mm512_set1_pd(lambda);
+  const __m512d shift = _mm512_set1_pd(mu);
+  const __m512d scale = _mm512_set1_pd(inv);
+  return tree_blocks_avx512<1>(n, [=](std::size_t i) {
+           const __m512d xv = _mm512_loadu_pd(x + i);
+           const __m512d yv = _mm512_loadu_pd(y + i);
+           const __m512d r = _mm512_sub_pd(yv, _mm512_mul_pd(lam, xv));
+           const __m512d z =
+               Shift ? _mm512_sub_pd(yv, _mm512_mul_pd(shift, xv)) : yv;
+           _mm512_storeu_pd(y + i, _mm512_mul_pd(z, scale));
+           const __m512d r2 = _mm512_mul_pd(r, r);
+           return Leaves8{r2, r2, r2};
+         }).first;
+}
+
+double sv_tree_residual_update_avx512(const double* x, double* y, std::size_t n,
+                                      double lambda, double mu, double inv) {
   if (!tree_blockwise(n)) {
-    return scalar_sv_kernels().tree_residual_shift_norm1(x, y, n, lambda, mu,
-                                                         want_residual);
+    return scalar_sv_kernels().tree_residual_update(x, y, n, lambda, mu, inv);
   }
-  if (want_residual) {
-    return mu != 0.0
-               ? residual_shift_norm1_avx512<true, true>(x, y, n, lambda, mu)
-               : residual_shift_norm1_avx512<true, false>(x, y, n, lambda, mu);
-  }
-  return mu != 0.0
-             ? residual_shift_norm1_avx512<false, true>(x, y, n, lambda, mu)
-             : residual_shift_norm1_avx512<false, false>(x, y, n, lambda, mu);
+  return mu != 0.0 ? residual_update_avx512<true>(x, y, n, lambda, mu, inv)
+                   : residual_update_avx512<false>(x, y, n, lambda, mu, inv);
 }
 
 double sv_tree_sum_avx512(const double* v, std::size_t n) {
   if (!tree_blockwise(n)) return scalar_sv_kernels().tree_sum(v, n);
-  return tree_blocks_avx512<false>(n, [v](std::size_t i) {
+  return tree_blocks_avx512<1>(n, [v](std::size_t i) {
            const __m512d a = _mm512_loadu_pd(v + i);
-           return Leaves8{a, a};
+           return Leaves8{a, a, a};
          }).first;
 }
 
 double sv_tree_abs_sum_avx512(const double* v, std::size_t n) {
   if (!tree_blockwise(n)) return scalar_sv_kernels().tree_abs_sum(v, n);
-  return tree_blocks_avx512<false>(n, [v](std::size_t i) {
+  return tree_blocks_avx512<1>(n, [v](std::size_t i) {
            const __m512d a = _mm512_abs_pd(_mm512_loadu_pd(v + i));
-           return Leaves8{a, a};
+           return Leaves8{a, a, a};
          }).first;
 }
 
@@ -366,8 +361,9 @@ constexpr SvKernels kAvx512SvKernels{
     sv_butterfly_span_avx512, sv_butterfly_quad_span_avx512,
     sv_butterfly_oct_span_avx512, sv_rows8_stage_avx512, sv_mul_span_avx512,
     sv_mul_span_inplace_avx512, sv_mul_rows_broadcast_avx512,
-    sv_mul_rows_broadcast_inplace_avx512, sv_tree_dot2_avx512,
-    sv_tree_residual_shift_norm1_avx512, sv_tree_sum_avx512,
+    sv_mul_rows_broadcast_inplace_avx512, sv_tree_check_sums_avx512,
+    sv_tree_residual_update_avx512, panel8_check_sums, panel8_residual_update,
+    panel8_orientation_sums, sv_tree_sum_avx512,
     sv_tree_abs_sum_avx512, "avx512",
 };
 

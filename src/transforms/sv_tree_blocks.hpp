@@ -6,13 +6,24 @@
 // the pending partial of every completed sibling subtree — the upper levels
 // of linalg::tree_reduce's tree, in the same order.
 //
+// The panel passes are the vertical twin for an interleaved panel: every
+// column is its own tree over rows, so 64-row blocks reduce level by level
+// with whole-row adds, and the block rows merge in the same counter.  They
+// are written once, here, in plain C++ that each tier's flags vectorise
+// (the power loop takes the run-time-width case); the expressions are
+// those of the single-vector entries, so a column's sums are the single
+// vector's bits.
+//
 // Everything here has internal linkage on purpose: the ISA-specific
 // translation units (built with -mavx2 / -mavx512f) include this header,
 // and an inline function with external linkage compiled there could be the
 // copy the linker keeps for the portable code.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+
+#include "linalg/tree_reduce.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -43,6 +54,117 @@ inline double tree_counter_root(const double* pending, std::size_t blocks) {
   unsigned level = 0;
   while ((std::size_t{1} << level) < blocks) ++level;
   return pending[level];
+}
+
+/// Column sums of a panel with W doubles per row, each the tree_reduce of
+/// its column over [0, rows) bit for bit.  row(r, v) writes row r's values
+/// to v and runs once per row, in ascending order.
+template <std::size_t W, typename Row>
+void tree_rows(std::size_t rows, const Row& row, double* out) {
+  if (!tree_blockwise(rows)) {
+    double scratch[linalg::tree_reduce_rows_scratch(W, ~std::size_t{0})];
+    linalg::tree_reduce_rows<W>(0, rows, W, row, out, scratch);
+    return;
+  }
+  double l[kTreeBlock * W];
+  double pending[kTreeCounterDepth * W];
+  const std::size_t blocks = rows / kTreeBlock;
+  for (std::size_t blk = 0; blk < blocks; ++blk) {
+    for (std::size_t i = 0; i < kTreeBlock; ++i) row(blk * kTreeBlock + i, l + i * W);
+    for (std::size_t w = kTreeBlock / 2; w >= 1; w /= 2) {
+      for (std::size_t i = 0; i < w; ++i) {
+        double t[W];
+        for (std::size_t c = 0; c < W; ++c) t[c] = l[2 * i * W + c] + l[(2 * i + 1) * W + c];
+        for (std::size_t c = 0; c < W; ++c) l[i * W + c] = t[c];
+      }
+    }
+    unsigned level = 0;
+    for (std::size_t b = blk; (b & 1) != 0; b >>= 1, ++level) {
+      for (std::size_t c = 0; c < W; ++c) l[c] = pending[level * W + c] + l[c];
+    }
+    for (std::size_t c = 0; c < W; ++c) pending[level * W + c] = l[c];
+  }
+  unsigned level = 0;
+  while ((std::size_t{1} << level) < blocks) ++level;
+  for (std::size_t c = 0; c < W; ++c) out[c] = pending[level * W + c];
+}
+
+/// The check passes and orientation sums of an interleaved panel of M
+/// columns (M = 0: `m` at run time, reduced by linalg::tree_reduce_rows in
+/// `scratch`, tree_reduce_rows_scratch(3m, rows) doubles): the SvKernels
+/// panel8_* entries are the M = 8 case.
+template <std::size_t M>
+void panel_check_sums(const double* x, const double* y, std::size_t rows,
+                      std::size_t m, double mu, double* out, double* scratch) {
+  if constexpr (M != 0) m = M;
+  const auto row = [x, y, m, mu](std::size_t i, double* __restrict v) {
+    for (std::size_t c = 0; c < m; ++c) {
+      const double xc = x[i * m + c];
+      const double yc = y[i * m + c];
+      v[c] = xc * xc;
+      v[m + c] = xc * yc;
+      v[2 * m + c] = std::abs(mu == 0.0 ? yc : yc - mu * xc);
+    }
+  };
+  if constexpr (M != 0) {
+    tree_rows<3 * M>(rows, row, out);
+  } else {
+    linalg::tree_reduce_rows(0, rows, 3 * m, row, out, scratch);
+  }
+}
+
+template <std::size_t M>
+void panel_residual_update(const double* x, double* y, std::size_t rows,
+                           std::size_t m, const double* lambda, double mu,
+                           const double* inv, double* out, double* scratch) {
+  if constexpr (M != 0) m = M;
+  const auto row = [x, y, m, lambda, mu, inv](std::size_t i, double* __restrict v) {
+    for (std::size_t c = 0; c < m; ++c) {
+      const double xc = x[i * m + c];
+      const double yc = y[i * m + c];
+      const double r = yc - lambda[c] * xc;
+      v[c] = r * r;
+      y[i * m + c] = (mu == 0.0 ? yc : yc - mu * xc) * inv[c];
+    }
+  };
+  if constexpr (M != 0) {
+    tree_rows<M>(rows, row, out);
+  } else {
+    linalg::tree_reduce_rows(0, rows, m, row, out, scratch);
+  }
+}
+
+template <std::size_t M>
+void panel_orientation_sums(const double* x, std::size_t rows, std::size_t m,
+                            double* out, double* scratch) {
+  if constexpr (M != 0) m = M;
+  const auto row = [x, m](std::size_t i, double* __restrict v) {
+    for (std::size_t c = 0; c < m; ++c) {
+      v[c] = x[i * m + c];
+      v[m + c] = std::abs(x[i * m + c]);
+    }
+  };
+  if constexpr (M != 0) {
+    tree_rows<2 * M>(rows, row, out);
+  } else {
+    linalg::tree_reduce_rows(0, rows, 2 * m, row, out, scratch);
+  }
+}
+
+inline void panel8_check_sums(const double* x, const double* y, std::size_t rows,
+                              double mu, double* out) {
+  panel_check_sums<8>(x, y, rows, 8, mu, out, nullptr);
+}
+
+inline void panel8_residual_update(const double* x, double* y, std::size_t rows,
+                                   const double* lambda, double mu,
+                                   const double* inv, double* out) {
+  panel_residual_update<8>(x, y, rows, 8, lambda, mu, inv, out, nullptr);
+}
+
+inline void panel8_orientation_sums(const double* x, std::size_t rows,
+                                    double* out) {
+  panel_orientation_sums<8>(x, rows, 8, out, nullptr);
 }
 
 }  // namespace

@@ -90,9 +90,9 @@ class InlineLanes final : public parallel::Engine {
 
 TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations) {
   // The loop runs the fused tree-ordered passes: a shifted solve with
-  // residual checks every third iteration runs pass B both with and
-  // without its residual sum, at lengths (2^10, 2^14) that take the
-  // blockwise SIMD path, with no engine, with the serial and tree engines,
+  // residual checks every third iteration runs both check passes and,
+  // between checks, the shift pass of an unnormalised stretch, at lengths
+  // (2^10, 2^14) that take the blockwise SIMD path, with no engine, with the serial and tree engines,
   // and fanned out over four blocks (per-block partial slots, span
   // allreduces).  None of it may touch the heap.
   const InlineLanes four_lanes;
@@ -148,12 +148,13 @@ TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations
 }
 
 TEST(AllocGuardTest, FamilyLoopPerformsZeroHeapAllocationsPerProduct) {
-  // The landscape-family loop allocates its panels, check-pass partials and
+  // A landscape-family solve allocates its panels, check-pass partials and
   // row-tree scratch once per solve; its products — in place between checks,
   // out of place with both check passes every third — must not touch the
   // heap, at the one-column service width and the m = 8 study width, inline
-  // and fanned out over four blocks.  should_stop is polled once before
-  // every product, so it samples the counter between products.
+  // and fanned out over four blocks.  should_stop is polled once per
+  // product (before it between checks, after it at a check), so it
+  // samples the counter between products.
   const InlineLanes four_lanes;
   const struct {
     unsigned nu;

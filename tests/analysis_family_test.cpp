@@ -1,12 +1,14 @@
 // Landscape-family solves (analysis::sweep_landscape_family): the batched
-// panel power iteration must reproduce the per-landscape facade, give the
-// serial bits on every engine (its check passes are tree-ordered per column
-// and fanned out in aligned blocks), keep unnormalised iterates finite
-// through the forced renormalisations, and report the last check's answer
-// when cancelled.
+// panel power iteration must reproduce the per-landscape facade — a
+// one-column family bit for bit, since both run solvers::run_power_loop —
+// give the serial bits on every engine (its check passes are tree-ordered
+// per column and fanned out in aligned blocks), keep unnormalised iterates
+// finite through the forced renormalisations, and report the last check's
+// answer when cancelled.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "analysis/sweep.hpp"
@@ -73,6 +75,37 @@ TEST(LandscapeFamily, BatchedSolveMatchesPerLandscapeFacade) {
     for (std::size_t i = 0; i < single.concentrations.size(); ++i) {
       EXPECT_NEAR(batched.eigenvectors[j][i], single.concentrations[i], 1e-8)
           << "landscape " << j << " entry " << i;
+    }
+  }
+}
+
+TEST(LandscapeFamily, OneColumnIsTheFacadeBitForBit) {
+  // A one-column family is the facade's unshifted power iteration with the
+  // family's check cadence: same start, same stretches between checks,
+  // same stopping rule, so every output bit agrees.
+  for (const unsigned nu : {6u, 10u}) {
+    const auto model = core::MutationModel::uniform(nu, 0.01);
+    const core::Landscape landscapes[] = {
+        core::Landscape::single_peak(nu, 2.0, 1.0), core::Landscape::linear(nu, 2.0, 1.0),
+        core::Landscape::random(nu, 5.0, 1.0, 23), core::Landscape::flat(nu, 1.5)};
+    for (const core::Landscape& landscape : landscapes) {
+      SCOPED_TRACE(testing::Message() << "nu " << nu << " landscape " << &landscape - landscapes);
+      analysis::FamilyOptions fopts;
+      fopts.tolerance = 1e-12;
+      const auto family = analysis::sweep_landscape_family(
+          model, std::span<const core::Landscape>(&landscape, 1), fopts);
+
+      solvers::SolveOptions opts;
+      opts.use_shift = false;
+      opts.residual_check_every = 8;
+      opts.tolerance = fopts.tolerance;
+      const auto single = solvers::solve(model, landscape, opts);
+      ASSERT_TRUE(single.converged);
+      EXPECT_EQ(family.converged, single.converged);
+      EXPECT_EQ(family.panel_products, single.iterations);
+      EXPECT_EQ(family.eigenvalues[0], single.eigenvalue);
+      EXPECT_EQ(family.residuals[0], single.residual);
+      EXPECT_EQ(family.eigenvectors[0], single.concentrations);
     }
   }
 }

@@ -334,6 +334,43 @@ TEST(DistEquivalenceExtra, BlocksEntryMatchesTheLandscapeEntryBitwise) {
   expect_bit_equal(blocks.eigenvector, whole.eigenvector);
 }
 
+TEST(DistEquivalenceExtra, SparseChecksKeepTheSerialStretches) {
+  // With a residual check every 8th product both sides leave the iterate
+  // unnormalised between checks.  The facade's operator reports the
+  // landscape's fitness range and the ranks gather the same range before
+  // the loop, so they agree on K (the range spans just over 2^19, so
+  // K = 3, below the cadence: the forced renormalisations run too) and on
+  // every bit.
+  const unsigned nu = 10;
+  const auto model = core::MutationModel::uniform(nu, 0.02);
+  std::vector<double> values(std::size_t{1} << nu);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = std::ldexp(1.0 + 0.001 * static_cast<double>(i % 13),
+                           static_cast<int>(i % 20));
+  }
+  const auto landscape = core::Landscape::from_values(nu, values);
+  DistributedPowerOptions opts;
+  opts.shift = core::conservative_shift(model, landscape);
+  opts.residual_check_every = 8;
+  const FacadeRun facade = run_facade(model, landscape, opts);
+  ASSERT_TRUE(facade.result.converged);
+  for (const unsigned ranks : {2u, 4u}) {
+    SCOPED_TRACE(ranks);
+    DistributedPowerOptions dopts = opts;
+    std::vector<std::pair<unsigned, double>> residuals;
+    dopts.on_residual = [&residuals](unsigned it, double r) {
+      residuals.emplace_back(it, r);
+    };
+    const auto dist = distributed_power_iteration(model, landscape, ranks, dopts);
+    EXPECT_TRUE(dist.converged);
+    EXPECT_EQ(dist.iterations, facade.result.iterations);
+    EXPECT_EQ(dist.eigenvalue, facade.result.eigenvalue);
+    EXPECT_EQ(dist.residual, facade.result.residual);
+    EXPECT_EQ(residuals, facade.residuals);
+    expect_bit_equal(dist.eigenvector, facade.result.eigenvector);
+  }
+}
+
 TEST(DistEquivalenceExtra, CapacityModeKeepsOnlyTheRankBlock) {
   const unsigned nu = 8;
   const auto model = core::MutationModel::uniform(nu, 0.04);

@@ -78,8 +78,8 @@ TEST(FaultInjection, PowerIterationDetectsNanUnderParallelEngine) {
 
 TEST(FaultInjection, ThrowInAPowerLoopBlockPassSurfacesAndTheEngineSurvives) {
   // The operator runs without the engine, so every dispatch of the faulty
-  // engine is one of the power loop's block passes — A, B, C per residual
-  // check — and dispatch 5 is pass B of iteration 2, fanned out over four
+  // engine is one of the power loop's block passes — two per residual
+  // check — and dispatch 5 is pass 1 of iteration 3, fanned out over four
   // lanes in 2^12 blocks.
   const unsigned nu = 14;
   const auto model = core::MutationModel::uniform(nu, 0.02);

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <vector>
 
 #include "reference/fault_injection.hpp"
+#include "service/protocol.hpp"
 
 namespace qs::service {
 namespace {
@@ -129,6 +132,63 @@ TEST(ScenarioCacheFs, DiskFingerprintMismatchIsAMissAndRecomputeOverwrites) {
   auto hit = reopened.lookup(3, collider.fingerprint);
   ASSERT_TRUE(hit.has_value());
   expect_bit_identical(collider, *hit);
+}
+
+/// A fingerprint as the daemon wrote it before kSolverRevision led the
+/// bytes: the scenario fields alone (a single-peak request has no seed).
+std::vector<std::uint8_t> revisionless_fingerprint(const SolveRequest& r) {
+  std::vector<std::uint8_t> bytes;
+  const auto put = [&bytes](const auto& value) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+    bytes.insert(bytes.end(), p, p + sizeof value);
+  };
+  put(r.nu);
+  put(static_cast<std::uint32_t>(r.landscape));
+  put(r.param0);
+  put(r.param1);
+  put(r.p);
+  put(r.tolerance);
+  put(r.max_iterations);
+  return bytes;
+}
+
+/// FNV-1a64, the hash scenario_key takes over the fingerprint bytes.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (std::uint8_t b : bytes) {
+    hash ^= b;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(ScenarioCacheFs, AnswerCachedBeforeTheSolverRevisionIsAMiss) {
+  // A disk cache written by a daemon that predates kSolverRevision holds
+  // answers from the old stopping rule.  After an upgrade the same request
+  // must recompute: neither its key nor its fingerprint reaches the entry.
+  SolveRequest request;
+  request.nu = 6;
+  request.landscape = LandscapeKind::single_peak;
+  request.param0 = 8.0;
+  request.param1 = 1.0;
+  request.p = 0.02;
+  const std::vector<std::uint8_t> old_fingerprint = revisionless_fingerprint(request);
+  const std::vector<std::uint8_t> fingerprint = scenario_fingerprint(request);
+  ASSERT_EQ(fingerprint.size(), old_fingerprint.size() + sizeof kSolverRevision);
+  ASSERT_TRUE(std::equal(old_fingerprint.begin(), old_fingerprint.end(),
+                         fingerprint.begin() + sizeof kSolverRevision));
+
+  TempDir dir;
+  {
+    ScenarioCache cache(8, std::make_unique<FsCacheStorage>(dir.path()));
+    CacheEntry stale = sample_entry();
+    stale.fingerprint = old_fingerprint;
+    cache.store(fnv1a(old_fingerprint), stale);
+  }
+  ScenarioCache cache(8, std::make_unique<FsCacheStorage>(dir.path()));
+  EXPECT_FALSE(cache.lookup(scenario_key(request), fingerprint).has_value());
+  EXPECT_FALSE(cache.lookup(fnv1a(old_fingerprint), fingerprint).has_value());
+  EXPECT_EQ(cache.stats().collisions, 1u);
 }
 
 TEST(ScenarioCacheMemory, LruHitsMissesAndEvicts) {

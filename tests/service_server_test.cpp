@@ -81,6 +81,30 @@ TEST(SolverService, AnswersMatchTheDirectFacadeSolve) {
   }
 }
 
+TEST(SolverService, OneColumnMissIsTheFacadeBitForBit) {
+  // A lone miss is a one-column family solve: the daemon stops by the
+  // facade's rule, so its answer is the unshifted facade solve with the
+  // family's check cadence, bit for bit.
+  SolverService service;
+  const SolveRequest request = quick_request();
+  const SolveReply reply = service.solve(request);
+  ASSERT_EQ(reply.status, StatusCode::ok) << reply.message;
+
+  solvers::SolveOptions opts;
+  opts.use_shift = false;
+  opts.residual_check_every = 8;
+  opts.tolerance = request.tolerance;
+  opts.max_iterations = static_cast<unsigned>(request.max_iterations);
+  const auto direct = solvers::solve(
+      core::MutationModel::uniform(request.nu, request.p),
+      core::Landscape::single_peak(request.nu, request.param0, request.param1), opts);
+  ASSERT_TRUE(direct.converged);
+  EXPECT_EQ(reply.eigenvalue, direct.eigenvalue);
+  EXPECT_EQ(reply.residual, direct.residual);
+  EXPECT_EQ(reply.iterations, direct.iterations);
+  EXPECT_EQ(reply.class_concentrations, direct.class_concentrations);
+}
+
 TEST(SolverService, CachedReplyIsBitIdenticalToTheFreshSolve) {
   SolverService service;
   const SolveRequest request = quick_request();

@@ -63,10 +63,12 @@ TEST(ArgParser, NumericValidation) {
   EXPECT_THROW(args.get_long("nu", 0, 1, 100), precondition_error);  // range
 }
 
-TEST(ArgParser, ProvidedOptionNames) {
-  const auto args = parse({"prog", "--a", "1", "--b=2", "--c"});
-  const auto names = args.provided_options();
-  EXPECT_EQ(names.size(), 3u);
+TEST(ArgParser, OnlyKnownNamesTheFirstUnknownOptionInCommandLineOrder) {
+  const auto args = parse({"prog", "--zeta", "1", "--b=2", "--alpha", "--c"});
+  EXPECT_TRUE(args.only_known({"alpha", "b", "c", "zeta"}));
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(args.only_known({"b", "c"}));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "prog: unknown option --zeta\n");
 }
 
 }  // namespace

@@ -473,72 +473,131 @@ TEST(SvTreeReduction, SumAndAbsSumMatchTreeReduceOnEveryTier) {
   }
 }
 
-TEST(SvTreeReduction, Dot2MatchesTreeReduceOnEveryTier) {
+TEST(SvTreeReduction, CheckSumsMatchTreeReduceOnEveryTier) {
   for (const SvKernels* table : available_tables()) {
     SCOPED_TRACE(table->name);
     for (bool specials : kSpecialCases) {
-      for (std::size_t n : reduction_lengths()) {
-        const auto x = reduction_input(n, 2 * n + 3, specials);
-        const auto y = reduction_input(n, 3 * n + 5, specials);
-        const double* xp = x.data();
-        const double* yp = y.data();
-        const double xx = linalg::tree_reduce(
-            std::size_t{0}, n, [xp](std::size_t i) { return xp[i] * xp[i]; });
-        const double xy = linalg::tree_reduce(
-            std::size_t{0}, n,
-            [xp, yp](std::size_t i) { return xp[i] * yp[i]; });
-        const TreeSums got = table->tree_dot2(xp, yp, n);
-        ASSERT_TRUE(same_bits(xx, got.first))
-            << "xx n=" << n << " specials=" << specials;
-        ASSERT_TRUE(same_bits(xy, got.second))
-            << "xy n=" << n << " specials=" << specials;
+      for (double mu : {0.0, 0.3, -1.5}) {
+        for (std::size_t n : reduction_lengths()) {
+          const auto x = reduction_input(n, 2 * n + 3, specials);
+          const auto y = reduction_input(n, 3 * n + 5, specials);
+          const double* xp = x.data();
+          const double* yp = y.data();
+          const double xx = linalg::tree_reduce(
+              std::size_t{0}, n, [xp](std::size_t i) { return xp[i] * xp[i]; });
+          const double xy = linalg::tree_reduce(
+              std::size_t{0}, n,
+              [xp, yp](std::size_t i) { return xp[i] * yp[i]; });
+          // mu == 0 is the unshifted iteration: |y| with no product of x.
+          const double norm = linalg::tree_reduce(
+              std::size_t{0}, n, [xp, yp, mu](std::size_t i) {
+                return std::abs(mu == 0.0 ? yp[i] : yp[i] - mu * xp[i]);
+              });
+          const TreeSums got = table->tree_check_sums(xp, yp, n, mu);
+          ASSERT_TRUE(same_bits(xx, got.first))
+              << "xx n=" << n << " mu=" << mu << " specials=" << specials;
+          ASSERT_TRUE(same_bits(xy, got.second))
+              << "xy n=" << n << " mu=" << mu << " specials=" << specials;
+          ASSERT_TRUE(same_bits(norm, got.third))
+              << "norm n=" << n << " mu=" << mu << " specials=" << specials;
+        }
       }
     }
   }
 }
 
-TEST(SvTreeReduction, ResidualShiftNorm1MatchesTreeReduceOnEveryTier) {
+TEST(SvTreeReduction, ResidualUpdateMatchesTreeReduceOnEveryTier) {
   const double lambda = 0.7;
+  const double inv = 1.0 / 3.0;
   for (const SvKernels* table : available_tables()) {
     SCOPED_TRACE(table->name);
     for (bool specials : kSpecialCases) {
       for (double mu : {0.0, 0.3, -1.5}) {
-        for (bool want_residual : {true, false}) {
-          for (std::size_t n : reduction_lengths()) {
-            const auto x = reduction_input(n, 5 * n + 7, specials);
-            const auto y0 = reduction_input(n, 7 * n + 11, specials);
-            const double* xp = x.data();
-            const double* y0p = y0.data();
-            // mu == 0 is the unshifted iteration: y stays as it was.
-            std::vector<double> shifted = y0;
-            if (mu != 0.0) {
-              for (std::size_t i = 0; i < n; ++i) shifted[i] = y0[i] - mu * x[i];
-            }
-            const double* sp = shifted.data();
-            const double res2 =
-                want_residual
-                    ? linalg::tree_reduce(std::size_t{0}, n,
-                                          [xp, y0p, lambda](std::size_t i) {
-                                            const double r = y0p[i] - lambda * xp[i];
-                                            return r * r;
-                                          })
-                    : 0.0;
-            const double norm = linalg::tree_reduce(
-                std::size_t{0}, n, [sp](std::size_t i) { return std::abs(sp[i]); });
+        for (std::size_t n : reduction_lengths()) {
+          const auto x = reduction_input(n, 5 * n + 7, specials);
+          const auto y0 = reduction_input(n, 7 * n + 11, specials);
+          const double* xp = x.data();
+          const double* y0p = y0.data();
+          const double res2 = linalg::tree_reduce(
+              std::size_t{0}, n, [xp, y0p, lambda](std::size_t i) {
+                const double r = y0p[i] - lambda * xp[i];
+                return r * r;
+              });
+          std::vector<double> updated(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            updated[i] = (mu == 0.0 ? y0[i] : y0[i] - mu * x[i]) * inv;
+          }
 
-            std::vector<double> y = y0;
-            const TreeSums got = table->tree_residual_shift_norm1(
-                xp, y.data(), n, lambda, mu, want_residual);
-            ASSERT_TRUE(same_bits(res2, got.first))
-                << "residual n=" << n << " mu=" << mu
-                << " want_residual=" << want_residual << " specials=" << specials;
-            ASSERT_TRUE(same_bits(norm, got.second))
-                << "norm n=" << n << " mu=" << mu
-                << " want_residual=" << want_residual << " specials=" << specials;
-            for (std::size_t i = 0; i < n; ++i) {
-              ASSERT_TRUE(same_bits(shifted[i], y[i]))
-                  << "written-back y[" << i << "] n=" << n << " mu=" << mu;
+          std::vector<double> y = y0;
+          const double got =
+              table->tree_residual_update(xp, y.data(), n, lambda, mu, inv);
+          ASSERT_TRUE(same_bits(res2, got))
+              << "residual n=" << n << " mu=" << mu << " specials=" << specials;
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_TRUE(same_bits(updated[i], y[i]))
+                << "written-back y[" << i << "] n=" << n << " mu=" << mu;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SvTreeReduction, Panel8PassesMatchTreeReducePerColumnOnEveryTier) {
+  // Every column of an interleaved 8-column panel, summed over rows, must be
+  // the tree_reduce of that column — the single-vector entries' bits.
+  constexpr std::size_t m = 8;
+  const double mu = 0.3;
+  const double lambda[m] = {0.7, 0.9, 1.1, 0.2, 3.0, 0.5, 0.8, 1.3};
+  const double inv[m] = {0.25, 0.5, 1.0 / 3.0, 2.0, 0.125, 1.5, 0.75, 4.0};
+  for (const SvKernels* table : available_tables()) {
+    SCOPED_TRACE(table->name);
+    for (bool specials : kSpecialCases) {
+      for (std::size_t rows : {std::size_t{1}, std::size_t{7}, std::size_t{64},
+                               std::size_t{100}, std::size_t{1024}}) {
+        const auto x = reduction_input(rows * m, 11 * rows + 1, specials);
+        const auto y0 = reduction_input(rows * m, 13 * rows + 2, specials);
+        for (double shift : {0.0, mu}) {
+          double check[3 * m];
+          table->panel8_check_sums(x.data(), y0.data(), rows, shift, check);
+          std::vector<double> y = y0;
+          double res[m];
+          table->panel8_residual_update(x.data(), y.data(), rows, lambda, shift, inv, res);
+          for (std::size_t c = 0; c < m; ++c) {
+            const auto column = [&x, c](std::size_t i) { return x[i * m + c]; };
+            const auto other = [&y0, c](std::size_t i) { return y0[i * m + c]; };
+            const auto sum = [rows](const auto& leaf) {
+              return linalg::tree_reduce(std::size_t{0}, rows, leaf);
+            };
+            ASSERT_TRUE(same_bits(sum([&](std::size_t i) { return column(i) * column(i); }),
+                                  check[c])) << "xx rows=" << rows << " column " << c;
+            ASSERT_TRUE(same_bits(sum([&](std::size_t i) { return column(i) * other(i); }),
+                                  check[m + c])) << "xy rows=" << rows << " column " << c;
+            ASSERT_TRUE(same_bits(sum([&](std::size_t i) {
+                                    return std::abs(shift == 0.0 ? other(i)
+                                                                 : other(i) - shift * column(i));
+                                  }),
+                                  check[2 * m + c])) << "norm rows=" << rows << " column " << c;
+            ASSERT_TRUE(same_bits(sum([&](std::size_t i) {
+                                    const double r = other(i) - lambda[c] * column(i);
+                                    return r * r;
+                                  }),
+                                  res[c])) << "residual rows=" << rows << " column " << c;
+            for (std::size_t i = 0; i < rows; ++i) {
+              const double z = shift == 0.0 ? other(i) : other(i) - shift * column(i);
+              ASSERT_TRUE(same_bits(z * inv[c], y[i * m + c])) << "updated y row " << i;
             }
+          }
+          double orient[2 * m];
+          table->panel8_orientation_sums(x.data(), rows, orient);
+          for (std::size_t c = 0; c < m; ++c) {
+            const double* xp = x.data();
+            ASSERT_TRUE(same_bits(linalg::tree_reduce(std::size_t{0}, rows,
+                                                      [xp, c](std::size_t i) { return xp[i * m + c]; }),
+                                  orient[c])) << "sum rows=" << rows << " column " << c;
+            ASSERT_TRUE(same_bits(linalg::tree_reduce(std::size_t{0}, rows,
+                                                      [xp, c](std::size_t i) { return std::abs(xp[i * m + c]); }),
+                                  orient[m + c])) << "abs sum rows=" << rows << " column " << c;
           }
         }
       }

@@ -328,6 +328,9 @@ void usage(std::ostream& os) {
 int main(int argc, char** argv) {
   try {
     const qs::ArgParser args(argc, argv);
+    if (!args.only_known({"help", "list", "pin", "threshold"})) {
+      return 2;
+    }
     if (args.has("help")) {
       usage(std::cout);
       return EXIT_SUCCESS;

@@ -136,6 +136,14 @@ qs::service::RetryPolicy parse_policy(const qs::ArgParser& args) {
 }
 
 int run(const qs::ArgParser& args) {
+  if (!args.only_known({"base-delay-ms", "c", "deadline-ms", "f0", "fnu",
+                         "help", "io-timeout-ms", "jitter", "landscape",
+                         "max-delay-ms", "max-iterations", "nu", "p", "peak",
+                         "ping", "quiet", "rest", "retries", "retry-seed",
+                         "seed", "sigma", "socket", "stats", "tolerance",
+                         "trace-json"})) {
+    return 2;
+  }
   if (args.has("help")) {
     print_usage();
     return 0;

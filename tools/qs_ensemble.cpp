@@ -127,6 +127,14 @@ void write_ensemble_json(const std::string& path, unsigned nu,
 int main(int argc, char** argv) {
   try {
     const qs::ArgParser args(argc, argv);
+    if (!args.only_known({"backend", "c", "ensemble-out", "generations",
+                           "help", "landscape", "metrics", "nu", "p",
+                           "p-from", "p-points", "p-to", "panel-width",
+                           "peak", "pop", "process", "replicas", "rest",
+                           "seed", "sequential", "sigma", "start",
+                           "trace-json", "window"})) {
+      return 2;
+    }
     if (args.has("help")) {
       print_usage();
       return 0;

@@ -62,6 +62,10 @@ double locate_threshold(unsigned nu, unsigned alphabet, double sigma, double tol
 int main(int argc, char** argv) {
   try {
     const qs::ArgParser args(argc, argv);
+    if (!args.only_known({"alphabet", "csv", "help", "nu", "sigma-from",
+                           "sigma-points", "sigma-to", "uniformity-tol"})) {
+      return 2;
+    }
     if (args.has("help")) {
       print_usage();
       return 0;

@@ -223,6 +223,12 @@ int selfcheck(const qs::ArgParser& args) {
 int main(int argc, char** argv) {
   try {
     const qs::ArgParser args(argc, argv);
+    if (!args.only_known({"cache-dir", "cache-entries", "help",
+                           "io-timeout-ms", "max-batch", "metrics",
+                           "queue-capacity", "selfcheck", "socket",
+                           "trace-json", "workers"})) {
+      return 2;
+    }
     if (args.has("help")) {
       print_usage();
       return 0;

@@ -71,6 +71,11 @@ void export_observability(const qs::ArgParser& args) {
 int main(int argc, char** argv) {
   try {
     const qs::ArgParser args(argc, argv);
+    if (!args.only_known({"c", "generations", "help", "landscape", "metrics",
+                           "nu", "p", "peak", "pop", "process", "rest",
+                           "seed", "sigma", "start", "trace", "trace-json"})) {
+      return 2;
+    }
     if (args.has("help")) {
       print_usage();
       return 0;

@@ -274,6 +274,17 @@ void write_classes_csv(const std::string& path, std::span<const double> classes)
 }
 
 int run(const qs::ArgParser& args) {
+  if (!args.only_known({"autotune", "block-size", "c", "checkpoint",
+                         "checkpoint-every", "checkpoint-every-seconds",
+                         "chunk-log2", "classes-csv", "csv", "dmax",
+                         "exchange", "f0", "fnu", "help", "input",
+                         "landscape", "metrics", "no-recover", "no-shift",
+                         "nu", "p", "parallel", "peak", "ranks", "reduced",
+                         "rest", "resume", "save-landscape", "seed", "sigma",
+                         "solver", "tile-log2", "tolerance", "top",
+                         "trace-json"})) {
+    return 2;
+  }
   if (args.has("help")) {
     print_usage();
     return 0;

@@ -68,6 +68,12 @@ void export_observability(const qs::ArgParser& args) {
 int main(int argc, char** argv) {
   try {
     const qs::ArgParser args(argc, argv);
+    if (!args.only_known({"c", "csv", "f0", "fnu", "from", "help",
+                           "landscape", "metrics", "nu", "peak", "points",
+                           "rest", "seed", "sigma", "threshold", "to",
+                           "trace-json"})) {
+      return 2;
+    }
     if (args.has("help")) {
       print_usage();
       return 0;

@@ -178,6 +178,9 @@ void render(const std::string& text, const std::string& source) {
 }
 
 int run(const qs::ArgParser& args) {
+  if (!args.only_known({"file", "help", "io-timeout-ms", "raw", "socket"})) {
+    return 2;
+  }
   if (args.has("help")) {
     print_usage();
     return 0;

@@ -4,7 +4,6 @@
 // at the kernel level.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -228,21 +227,22 @@ BENCHMARK(BM_SvKernelFusedSpan)
     ->ArgsProduct({{8, 12, 16}, {0, 1, 2}, {4, 8}});
 
 // The whole banded apply per sv tier and radix: arg0 = nu, arg1 = tier
-// (0 autovec, 1 avx2, 2 avx512, 3 automatic), arg2 = max fused radix.
+// (0 scalar, 1 avx2, 2 avx512, 3 automatic), arg2 = max fused radix.
 // ns/element here is the fig2 "raw speed" number the tentpole targets.
 void BM_BlockedButterflySvTier(benchmark::State& state) {
   using qs::transforms::SvKernel;
   const unsigned nu = static_cast<unsigned>(state.range(0));
   qs::transforms::BlockedPlan plan;
   switch (state.range(1)) {
-    case 0: plan.sv_kernel = SvKernel::autovec; break;
+    case 0: plan.sv_kernel = SvKernel::scalar; break;
     case 1: plan.sv_kernel = SvKernel::avx2; break;
     case 2: plan.sv_kernel = SvKernel::avx512; break;
     default: plan.sv_kernel = SvKernel::automatic; break;
   }
   plan.sv_max_radix = static_cast<unsigned>(state.range(2));
-  if (plan.sv_kernel != SvKernel::autovec &&
-      qs::transforms::resolve_sv_kernels(plan.sv_kernel) == nullptr) {
+  if ((plan.sv_kernel == SvKernel::avx2 && qs::transforms::avx2_sv_kernels() == nullptr) ||
+      (plan.sv_kernel == SvKernel::avx512 &&
+       qs::transforms::avx512_sv_kernels() == nullptr)) {
     state.SkipWithError("kernel tier not available on this build/CPU");
     return;
   }
@@ -283,85 +283,5 @@ BENCHMARK(BM_XmvpApply)
     ->Args({14, 14})
     ->Args({18, 1})
     ->Args({18, 5});
-
-/// Sum of v through reduce_partials with a plain chunk loop.
-double engine_sum(const qs::parallel::Engine& engine, const std::vector<double>& v) {
-  return engine.reduce_partials(v.size(), [&v](std::size_t begin, std::size_t end) {
-    double acc = 0.0;
-    for (std::size_t i = begin; i < end; ++i) acc += v[i];
-    return acc;
-  });
-}
-
-void BM_EngineReduceSum(benchmark::State& state) {
-  const std::size_t n = std::size_t{1} << state.range(0);
-  const auto v = random_vector(n, 7);
-  const auto& engine = qs::parallel::parallel_engine();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine_sum(engine, v));
-  }
-}
-BENCHMARK(BM_EngineReduceSum)->DenseRange(14, 22, 4);
-
-// Thread-pool reduction throughput (per-lane partials are padded to cache
-// lines; compare against BM_ReduceSlotsAdjacent for the false-sharing cost).
-void BM_ThreadPoolReduceSum(benchmark::State& state) {
-  const std::size_t n = std::size_t{1} << state.range(0);
-  const auto v = random_vector(n, 8);
-  const auto pool = qs::parallel::make_engine(qs::parallel::Backend::thread_pool);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine_sum(*pool, v));
-  }
-}
-BENCHMARK(BM_ThreadPoolReduceSum)->DenseRange(14, 22, 4);
-
-// The false-sharing datapoint: per-lane accumulator slots that are adjacent
-// doubles (the pre-fix layout of ThreadPoolBackend::reduce_*, one shared
-// cache line ping-ponging between cores) vs slots padded to one cache line
-// each.  Each lane accumulates element-wise straight into its slot so the
-// line stays contended for the whole reduction.
-template <typename Slot>
-void reduce_into_slots(const qs::parallel::Engine& engine,
-                       const std::vector<double>& v, std::vector<Slot>& slots) {
-  const std::size_t n = v.size();
-  const std::size_t lanes = engine.concurrency();
-  const std::size_t chunk = (n + lanes - 1) / lanes;
-  const double* data = v.data();
-  Slot* out = slots.data();
-  engine.dispatch(n, [=](std::size_t begin, std::size_t end) {
-    Slot& slot = out[std::min(begin / chunk, lanes - 1)];
-    slot.value = 0.0;
-    for (std::size_t i = begin; i < end; ++i) slot.value += data[i];
-  });
-}
-
-struct AdjacentSlot {
-  double value = 0.0;
-};
-struct alignas(64) PaddedSlot {
-  double value = 0.0;
-};
-
-void BM_ReduceSlotsAdjacent(benchmark::State& state) {
-  const auto v = random_vector(std::size_t{1} << state.range(0), 9);
-  const auto pool = qs::parallel::make_engine(qs::parallel::Backend::thread_pool);
-  std::vector<AdjacentSlot> slots(pool->concurrency());
-  for (auto _ : state) {
-    reduce_into_slots(*pool, v, slots);
-    benchmark::DoNotOptimize(slots.data());
-  }
-}
-BENCHMARK(BM_ReduceSlotsAdjacent)->DenseRange(18, 22, 4);
-
-void BM_ReduceSlotsPadded(benchmark::State& state) {
-  const auto v = random_vector(std::size_t{1} << state.range(0), 9);
-  const auto pool = qs::parallel::make_engine(qs::parallel::Backend::thread_pool);
-  std::vector<PaddedSlot> slots(pool->concurrency());
-  for (auto _ : state) {
-    reduce_into_slots(*pool, v, slots);
-    benchmark::DoNotOptimize(slots.data());
-  }
-}
-BENCHMARK(BM_ReduceSlotsPadded)->DenseRange(18, 22, 4);
 
 }  // namespace

@@ -46,23 +46,6 @@ void FaultInjectingEngine::dispatch(std::size_t n,
   });
 }
 
-double FaultInjectingEngine::reduce_partials(
-    std::size_t n, const parallel::PartialKernel& kernel) const {
-  const std::size_t count = reduce_count_.fetch_add(1) + 1;
-  if (config_.throw_at_reduce == 0 || count != config_.throw_at_reduce) {
-    return inner_.reduce_partials(n, kernel);
-  }
-  auto thrown = std::make_shared<std::atomic<bool>>(false);
-  return inner_.reduce_partials(n, [&kernel, thrown](std::size_t begin,
-                                                     std::size_t end) -> double {
-    if (!thrown->exchange(true)) {
-      throw InjectedFault("injected kernel fault in reduce chunk [" +
-                          std::to_string(begin) + ", " + std::to_string(end) + ")");
-    }
-    return kernel(begin, end);
-  });
-}
-
 std::function<void(const io::SolverCheckpoint&)> fault_injecting_checkpoint_sink(
     std::function<void(const io::SolverCheckpoint&)> delegate,
     std::size_t fail_at_write, bool fail_forever) {

@@ -10,8 +10,8 @@
 //     entry of the product with NaN at the k-th apply (once or from then
 //     on), or throws InjectedFault from the k-th apply;
 //   * FaultInjectingEngine — wraps any Engine; the kernel body of the k-th
-//     dispatch (or reduce_partials) throws InjectedFault from inside one
-//     lane, exercising the backend's capture-barrier-rethrow path;
+//     dispatch throws InjectedFault from inside one lane, exercising the
+//     backend's capture-barrier-rethrow path;
 //   * FaultInjectingCheckpointSink — a PowerOptions::checkpoint_sink that
 //     delegates to a real sink (or swallows) but throws at the k-th write.
 //
@@ -82,15 +82,14 @@ class FaultInjectingOperator final : public core::LinearOperator {
   mutable std::atomic<std::size_t> apply_count_{0};
 };
 
-/// Wraps an Engine and makes the kernel body of the k-th dispatch (or
-/// reduce_partials) throw InjectedFault from inside exactly one lane; all
+/// Wraps an Engine and makes the kernel body of the k-th dispatch throw
+/// InjectedFault from inside exactly one lane; all
 /// other lanes run normally, so the test exercises the backend's
 /// first-exception capture and barrier completion, not an empty dispatch.
 class FaultInjectingEngine final : public parallel::Engine {
  public:
   struct Config {
     std::size_t throw_at_dispatch = 0;  ///< 1-based dispatch index; 0 = never.
-    std::size_t throw_at_reduce = 0;    ///< 1-based reduce_partials index.
   };
 
   FaultInjectingEngine(const parallel::Engine& inner, Config config)
@@ -99,17 +98,13 @@ class FaultInjectingEngine final : public parallel::Engine {
   std::string_view name() const override { return inner_.name(); }
   unsigned concurrency() const override { return inner_.concurrency(); }
   void dispatch(std::size_t n, const parallel::RangeKernel& kernel) const override;
-  double reduce_partials(std::size_t n,
-                         const parallel::PartialKernel& kernel) const override;
 
   std::size_t dispatch_count() const { return dispatch_count_.load(); }
-  std::size_t reduce_count() const { return reduce_count_.load(); }
 
  private:
   const parallel::Engine& inner_;
   Config config_;
   mutable std::atomic<std::size_t> dispatch_count_{0};
-  mutable std::atomic<std::size_t> reduce_count_{0};
 };
 
 /// Builds a PowerOptions::checkpoint_sink that forwards every write to

@@ -185,7 +185,7 @@ FamilyResult sweep_landscape_family(const core::MutationModel& model,
     trace.iterate = solvers::landscape_start(family.front());
   } else {
     const transforms::SvKernels& sv =
-        transforms::sv_kernels_or_scalar(transforms::best_sv_kernels());
+        transforms::resolve_sv_kernels(transforms::SvKernel::automatic);
     std::vector<const double*> values(m);
     std::vector<double> inv(m);
     for (std::size_t j = 0; j < m; ++j) {

@@ -39,70 +39,6 @@ const char* kind_name(core::MutationKind kind) {
   return "unknown";
 }
 
-/// Cross-rank butterfly combine on one segment: `mine` and `theirs` hold the
-/// same offsets of the two pair blocks; the lower rank's block is the "lo"
-/// operand.  Runs the plan's sv microkernel when one resolved (the kernel
-/// writes both halves — the scratch half is discarded), else the plain
-/// non-FMA expression; both are bit-identical to the serial butterfly.
-void combine_cross_segment(double* mine, double* theirs, bool is_low,
-                           std::size_t count, transforms::Factor2 f,
-                           const transforms::SvKernels* sv) {
-  double* lo = is_low ? mine : theirs;
-  double* hi = is_low ? theirs : mine;
-  if (sv != nullptr) {
-    sv->butterfly_span(lo, hi, count, f);
-    return;
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    const double t1 = lo[i];
-    const double t2 = hi[i];
-    lo[i] = f.m00 * t1 + f.m01 * t2;
-    hi[i] = f.m10 * t1 + f.m11 * t2;
-  }
-}
-
-/// One rank's y = W x: fitness scaling fused into the banded blocked
-/// butterfly for the local levels, then one overlapped pairwise exchange
-/// per cross-rank level.  `recv` is a block-sized scratch buffer.
-void apply_w_rank(Exchange& exchange, const BlockLayout& layout,
-                  std::span<const transforms::Factor2> sites,
-                  std::span<const double> fitness_block,
-                  const transforms::BlockedPlan& plan,
-                  const transforms::SvKernels* sv, std::span<const double> x,
-                  std::span<double> y, std::span<double> recv) {
-  const unsigned rank = exchange.rank();
-  const unsigned local_levels = log2_exact(layout.block_size());
-  {
-    // Bottom nu-k levels: the same cache-blocked banded kernel (and sv
-    // microkernel tier) the serial blocked solver runs, on this rank's
-    // block only.  Rank-local compute is serial by design — the
-    // parallelism of a distributed solve is across ranks.
-    QS_TRACE_SPAN_ARG("dist.local_band", distributed, rank);
-    transforms::apply_blocked_butterfly_fused(x, y, sites.first(local_levels),
-                                              fitness_block, {},
-                                              parallel::serial_engine(), plan);
-  }
-  for (unsigned k = local_levels; k < layout.nu(); ++k) {
-    const std::size_t stride = std::size_t{1} << k;
-    const unsigned partner = layout.partner(rank, stride);
-    const bool is_low = rank < partner;
-    const transforms::Factor2 f = sites[k];
-    QS_TRACE_SPAN_ARG("dist.exchange", distributed, k);
-    QS_TRACE_COUNTER("dist.exchange_messages", 1);
-    double* mine = y.data();
-    double* theirs = recv.data();
-    const std::uint64_t exchange_start = monotonic_ns();
-    exchange.sendrecv_overlapped(
-        partner, y, recv, k,
-        [mine, theirs, is_low, f, sv](std::size_t begin, std::size_t end) {
-          combine_cross_segment(mine + begin, theirs + begin, is_low,
-                                end - begin, f, sv);
-        });
-    static obs::Histogram& exchange_hist = obs::histogram("dist.exchange");
-    exchange_hist.record_ns(monotonic_ns() - exchange_start);
-  }
-}
-
 /// One rank's side of the power loop: the product is this rank's share of
 /// the distributed Fmmp, and the loop's reductions and gathers go through
 /// the Exchange.
@@ -119,12 +55,11 @@ class RankCollective final : public solvers::BlockCollective {
         fitness_block_(fitness_block),
         plan_(plan),
         fitness_range_(fitness_range),
-        sv_(transforms::resolve_sv_kernels(plan.sv_kernel)),
         recv_(layout.block_size()) {}
 
   void apply(std::span<const double> x, std::span<double> y) override {
-    apply_w_rank(exchange_, layout_, sites_, fitness_block_, plan_, sv_, x, y,
-                 recv_);
+    distributed_apply_w(exchange_, layout_, sites_, fitness_block_, plan_, x, y,
+                        recv_);
   }
   void allreduce(std::span<double> values) override {
     exchange_.allreduce_sum(values, kTagLoop);
@@ -153,7 +88,6 @@ class RankCollective final : public solvers::BlockCollective {
   std::span<const double> fitness_block_;
   const transforms::BlockedPlan& plan_;
   std::optional<core::FitnessRange> fitness_range_;
-  const transforms::SvKernels* sv_;
   std::vector<double> recv_;  ///< The butterfly's partner block.
   std::vector<double> full_;  ///< Rank 0's gather target.
 };
@@ -238,80 +172,50 @@ const char* to_string(ExchangeKind kind) {
   return "unknown";
 }
 
-DistributedVector::DistributedVector(const BlockLayout& layout)
-    : layout_(&layout),
-      blocks_(layout.rank_count(), std::vector<double>(layout.block_size(), 0.0)) {}
-
-DistributedVector DistributedVector::scatter(const BlockLayout& layout,
-                                             std::span<const double> global) {
-  require(global.size() == layout.block_size() * layout.rank_count(),
-          "DistributedVector::scatter: dimension mismatch");
-  DistributedVector out(layout);
-  for (unsigned rank = 0; rank < layout.rank_count(); ++rank) {
-    const auto begin = global.begin() + static_cast<std::ptrdiff_t>(
-                                            layout.block_begin(rank));
-    std::copy(begin, begin + static_cast<std::ptrdiff_t>(layout.block_size()),
-              out.blocks_[rank].begin());
-  }
-  return out;
-}
-
-std::vector<double> DistributedVector::gather() const {
-  std::vector<double> global(layout_->block_size() * layout_->rank_count());
-  for (unsigned rank = 0; rank < layout_->rank_count(); ++rank) {
-    std::copy(blocks_[rank].begin(), blocks_[rank].end(),
-              global.begin() +
-                  static_cast<std::ptrdiff_t>(layout_->block_begin(rank)));
-  }
-  return global;
-}
-
-void distributed_apply_w(const core::MutationModel& model,
-                         const core::Landscape& landscape, DistributedVector& v,
-                         TrafficStats& stats, const transforms::BlockedPlan& plan) {
-  const BlockLayout& layout = v.layout();
-  require(model.nu() == layout.nu(), "distributed_apply_w: model nu mismatch");
-  require(landscape.dimension() == sequence_count(layout.nu()),
-          "distributed_apply_w: landscape dimension mismatch");
-  if (model.kind() == core::MutationKind::grouped) {
-    throw UnsupportedModelError(model.kind());
-  }
-
-  const auto& sites = model.site_factors();
+void distributed_apply_w(Exchange& exchange, const BlockLayout& layout,
+                         std::span<const transforms::Factor2> sites,
+                         std::span<const double> fitness_block,
+                         const transforms::BlockedPlan& plan,
+                         std::span<const double> x, std::span<double> y,
+                         std::span<double> recv) {
   const std::size_t block = layout.block_size();
-  const unsigned ranks = layout.rank_count();
+  require(sites.size() == layout.nu() && fitness_block.size() == block &&
+              x.size() == block && y.size() == block && recv.size() == block,
+          "distributed_apply_w: factors or blocks do not match the layout");
+  const unsigned rank = exchange.rank();
   const unsigned local_levels = log2_exact(block);
-  const auto f = landscape.values();
-  const transforms::SvKernels* sv = transforms::resolve_sv_kernels(plan.sv_kernel);
-
-  // Superstep 1 (fully local): fitness scaling fused into the banded
-  // blocked butterfly over every level whose stride stays inside a block.
-  QS_TRACE_SPAN("dist.local_band", distributed);
-  for (unsigned rank = 0; rank < ranks; ++rank) {
-    auto mine = v.block(rank);
-    transforms::apply_blocked_butterfly_fused(
-        mine, mine, std::span<const transforms::Factor2>(sites).first(local_levels),
-        f.subspan(layout.block_begin(rank), block), {}, parallel::serial_engine(),
-        plan);
+  {
+    // Bottom nu-k levels: the same cache-blocked banded kernel (and sv
+    // microkernel tier) the serial blocked solver runs, on this rank's
+    // block only.  Rank-local compute is serial by design — the
+    // parallelism of a distributed solve is across ranks.
+    QS_TRACE_SPAN_ARG("dist.local_band", distributed, rank);
+    transforms::apply_blocked_butterfly_fused(x, y, sites.first(local_levels),
+                                              fitness_block, {},
+                                              parallel::serial_engine(), plan);
   }
-
-  // Supersteps 2..: one pairwise block exchange per cross-rank level.  The
-  // lower rank of each pair holds the "lo" entries, its partner the "hi"
-  // entries, at identical offsets within their blocks; both blocks live in
-  // this address space, so the combine kernel writes both halves directly.
+  const transforms::SvKernels& sv = transforms::resolve_sv_kernels(plan.sv_kernel);
   for (unsigned k = local_levels; k < layout.nu(); ++k) {
     const std::size_t stride = std::size_t{1} << k;
+    const unsigned partner = layout.partner(rank, stride);
+    const bool is_low = rank < partner;
+    const transforms::Factor2 f = sites[k];
     QS_TRACE_SPAN_ARG("dist.exchange", distributed, k);
-    QS_TRACE_COUNTER("dist.exchange_messages", 2 * (ranks / 2));
-    for (unsigned lo = 0; lo < ranks; ++lo) {
-      const unsigned hi = layout.partner(lo, stride);
-      if (hi < lo) continue;  // visit each pair once, from the lower rank
-      // Simulated MPI_Sendrecv: both ranks ship their block to the partner.
-      stats.messages += 2;
-      stats.doubles_moved += 2 * block;
-      combine_cross_segment(v.block(lo).data(), v.block(hi).data(), true, block,
-                            sites[k], sv);
-    }
+    QS_TRACE_COUNTER("dist.exchange_messages", 1);
+    double* mine = y.data();
+    double* theirs = recv.data();
+    const std::uint64_t exchange_start = monotonic_ns();
+    // The lower rank's block is the "lo" operand; the span kernel writes
+    // both halves, and the partner's half is discarded.
+    exchange.sendrecv_overlapped(
+        partner, y, recv, k,
+        [mine, theirs, is_low, f, &sv](std::size_t begin, std::size_t end) {
+          double* lo = (is_low ? mine : theirs) + begin;
+          double* hi = (is_low ? theirs : mine) + begin;
+          sv.butterfly_span(lo, hi, end - begin, f);
+        });
+    static obs::Histogram& exchange_hist = obs::histogram("dist.exchange");
+    exchange_hist.record_ns(monotonic_ns() - exchange_start);
   }
 }
 
@@ -371,8 +275,8 @@ DistributedPowerResult distributed_power_rank(
   } else {
     // Cold start: the landscape block scaled by the reciprocal of the
     // global tree-ordered 1-norm — bit-identical to landscape_start.
-    const transforms::SvKernels& red = transforms::sv_kernels_or_scalar(
-        transforms::resolve_sv_kernels(options.plan.sv_kernel));
+    const transforms::SvKernels& red =
+        transforms::resolve_sv_kernels(options.plan.sv_kernel);
     const double norm = exchange.allreduce_sum(
         red.tree_abs_sum(fitness_block.data(), block), kTagStartNorm);
     require(norm > 0.0, "distributed_power_iteration: landscape has zero 1-norm");

@@ -76,42 +76,22 @@ enum class ExchangeKind {
 
 const char* to_string(ExchangeKind kind);
 
-/// A 2^nu vector held as per-rank blocks.  Legacy single-process container
-/// used by the in-place apply below and by the bench/test harnesses; the
-/// power iteration itself never materialises one (each rank holds only its
-/// own block).
-class DistributedVector {
- public:
-  /// Zero-initialised blocks for the given layout.
-  explicit DistributedVector(const BlockLayout& layout);
-
-  /// Scatters a global vector into blocks. Requires matching length.
-  static DistributedVector scatter(const BlockLayout& layout,
-                                   std::span<const double> global);
-
-  const BlockLayout& layout() const { return *layout_; }
-
-  std::span<double> block(unsigned rank) { return blocks_[rank]; }
-  std::span<const double> block(unsigned rank) const { return blocks_[rank]; }
-
-  /// Gathers the blocks back into one global vector.
-  std::vector<double> gather() const;
-
- private:
-  const BlockLayout* layout_;
-  std::vector<std::vector<double>> blocks_;
-};
-
-/// Distributed W x = Q F x in place (right formulation): per-rank diagonal
-/// scaling fused into the banded blocked butterfly for the local levels,
-/// then one pairwise block exchange per cross-rank level, combined with the
-/// same sv microkernel the plan resolves for the serial solver.  Throws
-/// UnsupportedModelError for grouped models.  Traffic is accumulated into
-/// `stats`.
-void distributed_apply_w(const core::MutationModel& model,
-                         const core::Landscape& landscape, DistributedVector& v,
-                         TrafficStats& stats,
-                         const transforms::BlockedPlan& plan = {});
+/// One rank's share of the distributed W x = Q F x (right formulation):
+/// the fitness scaling fused into the banded blocked butterfly for the
+/// bottom log2(block) levels, on this rank's block only, then one
+/// overlapped pairwise exchange per cross-rank level, combined with the
+/// span kernel of the sv table `plan` resolves to.  Every rank of
+/// `exchange` calls it together; each reads its block of x and writes its
+/// block of y (both layout.block_size() long), and `recv` is a block-sized
+/// scratch buffer.  The gathered blocks are bit-identical to the serial
+/// core::FmmpOperator product under the same plan.  Traffic accumulates in
+/// exchange.stats().
+void distributed_apply_w(Exchange& exchange, const BlockLayout& layout,
+                         std::span<const transforms::Factor2> sites,
+                         std::span<const double> fitness_block,
+                         const transforms::BlockedPlan& plan,
+                         std::span<const double> x, std::span<double> y,
+                         std::span<double> recv);
 
 /// Options of the distributed power iteration.  Everything IterationOptions
 /// offers works unchanged: tolerance / stall windows, checkpoint_path /
@@ -158,7 +138,7 @@ struct DistributedPowerResult : solvers::IterationResult {
   unsigned rank_count = 0;
 
   /// Resolved sv microkernel provenance of the rank-local banded kernel
-  /// ("autovec" / "avx2" / "avx512") — proof of which kernel tier ran.
+  /// ("scalar" / "avx2" / "avx512") — proof of which kernel tier ran.
   std::string plan_kernel;
 
   /// Butterfly levels that ran rank-locally (log2 of the block size).

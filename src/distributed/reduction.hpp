@@ -65,21 +65,9 @@ inline double tree_dot(std::span<const double> a, std::span<const double> b) {
                      [pa, pb](std::size_t i) { return pa[i] * pb[i]; });
 }
 
-/// Serial engine whose reduce_partials uses the tree order above: it runs
-/// the kernel per element, so the combination order is the engine's, not
-/// the kernel body's — slower than a fused sweep, but this engine exists for
-/// equivalence testing and facade comparisons, not for production
-/// throughput.  (The power loop gives the same bits with every engine.)
-class TreeEngine final : public parallel::Engine {
- public:
-  std::string_view name() const override { return "tree-serial"; }
-  unsigned concurrency() const override { return 1; }
-  void dispatch(std::size_t n, const parallel::RangeKernel& kernel) const override;
-  double reduce_partials(std::size_t n,
-                         const parallel::PartialKernel& kernel) const override;
-};
-
-/// Process-lifetime TreeEngine instance.
-const parallel::Engine& tree_engine();
+/// The serial engine.  Every sum of the solvers is tree-ordered whatever
+/// the engine, so this name no longer selects anything; it remains for
+/// existing callers.
+inline const parallel::Engine& tree_engine() { return parallel::serial_engine(); }
 
 }  // namespace qs::distributed

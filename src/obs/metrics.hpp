@@ -10,7 +10,7 @@
 //
 // Provenance keys (set by PlannedOperator when it resolves its plan):
 //   simd_tier        — the span-kernel table the plan resolves to, for
-//                      single vectors and panels alike (autovec/avx2/avx512)
+//                      single vectors and panels alike (scalar/avx2/avx512)
 //   plan.tile_log2   — autotuned or default blocked-plan tile size
 //   plan.chunk_log2  — autotuned or default panel chunk size
 // These pin down why two hosts produce different BENCH_fig2.json rows.

@@ -6,9 +6,9 @@
 // the host loop owns the level iteration.  This engine reproduces exactly
 // that structure on the CPU: dispatch(n, kernel) runs a 1-D index space with
 // barrier semantics (all work items complete before dispatch returns).  An
-// engine is a fan-out, not a summation order: the power iteration splits
-// its reductions into aligned blocks it combines itself
-// (solvers/power_iteration.cpp), so every backend yields the same bits.  Backends: a
+// engine is a fan-out, not a summation order: it offers no reduction, and
+// every parallel sum is formed on fixed row blocks combined in tree order
+// (parallel/row_blocks.hpp), so every backend yields the same bits.  Backends: a
 // serial one (the "single CPU core" reference of the paper's Figure 2), an
 // OpenMP one (the "parallel hardware" axis of Figure 4) and a std::thread
 // pool.  See DESIGN.md, "Substitutions".
@@ -27,7 +27,7 @@ namespace qs::parallel {
 /// small-buffer optimisation the capture lists of the banded kernels exceed,
 /// which would put an allocation on every dispatch of the solver hot path
 /// (see tests/alloc_guard_test.cpp).  Safe for the Engine interface because
-/// dispatch/reduce_partials have barrier semantics: the kernel is only ever
+/// dispatch has barrier semantics: the kernel is only ever
 /// invoked while the caller's callable is alive; backends must not retain it
 /// past the call.
 template <typename Signature>
@@ -64,12 +64,6 @@ class FunctionRef<R(Args...)> {
 /// negligible next to memory-bound kernel bodies.
 using RangeKernel = FunctionRef<void(std::size_t begin, std::size_t end)>;
 
-/// A partial reduction over a chunk of a 1-D index space: the body returns
-/// the partial sum for [begin, end).  Lets callers run arbitrary fused
-/// element-wise reductions (e.g. ||y - lambda x||^2) through the backend
-/// without materialising a scratch vector.
-using PartialKernel = FunctionRef<double(std::size_t begin, std::size_t end)>;
-
 /// Abstract execution backend with kernel-launch semantics.
 class Engine {
  public:
@@ -89,15 +83,8 @@ class Engine {
   /// Exception safety (all backends): if a kernel body throws on any lane,
   /// the first exception is captured, the barrier still completes (every
   /// other lane finishes its chunk), and the exception is rethrown on the
-  /// dispatching thread.  The engine remains usable afterwards.  The same
-  /// contract holds for reduce_partials; the partial sum is then discarded.
+  /// dispatching thread.  The engine remains usable afterwards.
   virtual void dispatch(std::size_t n, const RangeKernel& kernel) const = 0;
-
-  /// Generic parallel reduction: sums the per-chunk partials of `kernel`
-  /// over the index space [0, n).  The kernel must be safe to run
-  /// concurrently on disjoint ranges; the combination order of partials is
-  /// backend-defined (like any floating-point parallel reduction).
-  virtual double reduce_partials(std::size_t n, const PartialKernel& kernel) const = 0;
 };
 
 /// Available backend kinds.

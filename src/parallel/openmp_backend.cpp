@@ -69,32 +69,6 @@ void OpenMPBackend::dispatch(std::size_t n, const RangeKernel& kernel) const {
   error.rethrow_if_set();
 }
 
-double OpenMPBackend::reduce_partials(std::size_t n, const PartialKernel& kernel) const {
-  if (n == 0) return 0.0;
-  QS_TRACE_COUNTER("engine.reduce_partials", 1);
-  double acc = 0.0;
-  FirstException error;
-  // Same contiguous per-thread chunking as dispatch(), partials combined by
-  // the OpenMP reduction clause.
-#pragma omp parallel reduction(+ : acc)
-  {
-    const std::size_t threads = static_cast<std::size_t>(omp_get_num_threads());
-    const std::size_t tid = static_cast<std::size_t>(omp_get_thread_num());
-    const std::size_t chunk = (n + threads - 1) / threads;
-    const std::size_t begin = std::min(tid * chunk, n);
-    const std::size_t end = std::min(begin + chunk, n);
-    if (begin < end) {
-      try {
-        acc += kernel(begin, end);
-      } catch (...) {
-        error.capture();
-      }
-    }
-  }
-  error.rethrow_if_set();
-  return acc;
-}
-
 #else  // !QS_HAVE_OPENMP — degrade gracefully to the serial implementation.
 
 std::string_view OpenMPBackend::name() const { return "serial"; }
@@ -104,10 +78,6 @@ unsigned OpenMPBackend::concurrency() const { return 1; }
 void OpenMPBackend::dispatch(std::size_t n, const RangeKernel& kernel) const {
   if (n == 0) return;
   kernel(0, n);
-}
-
-double OpenMPBackend::reduce_partials(std::size_t n, const PartialKernel& kernel) const {
-  return n == 0 ? 0.0 : kernel(0, n);
 }
 
 #endif

@@ -15,7 +15,6 @@ class OpenMPBackend final : public Engine {
   std::string_view name() const override;
   unsigned concurrency() const override;
   void dispatch(std::size_t n, const RangeKernel& kernel) const override;
-  double reduce_partials(std::size_t n, const PartialKernel& kernel) const override;
 };
 
 }  // namespace qs::parallel

@@ -13,10 +13,4 @@ void SerialBackend::dispatch(std::size_t n, const RangeKernel& kernel) const {
   kernel(0, n);
 }
 
-double SerialBackend::reduce_partials(std::size_t n, const PartialKernel& kernel) const {
-  if (n == 0) return 0.0;
-  QS_TRACE_COUNTER("engine.reduce_partials", 1);
-  return kernel(0, n);
-}
-
 }  // namespace qs::parallel

@@ -11,7 +11,6 @@ class SerialBackend final : public Engine {
   std::string_view name() const override { return "serial"; }
   unsigned concurrency() const override { return 1; }
   void dispatch(std::size_t n, const RangeKernel& kernel) const override;
-  double reduce_partials(std::size_t n, const PartialKernel& kernel) const override;
 };
 
 }  // namespace qs::parallel

@@ -102,20 +102,4 @@ void ThreadPoolBackend::dispatch(std::size_t n, const RangeKernel& kernel) const
   });
 }
 
-double ThreadPoolBackend::reduce_partials(std::size_t n, const PartialKernel& kernel) const {
-  if (n == 0) return 0.0;
-  QS_TRACE_COUNTER("engine.reduce_partials", 1);
-  const std::size_t lanes = concurrency();
-  std::vector<PaddedPartial> partial(lanes);
-  const std::size_t chunk = (n + lanes - 1) / lanes;
-  run_on_all([&](unsigned lane) {
-    const std::size_t begin = std::min<std::size_t>(lane * chunk, n);
-    const std::size_t end = std::min<std::size_t>(begin + chunk, n);
-    if (begin < end) partial[lane].value = kernel(begin, end);
-  });
-  double total = 0.0;
-  for (const PaddedPartial& p : partial) total += p.value;
-  return total;
-}
-
 }  // namespace qs::parallel

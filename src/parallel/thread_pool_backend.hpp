@@ -3,8 +3,7 @@
 // A dependency-free alternative to the OpenMP backend for toolchains built
 // without OpenMP: persistent worker threads woken per dispatch, barrier
 // semantics on return, contiguous chunk partitioning identical to the
-// OpenMP backend's.  Reductions fan out per-thread partials and combine on
-// the calling thread.
+// OpenMP backend's.
 #pragma once
 
 #include <condition_variable>
@@ -29,15 +28,8 @@ class ThreadPoolBackend final : public Engine {
   std::string_view name() const override { return "thread-pool"; }
   unsigned concurrency() const override;
   void dispatch(std::size_t n, const RangeKernel& kernel) const override;
-  double reduce_partials(std::size_t n, const PartialKernel& kernel) const override;
 
  private:
-  /// One per-lane partial slot, padded to a cache line: the lanes' final
-  /// stores land on distinct lines instead of ping-ponging one shared line
-  /// between cores (false sharing).
-  struct alignas(64) PaddedPartial {
-    double value = 0.0;
-  };
   /// Runs `task(worker_index)` on every worker plus the calling thread and
   /// waits for completion (one generation of the barrier protocol).
   void run_on_all(const std::function<void(unsigned)>& task) const;

@@ -4,11 +4,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
+#include <type_traits>
 #include <utility>
 
 #include "core/workspace.hpp"
 #include "linalg/jacobi_eigen.hpp"
+#include "linalg/tree_reduce.hpp"
+#include "parallel/row_blocks.hpp"
 #include "support/contracts.hpp"
 
 namespace qs::solvers {
@@ -21,98 +23,131 @@ std::size_t default_block(unsigned k) {
   return ((static_cast<std::size_t>(k) + 7) / 8) * 8;
 }
 
-/// G = P1^T P2 over two interleaved n x m panels; each lane accumulates a
-/// local m x m block, merged under a mutex (m is tiny, the merge is noise).
-linalg::DenseMatrix panel_gram(const double* p1, const double* p2,
-                               std::size_t n, std::size_t m,
-                               const parallel::Engine& engine) {
-  linalg::DenseMatrix g(m, m);
-  std::mutex merge;
-  engine.dispatch(n, [&](std::size_t begin, std::size_t end) {
-    std::vector<double> local(m * m, 0.0);
-    for (std::size_t i = begin; i < end; ++i) {
-      const double* r1 = p1 + i * m;
-      const double* r2 = p2 + i * m;
-      for (std::size_t a = 0; a < m; ++a) {
-        const double v = r1[a];
-        for (std::size_t b = 0; b < m; ++b) local[a * m + b] += v * r2[b];
-      }
-    }
-    const std::lock_guard<std::mutex> lock(merge);
-    auto gd = g.data();
-    for (std::size_t i = 0; i < local.size(); ++i) gd[i] += local[i];
-  });
-  return g;
-}
-
-/// In-place panel rotation P <- P R with R m x m (row-wise small mat-vec).
-void panel_rotate(double* p, std::size_t n, std::size_t m,
-                  const linalg::DenseMatrix& r, const parallel::Engine& engine) {
-  engine.dispatch(n, [&, p](std::size_t begin, std::size_t end) {
-    std::vector<double> tmp(m);
-    for (std::size_t i = begin; i < end; ++i) {
-      double* row = p + i * m;
-      for (std::size_t b = 0; b < m; ++b) {
-        double acc = 0.0;
-        for (std::size_t a = 0; a < m; ++a) acc += row[a] * r(a, b);
-        tmp[b] = acc;
-      }
-      std::memcpy(row, tmp.data(), m * sizeof(double));
-    }
-  });
-}
-
-/// Orthonormalises the panel's columns by the symmetric inverse square root
-/// of its Gram matrix: P <- P U diag(1/sqrt(s)) with G = U diag(s) U^T.
-/// The jacobi eigenvalues come out descending, so the leading directions of
-/// the panel stay in the leading columns.
-void panel_orthonormalize(double* p, std::size_t n, std::size_t m,
-                          const parallel::Engine& engine) {
-  const linalg::DenseMatrix g = panel_gram(p, p, n, m, engine);
-  const linalg::SymmetricEigen eig = linalg::jacobi_eigen(g);
-  const double smax = std::max(eig.values.front(), 1e-300);
-  linalg::DenseMatrix r(m, m);
-  for (std::size_t b = 0; b < m; ++b) {
-    // Columns with numerically collapsed directions get zeroed rather than
-    // amplified; the next product re-fills them from the operator's range.
-    const double s = eig.values[b];
-    const double inv = s > 1e-28 * smax ? 1.0 / std::sqrt(s) : 0.0;
-    for (std::size_t a = 0; a < m; ++a) r(a, b) = eig.vectors(a, b) * inv;
+/// Runs fn(M) with M = m as a compile-time constant for the default panel
+/// widths 2, 4 and 8 (fixed trip counts let the per-row loops unroll and
+/// vectorise), and with M = 0 (m at run time) for any other width.
+template <typename Fn>
+void with_width(std::size_t m, const Fn& fn) {
+  switch (m) {
+    case 2: return fn(std::integral_constant<std::size_t, 2>{});
+    case 4: return fn(std::integral_constant<std::size_t, 4>{});
+    case 8: return fn(std::integral_constant<std::size_t, 8>{});
+    default: return fn(std::integral_constant<std::size_t, 0>{});
   }
-  panel_rotate(p, n, m, r, engine);
 }
 
-/// Per-column relative Ritz residuals ||ry_j - theta_j rx_j|| /
-/// (|theta_j| ||rx_j||), accumulated in one pass over both panels.
-std::vector<double> panel_residuals(const double* rx, const double* ry,
-                                    const std::vector<double>& theta,
-                                    std::size_t n, std::size_t m,
-                                    const parallel::Engine& engine) {
-  std::vector<double> acc(2 * m, 0.0);  // [num_0..num_{m-1}, den_0..den_{m-1}]
-  std::mutex merge;
-  const double* th = theta.data();
-  engine.dispatch(n, [&](std::size_t begin, std::size_t end) {
-    std::vector<double> local(2 * m, 0.0);
-    for (std::size_t i = begin; i < end; ++i) {
-      const double* x = rx + i * m;
-      const double* y = ry + i * m;
-      for (std::size_t j = 0; j < m; ++j) {
-        const double d = y[j] - th[j] * x[j];
-        local[j] += d * d;
-        local[m + j] += x[j] * x[j];
-      }
-    }
-    const std::lock_guard<std::mutex> lock(merge);
-    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += local[i];
-  });
-  std::vector<double> res(m, 0.0);
-  for (std::size_t j = 0; j < m; ++j) {
-    const double scale = std::abs(theta[j]) * std::sqrt(acc[m + j]);
-    res[j] = scale > 0.0 ? std::sqrt(acc[j]) / scale
-                         : std::sqrt(acc[j]);
+/// The panel passes of one solve, on parallel::RowBlocks: every sum is
+/// the tree_reduce of its rows (linalg::tree_reduce_rows in per-block
+/// scratch), so every engine gives the serial bits.  All scratch is
+/// allocated here, once per solve.
+class PanelPasses {
+ public:
+  PanelPasses(const parallel::Engine& engine, std::size_t n, std::size_t m)
+      : m_(m),
+        blocks_(engine, n, m, std::max(m * m, 2 * m),
+                std::max(linalg::tree_reduce_rows_scratch(m * m, n),
+                         linalg::tree_reduce_rows_scratch(2 * m, n))) {}
+
+  /// G = P1^T P2 over two interleaved n x m panels.
+  linalg::DenseMatrix gram(const double* p1, const double* p2) {
+    linalg::DenseMatrix g(m_, m_);
+    with_width(m_, [&](auto width) {
+      constexpr std::size_t M = width;
+      const std::size_t m = M != 0 ? M : m_;
+      const auto row = [p1, p2, m](std::size_t i, double* __restrict v) {
+        const std::size_t w = M != 0 ? M : m;
+        const double* r1 = p1 + i * w;
+        const double* r2 = p2 + i * w;
+        for (std::size_t a = 0; a < w; ++a) {
+          for (std::size_t b = 0; b < w; ++b) v[a * w + b] = r1[a] * r2[b];
+        }
+      };
+      blocks_.sums(m * m, [&](std::size_t begin, std::size_t end, double* partial) {
+        linalg::tree_reduce_rows<M * M>(begin, end, m * m, row, partial,
+                                        blocks_.scratch(begin));
+      }, g.data().data());
+    });
+    return g;
   }
-  return res;
-}
+
+  /// In-place panel rotation P <- P R with R m x m (row-wise small
+  /// mat-vec); each block stages its rows in its scratch.
+  void rotate(double* p, const linalg::DenseMatrix& r) {
+    with_width(m_, [&](auto width) {
+      constexpr std::size_t M = width;
+      const std::size_t m = M != 0 ? M : m_;
+      blocks_.run([&, p, m](std::size_t begin, std::size_t end) {
+        const std::size_t w = M != 0 ? M : m;
+        double* tmp = blocks_.scratch(begin);
+        for (std::size_t i = begin; i < end; ++i) {
+          double* row = p + i * w;
+          for (std::size_t b = 0; b < w; ++b) {
+            double acc = 0.0;
+            for (std::size_t a = 0; a < w; ++a) acc += row[a] * r(a, b);
+            tmp[b] = acc;
+          }
+          std::memcpy(row, tmp, w * sizeof(double));
+        }
+      });
+    });
+  }
+
+  /// Orthonormalises the panel's columns by the symmetric inverse square
+  /// root of its Gram matrix: P <- P U diag(1/sqrt(s)) with G = U diag(s)
+  /// U^T.  The jacobi eigenvalues come out descending, so the leading
+  /// directions of the panel stay in the leading columns.
+  void orthonormalize(double* p) {
+    const std::size_t m = m_;
+    const linalg::SymmetricEigen eig = linalg::jacobi_eigen(gram(p, p));
+    const double smax = std::max(eig.values.front(), 1e-300);
+    linalg::DenseMatrix r(m, m);
+    for (std::size_t b = 0; b < m; ++b) {
+      // Columns with numerically collapsed directions get zeroed rather
+      // than amplified; the next product re-fills them from the operator's
+      // range.
+      const double s = eig.values[b];
+      const double inv = s > 1e-28 * smax ? 1.0 / std::sqrt(s) : 0.0;
+      for (std::size_t a = 0; a < m; ++a) r(a, b) = eig.vectors(a, b) * inv;
+    }
+    rotate(p, r);
+  }
+
+  /// Per-column relative Ritz residuals ||ry_j - theta_j rx_j|| /
+  /// (|theta_j| ||rx_j||), both sums in one pass over the two panels.
+  std::vector<double> residuals(const double* rx, const double* ry,
+                                const std::vector<double>& theta) {
+    const std::size_t m = m_;
+    std::vector<double> acc(2 * m);  // [num_0..num_{m-1}, den_0..den_{m-1}]
+    const double* th = theta.data();
+    with_width(m, [&](auto width) {
+      constexpr std::size_t M = width;
+      const auto row = [rx, ry, th, m](std::size_t i, double* __restrict v) {
+        const std::size_t w = M != 0 ? M : m;
+        const double* x = rx + i * w;
+        const double* y = ry + i * w;
+        for (std::size_t j = 0; j < w; ++j) {
+          const double d = y[j] - th[j] * x[j];
+          v[j] = d * d;
+          v[w + j] = x[j] * x[j];
+        }
+      };
+      blocks_.sums(2 * m, [&](std::size_t begin, std::size_t end, double* partial) {
+        linalg::tree_reduce_rows<2 * M>(begin, end, 2 * m, row, partial,
+                                        blocks_.scratch(begin));
+      }, acc.data());
+    });
+    std::vector<double> res(m, 0.0);
+    for (std::size_t j = 0; j < m; ++j) {
+      const double scale = std::abs(theta[j]) * std::sqrt(acc[m + j]);
+      res[j] = scale > 0.0 ? std::sqrt(acc[j]) / scale : std::sqrt(acc[j]);
+    }
+    return res;
+  }
+
+ private:
+  std::size_t m_;
+  parallel::RowBlocks blocks_;
+};
 
 /// Deterministic pseudo-random fill for the guard columns (splitmix64).
 double hash_unit(std::uint64_t x) {
@@ -146,11 +181,10 @@ void validate(const core::FmmpOperator& op, const BlockPowerOptions& options) {
 /// uninterrupted run had at the bottom of the corresponding round.
 BlockPowerResult run_block_loop(const core::FmmpOperator& op,
                                 const BlockPowerOptions& options,
-                                IterationDriver driver, std::span<double> x,
-                                std::span<double> y, std::size_t m,
-                                unsigned start_iterations) {
+                                IterationDriver driver, PanelPasses& passes,
+                                std::span<double> x, std::span<double> y,
+                                std::size_t m, unsigned start_iterations) {
   const std::size_t n = op.dimension();
-  const parallel::Engine& engine = parallel::engine_or_serial(options.engine);
 
   BlockPowerResult result;
   result.iterations = start_iterations;
@@ -162,7 +196,7 @@ BlockPowerResult run_block_loop(const core::FmmpOperator& op,
     for (unsigned s = 0; s < options.ritz_every; ++s) {
       if (s > 0) {
         std::memcpy(x.data(), y.data(), y.size() * sizeof(double));
-        panel_orthonormalize(x.data(), n, m, engine);
+        passes.orthonormalize(x.data());
       }
       op.apply_panel(x, y, m);
       ++result.iterations;
@@ -171,7 +205,7 @@ BlockPowerResult run_block_loop(const core::FmmpOperator& op,
 
     // Rayleigh-Ritz on span(X): A = X^T W X, rotate both panels onto the
     // Ritz basis, and read off the per-pair residuals.
-    linalg::DenseMatrix a = panel_gram(x.data(), y.data(), n, m, engine);
+    linalg::DenseMatrix a = passes.gram(x.data(), y.data());
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = i + 1; j < m; ++j) {
         const double sym = 0.5 * (a(i, j) + a(j, i));
@@ -181,9 +215,9 @@ BlockPowerResult run_block_loop(const core::FmmpOperator& op,
     }
     const linalg::SymmetricEigen eig = linalg::jacobi_eigen(a);
     theta = eig.values;
-    panel_rotate(x.data(), n, m, eig.vectors, engine);
-    panel_rotate(y.data(), n, m, eig.vectors, engine);
-    residuals = panel_residuals(x.data(), y.data(), theta, n, m, engine);
+    passes.rotate(x.data(), eig.vectors);
+    passes.rotate(y.data(), eig.vectors);
+    residuals = passes.residuals(x.data(), y.data(), theta);
 
     // Health guard over the k wanted pairs: a poisoned panel (NaN product,
     // overflowed Gram matrix) is reported structurally instead of silently
@@ -209,7 +243,7 @@ BlockPowerResult run_block_loop(const core::FmmpOperator& op,
       // the periodic checkpoint would persist, so an interrupted run
       // resumes at this extraction.
       std::memcpy(x.data(), y.data(), y.size() * sizeof(double));
-      panel_orthonormalize(x.data(), n, m, engine);
+      passes.orthonormalize(x.data());
       driver.write_checkpoint(result.iterations, result, x, result.iterations,
                               static_cast<double>(m));
       break;
@@ -220,7 +254,7 @@ BlockPowerResult run_block_loop(const core::FmmpOperator& op,
     // is the resume point: checkpointing it (rather than the Ritz vectors)
     // lets a resumed run re-enter the advance loop with bit-identical state.
     std::memcpy(x.data(), y.data(), y.size() * sizeof(double));
-    panel_orthonormalize(x.data(), n, m, engine);
+    passes.orthonormalize(x.data());
     driver.maybe_checkpoint(result.iterations, result, x, result.iterations,
                             static_cast<double>(m));
   }
@@ -278,7 +312,6 @@ BlockPowerResult block_power_iteration(const core::FmmpOperator& op,
   const std::size_t n = op.dimension();
   const std::size_t m = resolve_block(options, n);
 
-  const parallel::Engine& engine = parallel::engine_or_serial(options.engine);
   IterationDriver driver(options, io::SolverKind::block_power, n);
 
   core::Workspace local_workspace;
@@ -297,8 +330,9 @@ BlockPowerResult block_power_iteration(const core::FmmpOperator& op,
       x[i * m + j] = hash_unit(i * 0x100000001b3ull + j);
     }
   }
-  panel_orthonormalize(x.data(), n, m, engine);
-  return run_block_loop(op, options, std::move(driver), x, y, m, 0);
+  PanelPasses passes(parallel::engine_or_serial(options.engine), n, m);
+  passes.orthonormalize(x.data());
+  return run_block_loop(op, options, std::move(driver), passes, x, y, m, 0);
 }
 
 BlockPowerResult resume_block_power_iteration(const core::FmmpOperator& op,
@@ -329,7 +363,8 @@ BlockPowerResult resume_block_power_iteration(const core::FmmpOperator& op,
   std::span<double> x = workspace.take(core::Workspace::Slot::panel, n * m);
   std::span<double> y = workspace.take(core::Workspace::Slot::panel_image, n * m);
   std::memcpy(x.data(), trace.iterate.data(), n * m * sizeof(double));
-  return run_block_loop(op, options, std::move(driver), x, y, m,
+  PanelPasses passes(parallel::engine_or_serial(options.engine), n, m);
+  return run_block_loop(op, options, std::move(driver), passes, x, y, m,
                         trace.start_iteration);
 }
 

@@ -12,6 +12,7 @@
 #include "linalg/vector_ops.hpp"
 #include "obs/trace.hpp"
 #include "parallel/engine.hpp"
+#include "parallel/row_blocks.hpp"
 #include "support/contracts.hpp"
 #include "transforms/sv_microkernel.hpp"
 #include "transforms/sv_tree_blocks.hpp"
@@ -23,7 +24,7 @@ namespace {
 /// return the same bits (the tree order of linalg::tree_reduce); the widest
 /// is just the fastest.
 const transforms::SvKernels& reduction_kernels() {
-  return transforms::sv_kernels_or_scalar(transforms::best_sv_kernels());
+  return transforms::resolve_sv_kernels(transforms::SvKernel::automatic);
 }
 
 /// x <- x / ||x||_1 with the tree-ordered 1-norm: multiply by the
@@ -83,48 +84,28 @@ unsigned stretch_bound(const std::optional<core::FitnessRange>& range, double mu
   return std::max(1u, static_cast<unsigned>(bound));
 }
 
-/// Below this many doubles per block an engine does not split a pass: the
-/// dispatch would cost more than the block's arithmetic.
-constexpr std::size_t kMinFanOutBlock = std::size_t{1} << 12;
-
-/// The loop's passes over a block of `rows` rows of m interleaved columns.
-/// An engine chunks an index space however its backend likes and combines
-/// partials in its own order, so the passes fix the split instead: the rows
-/// become `blocks_` aligned power-of-two blocks, one per engine lane, each
-/// run inside one dispatch.  A block is a complete subtree of every
-/// column's linalg::tree_reduce tree, so block partials combined with
-/// tree_reduce are the one-block sums bit for bit, on every engine (the
-/// argument that makes distributed ranks exact).  One block — one lane, a
-/// row count that is not a power of two, or blocks below kMinFanOutBlock
-/// doubles — runs inline.  One column and the study width m = 8 run the
-/// SvKernels reductions; other widths reduce whole rows
-/// (transforms/sv_tree_blocks.hpp).  All scratch is allocated here, once
-/// per solve.
+/// The loop's passes over `rows` rows of m interleaved columns, each
+/// formed on parallel::RowBlocks so every engine gives the one-block bits.
+/// One column and the study width m = 8 run the SvKernels reductions;
+/// other widths reduce whole rows (transforms/sv_tree_blocks.hpp) in
+/// per-block scratch.  All scratch is allocated here, once per solve.
 class Passes {
  public:
   Passes(const parallel::Engine& engine, std::size_t rows, std::size_t m)
-      : engine_(engine),
-        sv_(reduction_kernels()),
-        rows_(rows),
+      : sv_(reduction_kernels()),
         m_(m),
-        stride_(m == 1 || m == 8
+        blocks_(engine, rows, m, 3 * m,
+                m == 1 || m == 8
                     ? 0
                     : std::max({linalg::tree_reduce_rows_scratch(m, rows),
                                 linalg::tree_reduce_rows_scratch(2 * m, rows),
-                                linalg::tree_reduce_rows_scratch(3 * m, rows)})) {
-    const std::size_t lanes = std::bit_floor(std::max(engine.concurrency(), 1u));
-    if (std::has_single_bit(rows) && rows / lanes * m >= kMinFanOutBlock) {
-      blocks_ = lanes;
-      partials_.resize(blocks_ * 3 * m);
-    }
-    scratch_.resize(blocks_ * stride_);
-  }
+                                linalg::tree_reduce_rows_scratch(3 * m, rows)})) {}
 
   /// Pass 1: out[c] = x.x, out[m + c] = x.y and out[2m + c] = ||y - mu x||_1
   /// of column c.
   void check_sums(const double* x, const double* y, double mu, double* out) {
     const std::size_t m = m_;
-    sums(3 * m, [&](std::size_t begin, std::size_t end, double* partial) {
+    blocks_.sums(3 * m, [&](std::size_t begin, std::size_t end, double* partial) {
       const double* xb = x + begin * m;
       const double* yb = y + begin * m;
       if (m == 1) {
@@ -136,7 +117,7 @@ class Passes {
         sv_.panel8_check_sums(xb, yb, end - begin, mu, partial);
       } else {
         transforms::panel_check_sums<0>(xb, yb, end - begin, m, mu, partial,
-                                        scratch(begin));
+                                        blocks_.scratch(begin));
       }
     }, out);
   }
@@ -146,7 +127,7 @@ class Passes {
   void residual_update(const double* x, double* y, const double* lambda,
                        double mu, const double* inv, double* out) {
     const std::size_t m = m_;
-    sums(m, [&](std::size_t begin, std::size_t end, double* partial) {
+    blocks_.sums(m, [&](std::size_t begin, std::size_t end, double* partial) {
       const double* xb = x + begin * m;
       double* yb = y + begin * m;
       if (m == 1) {
@@ -156,7 +137,7 @@ class Passes {
         sv_.panel8_residual_update(xb, yb, end - begin, lambda, mu, inv, partial);
       } else {
         transforms::panel_residual_update<0>(xb, yb, end - begin, m, lambda, mu,
-                                             inv, partial, scratch(begin));
+                                             inv, partial, blocks_.scratch(begin));
       }
     }, out);
   }
@@ -164,7 +145,7 @@ class Passes {
   /// out[c] = sum of column c, out[m + c] = its 1-norm.
   void orientation_sums(const double* x, double* out) {
     const std::size_t m = m_;
-    sums(2 * m, [&](std::size_t begin, std::size_t end, double* partial) {
+    blocks_.sums(2 * m, [&](std::size_t begin, std::size_t end, double* partial) {
       const double* xb = x + begin * m;
       if (m == 1) {
         partial[0] = sv_.tree_sum(xb, end - begin);
@@ -173,7 +154,7 @@ class Passes {
         sv_.panel8_orientation_sums(xb, end - begin, partial);
       } else {
         transforms::panel_orientation_sums<0>(xb, end - begin, m, partial,
-                                              scratch(begin));
+                                              blocks_.scratch(begin));
       }
     }, out);
   }
@@ -181,7 +162,7 @@ class Passes {
   /// y <- y - mu x, element-wise.
   void shift(const double* x, double* y, double mu) {
     const std::size_t m = m_;
-    run([x, y, mu, m](std::size_t begin, std::size_t end) {
+    blocks_.run([x, y, mu, m](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin * m; i < end * m; ++i) y[i] -= mu * x[i];
     });
   }
@@ -189,7 +170,7 @@ class Passes {
   /// out <- x scale_c per column (out may be x).
   void scale(const double* x, const double* scale, double* out) {
     const std::size_t m = m_;
-    run([x, scale, out, m](std::size_t begin, std::size_t end) {
+    blocks_.run([x, scale, out, m](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
         for (std::size_t c = 0; c < m; ++c) out[i * m + c] = x[i * m + c] * scale[c];
       }
@@ -197,47 +178,9 @@ class Passes {
   }
 
  private:
-  /// Runs body(begin, end) on every block of rows.
-  template <typename Body>
-  void run(const Body& body) const {
-    if (blocks_ == 1) return body(std::size_t{0}, rows_);
-    const std::size_t size = rows_ / blocks_;
-    engine_.dispatch(blocks_, [&body, size](std::size_t first, std::size_t last) {
-      for (std::size_t b = first; b < last; ++b) body(b * size, (b + 1) * size);
-    });
-  }
-
-  /// `width` tree-ordered sums over all rows: body(begin, end, partial)
-  /// writes its block's sums to partial[0..width), and out[k] is the
-  /// tree_reduce of the blocks' k-th partials.
-  template <typename Body>
-  void sums(std::size_t width, const Body& body, double* out) {
-    if (blocks_ == 1) return body(std::size_t{0}, rows_, out);
-    const std::size_t size = rows_ / blocks_;
-    double* partials = partials_.data();
-    run([&body, partials, size, width](std::size_t begin, std::size_t end) {
-      body(begin, end, partials + begin / size * width);
-    });
-    for (std::size_t k = 0; k < width; ++k) {
-      out[k] = linalg::tree_reduce(std::size_t{0}, blocks_, [partials, width, k](std::size_t b) {
-        return partials[b * width + k];
-      });
-    }
-  }
-
-  /// The scratch slice of the block that starts at row `begin`.
-  double* scratch(std::size_t begin) {
-    return scratch_.data() + begin / (rows_ / blocks_) * stride_;
-  }
-
-  const parallel::Engine& engine_;
   const transforms::SvKernels& sv_;
-  std::size_t rows_;
   std::size_t m_;
-  std::size_t stride_;
-  std::size_t blocks_ = 1;
-  std::vector<double> partials_;
-  std::vector<double> scratch_;
+  parallel::RowBlocks blocks_;
 };
 
 }  // namespace

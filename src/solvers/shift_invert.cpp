@@ -8,7 +8,9 @@
 #include "core/operators.hpp"
 #include "core/spectral.hpp"
 #include "core/workspace.hpp"
+#include "linalg/tree_reduce.hpp"
 #include "linalg/vector_ops.hpp"
+#include "parallel/row_blocks.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/contracts.hpp"
 
@@ -63,27 +65,27 @@ class SymmetricWContext {
     return mu < core::conservative_shift(model_, landscape_);
   }
 
-  /// Rayleigh quotient and relative residual of the normalised x.
+  /// Rayleigh quotient and relative residual of the normalised x.  Both
+  /// sums are tree-ordered (parallel::RowBlocks over tree_reduce leaves),
+  /// so every engine gives the serial bits.
   std::pair<double, double> eigen_residual(std::span<const double> x,
                                            std::span<double> scratch) const {
     op_.apply(x, scratch);
     const double* xp = x.data();
     const double* sp = scratch.data();
-    const double rq =
-        engine_.reduce_partials(n_, [xp, sp](std::size_t begin, std::size_t end) {
-          double acc = 0.0;
-          for (std::size_t i = begin; i < end; ++i) acc += xp[i] * sp[i];
-          return acc;
-        });
-    const double res2 =
-        engine_.reduce_partials(n_, [xp, sp, rq](std::size_t begin, std::size_t end) {
-          double acc = 0.0;
-          for (std::size_t i = begin; i < end; ++i) {
-            const double r = sp[i] - rq * xp[i];
-            acc += r * r;
-          }
-          return acc;
-        });
+    parallel::RowBlocks blocks(engine_, n_, 1, 1);
+    double rq = 0.0;
+    blocks.sums(1, [xp, sp](std::size_t begin, std::size_t end, double* partial) {
+      partial[0] = linalg::tree_reduce(begin, end,
+                                       [xp, sp](std::size_t i) { return xp[i] * sp[i]; });
+    }, &rq);
+    double res2 = 0.0;
+    blocks.sums(1, [xp, sp, rq](std::size_t begin, std::size_t end, double* partial) {
+      partial[0] = linalg::tree_reduce(begin, end, [xp, sp, rq](std::size_t i) {
+        const double r = sp[i] - rq * xp[i];
+        return r * r;
+      });
+    }, &res2);
     return {rq, std::sqrt(res2) / std::max(std::abs(rq), 1e-300)};
   }
 

@@ -24,10 +24,10 @@
 // fuse into the first/last band: a solver matvec costs two fewer full
 // passes than scale + butterfly + scale run separately.
 //
-// With a SIMD single-vector table and nu >= 3 the product runs as the m = 8
-// panel of its N/8 rows (apply_sv_rows8, transforms/panel_butterfly).  The
-// plain loops here serve nu < 3, SvKernel::autovec and hosts without a
-// SIMD table, and are the bitwise reference for every tier.
+// The product runs on the band driver of transforms/panel_butterfly with
+// the sv table the plan resolves to (apply_sv): from nu = 3 on as the
+// m = 8 panel of its N/8 rows, below that as a one-column panel.  Every
+// table gives the bits of the paper's Algorithm 1.
 #pragma once
 
 #include <array>
@@ -43,34 +43,33 @@
 namespace qs::transforms {
 
 /// Tiling parameters for the banded butterfly.  Tile and chunk count panel
-/// rows: one double per row on the plain single-vector loops, m doubles for
-/// an m-wide panel, and 8 doubles for a single vector on a SIMD sv table,
-/// which runs as an m = 8 panel of N/8 rows (its in-row levels 0-2 come on
-/// top of the band levels counted here).
+/// rows: m doubles for an m-wide panel, and 8 doubles for a single vector
+/// of nu >= 3 levels, which runs as an m = 8 panel of N/8 rows (its in-row
+/// levels 0-2 come on top of the band levels counted here); a shorter
+/// single vector has rows of one double.
 struct BlockedPlan {
   /// log2 of the tile size in rows: the low band spans this many row levels
   /// and every work item's working set is capped at 2^tile_log2 rows
-  /// (default 2^14; 128 KiB as single doubles, 1 MiB as rows of 8).
+  /// (default 2^14; 1 MiB as a single vector's rows of 8).
   unsigned tile_log2 = 14;
 
   /// log2 of the contiguous low-offset chunk a high-band work item owns.
   /// Rows of a gather panel are bursts of 2^chunk_log2 rows (default 2^6:
-  /// 512 B as single doubles, 4 KiB as rows of 8), so high bands span at
+  /// 4 KiB as a single vector's rows of 8), so high bands span at
   /// most tile_log2 - chunk_log2 levels each.
   unsigned chunk_log2 = 6;
 
   /// Which microkernel table runs the band sweeps, for a single vector and
   /// every m >= 2 panel alike (see transforms/sv_microkernel.hpp).
   /// `automatic` picks the widest SIMD tier the build and CPU support;
-  /// `autovec` forces the historical plain loops for a single vector and
-  /// the scalar table for a panel.  Every choice is bit-identical — the
-  /// SIMD tables avoid FMA.
+  /// `scalar` forces the portable scalar table.  Every choice is
+  /// bit-identical — the SIMD tables avoid FMA.
   SvKernel sv_kernel = SvKernel::automatic;
 
   /// Maximum fused radix of the microkernel sweeps: 8 fuses three levels
   /// per pass (radix-8), 4 fuses two, 2 disables fusion.  A single vector
   /// applies it to levels >= 3 (its in-row levels 0-2 always run as one
-  /// stage) and ignores it on the autovec loops; an m >= 2 panel applies it
+  /// stage); an m >= 2 panel and a single vector below nu = 3 apply it
   /// to every level.  Bit-identity holds for every setting — fusion only
   /// reorders independent pairs.
   unsigned sv_max_radix = 8;
@@ -78,10 +77,9 @@ struct BlockedPlan {
 
 /// Band boundaries [0 = b_0 < b_1 < ... < b_m = nu] of the single-vector
 /// apply of 2^nu doubles under `plan`: band i applies levels
-/// [b_i, b_{i+1}).  On the plain loops these are row_band_bounds(nu, plan).
-/// When `plan.sv_kernel` resolves to a SIMD table and nu >= 3 the apply runs
-/// as 2^(nu-3) rows of 8, so these are row_band_bounds(nu - 3, plan)
-/// shifted up by the three in-row levels, which join band 0.
+/// [b_i, b_{i+1}).  From nu = 3 on the apply runs as 2^(nu-3) rows of 8,
+/// so these are row_band_bounds(nu - 3, plan) shifted up by the three
+/// in-row levels, which join band 0; below that row_band_bounds(nu, plan).
 std::vector<unsigned> blocked_band_boundaries(unsigned nu, const BlockedPlan& plan);
 
 /// Fixed-capacity form of the band boundaries (every band spans >= 1 level,

@@ -316,24 +316,28 @@ BlockedPlan panel_plan(const BlockedPlan& plan, std::size_t m) {
   return eff;
 }
 
-void apply_sv_rows8(const SvKernels& k, std::span<const double> x,
-                    std::span<double> y, std::span<const Factor2> factors,
-                    std::span<const double> pre_scale,
-                    std::span<const double> post_scale,
-                    const parallel::Engine& engine, const BlockedPlan& plan) {
-  constexpr std::size_t kRow = 8;
+void apply_sv(const SvKernels& k, std::span<const double> x, std::span<double> y,
+              std::span<const Factor2> factors, std::span<const double> pre_scale,
+              std::span<const double> post_scale, const parallel::Engine& engine,
+              const BlockedPlan& plan) {
   const auto nu = static_cast<unsigned>(factors.size());
-  require(nu >= 3 && y.size() == std::size_t{1} << nu,
-          "apply_sv_rows8: need nu >= 3 factors for 2^nu doubles");
-  const RowStage stage{factors[0], factors[1], factors[2]};
+  require(y.size() == std::size_t{1} << nu,
+          "apply_sv: need nu factors for 2^nu doubles");
   const auto mode = [](std::span<const double> d) {
     return d.empty() ? ScaleMode::none : ScaleMode::per_column;
   };
-  const BandJob job{x.data(), y.data(), kRow, nu - 3, factors.data() + 3,
+  // Rows of 8 whose levels 0-2 run in the row stage; a vector too short
+  // for one row is a one-column panel with no stage.
+  const bool rows8 = nu >= 3;
+  const unsigned staged = rows8 ? 3 : 0;
+  const std::size_t width = rows8 ? 8 : 1;
+  RowStage stage{};
+  if (rows8) stage = {factors[0], factors[1], factors[2]};
+  const BandJob job{x.data(), y.data(), width, nu - staged, factors.data() + staged,
                     pre_scale.data(), mode(pre_scale), post_scale.data(),
                     mode(post_scale)};
-  run_bands(k, plan.sv_max_radix, &stage, "fmmp.band", job, engine,
-            panel_plan(plan, kRow));
+  run_bands(k, plan.sv_max_radix, rows8 ? &stage : nullptr, "fmmp.band", job, engine,
+            panel_plan(plan, width));
 }
 
 void apply_blocked_panel_butterfly_fused(std::span<const double> x,
@@ -345,8 +349,8 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          const BlockedPlan& plan) {
   require(m >= 1, "panel butterfly: panel width m must be >= 1");
   if (m == 1) {
-    // A one-column panel is a single vector (the 8-row reshape on a SIMD
-    // tier, the plain loops otherwise).
+    // A one-column panel is a single vector (the 8-row reshape from
+    // nu = 3 on).
     apply_blocked_butterfly_fused(x, y, factors, pre_scale, post_scale, engine,
                                   plan);
     return;
@@ -378,7 +382,7 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
   //     within noise of the plain plan at nu >= 20, slower below — the
   //     extra band the shrunken tile sometimes costs is cheaper than
   //     sweeping tile levels beyond L2.
-  const SvKernels& k = sv_kernels_or_scalar(resolve_sv_kernels(plan.sv_kernel));
+  const SvKernels& k = resolve_sv_kernels(plan.sv_kernel);
   QS_TRACE_KERNEL_TAG(k);
   const BandJob job{x.data(), y.data(), m, nu, factors.data(), pre_scale.data(),
                     scale_mode(pre_scale, n, m), post_scale.data(),

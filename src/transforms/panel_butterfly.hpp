@@ -15,16 +15,17 @@
 // whole level band, and each 2x2 butterfly is a full-width vector operation
 // over the m columns (the span kernels of transforms/sv_microkernel; m is
 // arbitrary — tails are handled).  Those kernels round twice per output,
-// exactly like the single-vector loops, so every column of a panel product
-// is bit-identical to the single-vector product of that column.
+// exactly like the single-vector product, so every column of a panel
+// product is bit-identical to the single-vector product of that column.
 //
 // The band structure is exactly blocked_butterfly's; the tile budget is
 // shrunk by log2(m) - 3 past m = 8 so a tile of panel rows stays within the
 // m = 8 cache footprint.
 //
 // One band driver and one kernel table serve every width: a single vector
-// on a SIMD sv table is the m = 8 panel of its N/8 rows of 8
-// (apply_sv_rows8), which adds an in-register stage for levels 0-2.
+// of nu >= 3 levels is the m = 8 panel of its N/8 rows of 8 (apply_sv),
+// which adds an in-register stage for levels 0-2; a shorter one is a
+// one-column panel.
 #pragma once
 
 #include <span>
@@ -64,8 +65,7 @@ void apply_blocked_panel_butterfly(std::span<double> panel, std::size_t m,
 /// x.size() == y.size() == 2^factors.size() * m.
 ///
 /// m == 1 is a single vector and runs apply_blocked_butterfly_fused.
-/// m >= 2 runs the sv table `plan.sv_kernel` resolves to (the scalar table
-/// when it resolves to the autovec loops), fusion capped at
+/// m >= 2 runs the sv table `plan.sv_kernel` resolves to, fusion capped at
 /// plan.sv_max_radix; widths past 8 sweep at full width under panel_plan's
 /// shrunk tile.  Every column is bit-identical to
 /// apply_blocked_butterfly_fused on that column.
@@ -77,17 +77,16 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          const parallel::Engine& engine,
                                          const BlockedPlan& plan = {});
 
-/// apply_blocked_butterfly_fused on the SIMD sv table `k`, run as an m = 8
-/// panel of N/8 rows: k.rows8_stage applies levels 0-2 (and the pre-scale)
-/// in band 0, then the band driver sweeps levels 3..nu-1 with k's span
-/// kernels under panel_plan(plan, 8), fusion capped at plan.sv_max_radix.
-/// Bit-identical to the plain loops.  Requires nu = factors.size() >= 3;
-/// the caller has checked the shapes.
-void apply_sv_rows8(const SvKernels& k, std::span<const double> x,
-                    std::span<double> y, std::span<const Factor2> factors,
-                    std::span<const double> pre_scale,
-                    std::span<const double> post_scale,
-                    const parallel::Engine& engine, const BlockedPlan& plan);
+/// apply_blocked_butterfly_fused on the sv table `k`.  From nu = 3 on it
+/// runs as an m = 8 panel of N/8 rows: k.rows8_stage applies levels 0-2
+/// (and the pre-scale) in band 0, then the band driver sweeps levels
+/// 3..nu-1 with k's span kernels under panel_plan(plan, 8), fusion capped
+/// at plan.sv_max_radix.  Below nu = 3 it is a one-column panel with no row
+/// stage.  The caller has checked the shapes.
+void apply_sv(const SvKernels& k, std::span<const double> x, std::span<double> y,
+              std::span<const Factor2> factors, std::span<const double> pre_scale,
+              std::span<const double> post_scale, const parallel::Engine& engine,
+              const BlockedPlan& plan);
 
 /// Interleaves column j of the panel from a contiguous vector:
 /// panel[i*m + j] = column[i].  Requires column.size() * m == panel.size()

@@ -81,8 +81,8 @@ BlockedPlan cache_heuristic_plan(const CacheHierarchy& caches, std::size_t m) {
   require(m >= 1, "cache_heuristic_plan: panel width m must be >= 1");
   BlockedPlan plan;  // defaults
   if (!caches.detected) return plan;
-  // A single vector on a SIMD sv table runs as rows of 8 doubles.
-  const std::size_t row = m == 1 && best_sv_kernels() != nullptr ? 8 : m;
+  // A single vector runs as rows of 8 doubles.
+  const std::size_t row = m == 1 ? 8 : m;
   if (caches.l2_bytes != 0) {
     // Tile of 2^t rows targeting ~L2/3: the band touches the tile once per
     // level plus the working set of x and y halves.
@@ -198,11 +198,11 @@ AutotuneReport autotune_blocked_plan(unsigned nu, const parallel::Engine& engine
   // is adopted only when it beats that pick by the same ~1% hysteresis.
   // Every combination is bit-identical, so this tunes speed only — but the
   // rows land in the report either way, making tier selection auditable
-  // (including the case where the autovec fallback wins).
+  // (including the case where the scalar table wins).
   if (m == 1) {
     std::vector<BlockedPlan> sv_candidates;
     BlockedPlan base = report.best;
-    base.sv_kernel = SvKernel::autovec;
+    base.sv_kernel = SvKernel::scalar;
     base.sv_max_radix = 8;
     sv_candidates.push_back(base);
     if (avx2_sv_kernels() != nullptr) {

@@ -64,11 +64,11 @@ struct AutotuneReport {
 /// by more than ~1% (so noise can not make the tuned plan a regression).
 ///
 /// For m == 1 the workload is the *single-vector* banded kernel (the one
-/// default solves run) — on a SIMD tier the m = 8 panel of its N/8 rows, so
-/// tile and chunk count rows of 8 there and plain doubles on autovec — and
-/// a second stage measures the single-vector microkernel tier x fused radix
-/// of the levels >= 3 sweep — {autovec, sv-avx2, sv-avx512} x {radix-4,
-/// radix-8}, restricted to tiers this build/CPU supports — with tile/chunk
+/// default solves run) — the m = 8 panel of its N/8 rows, so tile and
+/// chunk count rows of 8 — and a second stage measures the single-vector
+/// microkernel tier x fused radix of the levels >= 3 sweep — scalar at
+/// radix 8, then {sv-avx2, sv-avx512} x {radix-4, radix-8} restricted to
+/// tiers this build/CPU supports — with tile/chunk
 /// pinned at the stage-1 winner.  A tier/radix choice is adopted
 /// only when it beats the stage-1 pick (automatic tier, radix 8) by more
 /// than ~1%; every measured combination lands in the report's timings, so

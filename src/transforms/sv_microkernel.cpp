@@ -7,9 +7,9 @@
 namespace qs::transforms {
 namespace {
 
-// Scalar reference kernels.  Exactly the expressions of the plain banded
-// loops (two roundings per output: multiply, multiply, add); the SIMD tables
-// keep the same expression per element, so every tier is bit-identical.
+// Scalar reference kernels: the expressions of the paper's butterfly (two
+// roundings per output: multiply, multiply, add); the SIMD tables keep the
+// same expression per element, so every tier is bit-identical.
 
 void sv_butterfly_span_scalar(double* lo, double* hi, std::size_t cnt, Factor2 f) {
   for (std::size_t i = 0; i < cnt; ++i) {
@@ -195,26 +195,30 @@ const SvKernels* best_sv_kernels() {
   return best;
 }
 
-const SvKernels* resolve_sv_kernels(SvKernel choice) {
+const SvKernels& resolve_sv_kernels(SvKernel choice) {
+  const SvKernels* k = nullptr;
   switch (choice) {
     case SvKernel::automatic:
-      return best_sv_kernels();
-    case SvKernel::autovec:
-      return nullptr;
+      k = best_sv_kernels();
+      break;
+    case SvKernel::scalar:
+      break;
     case SvKernel::avx2:
-      return avx2_sv_kernels();
+      k = avx2_sv_kernels();
+      break;
     case SvKernel::avx512:
-      return avx512_sv_kernels();
+      k = avx512_sv_kernels();
+      break;
   }
-  return nullptr;
+  return k != nullptr ? *k : scalar_sv_kernels();
 }
 
 const char* to_string(SvKernel choice) {
   switch (choice) {
     case SvKernel::automatic:
       return "automatic";
-    case SvKernel::autovec:
-      return "autovec";
+    case SvKernel::scalar:
+      return "scalar";
     case SvKernel::avx2:
       return "avx2";
     case SvKernel::avx512:
@@ -224,8 +228,7 @@ const char* to_string(SvKernel choice) {
 }
 
 const char* resolved_sv_kernel_name(SvKernel choice) {
-  const SvKernels* k = resolve_sv_kernels(choice);
-  return k != nullptr ? k->name : "autovec";
+  return resolve_sv_kernels(choice).name;
 }
 
 }  // namespace qs::transforms

@@ -1,15 +1,15 @@
 // SIMD span microkernels for the banded butterfly: the one kernel table
 // every Fmmp product runs on, a single vector and an m-column panel alike.
 //
-// These kernels are BIT-IDENTICAL to the plain C++ banded loops.  The SIMD
+// Every tier is BIT-IDENTICAL to the scalar table.  The SIMD
 // implementations use separate vmulpd + vaddpd (two roundings, exactly the
 // scalar expression m00*t1 + m01*t2), their translation units are built
 // WITHOUT -mfma and with -ffp-contract=off, and the runtime probes require
 // only avx2 / avx512f (not fma).  scalar == avx2 == avx512 bitwise, and all
-// three equal the historical autovectorised loops.  Because a panel sweep
-// applies the same per-element expression to each of its m columns, every
-// column of an m-wide product is bit-identical to the single-vector product
-// of that column: one table, one set of bits.
+// three equal the paper's Algorithm 1 (reference::ReferenceFmmp).  Because
+// a panel sweep applies the same per-element expression to each of its m
+// columns, every column of an m-wide product is bit-identical to the
+// single-vector product of that column: one table, one set of bits.
 //
 //   * scalar: always compiled, the reference table;
 //   * AVX2: compiled only when the build probe passed (QS_ENABLE_SIMD, see
@@ -22,18 +22,19 @@
 // bit-identity; only the traversal order of *independent* pairs changes.
 // `sv_max_radix` caps that fusion for the levels >= 3 sweep.
 //
-// A SIMD-tier single-vector product runs as an m = 8 panel of N/8 rows
-// (apply_sv_rows8 in transforms/panel_butterfly): rows8_stage applies
+// A single-vector product of nu >= 3 levels runs as an m = 8 panel of N/8
+// rows (apply_sv in transforms/panel_butterfly): rows8_stage applies
 // levels 0-2 inside each 8-double row in registers, fused with the
 // pre-scale, and the panel band driver sweeps levels 3..nu-1 with this
 // table's span kernels — every span >= 8 doubles.  The row stage keeps the
 // scalar operand order per output, m00*lo + m01*hi and m10*lo + m11*hi (lo
 // the lower index), by blending each pair's elements into place rather
 // than commuting a sum.  NaN payloads are not pinned (a compiler may swap
-// a commutative add's operands in any tier); NaN positions are.  An m >= 2
-// panel runs the same band driver and span kernels without the row stage
-// (the scalar table when the plan resolves to the autovec loops), plus the
-// broadcast-row scalings that share one diagonal across its m columns.
+// a commutative add's operands in any tier); NaN positions are.  Below
+// nu = 3 a single vector is a one-column panel with no row stage.  An
+// m >= 2 panel runs the same band driver and span kernels without the row
+// stage, plus the broadcast-row scalings that share one diagonal across
+// its m columns.
 //
 // The same table carries the power iteration's reductions.  A plain
 // `acc += ...` loop is one dependent add chain the compiler may not
@@ -137,16 +138,15 @@ struct SvKernels {
   const char* name;
 };
 
-/// Which single-vector kernel a BlockedPlan requests.
+/// Which kernel table a BlockedPlan requests.
 enum class SvKernel : unsigned char {
-  automatic = 0,  ///< widest SIMD table the build + CPU support, else autovec
-  autovec,        ///< the plain C++ banded loops (compiler autovectorised);
-                  ///< an m >= 2 panel runs the scalar table
-  avx2,           ///< the 4-wide non-FMA table (autovec when unavailable)
-  avx512,         ///< the 8-wide non-FMA table (autovec when unavailable)
+  automatic = 0,  ///< widest SIMD table the build + CPU support, else scalar
+  scalar,         ///< the portable scalar table, forced
+  avx2,           ///< the 4-wide non-FMA table (scalar when unavailable)
+  avx512,         ///< the 8-wide non-FMA table (scalar when unavailable)
 };
 
-/// The requested choice's name: "automatic", "autovec", "avx2", "avx512".
+/// The requested choice's name: "automatic", "scalar", "avx2", "avx512".
 const char* to_string(SvKernel choice);
 
 /// The portable scalar table (always available; bitwise reference).
@@ -159,22 +159,15 @@ const SvKernels* avx2_sv_kernels();
 const SvKernels* avx512_sv_kernels();
 
 /// The widest SIMD table the build and the running CPU support, or null
-/// when none is available — null means "run the autovec loops".
+/// when none is available (such a host runs the scalar table).
 const SvKernels* best_sv_kernels();
 
-/// The table reductions run on: `k`, or the scalar table when `k` is null.
-/// Every tier's tree_* entries return the same bits, so this only decides
-/// speed.
-inline const SvKernels& sv_kernels_or_scalar(const SvKernels* k) {
-  return k != nullptr ? *k : scalar_sv_kernels();
-}
+/// Resolves a plan's requested kernel to a table.  A SIMD tier this
+/// build/CPU cannot run resolves to the scalar table, so plans stay
+/// portable across hosts; every table returns the same bits.
+const SvKernels& resolve_sv_kernels(SvKernel choice);
 
-/// Resolves a plan's requested kernel to a table: null means the autovec
-/// loops (either requested explicitly or because the requested SIMD tier is
-/// unavailable on this build/CPU — plans stay portable across hosts).
-const SvKernels* resolve_sv_kernels(SvKernel choice);
-
-/// The name of what `choice` resolves to on this build/CPU: "autovec",
+/// The name of the table `choice` resolves to on this build/CPU: "scalar",
 /// "avx2", or "avx512".  This is the provenance string recorded in metrics
 /// snapshots and BENCH_fig2.json.
 const char* resolved_sv_kernel_name(SvKernel choice);

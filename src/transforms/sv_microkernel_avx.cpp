@@ -7,10 +7,10 @@
 //
 // These deliberately do NOT use FMA: every output is a separate
 // vmulpd/vmulpd/vaddpd, i.e. the exact two-rounding expression
-// m00*t1 + m01*t2 of the scalar banded loops.  The TU is built without
-// -mfma and with -ffp-contract=off so the compiler cannot re-fuse them; the
-// runtime probe therefore only needs avx2 (not fma), and the table is
-// bit-identical to the scalar reference and to the autovectorised loops.
+// m00*t1 + m01*t2 of the scalar table.  The TU is built without -mfma and
+// with -ffp-contract=off so the compiler cannot re-fuse them; the runtime
+// probe therefore only needs avx2 (not fma), and the table is
+// bit-identical to the scalar reference.
 //
 // The tree_* reductions keep the same promise by keeping the scalar tree's
 // shape: leaves are the scalar expressions, and each 64-leaf block is
@@ -388,7 +388,7 @@ const SvKernels* sv_avx2_table() {
   if (__builtin_cpu_supports("avx2")) return &kAvx2SvKernels;
   return nullptr;
 #else
-  // No runtime probe available: be conservative and stay on autovec.
+  // No runtime probe available: be conservative and stay on scalar.
   return nullptr;
 #endif
 }

@@ -5,7 +5,7 @@
 // AVX2 translation unit, this deliberately avoids FMA: separate vmulpd +
 // vaddpd reproduce the scalar two-rounding expression m00*t1 + m01*t2, the
 // TU is built without -mfma and with -ffp-contract=off, and the result is
-// bit-identical to the scalar table and the autovectorised banded loops.
+// bit-identical to the scalar table.
 //
 // The tree_* reductions keep the scalar tree's shape: each 64-leaf block is
 // reduced level by level with even/odd lane permutes that add adjacent

@@ -82,10 +82,6 @@ class InlineLanes final : public parallel::Engine {
       kernel(begin, std::min(begin + chunk, n));
     }
   }
-  double reduce_partials(std::size_t n,
-                         const parallel::PartialKernel& kernel) const override {
-    return n == 0 ? 0.0 : kernel(0, n);
-  }
 };
 
 TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations) {

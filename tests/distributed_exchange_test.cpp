@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -30,6 +31,7 @@
 #include "distributed/reduction.hpp"
 #include "obs/metrics.hpp"
 #include "parallel/engine.hpp"
+#include "parallel/row_blocks.hpp"
 #include "parallel/thread_pool_backend.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/rng.hpp"
@@ -83,23 +85,29 @@ TEST(TreeReduction, DotAndSquaresComposeToo) {
 }
 
 TEST(TreeReduction, TreeEngineMatchesTheFreeFunctions) {
-  std::vector<double> v(300);  // non-power-of-two length works too
+  // tree_engine() is the serial engine; a row-block sum on it, or on a
+  // multi-lane pool, with tree-ordered block partials gives the free
+  // functions' bits — the order comes from the blocks, not the engine.
+  const std::size_t n = std::size_t{1} << 16;
+  std::vector<double> v(n);
   Xoshiro256 rng(3);
   for (double& x : v) x = rng.uniform(-1.0, 1.0);
-  const parallel::Engine& engine = tree_engine();
-  // A left-to-right chunk kernel: the tree order must come from the engine.
-  auto reduce = [&engine, &v](auto leaf) {
-    return engine.reduce_partials(v.size(), [&leaf](std::size_t begin,
-                                                    std::size_t end) {
-      double acc = 0.0;
-      for (std::size_t i = begin; i < end; ++i) acc += leaf(i);
-      return acc;
-    });
-  };
-  EXPECT_EQ(reduce([&v](std::size_t i) { return v[i]; }), tree_sum(v));
-  EXPECT_EQ(reduce([&v](std::size_t i) { return std::abs(v[i]); }), tree_abs_sum(v));
-  EXPECT_EQ(reduce([&v](std::size_t i) { return v[i] * v[i]; }), tree_sum_squares(v));
-  EXPECT_EQ(reduce([&v](std::size_t i) { return v[i] * v[i]; }), tree_dot(v, v));
+  const parallel::ThreadPoolBackend pool(4);
+  for (const parallel::Engine* engine :
+       {&tree_engine(), static_cast<const parallel::Engine*>(&pool)}) {
+    parallel::RowBlocks blocks(*engine, n, 1, 3);
+    double out[3] = {};
+    blocks.sums(3, [&v](std::size_t begin, std::size_t end, double* partial) {
+      const std::span<const double> part(v.data() + begin, end - begin);
+      partial[0] = tree_sum(part);
+      partial[1] = tree_abs_sum(part);
+      partial[2] = tree_sum_squares(part);
+    }, out);
+    EXPECT_EQ(out[0], tree_sum(v)) << engine->name();
+    EXPECT_EQ(out[1], tree_abs_sum(v)) << engine->name();
+    EXPECT_EQ(out[2], tree_sum_squares(v)) << engine->name();
+    EXPECT_EQ(out[2], tree_dot(v, v)) << engine->name();
+  }
 }
 
 // ---------------------------------------------------------------------------

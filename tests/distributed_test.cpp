@@ -1,6 +1,8 @@
-// Unit tests for the simulated distributed-memory decomposition.
+// Unit tests for the distributed-memory decomposition: the block layout,
+// the rank product on lockstep ranks, and the distributed power iteration.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 
 #include "core/fmmp.hpp"
@@ -9,7 +11,7 @@
 #include "distributed/block_layout.hpp"
 #include "distributed/distributed_solver.hpp"
 #include "linalg/vector_ops.hpp"
-#include "reference/fmmp.hpp"
+#include "lockstep_apply.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
@@ -55,61 +57,48 @@ TEST(BlockLayout, RejectsBadConfigurations) {
   EXPECT_NO_THROW(BlockLayout(4, 8));                    // two entries per rank
 }
 
-TEST(DistributedVector, ScatterGatherRoundTrip) {
-  const BlockLayout layout(8, 4);
-  std::vector<double> global(256);
-  Xoshiro256 rng(1);
-  for (double& v : global) v = rng.uniform(-1.0, 1.0);
-  const auto dv = DistributedVector::scatter(layout, global);
-  const auto back = dv.gather();
-  EXPECT_EQ(back, global);
-}
-
 class DistributedApply : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(DistributedApply, MatchesSerialFmmpBitExactly) {
-  // The distributed product performs the same arithmetic as the serial
-  // butterfly, so blocks must agree bit for bit across any rank count.
+  // The rank product performs the same arithmetic as the serial banded
+  // product, so the gathered blocks must agree bit for bit across any rank
+  // count.
   const unsigned ranks = GetParam();
   const unsigned nu = 10;
   const auto model = core::MutationModel::uniform(nu, 0.03);
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 7);
-  const BlockLayout layout(nu, ranks);
 
   std::vector<double> x(1024);
   Xoshiro256 rng(2);
   for (double& v : x) v = rng.uniform(0.0, 1.0);
 
-  // Serial reference (Algorithm 1).
   std::vector<double> expected(1024);
-  reference::ReferenceFmmp(model, landscape).apply(x, expected);
+  core::FmmpOperator(model, landscape).apply(x, expected);
 
-  auto dv = DistributedVector::scatter(layout, x);
-  TrafficStats stats;
-  distributed_apply_w(model, landscape, dv, stats);
-  const auto result = dv.gather();
+  const auto result = lockstep_apply_w(model, landscape, ranks, x).y;
   for (std::size_t i = 0; i < x.size(); ++i) {
-    ASSERT_DOUBLE_EQ(result[i], expected[i]) << "i=" << i << " ranks=" << ranks;
+    ASSERT_EQ(result[i], expected[i]) << "i=" << i << " ranks=" << ranks;
   }
 }
 
 TEST_P(DistributedApply, TrafficMatchesTheSchedule) {
-  // Cross-rank levels = log2(ranks); per level there are ranks/2 disjoint
-  // pairs and each pair exchanges two messages (one per direction).
+  // Cross-rank levels = log2(ranks); per level every rank sends its block
+  // to its partner once, as its own transport counters record.
   const unsigned ranks = GetParam();
   const unsigned nu = 10;
   const auto model = core::MutationModel::uniform(nu, 0.03);
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 7);
   const BlockLayout layout(nu, ranks);
-  auto dv = DistributedVector::scatter(
-      layout, std::vector<double>(1024, 1.0 / 1024.0));
-  TrafficStats stats;
-  distributed_apply_w(model, landscape, dv, stats);
+  const auto product = lockstep_apply_w(model, landscape, ranks,
+                                        std::vector<double>(1024, 1.0 / 1024.0));
 
   const std::size_t cross_levels = layout.rank_bits();
-  const std::size_t expected_messages = cross_levels * (ranks / 2) * 2;
-  EXPECT_EQ(stats.messages, expected_messages);
-  EXPECT_EQ(stats.doubles_moved, expected_messages * layout.block_size());
+  for (unsigned r = 0; r < ranks; ++r) {
+    EXPECT_EQ(product.traffic[r].messages, cross_levels) << "rank " << r;
+    EXPECT_EQ(product.traffic[r].doubles_moved, cross_levels * layout.block_size())
+        << "rank " << r;
+    EXPECT_EQ(product.traffic[r].allreduce_calls, 0u) << "rank " << r;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RankCounts, DistributedApply,
@@ -159,28 +148,27 @@ TEST(DistributedPower, RankCountDoesNotChangeTheAnswer) {
   EXPECT_GT(sixteen.traffic.messages, four.traffic.messages);
 }
 
-TEST(DistributedApply, RejectsGroupedModelsWithStructuredError) {
-  const auto grouped =
-      core::MutationModel::grouped({core::coupled_single_flip_group(2, 0.2),
-                                    core::coupled_single_flip_group(2, 0.2)});
-  const auto landscape = core::Landscape::flat(4, 1.0);
-  const BlockLayout layout(4, 2);
-  auto dv = DistributedVector::scatter(layout, std::vector<double>(16, 1.0 / 16));
-  TrafficStats stats;
-  // The old contract was a hard `require` abort with a generic message; the
-  // distributed layer now raises a structured error naming the kind and
-  // mapping onto SolverFailure::unsupported — while still deriving from
-  // precondition_error so pre-existing catch sites keep working.
-  try {
-    distributed_apply_w(grouped, landscape, dv, stats);
-    FAIL() << "grouped model must be rejected";
-  } catch (const UnsupportedModelError& e) {
-    EXPECT_EQ(e.kind(), core::MutationKind::grouped);
-    EXPECT_EQ(e.failure(), solvers::SolverFailure::unsupported);
-    EXPECT_NE(std::string(e.what()).find("grouped"), std::string::npos);
-  }
-  EXPECT_THROW(distributed_apply_w(grouped, landscape, dv, stats),
-               precondition_error);  // the compat contract
+TEST(DistributedApply, RejectsBlocksThatDoNotMatchTheLayout) {
+  // Every rank must hand over exactly one layout block of x, y, scratch and
+  // fitness, and one factor per site; anything else is refused up front.
+  const unsigned nu = 6;
+  const auto model = core::MutationModel::uniform(nu, 0.03);
+  const auto landscape = core::Landscape::flat(nu, 1.0);
+  const BlockLayout layout(nu, 2);
+  const std::size_t block = layout.block_size();
+  const std::span<const transforms::Factor2> sites = model.site_factors();
+  LockstepGroup long_y(2);
+  EXPECT_THROW(long_y.run([&](Exchange& exchange) {
+    std::vector<double> x(block, 1.0), y(block + 1), recv(block);
+    distributed_apply_w(exchange, layout, sites,
+                        landscape.values().first(block), {}, x, y, recv);
+  }), precondition_error);
+  LockstepGroup missing_site(2);
+  EXPECT_THROW(missing_site.run([&](Exchange& exchange) {
+    std::vector<double> x(block, 1.0), y(block), recv(block);
+    distributed_apply_w(exchange, layout, sites.subspan(1),
+                        landscape.values().first(block), {}, x, y, recv);
+  }), precondition_error);
 }
 
 TEST(DistributedPower, RejectsGroupedModelsWithStructuredError) {

@@ -14,6 +14,7 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "parallel/engine.hpp"
+#include "parallel/row_blocks.hpp"
 #include "parallel/thread_pool_backend.hpp"
 #include "solvers/arnoldi.hpp"
 #include "solvers/lanczos.hpp"
@@ -170,17 +171,27 @@ TEST_P(FaultyEngineTest, KernelThrowSurfacesOnTheDispatchingThread) {
   for (double v : out) ASSERT_EQ(v, 1.0);
 }
 
-TEST_P(FaultyEngineTest, ReduceThrowSurfacesOnTheDispatchingThread) {
+TEST_P(FaultyEngineTest, RowBlockSumThrowSurfacesOnTheDispatchingThread) {
+  // A fault in a fanned-out row-block sum reaches the caller and leaves the
+  // blocks usable; rows that form one block run inline and never dispatch.
   testing::FaultInjectingEngine::Config cfg;
-  cfg.throw_at_reduce = 1;
+  cfg.throw_at_dispatch = 1;
   const testing::FaultInjectingEngine engine(*inner_, cfg);
-  EXPECT_THROW(
-      engine.reduce_partials(100000, [](std::size_t, std::size_t) { return 0.0; }),
-      testing::InjectedFault);
-  const double total = engine.reduce_partials(
-      1000,
-      [](std::size_t begin, std::size_t end) { return double(end - begin); });
-  EXPECT_EQ(total, 1000.0);
+  const std::size_t n = std::size_t{1} << 16;
+  parallel::RowBlocks blocks(engine, n, 1, 1);
+  const auto count = [](std::size_t begin, std::size_t end, double* partial) {
+    partial[0] = static_cast<double>(end - begin);
+  };
+  double total = 0.0;
+  if (blocks.blocks() > 1) {
+    EXPECT_THROW(blocks.sums(1, count, &total), testing::InjectedFault);
+    EXPECT_EQ(engine.dispatch_count(), 1u);
+  } else {
+    EXPECT_NO_THROW(blocks.sums(1, count, &total));
+    EXPECT_EQ(engine.dispatch_count(), 0u);
+  }
+  blocks.sums(1, count, &total);
+  EXPECT_EQ(total, static_cast<double>(n));
 }
 
 TEST_P(FaultyEngineTest, ThrowInsideTheButterflyDispatchPath) {

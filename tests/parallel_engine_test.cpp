@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -11,6 +12,8 @@
 #include "core/fmmp.hpp"
 #include "core/mutation_model.hpp"
 #include "core/spectral.hpp"
+#include "linalg/tree_reduce.hpp"
+#include "parallel/row_blocks.hpp"
 #include "parallel/thread_pool_backend.hpp"
 #include "reference/butterfly.hpp"
 #include "solvers/power_iteration.hpp"
@@ -53,31 +56,33 @@ TEST_P(EngineTest, DispatchHasBarrierSemantics) {
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], static_cast<double>(i));
 }
 
-TEST_P(EngineTest, ReductionsMatchSerialReference) {
-  const std::size_t n = 12345;
-  std::vector<double> a(n), b(n);
-  Xoshiro256 rng(42);
-  double sum = 0.0, abs_sum = 0.0, sq = 0.0, dp = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    a[i] = rng.uniform(-1.0, 1.0);
-    b[i] = rng.uniform(-1.0, 1.0);
-    sum += a[i];
-    abs_sum += std::abs(a[i]);
-    sq += a[i] * a[i];
-    dp += a[i] * b[i];
+TEST_P(EngineTest, RowBlockSumsAreTheOneBlockTreeSums) {
+  // Every parallel sum is formed on RowBlocks: fixed power-of-two blocks
+  // whose tree-ordered partials combine in tree order.  Whatever the
+  // backend and its lane count, the sums are the whole-range tree_reduce
+  // bit for bit — fanned out (2^16 rows) and inline (a length that is not a
+  // power of two).
+  for (std::size_t n : {std::size_t{1} << 16, std::size_t{12345}}) {
+    std::vector<double> a(n), b(n);
+    Xoshiro256 rng(42 + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = rng.uniform(-1.0, 1.0);
+      b[i] = rng.uniform(-1.0, 1.0);
+    }
+    const auto dot = [&a, &b](std::size_t i) { return a[i] * b[i]; };
+    const auto abs = [&a](std::size_t i) { return std::abs(a[i]); };
+    RowBlocks blocks(*engine_, n, 1, 2);
+    if (n == (std::size_t{1} << 16) && engine_->concurrency() > 1) {
+      EXPECT_GT(blocks.blocks(), 1u);
+    }
+    double out[2] = {};
+    blocks.sums(2, [&](std::size_t begin, std::size_t end, double* partial) {
+      partial[0] = linalg::tree_reduce(begin, end, dot);
+      partial[1] = linalg::tree_reduce(begin, end, abs);
+    }, out);
+    EXPECT_EQ(out[0], linalg::tree_reduce(std::size_t{0}, n, dot)) << "n=" << n;
+    EXPECT_EQ(out[1], linalg::tree_reduce(std::size_t{0}, n, abs)) << "n=" << n;
   }
-  // Each reduction as the chunk kernel a caller hands to reduce_partials.
-  auto reduce = [this, n](auto leaf) {
-    return engine_->reduce_partials(n, [&leaf](std::size_t begin, std::size_t end) {
-      double acc = 0.0;
-      for (std::size_t i = begin; i < end; ++i) acc += leaf(i);
-      return acc;
-    });
-  };
-  EXPECT_NEAR(reduce([&a](std::size_t i) { return a[i]; }), sum, 1e-9);
-  EXPECT_NEAR(reduce([&a](std::size_t i) { return std::abs(a[i]); }), abs_sum, 1e-9);
-  EXPECT_NEAR(reduce([&a](std::size_t i) { return a[i] * a[i]; }), sq, 1e-9);
-  EXPECT_NEAR(reduce([&a, &b](std::size_t i) { return a[i] * b[i]; }), dp, 1e-9);
 }
 
 TEST_P(EngineTest, DispatchPropagatesKernelExceptions) {
@@ -108,28 +113,30 @@ TEST_P(EngineTest, DispatchPropagatesWhenEveryLaneThrows) {
                                    throw std::invalid_argument("all lanes");
                                  }),
                std::invalid_argument);
-  EXPECT_EQ(engine_->reduce_partials(
-                2, [](std::size_t begin, std::size_t end) {
-                  return static_cast<double>(end - begin);
-                }),
-            2.0);
+  std::atomic<std::size_t> covered{0};
+  engine_->dispatch(2, [&covered](std::size_t begin, std::size_t end) {
+    covered += end - begin;
+  });
+  EXPECT_EQ(covered.load(), 2u);
 }
 
-TEST_P(EngineTest, ReducePartialsPropagatesKernelExceptions) {
-  EXPECT_THROW(engine_->reduce_partials(100000,
-                                        [](std::size_t begin, std::size_t) -> double {
-                                          if (begin == 0) {
-                                            throw std::runtime_error("reduce fault");
-                                          }
-                                          return 0.0;
-                                        }),
+TEST_P(EngineTest, RowBlockSumsPropagateKernelExceptions) {
+  // A block body that throws reaches the caller of sums(), through the
+  // engine's capture-and-rethrow when the rows fan out and directly when
+  // they run inline, and the same RowBlocks sums correctly afterwards.
+  const std::size_t n = std::size_t{1} << 16;
+  RowBlocks blocks(*engine_, n, 1, 1);
+  double out = 0.0;
+  EXPECT_THROW(blocks.sums(1,
+                           [](std::size_t begin, std::size_t, double*) {
+                             if (begin == 0) throw std::runtime_error("sum fault");
+                           },
+                           &out),
                std::runtime_error);
-  // Reductions still work afterwards.
-  const double total = engine_->reduce_partials(
-      1000, [](std::size_t begin, std::size_t end) {
-        return static_cast<double>(end - begin);
-      });
-  EXPECT_EQ(total, 1000.0);
+  blocks.sums(1, [](std::size_t begin, std::size_t end, double* partial) {
+    partial[0] = static_cast<double>(end - begin);
+  }, &out);
+  EXPECT_EQ(out, static_cast<double>(n));
 }
 
 TEST_P(EngineTest, ExceptionTypeAndMessageSurviveThePropagation) {

@@ -10,8 +10,8 @@
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/krylov.hpp"
 #include "linalg/vector_ops.hpp"
+#include "lockstep_apply.hpp"
 #include "reference/explicit_q.hpp"
-#include "reference/fmmp.hpp"
 #include "rna/alphabet.hpp"
 #include "rna/rna_model.hpp"
 #include "stochastic/sampling.hpp"
@@ -142,20 +142,23 @@ TEST_P(DistributedProperty, BlockedButterflyIsExact) {
   for (double& v : x) v = rng.uniform(0.0, 1.0);
 
   std::vector<double> expected(x.size());
-  reference::ReferenceFmmp(model, landscape).apply(x, expected);
+  core::FmmpOperator(model, landscape).apply(x, expected);
 
-  auto dv = distributed::DistributedVector::scatter(layout, x);
-  distributed::TrafficStats stats;
-  distributed::distributed_apply_w(model, landscape, dv, stats);
-  const auto result = dv.gather();
+  const auto product = distributed::lockstep_apply_w(model, landscape, ranks, x);
   for (std::size_t i = 0; i < x.size(); ++i) {
-    ASSERT_DOUBLE_EQ(result[i], expected[i]);
+    ASSERT_EQ(product.y[i], expected[i]) << "i=" << i;
+  }
+  for (unsigned r = 0; r < ranks; ++r) {
+    EXPECT_EQ(product.traffic[r].messages, layout.rank_bits()) << "rank " << r;
+    EXPECT_EQ(product.traffic[r].doubles_moved, layout.rank_bits() * layout.block_size())
+        << "rank " << r;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, DistributedProperty,
-    ::testing::Values(DistConfig{6, 2, 0.1}, DistConfig{8, 8, 0.01},
+    ::testing::Values(DistConfig{7, 1, 0.3}, DistConfig{6, 2, 0.1},
+                      DistConfig{8, 8, 0.01},
                       DistConfig{9, 16, 0.05}, DistConfig{11, 4, 0.2},
                       DistConfig{12, 32, 0.02}),
     [](const auto& info) {

@@ -105,6 +105,48 @@ TEST(BlockPower, DominantPairMatchesFacadeSolveAcrossBackends) {
   }
 }
 
+TEST(BlockPower, ParallelEnginesGiveTheSerialBits) {
+  // Every panel sum (Gram matrices, Ritz residuals) is formed on fixed row
+  // blocks in tree order, so a parallel engine reproduces the serial solve
+  // bit for bit: eigenvalues, residuals, vectors and iteration counts.  A
+  // fixed iteration budget keeps the runs short; convergence is not the
+  // point.  The m = 8 panel at nu = 12 is wide enough to fan out.
+  const struct {
+    unsigned nu;
+    unsigned k;
+  } cases[] = {{10, 2}, {11, 4}, {12, 8}};
+  for (const auto& c : cases) {
+    const auto model = core::MutationModel::uniform(c.nu, 0.01);
+    const auto landscape = core::Landscape::random(c.nu, 5.0, 1.0, 40 + c.nu);
+    const auto run = [&](const parallel::Engine* engine) {
+      BlockPowerOptions opts;
+      opts.k = c.k;
+      opts.tolerance = 1e-14;
+      opts.max_iterations = 40;
+      opts.engine = engine;
+      return top_k_spectrum(model, landscape, opts);
+    };
+    const auto serial = run(nullptr);
+    ASSERT_EQ(serial.eigenvalues.size(), c.k);
+    for (parallel::Backend kind :
+         {parallel::Backend::openmp, parallel::Backend::thread_pool}) {
+      const auto engine = parallel::make_engine(kind);
+      SCOPED_TRACE(::testing::Message() << "nu=" << c.nu << " k=" << c.k
+                                        << " engine=" << engine->name());
+      const auto r = run(engine.get());
+      EXPECT_EQ(r.iterations, serial.iterations);
+      EXPECT_EQ(r.eigenvalue, serial.eigenvalue);
+      EXPECT_EQ(r.residual, serial.residual);
+      EXPECT_EQ(r.eigenvalues, serial.eigenvalues);
+      EXPECT_EQ(r.residuals, serial.residuals);
+      ASSERT_EQ(r.eigenvectors.size(), serial.eigenvectors.size());
+      for (std::size_t j = 0; j < r.eigenvectors.size(); ++j) {
+        EXPECT_EQ(r.eigenvectors[j], serial.eigenvectors[j]) << "pair " << j;
+      }
+    }
+  }
+}
+
 TEST(BlockPower, GuardColumnsAcceleratedWidthStillCorrect) {
   // Explicit wide block (guard columns beyond k) converges to the same pairs.
   const unsigned nu = 6;

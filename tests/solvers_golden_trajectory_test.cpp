@@ -124,7 +124,7 @@ TEST(GoldenTrajectory, AsymmetricModelUnshiftedSolveMatchesClassic) {
 
 TEST(GoldenTrajectory, ResidualStreamInvariantAcrossSvKernelTiers) {
   // The end-to-end form of the microkernel bit-identity contract: forcing
-  // any single-vector kernel tier (including the autovec fallback) through
+  // any single-vector kernel tier (including the scalar table) through
   // the facade produces the IDENTICAL residual stream.  A user switching
   // plans between machines reproduces their trajectories exactly.
   const unsigned nu = 11;
@@ -134,7 +134,7 @@ TEST(GoldenTrajectory, ResidualStreamInvariantAcrossSvKernelTiers) {
   Trajectory reference;
   double reference_eigenvalue = 0.0;
   for (transforms::SvKernel tier :
-       {transforms::SvKernel::autovec, transforms::SvKernel::automatic,
+       {transforms::SvKernel::scalar, transforms::SvKernel::automatic,
         transforms::SvKernel::avx2, transforms::SvKernel::avx512}) {
     Trajectory t;
     SolveOptions options;

@@ -8,6 +8,7 @@
 #include "core/spectral.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/vector_ops.hpp"
+#include "parallel/engine.hpp"
 #include "reference/explicit_q.hpp"
 #include "solvers/lanczos.hpp"
 #include "solvers/power_iteration.hpp"
@@ -95,6 +96,32 @@ TEST(RayleighQuotientIterationW, CubicallyFastFromLandscapeStart) {
   const auto reference = power_iteration(op, landscape_start(landscape));
   EXPECT_NEAR(r.eigenvalue, reference.eigenvalue, 1e-9);
   EXPECT_LT(linalg::max_abs_diff(r.concentrations, reference.eigenvector), 1e-8);
+}
+
+TEST(RayleighQuotientIterationW, ParallelEnginesGiveTheSerialBits) {
+  // The eigen-residual sums are tree-ordered on fixed row blocks, so a
+  // parallel engine reproduces the serial iteration bit for bit: shifts,
+  // inner solves, residuals and the eigenvector.  nu = 14 is long enough
+  // to fan the sums out over four lanes.
+  for (unsigned nu : {10u, 11u, 12u, 14u}) {
+    const auto [model, landscape] = make_problem(nu, 0.01, 50 + nu);
+    ShiftInvertOptions serial_opts;
+    const auto serial = rayleigh_quotient_iteration_w(model, landscape, {}, serial_opts);
+    ASSERT_TRUE(serial.converged) << "nu=" << nu;
+    for (parallel::Backend kind :
+         {parallel::Backend::openmp, parallel::Backend::thread_pool}) {
+      const auto engine = parallel::make_engine(kind);
+      SCOPED_TRACE(::testing::Message() << "nu=" << nu << " engine=" << engine->name());
+      ShiftInvertOptions opts;
+      opts.engine = engine.get();
+      const auto r = rayleigh_quotient_iteration_w(model, landscape, {}, opts);
+      EXPECT_EQ(r.outer_iterations, serial.outer_iterations);
+      EXPECT_EQ(r.inner_iterations_total, serial.inner_iterations_total);
+      EXPECT_EQ(r.eigenvalue, serial.eigenvalue);
+      EXPECT_EQ(r.residual, serial.residual);
+      EXPECT_EQ(r.concentrations, serial.concentrations);
+    }
+  }
 }
 
 TEST(SmallestEigenpairW, ValidatesPaperLowerBound) {

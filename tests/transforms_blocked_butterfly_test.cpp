@@ -243,13 +243,14 @@ TEST(BlockedButterfly, SingleThreadPoolMatchesReference) {
 }
 
 TEST(BlockedButterfly, BandBoundariesCoverAllLevelsOnce) {
-  // Tiles count rows.  On a SIMD sv tier (nu >= 3) a single vector runs as
-  // rows of 8: the bounds are the row bounds of nu - 3 levels shifted up by
-  // the three in-row levels, which band 0 carries on top of its tile levels.
-  for (SvKernel tier : {SvKernel::automatic, SvKernel::autovec}) {
+  // Tiles count rows.  From nu = 3 on a single vector runs as rows of 8 on
+  // every tier: the bounds are the row bounds of nu - 3 levels shifted up
+  // by the three in-row levels, which band 0 carries on top of its tile
+  // levels.
+  for (SvKernel tier : {SvKernel::automatic, SvKernel::scalar}) {
     const BlockedPlan plan{.tile_log2 = 14, .chunk_log2 = 6, .sv_kernel = tier};
     for (unsigned nu = 0; nu <= 30; ++nu) {
-      const bool rows_of_8 = nu >= 3 && resolve_sv_kernels(tier) != nullptr;
+      const bool rows_of_8 = nu >= 3;
       const auto bounds = blocked_band_boundaries(nu, plan);
       ASSERT_GE(bounds.size(), 1u);
       EXPECT_EQ(bounds.front(), 0u);

@@ -78,12 +78,11 @@ void expect_bitwise(const std::vector<double>& expected,
 }
 
 // Every SvKernel choice that resolves to its own table on this build/CPU:
-// autovec (a panel runs the scalar table) plus each available SIMD tier.
+// scalar plus each available SIMD tier.
 std::vector<SvKernel> resolvable_tiers() {
-  std::vector<SvKernel> tiers = {SvKernel::autovec};
-  for (SvKernel t : {SvKernel::avx2, SvKernel::avx512}) {
-    if (resolve_sv_kernels(t) != nullptr) tiers.push_back(t);
-  }
+  std::vector<SvKernel> tiers = {SvKernel::scalar};
+  if (avx2_sv_kernels() != nullptr) tiers.push_back(SvKernel::avx2);
+  if (avx512_sv_kernels() != nullptr) tiers.push_back(SvKernel::avx512);
   return tiers;
 }
 
@@ -177,7 +176,7 @@ TEST(PanelButterfly, WidthOneMatchesBlockedButterfly) {
   const auto pre = positive_vector(n, 8);
   const auto post = positive_vector(n, 9);
   const auto& engine = parallel::serial_engine();
-  for (SvKernel tier : {SvKernel::automatic, SvKernel::autovec, SvKernel::avx2,
+  for (SvKernel tier : {SvKernel::automatic, SvKernel::scalar, SvKernel::avx2,
                         SvKernel::avx512}) {
     SCOPED_TRACE(to_string(tier));
     BlockedPlan plan;
@@ -335,10 +334,8 @@ TEST(PanelMicrokernels, ActiveKernelsMatchScalarIncludingTails) {
   // the scalar table included, must equal the plain per-row multiply bit
   // for bit: out of place, aliased and in place, at widths below, at and
   // past each SIMD width, so every tier runs its column tail.
-  std::vector<const SvKernels*> tables = {&scalar_sv_kernels()};
-  for (SvKernel t : resolvable_tiers()) {
-    if (const SvKernels* k = resolve_sv_kernels(t)) tables.push_back(k);
-  }
+  std::vector<const SvKernels*> tables;
+  for (SvKernel t : resolvable_tiers()) tables.push_back(&resolve_sv_kernels(t));
   for (const SvKernels* table : tables) {
     SCOPED_TRACE(table->name);
     for (std::size_t m : {1ul, 2ul, 3ul, 7ul, 8ul, 9ul, 16ul}) {

@@ -1,7 +1,7 @@
 // Bit-identity tests for the SIMD span microkernels: every kernel tier
-// (scalar, AVX2, AVX-512F) and every fused radix must reproduce the plain
-// autovectorised banded loops EXACTLY — ASSERT_EQ on doubles, not
-// ASSERT_NEAR.  This is the module's contract (see sv_microkernel.hpp): the
+// (scalar, AVX2, AVX-512F) and every fused radix must reproduce the
+// paper's Algorithm 1 (reference/butterfly) EXACTLY — ASSERT_EQ on doubles,
+// not ASSERT_NEAR.  This is the module's contract (see sv_microkernel.hpp): the
 // one kernel table sits underneath every default solve and every panel
 // product, so switching tiers must not move a single bit of any residual
 // trajectory.
@@ -15,10 +15,14 @@
 #include <limits>
 #include <span>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "core/fmmp.hpp"
 #include "linalg/tree_reduce.hpp"
 #include "parallel/engine.hpp"
+#include "reference/butterfly.hpp"
+#include "reference/fmmp.hpp"
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/butterfly.hpp"
@@ -239,12 +243,12 @@ TEST(SvMicrokernel, Rows8StageBitwiseMatchesThreeScalarLevels) {
 
 TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
   // The whole banded apply — every tier, every fused radix, every backend —
-  // against the forced-autovec path.  This is the acceptance criterion of
-  // the microkernel layer: identical banding, identical per-element math.
+  // against Algorithm 1.  This is the acceptance criterion of the
+  // microkernel layer: identical per-element math whatever the banding.
   const std::initializer_list<parallel::Backend> backends = {
       parallel::Backend::serial, parallel::Backend::openmp,
       parallel::Backend::thread_pool};
-  const SvKernel tiers[] = {SvKernel::automatic, SvKernel::avx2,
+  const SvKernel tiers[] = {SvKernel::automatic, SvKernel::scalar, SvKernel::avx2,
                             SvKernel::avx512};
   for (unsigned nu :
        {0u, 1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 10u, 11u, 12u, 13u, 14u, 16u, 22u}) {
@@ -252,11 +256,8 @@ TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
     const auto factors = asymmetric_factors(nu, 1000 + nu);
     const auto x = random_vector(n, 2000 + nu);
 
-    BlockedPlan reference_plan;
-    reference_plan.sv_kernel = SvKernel::autovec;
     std::vector<double> reference = x;
-    apply_blocked_butterfly(reference, factors, parallel::serial_engine(),
-                            reference_plan);
+    apply_butterfly(reference, factors);
 
     for (parallel::Backend kind : backends) {
       const auto engine = parallel::make_engine(kind);
@@ -279,11 +280,11 @@ TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
 }
 
 TEST(SvMicrokernel, FusedScalingsBitIdenticalAcrossTiers) {
-  // The fused pre/post diagonal scalings ride inside the first/last band on
-  // both the autovec and the microkernel paths; a plain element-wise product
-  // is bitwise the same in scalar and SIMD, so the whole fused product must
-  // be too — out-of-place and exactly-aliased in-place, for the pre-only
-  // (right), post-only (left) and pre+post (symmetric) formulations.
+  // The fused pre/post diagonal scalings ride inside the first/last band; a
+  // plain element-wise product is bitwise the same in scalar and SIMD, so
+  // the whole fused product must equal scale, Algorithm 1, scale — out of
+  // place and exactly aliased in place, for the pre-only (right), post-only
+  // (left) and pre+post (symmetric) formulations.
   const unsigned nu = 12;
   const std::size_t n = std::size_t{1} << nu;
   const auto factors = asymmetric_factors(nu, 77);
@@ -300,14 +301,17 @@ TEST(SvMicrokernel, FusedScalingsBitIdenticalAcrossTiers) {
       SCOPED_TRACE(::testing::Message() << "pre=" << with_pre
                                         << " post=" << with_post);
 
-      BlockedPlan reference_plan;
-      reference_plan.sv_kernel = SvKernel::autovec;
-      std::vector<double> reference(n);
-      apply_blocked_butterfly_fused(x, reference, factors, pre, post,
-                                    parallel::serial_engine(), reference_plan);
+      std::vector<double> reference = x;
+      if (with_pre) {
+        for (std::size_t i = 0; i < n; ++i) reference[i] = pre[i] * reference[i];
+      }
+      apply_butterfly(reference, factors);
+      if (with_post) {
+        for (std::size_t i = 0; i < n; ++i) reference[i] *= post[i];
+      }
 
-      for (SvKernel tier :
-           {SvKernel::automatic, SvKernel::avx2, SvKernel::avx512}) {
+      for (SvKernel tier : {SvKernel::automatic, SvKernel::scalar, SvKernel::avx2,
+                            SvKernel::avx512}) {
         BlockedPlan plan;
         plan.sv_kernel = tier;
         SCOPED_TRACE(to_string(tier));
@@ -333,16 +337,13 @@ TEST(SvMicrokernel, PlanVariationsStayBitIdentical) {
   const auto factors = asymmetric_factors(nu, 55);
   const auto x = random_vector(n, 56);
 
-  BlockedPlan reference_plan;
-  reference_plan.sv_kernel = SvKernel::autovec;
   std::vector<double> reference = x;
-  apply_blocked_butterfly(reference, factors, parallel::serial_engine(),
-                          reference_plan);
+  apply_butterfly(reference, factors);
 
   for (const BlockedPlan base : {BlockedPlan{4, 2}, BlockedPlan{6, 3},
                                  BlockedPlan{10, 6}, BlockedPlan{14, 6},
                                  BlockedPlan{16, 8}}) {
-    for (SvKernel tier : {SvKernel::automatic, SvKernel::autovec}) {
+    for (SvKernel tier : {SvKernel::automatic, SvKernel::scalar}) {
       BlockedPlan plan = base;
       plan.sv_kernel = tier;
       std::vector<double> v = x;
@@ -372,14 +373,13 @@ TEST(SvMicrokernel, BandBoundsMatchVectorBoundaries) {
 }
 
 TEST(SvMicrokernel, ResolutionAndNamesAreConsistent) {
-  // autovec always resolves to the plain loops.
-  EXPECT_EQ(resolve_sv_kernels(SvKernel::autovec), nullptr);
-  EXPECT_EQ(std::string_view(resolved_sv_kernel_name(SvKernel::autovec)),
-            "autovec");
+  // scalar always resolves to the scalar table.
+  EXPECT_EQ(&resolve_sv_kernels(SvKernel::scalar), &scalar_sv_kernels());
+  EXPECT_EQ(std::string_view(resolved_sv_kernel_name(SvKernel::scalar)), "scalar");
 
-  // automatic resolves to the widest available table, or autovec.
+  // automatic resolves to the widest available table, or scalar.
   const SvKernels* best = best_sv_kernels();
-  EXPECT_EQ(resolve_sv_kernels(SvKernel::automatic), best);
+  const SvKernels& automatic = resolve_sv_kernels(SvKernel::automatic);
   if (const SvKernels* a512 = avx512_sv_kernels()) {
     EXPECT_EQ(best, a512);
     EXPECT_EQ(std::string_view(best->name), "avx512");
@@ -389,24 +389,53 @@ TEST(SvMicrokernel, ResolutionAndNamesAreConsistent) {
   } else {
     EXPECT_EQ(best, nullptr);
   }
+  EXPECT_EQ(&automatic, best != nullptr ? best : &scalar_sv_kernels());
 
   // An explicitly requested tier resolves to its table when available and
-  // degrades to autovec (null) when not — plans stay portable across hosts.
-  for (SvKernel tier : {SvKernel::avx2, SvKernel::avx512}) {
-    const SvKernels* resolved = resolve_sv_kernels(tier);
-    const char* name = resolved_sv_kernel_name(tier);
-    if (resolved == nullptr) {
-      EXPECT_EQ(std::string_view(name), "autovec") << to_string(tier);
-    } else {
-      EXPECT_EQ(std::string_view(name), std::string_view(resolved->name));
-    }
+  // degrades to scalar when not — plans stay portable across hosts.
+  for (const auto& [tier, table] :
+       {std::pair{SvKernel::avx2, avx2_sv_kernels()},
+        std::pair{SvKernel::avx512, avx512_sv_kernels()}}) {
+    const SvKernels& resolved = resolve_sv_kernels(tier);
+    EXPECT_EQ(&resolved, table != nullptr ? table : &scalar_sv_kernels())
+        << to_string(tier);
+    EXPECT_EQ(std::string_view(resolved_sv_kernel_name(tier)),
+              std::string_view(resolved.name));
   }
 
   EXPECT_EQ(std::string_view(to_string(SvKernel::automatic)), "automatic");
-  EXPECT_EQ(std::string_view(to_string(SvKernel::autovec)), "autovec");
+  EXPECT_EQ(std::string_view(to_string(SvKernel::scalar)), "scalar");
   EXPECT_EQ(std::string_view(to_string(SvKernel::avx2)), "avx2");
   EXPECT_EQ(std::string_view(to_string(SvKernel::avx512)), "avx512");
   EXPECT_EQ(std::string_view(scalar_sv_kernels().name), "scalar");
+}
+
+TEST(SvMicrokernel, EveryTierMatchesReferenceFmmpBelowAndAboveTheRowStage) {
+  // The operator-level form of the contract, across the nu = 3 boundary
+  // where a single vector switches from a one-column panel to rows of 8:
+  // FmmpOperator on every tier is bit-identical to ReferenceFmmp (scale,
+  // Algorithm 1, scale) in all three formulations.
+  for (unsigned nu = 1; nu <= 12; ++nu) {
+    const auto model = core::MutationModel::uniform(nu, 0.01 + 0.003 * nu);
+    const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 300 + nu);
+    const auto x = positive_vector(std::size_t{1} << nu, 400 + nu);
+    for (core::Formulation form : {core::Formulation::right, core::Formulation::left,
+                                   core::Formulation::symmetric}) {
+      std::vector<double> expected(x.size());
+      reference::ReferenceFmmp(model, landscape, form).apply(x, expected);
+      for (SvKernel tier : {SvKernel::scalar, SvKernel::avx2, SvKernel::avx512}) {
+        SCOPED_TRACE(::testing::Message() << "nu=" << nu << " formulation="
+                                          << static_cast<int>(form)
+                                          << " tier=" << resolved_sv_kernel_name(tier));
+        BlockedPlan plan;
+        plan.sv_kernel = tier;
+        const core::FmmpOperator op(model, landscape, form, nullptr, plan);
+        std::vector<double> y(x.size());
+        op.apply(x, y);
+        expect_bitwise(expected, y, "FmmpOperator");
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -381,11 +381,6 @@ int run(const qs::ArgParser& args) {
               << " (max radix " << plan.sv_max_radix << "; "
               << report.timings.size() << " candidates, default "
               << report.timings.front().seconds << " s/matvec)\n";
-    if (plan.sv_kernel == qs::transforms::SvKernel::autovec) {
-      std::cout << "note: the plain autovec loops beat every SIMD "
-                   "single-vector candidate on this host, so the tuned plan "
-                   "keeps the microkernel dispatch off\n";
-    }
   }
 
   double eigenvalue = 0.0;

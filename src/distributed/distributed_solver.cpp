@@ -269,6 +269,7 @@ DistributedPowerResult distributed_power_rank(
     trace.start_iteration = static_cast<unsigned>(resume->iteration);
     trace.eigenvalue = resume->eigenvalue;
     trace.residual = resume->residual;
+    trace.schedule = resume->schedule;
     driver.restore(*resume);
     const double* src = resume->eigenvector.data() + layout.block_begin(rank);
     std::copy(src, src + block, trace.iterate.begin());
@@ -308,6 +309,7 @@ DistributedPowerResult distributed_power_rank(
   solvers::PowerResult r = solvers::run_power_loop(
       collective, std::move(trace), std::move(driver), local, options.shift);
   static_cast<solvers::IterationResult&>(out) = r;
+  out.shift_schedule = r.shift_schedule;
   // Gathered or not, the block is already oriented and normalised by the
   // global tree 1-norm; a failed or cancelled solve gathers its last
   // iterate anyway (post-mortem parity with the serial loop).
@@ -415,9 +417,11 @@ DistributedPowerResult resume_distributed_power_iteration(
           "resume_distributed_power_iteration: checkpoint dimension does not "
           "match the model");
 
-  // Validate once, before any rank exists: wrong solver kind throws, a
-  // poisoned iterate returns without iterating (exactly like the serial
-  // resume path).
+  // Validate once, before any rank exists: wrong solver kind or a corrupt
+  // shift schedule throws, a poisoned iterate returns without iterating
+  // (exactly like the serial resume path).
+  require(solvers::valid_shift_schedule(checkpoint.schedule),
+          "resume_distributed_power_iteration: corrupt shift schedule state");
   solvers::IterationTrace trace;
   solvers::IterationResult probe;
   if (!solvers::restore_trace(checkpoint, io::SolverKind::power, trace, probe)) {

@@ -43,6 +43,7 @@
 #include "distributed/exchange.hpp"
 #include "io/binary_io.hpp"
 #include "solvers/iteration_driver.hpp"
+#include "solvers/power_iteration.hpp"
 #include "support/contracts.hpp"
 #include "transforms/blocked_butterfly.hpp"
 
@@ -143,6 +144,9 @@ struct DistributedPowerResult : solvers::IterationResult {
 
   /// Butterfly levels that ran rank-locally (log2 of the block size).
   unsigned local_levels = 0;
+
+  /// The power loop's shift schedule, identical on every rank.
+  solvers::ShiftScheduleReport shift_schedule;
 };
 
 /// Produces each rank's landscape block: called once per rank with the

@@ -1,6 +1,7 @@
 #include "io/binary_io.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -12,9 +13,10 @@ namespace {
 constexpr std::uint32_t kMagic = 0x51535631;  // "QSV1"
 // Version 2 adds the payload checksum and the checkpoint progress trailer;
 // version 3 extends the checkpoint trailer with the writing solver's kind,
-// its cumulative mat-vec count, and one solver-specific scalar.  Version 2
+// its cumulative mat-vec count, and one solver-specific scalar; version 4
+// appends the power iteration's shift schedule state.  Version 2 and 3
 // files still load (the extra fields default to zero / `unspecified`).
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kMinVersion = 2;
 
 // Hard ceiling on a declared payload (2^37 doubles = 1 TiB): a corrupted
@@ -162,9 +164,27 @@ LoadedFile read_file(const std::filesystem::path& path, PayloadKind expected) {
 // The checkpoint payload carries a fixed progress trailer ahead of the
 // eigenvector so the stall-window state survives the round trip.  Version 2
 // wrote the first four slots; version 3 appends the solver kind, the
-// cumulative mat-vec count, and the solver-specific aux scalar.
+// cumulative mat-vec count, and the solver-specific aux scalar; version 4
+// the nine fields of the shift schedule.
 constexpr std::size_t kCheckpointTrailerV2 = 4;
-constexpr std::size_t kCheckpointTrailer = 7;
+constexpr std::size_t kCheckpointTrailerV3 = 7;
+constexpr std::size_t kCheckpointTrailer = 16;
+
+/// Limits of the counts the trailer stores as doubles: 2^53, above which a
+/// double no longer holds every integer, and the 32-bit fields' range.
+constexpr double kMaxCount = 9007199254740992.0;
+constexpr double kMaxUint32 = 4294967295.0;
+
+/// A count the trailer stores as a double, refused before the cast when no
+/// writer could have produced it (non-integral, negative, non-finite or
+/// above `limit`): converting such a double to an integer is undefined.
+std::uint64_t stored_count(double v, double limit, const std::filesystem::path& path) {
+  if (!(v >= 0.0 && v <= limit && v == std::floor(v))) {
+    throw std::runtime_error("binary_io: corrupt checkpoint progress field in " +
+                             path.string());
+  }
+  return static_cast<std::uint64_t>(v);
+}
 
 }  // namespace
 
@@ -197,14 +217,26 @@ void save_checkpoint(const std::filesystem::path& path, const SolverCheckpoint& 
   payload.push_back(static_cast<double>(static_cast<std::uint32_t>(state.solver_kind)));
   payload.push_back(static_cast<double>(state.matvec_count));
   payload.push_back(state.aux);
+  const ShiftScheduleState& schedule = state.schedule;
+  payload.push_back(static_cast<double>(schedule.phase));
+  payload.push_back(static_cast<double>(schedule.position));
+  payload.push_back(schedule.last_residual);
+  payload.push_back(schedule.last_ratio);
+  payload.push_back(schedule.decay);
+  payload.push_back(schedule.upper);
+  payload.push_back(schedule.best);
+  payload.push_back(static_cast<double>(schedule.engaged_at));
+  payload.push_back(static_cast<double>(schedule.fallbacks));
   payload.insert(payload.end(), state.eigenvector.begin(), state.eigenvector.end());
   write_file(path, PayloadKind::checkpoint, state.iteration, state.eigenvalue, payload);
 }
 
 SolverCheckpoint load_checkpoint(const std::filesystem::path& path) {
   auto loaded = read_file(path, PayloadKind::checkpoint);
-  const std::size_t trailer =
-      loaded.header.version >= 3 ? kCheckpointTrailer : kCheckpointTrailerV2;
+  const std::uint32_t version = loaded.header.version;
+  const std::size_t trailer = version >= 4   ? kCheckpointTrailer
+                              : version == 3 ? kCheckpointTrailerV3
+                                             : kCheckpointTrailerV2;
   if (loaded.data.size() < trailer) {
     throw std::runtime_error("binary_io: checkpoint payload too short in " +
                              path.string());
@@ -215,12 +247,25 @@ SolverCheckpoint load_checkpoint(const std::filesystem::path& path) {
   out.residual = loaded.data[0];
   out.best_residual = loaded.data[1];
   out.window_start_best = loaded.data[2];
-  out.checks_without_progress = static_cast<std::uint64_t>(loaded.data[3]);
-  if (loaded.header.version >= 3) {
-    out.solver_kind =
-        static_cast<SolverKind>(static_cast<std::uint32_t>(loaded.data[4]));
-    out.matvec_count = static_cast<std::uint64_t>(loaded.data[5]);
+  out.checks_without_progress = stored_count(loaded.data[3], kMaxCount, path);
+  if (version >= 3) {
+    out.solver_kind = static_cast<SolverKind>(
+        static_cast<std::uint32_t>(stored_count(loaded.data[4], kMaxUint32, path)));
+    out.matvec_count = stored_count(loaded.data[5], kMaxCount, path);
     out.aux = loaded.data[6];
+  }
+  if (version >= 4) {
+    const double* slot = loaded.data.data() + kCheckpointTrailerV3;
+    ShiftScheduleState& schedule = out.schedule;
+    schedule.phase = static_cast<std::uint32_t>(stored_count(slot[0], 1.0, path));
+    schedule.position = static_cast<std::uint32_t>(stored_count(slot[1], kMaxUint32, path));
+    schedule.last_residual = slot[2];
+    schedule.last_ratio = slot[3];
+    schedule.decay = slot[4];
+    schedule.upper = slot[5];
+    schedule.best = slot[6];
+    schedule.engaged_at = stored_count(slot[7], kMaxCount, path);
+    schedule.fallbacks = stored_count(slot[8], kMaxCount, path);
   }
   out.eigenvector.assign(loaded.data.begin() + trailer, loaded.data.end());
   return out;

@@ -52,6 +52,22 @@ enum class SolverKind : std::uint32_t {
   shift_invert = 4,
 };
 
+/// The power iteration's shift schedule (solvers::run_power_loop): which
+/// phase it is in and where in its cycle of shifts, so a resumed run picks
+/// the same shift for every remaining product.  Value-initialised, it is
+/// the cold-start state: estimating the decay rate, nothing observed yet.
+struct ShiftScheduleState {
+  std::uint32_t phase = 0;          ///< 0 estimating the decay, 1 cycling.
+  std::uint32_t position = 0;       ///< Cycle slot of the next product.
+  double last_residual = 0.0;       ///< Previous check's residual (0: none).
+  double last_ratio = 0.0;          ///< Previous decay ratio (0: none).
+  double decay = 0.0;               ///< rho-hat, the decay that set `upper`.
+  double upper = 0.0;               ///< lambda-hat_2, the interval's top.
+  double best = 0.0;                ///< Lowest residual at a cycle boundary.
+  std::uint64_t engaged_at = 0;     ///< Iteration the cycling last engaged.
+  std::uint64_t fallbacks = 0;      ///< Cycles that failed to lower `best`.
+};
+
 /// Iteration checkpoint: the current iterate plus enough progress state to
 /// resume the run exactly where it stopped.  The stall-tracking fields
 /// mirror the iteration driver's stagnation window so a resumed run
@@ -63,7 +79,9 @@ enum class SolverKind : std::uint32_t {
 ///   * matvec_count restores cumulative operator-product statistics for the
 ///     restarted Krylov solvers;
 ///   * aux carries one solver-specific scalar: the current shift mu for the
-///     shift-invert outer iteration, the panel width m for block power.
+///     shift-invert outer iteration, the panel width m for block power;
+///   * schedule (format v4) is the power iteration's shift schedule; v2
+///     and v3 files load with the cold-start state.
 /// For block power the `eigenvector` payload holds the full interleaved
 /// n x m panel (n * m doubles), taken verbatim on resume.
 struct SolverCheckpoint {
@@ -76,6 +94,7 @@ struct SolverCheckpoint {
   SolverKind solver_kind = SolverKind::unspecified;  ///< Writing solver.
   std::uint64_t matvec_count = 0;        ///< Operator products so far.
   double aux = 0.0;                      ///< Solver-specific scalar (see above).
+  ShiftScheduleState schedule;           ///< Power iteration shift schedule.
   std::vector<double> eigenvector;       ///< Iterate (or panel), verbatim.
 };
 

@@ -153,7 +153,8 @@ void IterationDriver::maybe_checkpoint(unsigned iteration, IterationResult& out,
 
 void IterationDriver::write_checkpoint(unsigned iteration, IterationResult& out,
                                        std::span<const double> iterate,
-                                       std::uint64_t matvec_count, double aux) {
+                                       std::uint64_t matvec_count, double aux,
+                                       const io::ShiftScheduleState& schedule) {
   QS_TRACE_SPAN_ARG("checkpoint.write", checkpoint, iteration);
   last_checkpoint_ns_ = monotonic_ns();
   io::SolverCheckpoint ck;
@@ -166,6 +167,7 @@ void IterationDriver::write_checkpoint(unsigned iteration, IterationResult& out,
   ck.solver_kind = kind_;
   ck.matvec_count = matvec_count;
   ck.aux = aux;
+  ck.schedule = schedule;
   ck.eigenvector.assign(iterate.begin(), iterate.end());
   try {
     if (options_.checkpoint_sink) {
@@ -191,6 +193,7 @@ bool restore_trace(const io::SolverCheckpoint& checkpoint, io::SolverKind expect
   trace.residual = checkpoint.residual;
   trace.matvec_count = checkpoint.matvec_count;
   trace.aux = checkpoint.aux;
+  trace.schedule = checkpoint.schedule;
   // A checkpoint is only ever written with a finite iterate, but the file
   // may come from anywhere; refuse to iterate on a poisoned start.
   for (double v : trace.iterate) {

@@ -168,6 +168,7 @@ struct IterationTrace {
   double residual = 0.0;
   std::uint64_t matvec_count = 0;   ///< Operator products already performed.
   double aux = 0.0;                 ///< Solver-specific scalar (shift, width).
+  io::ShiftScheduleState schedule;  ///< The power iteration's shift schedule.
 };
 
 /// The one place stall accounting, SolverFailure raising, and checkpoint
@@ -243,10 +244,12 @@ class IterationDriver {
                         std::uint64_t matvec_count = 0, double aux = 0.0);
 
   /// Unconditional checkpoint write (same failure semantics); used by
-  /// solvers that persist state at irregular boundaries.
+  /// solvers that persist state at irregular boundaries.  `schedule` is
+  /// the power iteration's shift schedule state.
   void write_checkpoint(unsigned iteration, IterationResult& out,
                         std::span<const double> iterate,
-                        std::uint64_t matvec_count = 0, double aux = 0.0);
+                        std::uint64_t matvec_count = 0, double aux = 0.0,
+                        const io::ShiftScheduleState& schedule = {});
 
  private:
   const IterationOptions& options_;

@@ -1,6 +1,7 @@
 #include "solvers/power_iteration.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -83,6 +84,151 @@ unsigned stretch_bound(const std::optional<core::FitnessRange>& range, double mu
   if (!(bound < static_cast<double>(std::numeric_limits<unsigned>::max()))) return 0;
   return std::max(1u, static_cast<unsigned>(bound));
 }
+
+constexpr std::uint32_t kShiftCycle = 8;
+constexpr std::uint32_t kCyclingPhase = 1;
+
+/// The Chebyshev shift schedule (docs/THEORY.md section 5).  With the
+/// spectrum real and in [mu, lambda_0], kShiftCycle products whose shifts
+/// are the roots of the degree-kShiftCycle Chebyshev polynomial on
+/// [mu, upper] damp every eigencomponent in that interval by at least
+/// 1 / T_8(sigma) relative to lambda_0, sigma = (lambda_0 - c) / e for the
+/// interval's centre c and half-width e; the fixed shift damps lambda_1's
+/// by ((lambda_1 - mu) / (lambda_0 - mu))^8.  Each product still takes one
+/// scalar shift in passes 1 and 2, so the iteration keeps its two vectors.
+///
+/// Estimating: the fixed shift, until two consecutive residual ratios
+/// agree to within kAgreement below 1; that ratio rho-hat sets upper =
+/// mu + rho-hat (lambda-hat_0 - mu), below the Rayleigh quotient
+/// lambda-hat_0.  Cycling: the product at cycle slot p takes root p.  The
+/// check of each cycle's first product measures the iterate the previous
+/// cycle made.  When that residual is not below the best such residual,
+/// the schedule falls back to estimating from the next product on (the
+/// check's own product has already taken root 0).  When it fell by less
+/// than the interval promises, widen() raises upper to where the slowest
+/// component must lie.  A shift in [mu, lambda_1] damps lambda_1's
+/// component at least as much as mu does, so a low upper costs speed only;
+/// so does a high one while it stays below lambda_0, and the fallback
+/// catches the rest.
+class ShiftSchedule {
+ public:
+  /// `state` is the checkpointed schedule; an inactive schedule (no
+  /// shift, checks sparser than every product, m > 1) starts cold, so
+  /// its checkpoints carry no stale cycle.
+  ShiftSchedule(double mu, bool active, const io::ShiftScheduleState& state)
+      : mu_(mu), active_(active), state_(active ? state : io::ShiftScheduleState{}) {
+    require(valid_shift_schedule(state), "power_iteration: corrupt shift schedule state");
+    if (cycling()) set_roots();
+  }
+
+  /// The shift of the next product.
+  double shift() const { return cycling() ? roots_[state_.position] : mu_; }
+
+  /// Advances on a residual check that let the solve proceed; `lambda` is
+  /// its Rayleigh quotient.
+  void observe(unsigned iteration, double residual, double lambda) {
+    if (!active_) return;
+    io::ShiftScheduleState& s = state_;
+    if (cycling()) {
+      if (s.position == 0) {
+        if (!(residual < s.best)) {
+          QS_TRACE_INSTANT_ARG("solver.shift_schedule_fallback", solver, residual,
+                               iteration);
+          // The report keeps the abandoned interval until a new one engages.
+          s = io::ShiftScheduleState{.last_residual = residual,
+                                     .decay = s.decay,
+                                     .upper = s.upper,
+                                     .engaged_at = s.engaged_at,
+                                     .fallbacks = s.fallbacks + 1};
+          return;
+        }
+        if (std::isfinite(s.best)) widen(residual / s.best, lambda);
+        s.best = residual;
+      }
+      s.position = (s.position + 1) % kShiftCycle;
+      return;
+    }
+    if (s.last_residual > 0.0) {
+      const double ratio = residual / s.last_residual;
+      if (s.last_ratio > 0.0 && ratio < 1.0 &&
+          std::abs(ratio - s.last_ratio) <= kAgreement * ratio && lambda > mu_) {
+        QS_TRACE_INSTANT_ARG("solver.shift_schedule", solver, ratio, iteration);
+        s.phase = kCyclingPhase;
+        s.position = 0;
+        s.last_ratio = 0.0;
+        s.decay = ratio;
+        s.upper = mu_ + ratio * (lambda - mu_);
+        s.best = std::numeric_limits<double>::infinity();
+        s.engaged_at = iteration;
+        set_roots();
+        return;
+      }
+      s.last_ratio = ratio;
+    }
+    s.last_residual = residual;
+  }
+
+  const io::ShiftScheduleState& state() const { return state_; }
+
+  ShiftScheduleReport report() const {
+    ShiftScheduleReport r;
+    if (state_.engaged_at == 0) return r;
+    r.engaged_at = static_cast<unsigned>(state_.engaged_at);
+    r.decay = state_.decay;
+    r.lower = mu_;
+    r.upper = state_.upper;
+    r.fallbacks = static_cast<unsigned>(state_.fallbacks);
+    return r;
+  }
+
+ private:
+  /// Two consecutive ratios agree when they differ by at most this share.
+  static constexpr double kAgreement = 0.05;
+
+  bool cycling() const { return active_ && state_.phase == kCyclingPhase; }
+
+  /// A cycle that cut the residual by `reduction` only: when that is less
+  /// than the interval promises its members, 1 / T_8(sigma), the slowest
+  /// eigencomponent lies above `upper`, at the t where T_8(t) / T_8(sigma)
+  /// equals the reduction.  Raising `upper` to it keeps the interval below
+  /// lambda_0 (t < sigma while the residual falls).
+  void widen(double reduction, double lambda) {
+    const double c = 0.5 * (state_.upper + mu_);
+    const double e = 0.5 * (state_.upper - mu_);
+    const double sigma = (lambda - c) / e;
+    if (!(sigma > 1.0)) return;
+    const double damping =
+        reduction * std::cosh(static_cast<double>(kShiftCycle) * std::acosh(sigma));
+    if (!(damping > 1.0)) return;
+    state_.upper = c + e * std::cosh(std::acosh(damping) / static_cast<double>(kShiftCycle));
+    set_roots();
+  }
+
+  /// The roots c + e cos((2j - 1) pi / 16) on [mu, upper], alternating
+  /// high/low from the ends inwards: each low root undoes most of the
+  /// growth the high root before it gave the components near mu.  (Of the
+  /// four outside-in/inside-out, high/low-first orders this one needed the
+  /// fewest products on the nu = 16-20 threshold and nu = 18 random solves.)
+  void set_roots() {
+    static constexpr double kCos[kShiftCycle / 2] = {
+        0.98078528040323044913,  // cos(pi/16)
+        0.83146961230254523708,  // cos(3pi/16)
+        0.55557023301960222474,  // cos(5pi/16)
+        0.19509032201612826785,  // cos(7pi/16)
+    };
+    const double c = 0.5 * (state_.upper + mu_);
+    const double e = 0.5 * (state_.upper - mu_);
+    for (std::uint32_t j = 0; j < kShiftCycle / 2; ++j) {
+      roots_[2 * j] = c + e * kCos[j];
+      roots_[2 * j + 1] = c - e * kCos[j];
+    }
+  }
+
+  double mu_;
+  bool active_;
+  io::ShiftScheduleState state_;
+  std::array<double, kShiftCycle> roots_{};
+};
 
 /// The loop's passes over `rows` rows of m interleaved columns, each
 /// formed on parallel::RowBlocks so every engine gives the one-block bits.
@@ -226,6 +372,10 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
   const bool forced_renormalisation =
       stretch != 0 && stretch < options.residual_check_every;
   const bool in_place = mu == 0.0 && collective.aliasing();
+  // The Chebyshev shift schedule needs mu as a lower bound of a real
+  // spectrum, every product's residual, and one column.
+  ShiftSchedule schedule(mu, mu > 0.0 && options.residual_check_every == 1 && m == 1,
+                         trace.schedule);
 
   for (unsigned it = trace.start_iteration + 1; it <= options.max_iterations; ++it) {
     const bool scheduled = driver.should_check(it, options.max_iterations);
@@ -250,7 +400,8 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
 
     // Pass 1: the Rayleigh quotient from the product in hand, and the
     // 1-norm of the shifted product.
-    passes.check_sums(xp, yp, mu, sums.data());
+    const double mu_it = schedule.shift();
+    passes.check_sums(xp, yp, mu_it, sums.data());
     collective.allreduce(sums);
     for (std::size_t c = 0; c < m; ++c) lambda[c] = sums[m + c] / sums[c];
     // Numerical-health guard: a NaN/Inf iterate makes the Rayleigh
@@ -268,7 +419,7 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
     // the tolerances this solver targets), and y normalised in place.  The
     // control word rides with the sums: any participant's stop vote cancels
     // everywhere, and the root's clock decides the time cadence.
-    passes.residual_update(xp, yp, lambda.data(), mu, inv.data(), tail.data());
+    passes.residual_update(xp, yp, lambda.data(), mu_it, inv.data(), tail.data());
     double control = 0.0;
     if (scheduled && options.should_stop && options.should_stop()) control += 1.0;
     if (root && driver.checkpoint_time_due()) control += kControlTimeBit;
@@ -297,10 +448,13 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
         if (verdict == IterationDriver::Verdict::cancelled &&
             driver.checkpointing()) {
           const std::span<const double> full = collective.gather(x());
-          if (root) driver.write_checkpoint(it - 1, out, full, it - 1);
+          if (root) {
+            driver.write_checkpoint(it - 1, out, full, it - 1, 0.0, schedule.state());
+          }
         }
         break;
       }
+      schedule.observe(it, out.residual, out.eigenvalue);
     }
     std::swap(xp, yp);
 
@@ -310,9 +464,10 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
     // every participant joins the gather.
     if (driver.checkpoint_due(it, time_due)) {
       const std::span<const double> full = collective.gather(x());
-      if (root) driver.write_checkpoint(it, out, full, it);
+      if (root) driver.write_checkpoint(it, out, full, it, 0.0, schedule.state());
     }
   }
+  out.shift_schedule = schedule.report();
 
   // A non-finite exit leaves the garbage iterate in place for post-mortem
   // inspection but skips the orientation fix (flipping NaNs is meaningless).
@@ -335,6 +490,11 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
   }
   passes.scale(xp, inv.data(), result);
   return out;
+}
+
+bool valid_shift_schedule(const io::ShiftScheduleState& state) {
+  return state.position < kShiftCycle &&
+         (state.phase != kCyclingPhase || std::isfinite(state.upper));
 }
 
 std::vector<double> landscape_start(const core::Landscape& landscape) {

@@ -39,9 +39,22 @@ namespace qs::solvers {
 /// cadence, stall window, engine, workspace, and checkpointing) plus the
 /// spectral shift.
 struct PowerOptions : IterationOptions {
-  /// Spectral shift mu: iterates with (W - mu I). Must keep lambda_0 - mu
-  /// the dominant eigenvalue (any mu <= lambda_min(W) qualifies).
+  /// Spectral shift mu: iterates with (W - mu I).  A positive shift must
+  /// bound a real spectrum from below (mu <= lambda_min(W), as the
+  /// conservative shift of a symmetric model does): with a residual check
+  /// every product it also anchors the Chebyshev shift schedule of
+  /// run_power_loop.
   double shift = 0.0;
+};
+
+/// What the Chebyshev shift schedule of run_power_loop did in one solve.
+/// `engaged_at` is 0 when the schedule never cycled.
+struct ShiftScheduleReport {
+  unsigned engaged_at = 0;  ///< Iteration the last cycling engaged.
+  double decay = 0.0;       ///< rho-hat, the residual decay it was sized from.
+  double lower = 0.0;       ///< mu, the interval's bottom.
+  double upper = 0.0;       ///< lambda-hat_2, the interval's top.
+  unsigned fallbacks = 0;   ///< Cycles that failed to lower the residual.
 };
 
 /// Outcome of a power iteration run: the shared outcome fields (eigenvalue,
@@ -56,6 +69,7 @@ struct PowerResult : IterationResult {
   /// residual, the one the driver observed.
   std::vector<double> column_eigenvalues;
   std::vector<double> column_residuals;
+  ShiftScheduleReport shift_schedule;
 };
 
 /// Runs the (shifted) power iteration on `op` starting from `start`
@@ -96,6 +110,10 @@ PowerResult power_iteration(const core::LinearOperator& op, Start&& start,
 PowerResult resume_power_iteration(const core::LinearOperator& op,
                                    const io::SolverCheckpoint& checkpoint,
                                    const PowerOptions& options = {});
+
+/// True when a checkpointed shift schedule state is one run_power_loop can
+/// resume: its cycle slot exists and, while cycling, its interval is finite.
+bool valid_shift_schedule(const io::ShiftScheduleState& state);
 
 /// The paper's starting vector for a given landscape: diag(F) scaled by
 /// the reciprocal of its tree-ordered 1-norm — the same vector a
@@ -175,6 +193,19 @@ class BlockCollective {
 /// that is due a periodic checkpoint.  Only checks write checkpoints.
 /// A lone participant polls should_stop before every product that does not
 /// end in a scheduled check, and stops there without a checkpoint flush.
+///
+/// Chebyshev shift schedule (docs/THEORY.md section 5): with shift > 0 (a
+/// lower bound of a real spectrum), a check every product and one column,
+/// the loop iterates with the fixed shift until two consecutive residual
+/// ratios rho agree to within 5 % below 1, sets lambda-hat_2 = mu +
+/// rho (lambda-hat_0 - mu) from the Rayleigh quotient, and from then on
+/// takes each product's shift from a fixed cycle of the 8 roots of the
+/// degree-8 Chebyshev polynomial on [mu, lambda-hat_2].  Only the scalar
+/// of passes 1 and 2 changes.  A cycle that lowers the residual by less
+/// than the interval promises raises lambda-hat_2; one that does not lower
+/// it falls back to the fixed shift and estimates again.  Every decision is
+/// taken on allreduced values, and checkpoints carry the schedule, so
+/// engines, rank counts and resumes keep the serial bits.
 /// `options.engine` fans the passes out over aligned power-of-two row
 /// blocks; it changes the speed, never the bits.
 PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,

@@ -101,6 +101,7 @@ QuasispeciesResult solve(const core::MutationModel& model,
   QuasispeciesResult out;
   static_cast<IterationResult&>(out) = r;
   out.recovery_attempts = recovery_attempts;
+  out.shift_schedule = r.shift_schedule;
   out.checkpoint_failures = checkpoint_failures;
   out.concentrations = std::move(r.eigenvector);
   if (out.failure != SolverFailure::none) {

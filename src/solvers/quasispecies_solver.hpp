@@ -31,6 +31,7 @@
 #include "core/operators.hpp"
 #include "io/binary_io.hpp"
 #include "solvers/iteration_driver.hpp"
+#include "solvers/power_iteration.hpp"
 #include "transforms/blocked_butterfly.hpp"
 
 namespace qs::solvers {
@@ -82,6 +83,7 @@ struct QuasispeciesResult : IterationResult {
   std::vector<double> concentrations; ///< x_R, 1-norm normalised, length 2^nu.
   std::vector<double> class_concentrations;  ///< [Gamma_0..Gamma_nu].
   unsigned recovery_attempts = 0;     ///< Restarts the degradation rule used.
+  ShiftScheduleReport shift_schedule; ///< The shift schedule of the last run.
 };
 
 /// Solves for a general landscape (shifted power iteration on Fmmp).

@@ -20,6 +20,7 @@
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
 #include "core/planned_operator.hpp"
+#include "core/spectral.hpp"
 #include "distributed/reduction.hpp"
 #include "obs/trace.hpp"
 #include "parallel/engine.hpp"
@@ -140,6 +141,46 @@ TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations
       EXPECT_EQ(samples[it], samples[first]) << "allocation before iteration " << it;
     }
     EXPECT_GE(checks, kIterations / 3);
+  }
+}
+
+TEST(AllocGuardTest, ScheduledShiftIterationsPerformZeroHeapAllocations) {
+  // The Chebyshev shift schedule engages, cycles, widens its interval and,
+  // at the numerical floor, falls back and re-engages: every transition
+  // changes scalars only, so no iteration may touch the heap, with no
+  // engine and fanned out over four blocks.
+  const InlineLanes four_lanes;
+  for (const parallel::Engine* engine :
+       {static_cast<const parallel::Engine*>(nullptr),
+        static_cast<const parallel::Engine*>(&four_lanes)}) {
+    SCOPED_TRACE(engine != nullptr ? engine->name() : "no engine");
+    const auto model = core::MutationModel::uniform(12, 0.05);
+    const auto fitness = core::Landscape::single_peak(12, 2.0, 1.0);
+    const core::PlannedOperator op(model, fitness);
+
+    constexpr unsigned kIterations = 200;
+    solvers::PowerOptions options;
+    options.tolerance = 0.0;  // never converge: run all iterations
+    options.stall_window = 0;
+    options.max_iterations = kIterations;
+    options.shift = core::conservative_shift(model, fitness);
+    options.workspace = &op.workspace();
+    options.engine = engine;
+
+    std::array<std::uint64_t, kIterations + 1> samples{};
+    options.on_residual = [&samples](unsigned it, double) {
+      if (it < samples.size()) samples[it] = support::allocation_count();
+    };
+
+    const solvers::PowerResult result =
+        solvers::power_iteration(op, solvers::landscape_start(fitness), options);
+    ASSERT_EQ(result.iterations, kIterations);
+    ASSERT_EQ(result.failure, solvers::SolverFailure::none);
+    ASSERT_GT(result.shift_schedule.engaged_at, 0u);
+    ASSERT_GT(result.shift_schedule.fallbacks, 0u);
+    for (unsigned it = 2; it <= kIterations; ++it) {
+      EXPECT_EQ(samples[it], samples[1]) << "allocation during iteration " << it;
+    }
   }
 }
 

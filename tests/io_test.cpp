@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -196,6 +198,103 @@ TEST_F(IoTest, CheckpointRoundTripPreservesProgressState) {
   EXPECT_EQ(loaded.eigenvector[1], 0.75);
 }
 
+
+/// Rewrites a checkpoint file as format `version` with the given payload
+/// (trailer + iterate): header fields and the FNV-1a checksum recomputed,
+/// the iteration and eigenvalue kept.
+void rewrite_checkpoint(const std::filesystem::path& file, std::uint32_t version,
+                        const std::vector<double>& payload) {
+  char header[40];
+  {
+    std::ifstream in(file, std::ios::binary);
+    in.read(header, sizeof(header));
+  }
+  std::uint32_t hash = 2166136261u;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(payload.data());
+  for (std::size_t i = 0; i < payload.size() * sizeof(double); ++i) {
+    hash ^= bytes[i];
+    hash *= 16777619u;
+  }
+  const std::uint64_t count = payload.size();
+  std::memcpy(header + 4, &version, sizeof(version));
+  std::memcpy(header + 12, &hash, sizeof(hash));
+  std::memcpy(header + 16, &count, sizeof(count));
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  out.write(header, sizeof(header));
+  out.write(reinterpret_cast<const char*>(payload.data()),
+            static_cast<std::streamsize>(payload.size() * sizeof(double)));
+}
+
+SolverCheckpoint cycling_checkpoint() {
+  SolverCheckpoint state;
+  state.iteration = 57;
+  state.eigenvalue = 1.25;
+  state.residual = 3e-6;
+  state.solver_kind = SolverKind::power;
+  state.matvec_count = 57;
+  state.schedule.phase = 1;
+  state.schedule.position = 5;
+  state.schedule.last_residual = 4e-5;
+  state.schedule.last_ratio = 0.91;
+  state.schedule.decay = 0.93;
+  state.schedule.upper = 1.1;
+  state.schedule.best = 2e-6;
+  state.schedule.engaged_at = 31;
+  state.schedule.fallbacks = 2;
+  state.eigenvector = {0.25, 0.75};
+  return state;
+}
+
+TEST_F(IoTest, CheckpointRoundTripPreservesTheShiftSchedule) {
+  const SolverCheckpoint state = cycling_checkpoint();
+  save_checkpoint(path("c.qs"), state);
+  const ShiftScheduleState loaded = load_checkpoint(path("c.qs")).schedule;
+  EXPECT_EQ(loaded.phase, 1u);
+  EXPECT_EQ(loaded.position, 5u);
+  EXPECT_EQ(loaded.last_residual, state.schedule.last_residual);
+  EXPECT_EQ(loaded.last_ratio, state.schedule.last_ratio);
+  EXPECT_EQ(loaded.decay, state.schedule.decay);
+  EXPECT_EQ(loaded.upper, state.schedule.upper);
+  EXPECT_EQ(loaded.best, state.schedule.best);
+  EXPECT_EQ(loaded.engaged_at, 31u);
+  EXPECT_EQ(loaded.fallbacks, 2u);
+}
+
+TEST_F(IoTest, VersionThreeCheckpointLoadsWithTheColdStartSchedule) {
+  // A v3 file has a seven-slot trailer: everything but the schedule loads,
+  // and the schedule starts over in its estimation phase.
+  save_checkpoint(path("c.qs"), cycling_checkpoint());
+  std::vector<double> payload = {3e-6, 0.0, 0.0, 0.0, 0.0, 57.0, 0.0, 0.25, 0.75};
+  rewrite_checkpoint(path("c.qs"), 3, payload);
+  const SolverCheckpoint loaded = load_checkpoint(path("c.qs"));
+  EXPECT_EQ(loaded.iteration, 57u);
+  EXPECT_EQ(loaded.matvec_count, 57u);
+  ASSERT_EQ(loaded.eigenvector.size(), 2u);
+  EXPECT_EQ(loaded.eigenvector[1], 0.75);
+  EXPECT_EQ(loaded.schedule.phase, 0u);
+  EXPECT_EQ(loaded.schedule.position, 0u);
+  EXPECT_EQ(loaded.schedule.last_residual, 0.0);
+  EXPECT_EQ(loaded.schedule.engaged_at, 0u);
+}
+
+TEST_F(IoTest, CorruptTrailerCountsAreRefused) {
+  // A trailer count no writer produces (an unknown phase, a negative,
+  // fractional or non-finite count) is a structured error, never a cast
+  // of an out-of-range double.
+  save_checkpoint(path("c.qs"), cycling_checkpoint());
+  for (const auto& [slot, value] :
+       std::vector<std::pair<std::size_t, double>>{
+           {3, -2.0}, {4, 0.5}, {5, HUGE_VAL}, {7, 2.0}, {8, -1.0}, {14, 0.5},
+           {15, std::nan("")}, {14, 1e300}}) {
+    SCOPED_TRACE(::testing::Message() << "slot " << slot << " = " << value);
+    std::vector<double> payload = {3e-6, 0.0, 0.0, 0.0, 0.0, 57.0, 0.0,
+                                   1.0,  5.0, 4e-5, 0.91, 0.93, 1.1, 2e-6,
+                                   31.0, 2.0, 0.25, 0.75};
+    payload[slot] = value;
+    rewrite_checkpoint(path("c.qs"), 4, payload);
+    EXPECT_THROW(load_checkpoint(path("c.qs")), std::runtime_error);
+  }
+}
 
 TEST_F(IoTest, CheckpointResumeContinuesThePowerIteration) {
   // Interrupt a solve, persist the state, reload, and finish: the resumed

@@ -123,5 +123,31 @@ TEST(Stall, ErrorThresholdSweepConvergesWithoutRecovery) {
   }
 }
 
+TEST(Stall, Nu18ThresholdSweepConvergesOnTheShiftSchedule) {
+  // The same sweep one size up, where the fixed shift needs 409, 645 and
+  // 1556 products: the Chebyshev shift schedule converges every point on
+  // the first attempt within 300 products, to the exact reduced solution.
+  const unsigned nu = 18;
+  const auto classes = core::ErrorClassLandscape::single_peak(nu, 2.0, 1.0);
+  const auto landscape = classes.expand();
+  SolveOptions opts;
+  opts.tolerance = 1e-10;
+  for (double p : {0.037, 0.038, 0.039}) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    const auto r = solve(core::MutationModel::uniform(nu, p), landscape, opts);
+    ASSERT_TRUE(r.converged);
+    EXPECT_FALSE(r.stalled);
+    EXPECT_EQ(r.recovery_attempts, 0u);
+    EXPECT_GT(r.shift_schedule.engaged_at, 0u);
+    EXPECT_LE(r.iterations, 300u);
+    const auto exact = solve(p, classes);
+    ASSERT_EQ(r.class_concentrations.size(), exact.class_concentrations.size());
+    for (unsigned k = 0; k <= nu; ++k) {
+      EXPECT_NEAR(r.class_concentrations[k], exact.class_concentrations[k], 1e-8)
+          << "class " << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qs::solvers

@@ -16,8 +16,11 @@
 #include <algorithm>
 #include <csignal>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <optional>
+#include <sstream>
+#include <string>
 
 #include "quasispecies.hpp"
 #include "support/args.hpp"
@@ -387,6 +390,7 @@ int run(const qs::ArgParser& args) {
   std::vector<double> concentrations;
   unsigned iterations = 0;
   double residual = 0.0;
+  qs::solvers::ShiftScheduleReport schedule;
   const ResilienceCli resilience = parse_resilience(args);
   qs::install_shutdown_handlers();
   qs::Timer timer;
@@ -439,6 +443,7 @@ int run(const qs::ArgParser& args) {
     concentrations = r.eigenvector;
     iterations = r.iterations;
     residual = r.residual;
+    schedule = r.shift_schedule;
   } else if (args.has("block-size") || solver == "block") {
     qs::solvers::BlockPowerOptions bopts;
     bopts.k = static_cast<unsigned>(args.get_long("block-size", 2, 1, 64));
@@ -490,6 +495,7 @@ int run(const qs::ArgParser& args) {
     concentrations = r.concentrations;
     iterations = r.iterations;
     residual = r.residual;
+    schedule = r.shift_schedule;
   } else if (solver == "lanczos") {
     qs::solvers::LanczosOptions opts;
     opts.tolerance = tolerance;
@@ -561,6 +567,15 @@ int run(const qs::ArgParser& args) {
             << (engine != nullptr ? " [parallel]" : "") << "\n"
             << "lambda_0 = " << eigenvalue << "   iterations = " << iterations
             << "   residual = " << residual << "   time = " << seconds << " s\n";
+  if (schedule.engaged_at != 0) {
+    std::cout << "shift schedule: from iteration " << schedule.engaged_at
+              << ", decay " << schedule.decay << ", interval [" << schedule.lower
+              << ", " << schedule.upper << "]";
+    if (schedule.fallbacks != 0) {
+      std::cout << ", " << schedule.fallbacks << " fallback(s)";
+    }
+    std::cout << "\n";
+  }
 
   if (top > 0) {
     std::cout << "\ntop species:\n";
@@ -626,6 +641,18 @@ int run(const qs::ArgParser& args) {
   m.set_value("iterations", iterations);
   m.set_value("residual", residual);
   m.set_value("solve_seconds", seconds);
+  if (schedule.engaged_at != 0) {
+    const auto text = [](double v) {
+      std::ostringstream out;
+      out << std::setprecision(17) << v;
+      return out.str();
+    };
+    m.set_info("shift_schedule.engaged_at", std::to_string(schedule.engaged_at));
+    m.set_info("shift_schedule.decay", text(schedule.decay));
+    m.set_info("shift_schedule.interval",
+               "[" + text(schedule.lower) + ", " + text(schedule.upper) + "]");
+    m.set_info("shift_schedule.fallbacks", std::to_string(schedule.fallbacks));
+  }
   export_observability(args);
   return 0;
 }

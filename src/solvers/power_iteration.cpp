@@ -333,17 +333,22 @@ class Passes {
 
 PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
                            IterationDriver driver,
-                           const IterationOptions& options, double shift) {
+                           const IterationOptions& options, double shift,
+                           std::span<double> storage) {
+  require(storage.empty() || trace.iterate.empty(),
+          "run_power_loop: the start is both in the trace and in storage");
+  PowerResult out;
+  out.eigenvector = std::move(trace.iterate);
+  const std::span<double> home =
+      storage.empty() ? std::span<double>(out.eigenvector) : storage;
   const std::size_t m = collective.width();
-  const std::size_t size = trace.iterate.size();
+  const std::size_t size = home.size();
   require(m >= 1 && size % m == 0, "run_power_loop: iterate is not m columns wide");
   Passes passes(parallel::engine_or_serial(options.engine), size / m, m);
   const bool root = collective.is_root();
   const bool sole = collective.participants() == 1;
   const double mu = shift;
 
-  PowerResult out;
-  out.eigenvector = std::move(trace.iterate);
   out.eigenvalue = trace.eigenvalue;
   out.residual = trace.residual;
   out.iterations = trace.start_iteration;
@@ -357,7 +362,7 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
   core::Workspace local_workspace;
   core::Workspace& workspace =
       options.workspace != nullptr ? *options.workspace : local_workspace;
-  double* xp = out.eigenvector.data();
+  double* xp = home.data();
   double* yp = workspace.take(core::Workspace::Slot::product, size).data();
   const auto x = [&xp, size] { return std::span<double>(xp, size); };
 
@@ -471,7 +476,7 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
 
   // A non-finite exit leaves the garbage iterate in place for post-mortem
   // inspection but skips the orientation fix (flipping NaNs is meaningless).
-  double* result = out.eigenvector.data();
+  double* result = home.data();
   if (out.failure == SolverFailure::non_finite) {
     if (xp != result) std::copy(xp, xp + size, result);
     return out;

@@ -3,10 +3,15 @@
 // Linked into the test binary only: every `operator new` bumps the counter
 // read through support/alloc_counter.hpp, which lets a test pin down that a
 // solver iteration (power loop through a warm core::Workspace) performs no
-// heap allocations at all.  The overrides deliberately forward to plain
-// malloc/free — no alignment tricks beyond what the standard requires — so
-// they stay boring and obviously correct.
+// heap allocations at all, and records the largest request
+// (alloc_hooks.hpp), which pins down which buffers a solve allocates.  The
+// overrides deliberately forward to plain malloc/free — no alignment tricks
+// beyond what the standard requires — so they stay boring and obviously
+// correct.
 
+#include "alloc_hooks.hpp"
+
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -14,8 +19,18 @@
 
 namespace {
 
+std::atomic<std::size_t> largest{0};
+
+void note_size(std::size_t size) {
+  std::size_t seen = largest.load(std::memory_order_relaxed);
+  while (size > seen &&
+         !largest.compare_exchange_weak(seen, size, std::memory_order_relaxed)) {
+  }
+}
+
 void* counted_alloc(std::size_t size) {
   qs::support::count_allocation();
+  note_size(size);
   void* p = std::malloc(size != 0 ? size : 1);
   if (p == nullptr) throw std::bad_alloc();
   return p;
@@ -23,6 +38,7 @@ void* counted_alloc(std::size_t size) {
 
 void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
   qs::support::count_allocation();
+  note_size(size);
   // aligned_alloc requires the size to be a multiple of the alignment.
   const std::size_t rounded = (size + alignment - 1) / alignment * alignment;
   void* p = std::aligned_alloc(alignment, rounded != 0 ? rounded : alignment);
@@ -32,14 +48,24 @@ void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
 
 }  // namespace
 
+std::size_t qs::test::largest_allocation() noexcept {
+  return largest.load(std::memory_order_relaxed);
+}
+
+void qs::test::reset_largest_allocation() noexcept {
+  largest.store(0, std::memory_order_relaxed);
+}
+
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   qs::support::count_allocation();
+  note_size(size);
   return std::malloc(size != 0 ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
   qs::support::count_allocation();
+  note_size(size);
   return std::malloc(size != 0 ? size : 1);
 }
 void* operator new(std::size_t size, std::align_val_t alignment) {

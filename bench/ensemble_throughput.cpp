@@ -96,10 +96,9 @@ int main() {
   const auto context_landscape = core::Landscape::single_peak(context_nu, 2.0, 1.0);
 
   const auto serial = parallel::make_engine(parallel::Backend::serial);
-  const auto openmp = parallel::make_engine(parallel::Backend::openmp);
   const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
   const std::vector<std::pair<const char*, const parallel::Engine*>> backends = {
-      {"serial", serial.get()}, {"openmp", openmp.get()}, {"thread-pool", pool.get()}};
+      {"serial", serial.get()}, {"thread-pool", pool.get()}};
 
   std::cout << "ensemble throughput: nu = " << nu << ", R = " << options.replicas
             << " replicas, m = " << options.panel_width

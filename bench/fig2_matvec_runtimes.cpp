@@ -15,8 +15,8 @@
 // butterfly level (nu sweeps + 2 scaling sweeps per matvec); blocked is the
 // production FmmpOperator, which launches one kernel per
 // level *band* with the diagonal F-scalings fused into the first/last band
-// (~nu/B sweeps).  Expected: blocked strictly faster at nu >= 20 on both
-// the openmp and thread_pool backends.
+// (~nu/B sweeps).  Expected: blocked strictly faster at nu >= 20 on the
+// thread_pool backend.
 //
 // Panel columns: one banded product applied to an interleaved panel of m
 // vectors (FmmpOperator::apply_panel) vs m sequential single-vector blocked
@@ -85,8 +85,6 @@ struct Fig2Row {
   double xmvp1_s = 0.0;
   double fmmp_s = 0.0;
   double serial_blocked_s = 0.0;
-  double omp_level_s = 0.0;
-  double omp_blocked_s = 0.0;
   double pool_level_s = 0.0;
   double pool_blocked_s = 0.0;
   std::vector<PanelPoint> panel;
@@ -138,8 +136,6 @@ void write_json(const std::string& path, double p, unsigned max_nu,
         << "      \"xmvp1_s\": " << row.xmvp1_s << ",\n"
         << "      \"fmmp_s\": " << row.fmmp_s << ",\n"
         << "      \"fmmp_serial_blocked_s\": " << row.serial_blocked_s << ",\n"
-        << "      \"fmmp_omp_level_s\": " << row.omp_level_s << ",\n"
-        << "      \"fmmp_omp_blocked_s\": " << row.omp_blocked_s << ",\n"
         << "      \"fmmp_pool_level_s\": " << row.pool_level_s << ",\n"
         << "      \"fmmp_pool_blocked_s\": " << row.pool_blocked_s << ",\n"
         << "      \"panel\": [\n";
@@ -177,11 +173,9 @@ int main() {
   const std::string json_path = json_env != nullptr ? json_env : "BENCH_fig2.json";
 
   const auto serial_engine = parallel::make_engine(parallel::Backend::serial);
-  const auto omp_engine = parallel::make_engine(parallel::Backend::openmp);
   const auto pool_engine = parallel::make_engine(parallel::Backend::thread_pool);
   const std::vector<std::pair<const char*, const parallel::Engine*>> backends = {
       {"serial", serial_engine.get()},
-      {"openmp", omp_engine.get()},
       {"thread_pool", pool_engine.get()}};
   const std::vector<std::size_t> widths = {2, 4, 8, 16, 32};
   // Widths whose interleaved xp/yp pair would not fit in this budget are
@@ -191,9 +185,8 @@ int main() {
 
   std::cout << "# Figure 2: single mat-vec runtimes, p = " << p
             << "\n# series: Xmvp(nu) ~ Theta(N^2), Xmvp(1) ~ Theta(N nu), "
-               "Fmmp ~ Theta(N log2 N)\n# engine columns: omp = '"
-            << omp_engine->name() << "' x" << omp_engine->concurrency()
-            << ", pool = '" << pool_engine->name() << "' x"
+               "Fmmp ~ Theta(N log2 N)\n# engine columns: pool = '"
+            << pool_engine->name() << "' x"
             << pool_engine->concurrency()
             << "; lvl = per-level Algorithm 2, blk = banded blocked kernel\n"
             << "# span kernels: "
@@ -201,7 +194,7 @@ int main() {
             << "\n\n";
 
   TextTable table({"nu", "N", "Xmvp(nu) [s]", "Xmvp(1) [s]", "Fmmp [s]",
-                   "omp lvl [s]", "omp blk [s]", "pool lvl [s]", "pool blk [s]",
+                   "pool lvl [s]", "pool blk [s]",
                    "Fmmp speedup vs Xmvp(nu)"});
   TextTable panel_table({"nu", "backend", "blk x1 [s]", "panel m=2 [s]",
                          "panel m=4 [s]", "panel m=8 [s]", "panel m=16 [s]",
@@ -211,8 +204,7 @@ int main() {
                         "speedup", "candidates"});
   CsvWriter csv(std::cout);
   csv.header({"nu", "xmvp_full_s", "xmvp_full_extrapolated", "xmvp1_s", "fmmp_s",
-              "fmmp_omp_level_s", "fmmp_omp_blocked_s", "fmmp_pool_level_s",
-              "fmmp_pool_blocked_s"});
+              "fmmp_pool_level_s", "fmmp_pool_blocked_s"});
 
   std::vector<Fig2Row> rows;
   std::vector<double> quad_nus, quad_times;
@@ -239,8 +231,6 @@ int main() {
     };
     row.fmmp_s = time_op(reference::ReferenceFmmp(model, landscape));
     row.serial_blocked_s = time_op(blocked(serial_engine.get()));
-    row.omp_level_s = time_op(per_level(omp_engine.get()));
-    row.omp_blocked_s = time_op(blocked(omp_engine.get()));
     row.pool_level_s = time_op(per_level(pool_engine.get()));
     row.pool_blocked_s = time_op(blocked(pool_engine.get()));
 
@@ -341,13 +331,12 @@ int main() {
                    format_short(row.xmvp_full_s) +
                        (row.xmvp_full_extrapolated ? "*" : ""),
                    format_short(row.xmvp1_s), format_short(row.fmmp_s),
-                   format_short(row.omp_level_s), format_short(row.omp_blocked_s),
                    format_short(row.pool_level_s), format_short(row.pool_blocked_s),
                    format_short(row.xmvp_full_s / row.fmmp_s)});
     csv.row().cell(std::size_t{nu}).cell(row.xmvp_full_s)
         .cell(std::string(row.xmvp_full_extrapolated ? "1" : "0"))
-        .cell(row.xmvp1_s).cell(row.fmmp_s).cell(row.omp_level_s)
-        .cell(row.omp_blocked_s).cell(row.pool_level_s).cell(row.pool_blocked_s);
+        .cell(row.xmvp1_s).cell(row.fmmp_s).cell(row.pool_level_s)
+        .cell(row.pool_blocked_s);
     csv.end_row();
     rows.push_back(std::move(row));
   }

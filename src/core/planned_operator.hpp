@@ -13,7 +13,7 @@
 //     per-iteration hot path performs zero heap allocations.
 //
 // `apply` / `apply_panel` route through the owned plan on every backend
-// (serial, openmp, thread_pool).  The facade, qs_solve/qs_sweep, the block
+// (serial, thread_pool).  The facade, qs_solve/qs_sweep, the block
 // solver, and the benches all build their operator through this class.
 #pragma once
 

@@ -1,6 +1,5 @@
 #include "parallel/engine.hpp"
 
-#include "parallel/openmp_backend.hpp"
 #include "parallel/serial_backend.hpp"
 #include "parallel/thread_pool_backend.hpp"
 
@@ -8,8 +7,6 @@ namespace qs::parallel {
 
 std::unique_ptr<Engine> make_engine(Backend kind) {
   switch (kind) {
-    case Backend::openmp:
-      return std::make_unique<OpenMPBackend>();
     case Backend::thread_pool:
       return std::make_unique<ThreadPoolBackend>();
     case Backend::serial:
@@ -24,7 +21,7 @@ const Engine& serial_engine() {
 }
 
 const Engine& parallel_engine() {
-  static const OpenMPBackend instance;
+  static const ThreadPoolBackend instance;
   return instance;
 }
 

@@ -9,9 +9,9 @@
 // engine is a fan-out, not a summation order: it offers no reduction, and
 // every parallel sum is formed on fixed row blocks combined in tree order
 // (parallel/row_blocks.hpp), so every backend yields the same bits.  Backends: a
-// serial one (the "single CPU core" reference of the paper's Figure 2), an
-// OpenMP one (the "parallel hardware" axis of Figure 4) and a std::thread
-// pool.  See DESIGN.md, "Substitutions".
+// serial one (the "single CPU core" reference of the paper's Figure 2) and a
+// std::thread pool (the "parallel hardware" axis of Figure 4).  See
+// DESIGN.md, "Substitutions".
 #pragma once
 
 #include <cstddef>
@@ -69,7 +69,7 @@ class Engine {
  public:
   virtual ~Engine() = default;
 
-  /// Human-readable backend name ("serial", "openmp").
+  /// Human-readable backend name ("serial", "thread-pool").
   virtual std::string_view name() const = 0;
 
   /// Number of hardware lanes the backend will use.
@@ -90,14 +90,11 @@ class Engine {
 /// Available backend kinds.
 enum class Backend {
   serial,
-  openmp,
   thread_pool,
 };
 
-/// Creates a fresh engine of the given kind. The OpenMP kind degrades to a
-/// serial engine (with name "serial") when the library was built without
-/// OpenMP support; the thread-pool kind is always genuinely multi-threaded
-/// (std::thread only).
+/// Creates a fresh engine of the given kind; a thread pool gets one lane
+/// per CPU in the calling thread's affinity mask.
 std::unique_ptr<Engine> make_engine(Backend kind);
 
 /// Process-lifetime serial engine (always available).
@@ -108,8 +105,7 @@ inline const Engine& engine_or_serial(const Engine* engine) {
   return engine != nullptr ? *engine : serial_engine();
 }
 
-/// Process-lifetime parallel engine: OpenMP when available, otherwise the
-/// serial engine.
+/// Process-lifetime thread pool, sized when first used.
 const Engine& parallel_engine();
 
 }  // namespace qs::parallel

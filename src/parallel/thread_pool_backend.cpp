@@ -3,13 +3,35 @@
 #include <algorithm>
 #include <exception>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "obs/trace.hpp"
 
 namespace qs::parallel {
 
+namespace {
+
+/// The CPUs the calling thread may run on: a pool pinned by `taskset` or a
+/// container's cpuset gets one lane per CPU it can use, not per CPU the
+/// host has.
+unsigned allowed_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<unsigned>(count);
+  }
+#endif
+  return std::max(std::thread::hardware_concurrency(), 1u);
+}
+
+}  // namespace
+
 ThreadPoolBackend::ThreadPoolBackend(unsigned threads) {
-  unsigned total = threads != 0 ? threads : std::thread::hardware_concurrency();
-  if (total == 0) total = 1;
+  const unsigned total = threads != 0 ? threads : allowed_cpus();
   // The calling thread participates in every dispatch, so spawn one fewer.
   worker_count_ = total - 1;
   workers_.reserve(worker_count_);
@@ -32,7 +54,7 @@ unsigned ThreadPoolBackend::concurrency() const { return worker_count_ + 1; }
 void ThreadPoolBackend::worker_loop(unsigned index) {
   std::uint64_t seen_generation = 0;
   for (;;) {
-    const std::function<void(unsigned)>* task = nullptr;
+    const LaneTask* task = nullptr;
     {
       std::unique_lock lock(mutex_);
       wake_.wait(lock, [&] {
@@ -50,7 +72,7 @@ void ThreadPoolBackend::worker_loop(unsigned index) {
   }
 }
 
-void ThreadPoolBackend::run_on_all(const std::function<void(unsigned)>& task) const {
+void ThreadPoolBackend::run_on_all(LaneTask task) const {
   // Exception safety: a kernel body that throws on any lane must not kill
   // the process (an exception escaping a worker's thread function would
   // std::terminate) and must not skip the barrier (the calling thread
@@ -61,7 +83,7 @@ void ThreadPoolBackend::run_on_all(const std::function<void(unsigned)>& task) co
   // lane is done with it before run_on_all returns.
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  const std::function<void(unsigned)> guarded = [&](unsigned lane) {
+  const auto trap = [&](unsigned lane) {
     QS_TRACE_SPAN_ARG("engine.worker", engine, lane);
     try {
       task(lane);
@@ -70,18 +92,17 @@ void ThreadPoolBackend::run_on_all(const std::function<void(unsigned)>& task) co
       if (!first_error) first_error = std::current_exception();
     }
   };
+  const LaneTask guarded = trap;
 
-  if (worker_count_ == 0) {
-    guarded(0);
-  } else {
-    {
-      std::lock_guard lock(mutex_);
-      current_task_ = &guarded;
-      remaining_ = worker_count_;
-      ++generation_;
-    }
-    wake_.notify_all();
-    guarded(worker_count_);  // the calling thread takes the last lane
+  {
+    std::lock_guard lock(mutex_);
+    current_task_ = &guarded;
+    remaining_ = worker_count_;
+    ++generation_;
+  }
+  wake_.notify_all();
+  guarded(worker_count_);  // the calling thread takes the last lane
+  {
     QS_TRACE_COUNTER_SCOPE_NS("engine.barrier_wait_ns");
     std::unique_lock lock(mutex_);
     done_.wait(lock, [&] { return remaining_ == 0; });
@@ -93,6 +114,15 @@ void ThreadPoolBackend::run_on_all(const std::function<void(unsigned)>& task) co
 void ThreadPoolBackend::dispatch(std::size_t n, const RangeKernel& kernel) const {
   if (n == 0) return;
   QS_TRACE_COUNTER("engine.dispatch", 1);
+  if (worker_count_ == 0 || busy_.exchange(true, std::memory_order_acquire)) {
+    QS_TRACE_SPAN_ARG("engine.worker", engine, 0);
+    kernel(0, n);
+    return;
+  }
+  struct Release {
+    std::atomic<bool>& busy;
+    ~Release() { busy.store(false, std::memory_order_release); }
+  } release{busy_};
   const std::size_t lanes = concurrency();
   const std::size_t chunk = (n + lanes - 1) / lanes;
   run_on_all([&](unsigned lane) {

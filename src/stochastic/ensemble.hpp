@@ -24,7 +24,7 @@
 // per-column reductions accumulate in a FIXED order (serial index order or
 // fixed-size block partials reduced in block order) that never depends on
 // the engine's chunking — so for a fixed seed the ensemble trajectory is
-// BIT-IDENTICAL across backends (serial / OpenMP / thread pool) and thread
+// BIT-IDENTICAL across backends (serial / thread pool) and thread
 // counts.
 #pragma once
 

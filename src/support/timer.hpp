@@ -14,10 +14,13 @@
 // best_of_seconds() is the one benchmark timing idiom (best-of-N wall
 // time); bench/bench_common.hpp and transforms/plan_autotune.cpp both
 // delegate to it instead of rolling their own chrono loops.
+// best_of_alternating_seconds() is its two-sided form for ratio checks.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <utility>
 
 #if defined(__unix__) || defined(__linux__) || defined(__APPLE__)
 #include <time.h>
@@ -90,6 +93,19 @@ double best_of_seconds(unsigned reps, Fn&& fn) {
     fn();
     const double s = t.seconds();
     if (s < best) best = s;
+  }
+  return best;
+}
+
+/// Best-of-`reps` wall-clock seconds of a() and of b(), timed alternately
+/// (a, b, a, b, ...): host drift during the measurement lands on both
+/// sides alike instead of in their ratio.  Requires reps >= 1.
+template <typename A, typename B>
+std::pair<double, double> best_of_alternating_seconds(unsigned reps, A&& a, B&& b) {
+  std::pair<double, double> best{1e300, 1e300};
+  for (unsigned r = 0; r < reps; ++r) {
+    best.first = std::min(best.first, best_of_seconds(1, a));
+    best.second = std::min(best.second, best_of_seconds(1, b));
   }
   return best;
 }

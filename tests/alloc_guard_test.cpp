@@ -25,6 +25,7 @@
 #include "distributed/reduction.hpp"
 #include "obs/trace.hpp"
 #include "parallel/engine.hpp"
+#include "parallel/thread_pool_backend.hpp"
 #include "solvers/arnoldi.hpp"
 #include "solvers/lanczos.hpp"
 #include "solvers/power_iteration.hpp"
@@ -93,15 +94,18 @@ TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations
   // between checks, the shift pass of an unnormalised stretch, at lengths
   // (2^10, 2^14) that take the blockwise SIMD path, with no engine, with the serial and tree engines,
   // and fanned out over four blocks (per-block partial slots, span
-  // allreduces).  None of it may touch the heap.
+  // allreduces), inline and on a real four-lane pool, whose dispatch
+  // must not allocate either.  None of it may touch the heap.
   const InlineLanes four_lanes;
+  const parallel::ThreadPoolBackend pool(4);
   const struct {
     unsigned nu;
     const parallel::Engine* engine;
   } cases[] = {{10, nullptr},
                {10, &parallel::serial_engine()},
                {10, &distributed::tree_engine()},
-               {14, &four_lanes}};
+               {14, &four_lanes},
+               {14, &pool}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.engine != nullptr ? c.engine->name() : "no engine");
     const auto model = core::MutationModel::uniform(c.nu, 0.01);

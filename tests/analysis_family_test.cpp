@@ -19,6 +19,7 @@
 #include "parallel/engine.hpp"
 #include "parallel/thread_pool_backend.hpp"
 #include "solvers/quasispecies_solver.hpp"
+#include "test_engines.hpp"
 
 namespace qs {
 namespace {
@@ -134,10 +135,8 @@ TEST(LandscapeFamily, GroupedModelAndBackendsAgree) {
   ASSERT_TRUE(reference.converged);
   expect_matches_facade(model, family, reference, 1e-9);
 
-  for (parallel::Backend kind : {parallel::Backend::serial,
-                                 parallel::Backend::openmp,
-                                 parallel::Backend::thread_pool}) {
-    const auto engine = parallel::make_engine(kind);
+  for (parallel::TestEngine kind : parallel::kTestEngines) {
+    const auto engine = parallel::make_test_engine(kind);
     SCOPED_TRACE(engine->name());
     fopts.engine = engine.get();
     expect_same_bits(analysis::sweep_landscape_family(model, family, fopts),

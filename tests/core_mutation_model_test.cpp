@@ -62,19 +62,19 @@ TEST(MutationModelUniform, EngineApplyMatchesSerial) {
   const unsigned nu = 10;
   const auto model = MutationModel::uniform(nu, 0.05);
   const std::size_t n = 1024;
-  std::vector<double> serial(n), engine_serial(n), engine_omp(n);
+  std::vector<double> serial(n), engine_serial(n), engine_pool(n);
   Xoshiro256 rng(2);
   for (std::size_t i = 0; i < n; ++i) {
-    serial[i] = engine_serial[i] = engine_omp[i] = rng.uniform(0.0, 1.0);
+    serial[i] = engine_serial[i] = engine_pool[i] = rng.uniform(0.0, 1.0);
   }
   transforms::apply_butterfly(serial, model.site_factors());
   model.apply(engine_serial, parallel::serial_engine());
-  model.apply(engine_omp, parallel::parallel_engine());
+  model.apply(engine_pool, parallel::parallel_engine());
   for (std::size_t i = 0; i < n; ++i) {
     // The banded kernel performs the identical per-element arithmetic, so
     // results are bit-identical to the serial Algorithm 1 butterfly.
     EXPECT_EQ(serial[i], engine_serial[i]);
-    EXPECT_EQ(serial[i], engine_omp[i]);
+    EXPECT_EQ(serial[i], engine_pool[i]);
   }
 }
 

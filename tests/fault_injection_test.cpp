@@ -16,6 +16,7 @@
 #include "parallel/engine.hpp"
 #include "parallel/row_blocks.hpp"
 #include "parallel/thread_pool_backend.hpp"
+#include "test_engines.hpp"
 #include "solvers/arnoldi.hpp"
 #include "solvers/lanczos.hpp"
 #include "solvers/power_iteration.hpp"
@@ -152,9 +153,9 @@ TEST(FaultInjection, ThrowingOperatorPropagatesToTheCaller) {
   EXPECT_EQ(faulty.apply_count(), 3u);
 }
 
-class FaultyEngineTest : public ::testing::TestWithParam<parallel::Backend> {
+class FaultyEngineTest : public ::testing::TestWithParam<parallel::TestEngine> {
  protected:
-  std::unique_ptr<parallel::Engine> inner_ = make_engine(GetParam());
+  std::unique_ptr<parallel::Engine> inner_ = parallel::make_test_engine(GetParam());
 };
 
 TEST_P(FaultyEngineTest, KernelThrowSurfacesOnTheDispatchingThread) {
@@ -212,16 +213,9 @@ TEST_P(FaultyEngineTest, ThrowInsideTheButterflyDispatchPath) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, FaultyEngineTest,
-                         ::testing::Values(parallel::Backend::serial,
-                                           parallel::Backend::openmp,
-                                           parallel::Backend::thread_pool),
+                         ::testing::ValuesIn(parallel::kTestEngines),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case parallel::Backend::serial: return "serial";
-                             case parallel::Backend::openmp: return "openmp";
-                             case parallel::Backend::thread_pool: return "thread_pool";
-                           }
-                           return "unknown";
+                           return parallel::test_engine_name(info.param);
                          });
 
 // ---------------------------------------------------------------------------

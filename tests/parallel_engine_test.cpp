@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,13 +19,19 @@
 #include "reference/butterfly.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
+
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
 
 namespace qs::parallel {
 namespace {
 
-class EngineTest : public ::testing::TestWithParam<Backend> {
+class EngineTest : public ::testing::TestWithParam<TestEngine> {
  protected:
-  std::unique_ptr<Engine> engine_ = make_engine(GetParam());
+  std::unique_ptr<Engine> engine_ = make_test_engine(GetParam());
 };
 
 TEST_P(EngineTest, DispatchCoversEveryIndexExactlyOnce) {
@@ -158,17 +165,8 @@ TEST_P(EngineTest, HasNonEmptyName) {
   EXPECT_FALSE(engine_->name().empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, EngineTest,
-                         ::testing::Values(Backend::serial, Backend::openmp,
-                                           Backend::thread_pool),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case Backend::serial: return "serial";
-                             case Backend::openmp: return "openmp";
-                             case Backend::thread_pool: return "thread_pool";
-                           }
-                           return "unknown";
-                         });
+INSTANTIATE_TEST_SUITE_P(AllBackends, EngineTest, ::testing::ValuesIn(kTestEngines),
+                         [](const auto& info) { return test_engine_name(info.param); });
 
 TEST(ThreadPool, ExplicitThreadCountAndFmmpAgreement) {
   // A pool with several genuine std::threads must reproduce the serial
@@ -233,8 +231,73 @@ TEST(ThreadPool, ManyThreadsOnFewItems) {
   for (double v : out) EXPECT_EQ(v, 51.0);
 }
 
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask) {
+#if defined(__linux__)
+  // A pool sized on a thread pinned to one CPU gets one lane, however many
+  // CPUs the host has.  Only the test's own thread is narrowed.
+  unsigned lanes = 0;
+  unsigned made_lanes = 0;
+  bool pinned = false;
+  std::thread probe([&] {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    if (pthread_getaffinity_np(pthread_self(), sizeof(mask), &mask) != 0) return;
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &mask)) ++cpu;
+    if (cpu == CPU_SETSIZE) return;
+    CPU_ZERO(&mask);
+    CPU_SET(cpu, &mask);
+    if (pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask) != 0) return;
+    pinned = true;
+    lanes = ThreadPoolBackend().concurrency();
+    made_lanes = make_engine(Backend::thread_pool)->concurrency();
+  });
+  probe.join();
+  if (!pinned) GTEST_SKIP() << "cannot narrow this thread's CPU affinity";
+  EXPECT_EQ(lanes, 1u);
+  EXPECT_EQ(made_lanes, 1u);
+#else
+  GTEST_SKIP() << "no CPU affinity mask on this platform";
+#endif
+}
+
+TEST(ThreadPool, ConcurrentAndNestedDispatchesComplete) {
+  // Two threads dispatching on one pool, and a dispatch nested inside a
+  // kernel: whichever finds the workers busy runs inline, and every index
+  // is still covered exactly once.
+  const ThreadPoolBackend pool(4);
+  const std::size_t n = 1 << 14;
+  auto cover = [&pool, n](std::vector<int>& hits) {
+    for (int round = 0; round < 100; ++round) {
+      pool.dispatch(n, [&hits](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) ++hits[i];
+      });
+    }
+  };
+  std::vector<int> first(n, 0), second(n, 0);
+  std::thread other([&] { cover(second); });
+  cover(first);
+  other.join();
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(first[i], 100) << "index " << i;
+    ASSERT_EQ(second[i], 100) << "index " << i;
+  }
+
+  std::vector<std::atomic<int>> nested(n);
+  pool.dispatch(4, [&](std::size_t begin, std::size_t end) {
+    for (std::size_t part = begin; part < end; ++part) {
+      const std::size_t offset = part * (n / 4);
+      pool.dispatch(n / 4, [&nested, offset](std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) nested[offset + i].fetch_add(1);
+      });
+    }
+  });
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(nested[i].load(), 1) << "index " << i;
+}
+
 TEST(EngineSingletons, Available) {
   EXPECT_EQ(serial_engine().name(), "serial");
+  EXPECT_EQ(parallel_engine().name(), "thread-pool");
   EXPECT_GE(parallel_engine().concurrency(), 1u);
 }
 

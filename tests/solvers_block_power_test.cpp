@@ -18,6 +18,7 @@
 #include "solvers/deflation.hpp"
 #include "solvers/quasispecies_solver.hpp"
 #include "transforms/plan_autotune.hpp"
+#include "test_engines.hpp"
 
 namespace qs::solvers {
 namespace {
@@ -84,10 +85,8 @@ TEST(BlockPower, DominantPairMatchesFacadeSolveAcrossBackends) {
   const auto facade = solve(model, landscape);
   ASSERT_TRUE(facade.converged);
 
-  for (parallel::Backend kind : {parallel::Backend::serial,
-                                 parallel::Backend::openmp,
-                                 parallel::Backend::thread_pool}) {
-    const auto engine = parallel::make_engine(kind);
+  for (parallel::TestEngine kind : parallel::kTestEngines) {
+    const auto engine = parallel::make_test_engine(kind);
     BlockPowerOptions opts;
     opts.k = 2;
     opts.tolerance = 1e-11;
@@ -128,9 +127,9 @@ TEST(BlockPower, ParallelEnginesGiveTheSerialBits) {
     };
     const auto serial = run(nullptr);
     ASSERT_EQ(serial.eigenvalues.size(), c.k);
-    for (parallel::Backend kind :
-         {parallel::Backend::openmp, parallel::Backend::thread_pool}) {
-      const auto engine = parallel::make_engine(kind);
+    for (parallel::TestEngine kind :
+         {parallel::TestEngine::pool3, parallel::TestEngine::pool}) {
+      const auto engine = parallel::make_test_engine(kind);
       SCOPED_TRACE(::testing::Message() << "nu=" << c.nu << " k=" << c.k
                                         << " engine=" << engine->name());
       const auto r = run(engine.get());

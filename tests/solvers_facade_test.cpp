@@ -15,6 +15,7 @@
 #include "reference/xmvp.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/contracts.hpp"
+#include "test_engines.hpp"
 
 namespace qs::solvers {
 namespace {
@@ -116,7 +117,7 @@ TEST(Facade, EngineOptionGivesSameAnswer) {
   // The engine drives both the product and the power loop's passes; neither
   // changes a bit, so every backend gives the default solve's answer
   // exactly: eigenvalue, iteration count, residual stream, concentrations.
-  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
+  const auto pool = parallel::make_test_engine(parallel::TestEngine::pool3);
   const std::vector<const parallel::Engine*> engines = {
       &parallel::serial_engine(), &parallel::parallel_engine(), pool.get(),
       &distributed::tree_engine()};

@@ -16,6 +16,7 @@
 #include "reference/explicit_q.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
 
 namespace qs::solvers {
 namespace {
@@ -189,7 +190,7 @@ TEST(PowerIteration, EngineReductionsMatchSerial) {
   // keep the one tree order, so every backend reproduces the engine-less
   // solve bit for bit: eigenvalue, iteration count, residual stream and
   // eigenvector.
-  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
+  const auto pool = parallel::make_test_engine(parallel::TestEngine::pool3);
   const std::vector<const parallel::Engine*> engines = {
       &parallel::serial_engine(), &parallel::parallel_engine(), pool.get(),
       &distributed::tree_engine()};

@@ -15,6 +15,7 @@
 #include "solvers/shift_invert.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
 
 namespace qs::solvers {
 namespace {
@@ -108,9 +109,9 @@ TEST(RayleighQuotientIterationW, ParallelEnginesGiveTheSerialBits) {
     ShiftInvertOptions serial_opts;
     const auto serial = rayleigh_quotient_iteration_w(model, landscape, {}, serial_opts);
     ASSERT_TRUE(serial.converged) << "nu=" << nu;
-    for (parallel::Backend kind :
-         {parallel::Backend::openmp, parallel::Backend::thread_pool}) {
-      const auto engine = parallel::make_engine(kind);
+    for (parallel::TestEngine kind :
+         {parallel::TestEngine::pool3, parallel::TestEngine::pool}) {
+      const auto engine = parallel::make_test_engine(kind);
       SCOPED_TRACE(::testing::Message() << "nu=" << nu << " engine=" << engine->name());
       ShiftInvertOptions opts;
       opts.engine = engine.get();

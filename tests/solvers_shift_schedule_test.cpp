@@ -21,6 +21,7 @@
 #include "solvers/power_iteration.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
 
 namespace qs::solvers {
 namespace {
@@ -322,7 +323,7 @@ TEST(ShiftSchedule, EveryEngineGivesTheSerialBits) {
   ASSERT_TRUE(serial.result.converged);
   ASSERT_GT(serial.result.shift_schedule.engaged_at, 0u);
 
-  const auto pool = parallel::make_engine(parallel::Backend::thread_pool);
+  const auto pool = parallel::make_test_engine(parallel::TestEngine::pool3);
   for (const parallel::Engine* engine :
        {&parallel::serial_engine(), &parallel::parallel_engine(),
         static_cast<const parallel::Engine*>(pool.get()),

@@ -14,6 +14,7 @@
 #include "stochastic/wright_fisher.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
 
 namespace qs::stochastic {
 namespace {
@@ -111,7 +112,7 @@ TEST(ReplicaEnsemble, BatchedAndSequentialExpectedAgree) {
   }
 }
 
-std::vector<std::vector<std::uint64_t>> run_counts(parallel::Backend backend,
+std::vector<std::vector<std::uint64_t>> run_counts(parallel::TestEngine backend,
                                                    std::uint64_t generations) {
   const unsigned nu = 6;
   const auto model = core::MutationModel::uniform(nu, 0.02);
@@ -120,7 +121,7 @@ std::vector<std::vector<std::uint64_t>> run_counts(parallel::Backend backend,
   options.replicas = 5;  // final panel chunk is narrower than the width
   options.population_size = 2000;
   options.seed = 42;
-  const auto engine = parallel::make_engine(backend);
+  const auto engine = parallel::make_test_engine(backend);
   ReplicaEnsemble ensemble(model, landscape, options, engine.get());
   for (std::uint64_t g = 0; g < generations; ++g) ensemble.step();
   std::vector<std::vector<std::uint64_t>> counts;
@@ -135,13 +136,13 @@ TEST(ReplicaEnsemble, TrajectoryIsBitIdenticalAcrossBackends) {
   // The reproducibility contract: per-replica RNG streams, elementwise
   // panel work, and fixed-order normaliser reductions make the whole
   // resampled trajectory independent of the backend and thread count.
-  const auto serial = run_counts(parallel::Backend::serial, 15);
-  const auto openmp = run_counts(parallel::Backend::openmp, 15);
-  const auto pool = run_counts(parallel::Backend::thread_pool, 15);
-  ASSERT_EQ(serial.size(), openmp.size());
+  const auto serial = run_counts(parallel::TestEngine::serial, 15);
+  const auto pool3 = run_counts(parallel::TestEngine::pool3, 15);
+  const auto pool = run_counts(parallel::TestEngine::pool, 15);
+  ASSERT_EQ(serial.size(), pool3.size());
   ASSERT_EQ(serial.size(), pool.size());
   for (std::size_t r = 0; r < serial.size(); ++r) {
-    ASSERT_EQ(serial[r], openmp[r]) << "replica " << r;
+    ASSERT_EQ(serial[r], pool3[r]) << "replica " << r;
     ASSERT_EQ(serial[r], pool[r]) << "replica " << r;
   }
 }
@@ -156,8 +157,8 @@ TEST(ReplicaEnsemble, MoranEnsembleConservesAndIsBitIdentical) {
   options.process = EnsembleProcess::moran;
   options.seed = 7;
 
-  auto run = [&](parallel::Backend backend) {
-    const auto engine = parallel::make_engine(backend);
+  auto run = [&](parallel::TestEngine backend) {
+    const auto engine = parallel::make_test_engine(backend);
     ReplicaEnsemble ensemble(model, landscape, options, engine.get());
     for (int g = 0; g < 8; ++g) ensemble.step();
     std::vector<std::vector<std::uint64_t>> counts;
@@ -168,8 +169,8 @@ TEST(ReplicaEnsemble, MoranEnsembleConservesAndIsBitIdentical) {
     }
     return counts;
   };
-  const auto serial = run(parallel::Backend::serial);
-  const auto pool = run(parallel::Backend::thread_pool);
+  const auto serial = run(parallel::TestEngine::serial);
+  const auto pool = run(parallel::TestEngine::pool);
   for (std::size_t r = 0; r < serial.size(); ++r) {
     ASSERT_EQ(serial[r], pool[r]) << "replica " << r;
   }

@@ -1,5 +1,5 @@
 // Cross-backend equivalence tests for the cache-blocked banded butterfly:
-// MutationModel::apply on every engine (serial, openmp, thread_pool) and at
+// MutationModel::apply on every engine (serial, 3-lane and host pools) and at
 // several tile sizes must match the serial reference apply_butterfly to
 // <= 1e-14, per-site asymmetric factors included; the Fmmp operator and the
 // per-level Algorithm 2 reference must match Algorithm 1 bit for bit.
@@ -17,6 +17,7 @@
 #include "reference/butterfly.hpp"
 #include "reference/fmmp.hpp"
 #include "support/rng.hpp"
+#include "test_engines.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -85,8 +86,6 @@ void expect_near_all(const std::vector<double>& expected,
 }
 
 TEST(BlockedButterfly, AllBackendsMatchSerialReferenceAcrossNu) {
-  const auto backends = {parallel::Backend::serial, parallel::Backend::openmp,
-                         parallel::Backend::thread_pool};
   for (unsigned nu = 1; nu <= 14; ++nu) {
     const auto model = core::MutationModel::per_site(asymmetric_factors(nu, nu));
     const std::size_t n = std::size_t{1} << nu;
@@ -95,8 +94,8 @@ TEST(BlockedButterfly, AllBackendsMatchSerialReferenceAcrossNu) {
     std::vector<double> reference = x;
     apply_butterfly(reference, model.site_factors());
 
-    for (parallel::Backend kind : backends) {
-      const auto engine = parallel::make_engine(kind);
+    for (parallel::TestEngine kind : parallel::kTestEngines) {
+      const auto engine = parallel::make_test_engine(kind);
       std::vector<double> v = x;
       model.apply(v, *engine);
       expect_near_all(reference, v, kTol);
@@ -135,8 +134,6 @@ TEST(BlockedButterfly, SeveralTileSizesMatchReference) {
 TEST(BlockedButterfly, PerLevelEnginePathMatchesBlocked) {
   // Algorithm 2 (one launch per level, GPU index map) on every backend
   // against Algorithm 1 and the banded kernel: the same bits.
-  const auto backends = {parallel::Backend::serial, parallel::Backend::openmp,
-                         parallel::Backend::thread_pool};
   for (unsigned nu : {1u, 3u, 9u, 13u}) {
     const auto model = core::MutationModel::per_site(asymmetric_factors(nu, 400 + nu));
     const std::size_t n = std::size_t{1} << nu;
@@ -147,8 +144,8 @@ TEST(BlockedButterfly, PerLevelEnginePathMatchesBlocked) {
     std::vector<double> blocked = x;
     model.apply(blocked);
     expect_bitwise(classic, blocked);
-    for (parallel::Backend kind : backends) {
-      const auto engine = parallel::make_engine(kind);
+    for (parallel::TestEngine kind : parallel::kTestEngines) {
+      const auto engine = parallel::make_test_engine(kind);
       std::vector<double> per_level = x;
       apply_butterfly_per_level(per_level, model.site_factors(), *engine);
       expect_bitwise(classic, per_level);
@@ -160,8 +157,6 @@ TEST(BlockedButterfly, FusedFmmpFormulationsMatchSerialOperator) {
   // FmmpOperator (banded kernel, scalings fused) against ReferenceFmmp
   // (scale + Algorithm 1 + scale) and its Algorithm 2 form, bit for bit, for
   // every kind, admissible formulation, nu and backend.
-  const auto backends = {parallel::Backend::serial, parallel::Backend::openmp,
-                         parallel::Backend::thread_pool};
   const core::Formulation all[] = {core::Formulation::right,
                                    core::Formulation::symmetric,
                                    core::Formulation::left};
@@ -187,8 +182,8 @@ TEST(BlockedButterfly, FusedFmmpFormulationsMatchSerialOperator) {
         std::vector<double> y(n);
         core::FmmpOperator(model, landscape, formulation).apply(x, y);
         expect_bitwise(expected, y);
-        for (parallel::Backend kind : backends) {
-          const auto engine = parallel::make_engine(kind);
+        for (parallel::TestEngine kind : parallel::kTestEngines) {
+          const auto engine = parallel::make_test_engine(kind);
           core::FmmpOperator(model, landscape, formulation, engine.get()).apply(x, y);
           expect_bitwise(expected, y);
           reference::ReferenceFmmp(model, landscape, formulation, engine.get())
@@ -217,9 +212,8 @@ TEST(BlockedButterfly, NuOneSingleLevel) {
   const auto model = core::MutationModel::per_site({Factor2::asymmetric(0.1, 0.3)});
   std::vector<double> reference{0.7, 0.3};
   apply_butterfly(reference, model.site_factors());
-  for (parallel::Backend kind :
-       {parallel::Backend::serial, parallel::Backend::openmp, parallel::Backend::thread_pool}) {
-    const auto engine = parallel::make_engine(kind);
+  for (parallel::TestEngine kind : parallel::kTestEngines) {
+    const auto engine = parallel::make_test_engine(kind);
     std::vector<double> v{0.7, 0.3};
     model.apply(v, *engine);
     expect_near_all(reference, v, kTol);

@@ -22,15 +22,12 @@
 #include "transforms/butterfly.hpp"
 #include "transforms/kronecker.hpp"
 #include "transforms/sv_microkernel.hpp"
+#include "test_engines.hpp"
 
 namespace qs::transforms {
 namespace {
 
 constexpr double kTol = 1e-14;
-
-const std::initializer_list<parallel::Backend> kBackends = {
-    parallel::Backend::serial, parallel::Backend::openmp,
-    parallel::Backend::thread_pool};
 
 // Panel widths covering every microkernel regime: scalar (1), below SIMD
 // width (2, 3), exactly SIMD width (4), SIMD width + tail (5), two SIMD
@@ -138,13 +135,13 @@ TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
                                           col_pre, col_post,
                                           parallel::serial_engine(), plan);
           }
-          for (parallel::Backend kind : kBackends) {
+          for (parallel::TestEngine kind : parallel::kTestEngines) {
             SCOPED_TRACE(::testing::Message()
                          << "nu=" << nu << " m=" << m << " scaling="
                          << static_cast<int>(scaling) << " tier="
                          << to_string(tier) << " backend="
                          << static_cast<int>(kind));
-            const auto engine = parallel::make_engine(kind);
+            const auto engine = parallel::make_test_engine(kind);
             std::vector<double> out(n * m);
             apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre,
                                                 post, *engine, plan);
@@ -221,8 +218,8 @@ TEST(PanelButterfly, FusedBroadcastScalingsMatchSingleVectorFused) {
       apply_blocked_butterfly_fused(x, reference[j], factors, pre, post,
                                     parallel::serial_engine());
     }
-    for (parallel::Backend kind : kBackends) {
-      const auto engine = parallel::make_engine(kind);
+    for (parallel::TestEngine kind : parallel::kTestEngines) {
+      const auto engine = parallel::make_test_engine(kind);
       std::vector<double> out(n * m);
       apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre, post,
                                           *engine);
@@ -260,8 +257,8 @@ TEST(PanelButterfly, PerColumnScalingsGiveEachColumnItsOwnDiagonal) {
       apply_blocked_butterfly_fused(x, reference[j], factors, pre, post,
                                     parallel::serial_engine());
     }
-    for (parallel::Backend kind : kBackends) {
-      const auto engine = parallel::make_engine(kind);
+    for (parallel::TestEngine kind : parallel::kTestEngines) {
+      const auto engine = parallel::make_test_engine(kind);
       std::vector<double> out = panel;
       apply_blocked_panel_butterfly_fused(out, out, m, factors, pre_panel,
                                           post_panel, *engine);
@@ -399,8 +396,8 @@ TEST(PanelWide, WideFusedMatchesEightColumnBlocksBitwise) {
       }
     }
 
-    for (parallel::Backend kind : kBackends) {
-      const auto engine = parallel::make_engine(kind);
+    for (parallel::TestEngine kind : parallel::kTestEngines) {
+      const auto engine = parallel::make_test_engine(kind);
       std::vector<double> out(n * m);
       apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre, post,
                                           *engine, BlockedPlan{});
@@ -439,8 +436,8 @@ TEST(PanelWide, OperatorPanelRoutesWideWidthsThroughWidePath) {
   const auto model = core::MutationModel::uniform(nu, 0.01);
   const auto landscape = core::Landscape::random(nu, 5.0, 1.0, 37);
   constexpr std::size_t kColBlock = 8;
-  for (parallel::Backend kind : kBackends) {
-    const auto engine = parallel::make_engine(kind);
+  for (parallel::TestEngine kind : parallel::kTestEngines) {
+    const auto engine = parallel::make_test_engine(kind);
     const core::FmmpOperator op(model, landscape, core::Formulation::right,
                                 engine.get());
     for (std::size_t m : {16ul, 32ul}) {
@@ -516,8 +513,8 @@ TEST(BlockedKronecker, MatchesSerialReferenceAcrossGroupShapes) {
         pack_panel_column(reference[j], panel, m, j);
         apply_kronecker(reference[j], kp);
       }
-      for (parallel::Backend kind : kBackends) {
-        const auto engine = parallel::make_engine(kind);
+      for (parallel::TestEngine kind : parallel::kTestEngines) {
+        const auto engine = parallel::make_test_engine(kind);
         for (const BlockedPlan plan :
              {BlockedPlan{}, BlockedPlan{4, 2}, BlockedPlan{7, 3}}) {
           std::vector<double> work = panel;
@@ -547,8 +544,8 @@ TEST(BlockedKronecker, GroupedMutationModelEnginePathsMatchSerial) {
   std::vector<double> v = input;
   model.apply(v);
   ASSERT_EQ(reference, v);
-  for (parallel::Backend kind : kBackends) {
-    const auto engine = parallel::make_engine(kind);
+  for (parallel::TestEngine kind : parallel::kTestEngines) {
+    const auto engine = parallel::make_test_engine(kind);
     v = input;
     model.apply(v, *engine);
     ASSERT_EQ(reference, v);
@@ -575,8 +572,8 @@ TEST(PanelFmmp, MutationModelPanelMatchesPerColumnApply) {
         pack_panel_column(reference[j], panel, m, j);
         model.apply(reference[j]);
       }
-      for (parallel::Backend kind : kBackends) {
-        const auto engine = parallel::make_engine(kind);
+      for (parallel::TestEngine kind : parallel::kTestEngines) {
+        const auto engine = parallel::make_test_engine(kind);
         std::vector<double> work = panel;
         model.apply_panel(work, m, *engine);
         std::vector<double> column(n);
@@ -602,8 +599,8 @@ TEST(PanelFmmp, OperatorPanelMatchesPerColumnApplyAllFormulations) {
          {core::Formulation::right, core::Formulation::symmetric,
           core::Formulation::left}) {
       if (form == core::Formulation::symmetric && !model.symmetric()) continue;
-      for (parallel::Backend kind : kBackends) {
-        const auto engine = parallel::make_engine(kind);
+      for (parallel::TestEngine kind : parallel::kTestEngines) {
+        const auto engine = parallel::make_test_engine(kind);
         const core::FmmpOperator op(model, landscape, form, engine.get());
         const std::size_t m = 4;
         std::vector<double> panel(n * m), reference(n), x(n);

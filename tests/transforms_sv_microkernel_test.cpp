@@ -26,6 +26,7 @@
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
 #include "transforms/butterfly.hpp"
+#include "test_engines.hpp"
 
 namespace qs::transforms {
 namespace {
@@ -245,9 +246,6 @@ TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
   // The whole banded apply — every tier, every fused radix, every backend —
   // against Algorithm 1.  This is the acceptance criterion of the
   // microkernel layer: identical per-element math whatever the banding.
-  const std::initializer_list<parallel::Backend> backends = {
-      parallel::Backend::serial, parallel::Backend::openmp,
-      parallel::Backend::thread_pool};
   const SvKernel tiers[] = {SvKernel::automatic, SvKernel::scalar, SvKernel::avx2,
                             SvKernel::avx512};
   for (unsigned nu :
@@ -259,8 +257,8 @@ TEST(SvMicrokernel, BlockedApplyBitIdenticalAcrossTiersBackendsAndNu) {
     std::vector<double> reference = x;
     apply_butterfly(reference, factors);
 
-    for (parallel::Backend kind : backends) {
-      const auto engine = parallel::make_engine(kind);
+    for (parallel::TestEngine kind : parallel::kTestEngines) {
+      const auto engine = parallel::make_test_engine(kind);
       for (SvKernel tier : tiers) {
         for (unsigned radix : {2u, 4u, 8u}) {
           BlockedPlan plan;

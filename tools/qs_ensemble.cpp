@@ -35,7 +35,7 @@ void print_usage() {
       "                     half is time-averaged unless --window is given)\n"
       "  --window W         explicit time-averaging window\n"
       "  --process KIND     wright-fisher (default) or moran\n"
-      "  --backend KIND     serial (default), openmp, or thread-pool\n"
+      "  --backend KIND     serial (default) or thread-pool\n"
       "  --panel-width M    columns per interleaved panel (default 8)\n"
       "  --sequential       per-replica single-vector products (reference\n"
       "                     path; the default is the batched panel path)\n"
@@ -184,9 +184,7 @@ int main(int argc, char** argv) {
 
     const std::string backend_name = args.get("backend", "serial");
     qs::parallel::Backend backend = qs::parallel::Backend::serial;
-    if (backend_name == "openmp") {
-      backend = qs::parallel::Backend::openmp;
-    } else if (backend_name == "thread-pool") {
+    if (backend_name == "thread-pool") {
       backend = qs::parallel::Backend::thread_pool;
     } else if (backend_name != "serial") {
       throw CliError{"unknown backend '" + backend_name + "'"};

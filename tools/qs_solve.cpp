@@ -56,7 +56,7 @@ void print_usage() {
       "                      socketpairs — real per-rank address spaces)\n"
       "  --tolerance T       relative residual target (default 1e-13)\n"
       "  --no-shift          disable the convergence-acceleration shift\n"
-      "  --parallel          use the OpenMP engine\n"
+      "  --parallel          use the thread-pool engine\n"
       "  --block-size K      compute the K leading eigenpairs by block\n"
       "                      subspace iteration on the banded *panel* kernel\n"
       "                      (one memory sweep advances all K vectors; the\n"

@@ -1,7 +1,6 @@
 #include "core/spectral.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "support/contracts.hpp"
 #include "transforms/fwht.hpp"
@@ -24,20 +23,6 @@ void apply_q_spectral(const MutationModel& model, std::span<double> v) {
   const double inv_n = 1.0 / static_cast<double>(v.size());
   for (seq_t w = 0; w < v.size(); ++w) {
     v[w] *= model.walsh_eigenvalue(w) * inv_n;
-  }
-  transforms::fwht(v);
-}
-
-void apply_q_shift_invert(const MutationModel& model, double mu, std::span<double> v) {
-  require_hadamard_diagonalisable(model);
-  require(v.size() == model.dimension(), "apply_q_shift_invert: dimension mismatch");
-  transforms::fwht(v);
-  const double inv_n = 1.0 / static_cast<double>(v.size());
-  for (seq_t w = 0; w < v.size(); ++w) {
-    const double denom = model.walsh_eigenvalue(w) - mu;
-    require(std::abs(denom) >= 1e-300,
-            "apply_q_shift_invert: shift mu coincides with an eigenvalue of Q");
-    v[w] *= inv_n / denom;
   }
   transforms::fwht(v);
 }

@@ -6,7 +6,8 @@
 //   * an alternative exact product Q v via two FWHTs (cross-validates Fmmp),
 //   * the Theta(N log2 N) shift-and-invert product
 //       (Q - mu I)^{-1} v = V (Lambda - mu I)^{-1} V v
-//     that the paper proposes as the building block of inverse iteration,
+//     that the paper proposes as the building block of inverse iteration
+//     (an oracle now: reference/shift_invert.hpp),
 //   * the conservative power-iteration shift mu = (1-2p)^nu * f_min derived
 //     from ||Q^{-1}||_1 = (1-2p)^{-nu} (Section 3).
 #pragma once
@@ -21,12 +22,6 @@ namespace qs::core {
 /// v <- Q v via the eigendecomposition (two FWHTs and a diagonal scaling).
 /// Requires a symmetric 2x2-factor model and v.size() == model.dimension().
 void apply_q_spectral(const MutationModel& model, std::span<double> v);
-
-/// v <- (Q - mu I)^{-1} v via the eigendecomposition. Requires a symmetric
-/// 2x2-factor model and mu bounded away from every eigenvalue of Q
-/// (|lambda_w - mu| >= 1e-300 for all w); the smallest eigenvalue is
-/// prod_k (1 - 2 p_k), so any mu strictly below it is always safe.
-void apply_q_shift_invert(const MutationModel& model, double mu, std::span<double> v);
 
 /// Smallest eigenvalue of Q: prod_k (1 - 2 p_k) = (1-2p)^nu for the uniform
 /// model. Requires a symmetric 2x2-factor model.

@@ -47,18 +47,10 @@ class Workspace {
   /// index — slots are created on demand.
   enum Slot : std::size_t {
     product = 0,    ///< y = W x in the single-vector loops.
-    recurrence = 1, ///< Krylov recurrence vector (w in Lanczos/Arnoldi).
-    rhs = 2,        ///< Shift-invert right-hand side.
+    recurrence = 1, ///< Krylov recurrence vector (w in Arnoldi).
     scratch = 3,    ///< Generic second temporary.
     panel = 4,      ///< Interleaved n x m panel (block power).
     panel_image = 5,///< Its image under W.
-    krylov0 = 6,    ///< Inner Krylov solver temporaries (CG: r z p Ap;
-    krylov1 = 7,    ///< MINRES: the Lanczos/update vectors).  Distinct from
-    krylov2 = 8,    ///< the outer-loop slots so an inner solve never
-    krylov3 = 9,    ///< invalidates the outer iterate's buffers.
-    krylov4 = 10,
-    krylov5 = 11,
-    krylov6 = 12,
     family_scaling = 13,  ///< A landscape family's interleaved F_j panel.
     family_iterate = 14   ///< Its interleaved iterate panel.
   };

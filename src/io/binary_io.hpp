@@ -46,10 +46,10 @@ core::Landscape load_landscape(const std::filesystem::path& path);
 enum class SolverKind : std::uint32_t {
   unspecified = 0,  ///< Pre-v3 files and the plain power iteration.
   power = 0,        ///< Alias: the power iteration is the v2 default.
-  lanczos = 1,
   arnoldi = 2,
   block_power = 3,
-  shift_invert = 4,
+  // 1 and 4 were retired solvers' kinds; a file that carries them (or any
+  // other value) loads, and every resume refuses it.
 };
 
 /// The power iteration's shift schedule (solvers::run_power_loop): which
@@ -76,10 +76,10 @@ struct ShiftScheduleState {
 /// The solver-specific fields (format v3):
 ///   * solver_kind identifies the writing solver (v2 files load as
 ///     `unspecified`, which the power iteration accepts);
-///   * matvec_count restores cumulative operator-product statistics for the
-///     restarted Krylov solvers;
-///   * aux carries one solver-specific scalar: the current shift mu for the
-///     shift-invert outer iteration, the panel width m for block power;
+///   * matvec_count restores the restarted Arnoldi solver's cumulative
+///     operator-product count;
+///   * aux carries one solver-specific scalar: the panel width m for block
+///     power;
 ///   * schedule (format v4) is the power iteration's shift schedule; v2
 ///     and v3 files load with the cold-start state.
 /// For block power the `eigenvector` payload holds the full interleaved

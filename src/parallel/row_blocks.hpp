@@ -11,7 +11,7 @@
 // sums bit for bit, on every engine — the argument that makes distributed
 // ranks exact.  One block — one lane, a row count that is not a power of
 // two, or blocks below kMinFanOutDoubles — runs inline on the calling
-// thread.  The power loop, block power and the shift-invert solvers form
+// thread.  The power loop, block power and the shift-invert oracles form
 // every parallel sum here.
 #pragma once
 

@@ -1,7 +1,7 @@
 // Block power (subspace) iteration with Rayleigh-Ritz extraction.
 //
-// The deflated power iteration of solvers/deflation computes eigenpairs one
-// at a time: each additional pair costs a full new power-iteration run, and
+// The deflated power iteration (reference/deflation, an oracle) computes
+// eigenpairs one at a time: each additional pair costs a full new power-iteration run, and
 // every product streams one vector through the banded Fmmp kernel.  Block
 // subspace iteration advances an m-column panel X through Y = W X instead —
 // one banded *panel* product (core/fmmp.hpp apply_panel) amortises the

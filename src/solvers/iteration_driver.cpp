@@ -14,15 +14,16 @@
 namespace qs::solvers {
 namespace {
 
-const char* kind_name(io::SolverKind kind) {
+/// A checkpoint's kind field comes from a file, so it may hold a retired
+/// solver's number or garbage: those are named by their number.
+std::string kind_name(io::SolverKind kind) {
   switch (kind) {
     case io::SolverKind::unspecified: return "power";
-    case io::SolverKind::lanczos: return "lanczos";
     case io::SolverKind::arnoldi: return "arnoldi";
     case io::SolverKind::block_power: return "block_power";
-    case io::SolverKind::shift_invert: return "shift_invert";
   }
-  return "unknown";
+  return "retired or unknown kind " +
+         std::to_string(static_cast<std::uint32_t>(kind));
 }
 
 }  // namespace

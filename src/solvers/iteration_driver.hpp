@@ -1,11 +1,10 @@
 // Shared iteration scaffolding for every eigensolver in the library.
 //
-// All five eigensolvers (power, block power, Lanczos, Arnoldi, shift-invert
-// RQI) are "apply W, update, check residual" loops; before this layer only
-// the power iteration carried the full resilience kit (checkpoint/resume,
-// stall windows, NaN/Inf health guards, fault-injection seams) while the
-// others had partial copy-pasted guard code.  IterationDriver hoists that
-// scaffolding into exactly one place:
+// The three production eigensolvers (power, block power, Arnoldi) are
+// "apply W, update, check residual" loops that share one resilience kit
+// (checkpoint/resume, stall windows, NaN/Inf health guards,
+// fault-injection seams).  IterationDriver holds that scaffolding in
+// exactly one place:
 //
 //   * IterationOptions — the shared tuning block (tolerance, iteration cap,
 //     residual cadence, stall window, engine, checkpointing, hooks) that
@@ -46,17 +45,17 @@ namespace qs::solvers {
 /// Tuning knobs shared by every iterative eigensolver.  Solver-specific
 /// option structs derive from this block, so the same checkpoint/stall/
 /// health configuration drives all of them.  The defaults match the power
-/// iteration; the Krylov solvers adjust tolerance and disable the stall
-/// window in their constructors (their per-cycle residuals drop fast enough
-/// that the window would only fire on genuinely hopeless runs).
+/// iteration; Arnoldi adjusts tolerance and disables the stall window in
+/// its constructor (its per-cycle residuals drop fast enough that the
+/// window would only fire on genuinely hopeless runs).
 struct IterationOptions {
   /// Convergence threshold on the solver's relative residual.
   double tolerance = 1e-13;
 
   /// Iteration cap; exceeding it returns converged = false.  On a resumed
   /// run the cap counts total iterations including the checkpointed ones.
-  /// The restarted Krylov solvers count restart cycles against their own
-  /// `max_restarts` instead and ignore this field.
+  /// Arnoldi counts restart cycles against its own `max_restarts` instead
+  /// and ignores this field.
   unsigned max_iterations = 1000000;
 
   /// Compute the residual only every k-th iteration (ablation knob; for the
@@ -167,7 +166,7 @@ struct IterationTrace {
   double eigenvalue = 0.0;
   double residual = 0.0;
   std::uint64_t matvec_count = 0;   ///< Operator products already performed.
-  double aux = 0.0;                 ///< Solver-specific scalar (shift, width).
+  double aux = 0.0;                 ///< Solver-specific scalar (block width).
   io::ShiftScheduleState schedule;  ///< The power iteration's shift schedule.
 };
 

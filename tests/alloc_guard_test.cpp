@@ -27,7 +27,6 @@
 #include "parallel/engine.hpp"
 #include "parallel/thread_pool_backend.hpp"
 #include "solvers/arnoldi.hpp"
-#include "solvers/lanczos.hpp"
 #include "solvers/power_iteration.hpp"
 #include "support/alloc_counter.hpp"
 #include "alloc_hooks.hpp"
@@ -279,31 +278,12 @@ TEST(AllocGuardTest, FamilySolveMapsItsPanels) {
 #endif
 }
 
-// The Krylov cycle bodies DO allocate (the small dense Ritz eigensolve per
+// The Arnoldi cycle body DOES allocate (the small dense Ritz eigensolve per
 // cycle), but the per-cycle count must be constant in steady state — and,
 // critically for the observability layer, identical whether span tracing is
 // runtime-enabled or not.  Sampling happens in the on_residual hook (called
 // once per cycle), writing into a preallocated buffer.
 constexpr unsigned kKrylovCycles = 8;
-
-std::vector<std::uint64_t> lanczos_cycle_samples(bool tracing_on) {
-  obs::set_enabled(tracing_on && obs::compiled_in());
-  const auto model = core::MutationModel::uniform(8, 0.01);
-  const auto fitness = core::Landscape::random(8, 5.0, 1.0, 11);
-  solvers::LanczosOptions options;
-  options.tolerance = 0.0;  // never converge: run all cycles
-  options.max_restarts = kKrylovCycles - 1;
-  options.basis_size = 6;
-  std::vector<std::uint64_t> samples(kKrylovCycles + 2, 0);
-  options.on_residual = [&samples](unsigned it, double) {
-    if (it < samples.size()) samples[it] = support::allocation_count();
-  };
-  const auto result = solvers::lanczos_dominant_w(model, fitness, {}, options);
-  obs::set_enabled(false);
-  EXPECT_EQ(result.failure, solvers::SolverFailure::none);
-  EXPECT_EQ(result.restarts, kKrylovCycles - 1);
-  return samples;
-}
 
 std::vector<std::uint64_t> arnoldi_cycle_samples(bool tracing_on) {
   obs::set_enabled(tracing_on && obs::compiled_in());
@@ -334,15 +314,6 @@ std::uint64_t steady_delta(const std::vector<std::uint64_t>& samples) {
         << "allocation count changed at cycle " << it;
   }
   return delta;
-}
-
-TEST(AllocGuardTest, LanczosCycleBodyIsAllocationFlatWithTracingOnAndOff) {
-  const auto off = lanczos_cycle_samples(false);
-  const auto on = lanczos_cycle_samples(true);
-  const std::uint64_t delta_off = steady_delta(off);
-  const std::uint64_t delta_on = steady_delta(on);
-  EXPECT_EQ(delta_on, delta_off)
-      << "span instrumentation changed the Lanczos cycle's allocation count";
 }
 
 TEST(AllocGuardTest, ArnoldiCycleBodyIsAllocationFlatWithTracingOnAndOff) {

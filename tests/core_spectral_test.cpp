@@ -11,6 +11,7 @@
 #include "core/site_process.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "reference/explicit_q.hpp"
+#include "reference/shift_invert.hpp"
 #include "support/binomial.hpp"
 #include "support/contracts.hpp"
 #include "support/rng.hpp"
@@ -136,12 +137,18 @@ TEST(Spectral, RejectsUnsupportedModels) {
   std::vector<double> v(4, 1.0);
   EXPECT_THROW(apply_q_spectral(grouped, v), precondition_error);
   EXPECT_THROW(q_min_eigenvalue(grouped), precondition_error);
+  EXPECT_THROW(apply_q_shift_invert(grouped, 0.0, v), precondition_error);
 
   const auto asym = MutationModel::per_site(
       {transforms::Factor2::asymmetric(0.3, 0.1),
        transforms::Factor2::asymmetric(0.1, 0.1)});
   std::vector<double> v4(4, 1.0);
   EXPECT_THROW(apply_q_spectral(asym, v4), precondition_error);
+  EXPECT_THROW(apply_q_shift_invert(asym, 0.0, v4), precondition_error);
+
+  const auto model = MutationModel::uniform(2, 0.1);
+  std::vector<double> wrong(8, 1.0);
+  EXPECT_THROW(apply_q_shift_invert(model, 0.0, wrong), precondition_error);
 }
 
 }  // namespace

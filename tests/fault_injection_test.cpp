@@ -16,12 +16,11 @@
 #include "parallel/engine.hpp"
 #include "parallel/row_blocks.hpp"
 #include "parallel/thread_pool_backend.hpp"
+#include "reference/shift_invert.hpp"
 #include "test_engines.hpp"
 #include "solvers/arnoldi.hpp"
-#include "solvers/lanczos.hpp"
 #include "solvers/power_iteration.hpp"
 #include "solvers/quasispecies_solver.hpp"
-#include "solvers/shift_invert.hpp"
 
 namespace qs {
 namespace {
@@ -106,16 +105,6 @@ TEST(FaultInjection, ThrowInAPowerLoopBlockPassSurfacesAndTheEngineSurvives) {
   EXPECT_EQ(after.eigenvector, serial.eigenvector);
 }
 
-TEST(FaultInjection, LanczosDetectsNonFiniteState) {
-  const auto model = test_model();
-  const auto landscape = test_landscape();
-  const auto r = solvers::lanczos_dominant_w(
-      model, landscape, nan_start(landscape.dimension()));
-  EXPECT_EQ(r.failure, solvers::SolverFailure::non_finite);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.restarts, 0u);  // caught inside the very first cycle
-}
-
 TEST(FaultInjection, ArnoldiDetectsNonFiniteState) {
   const auto model = test_model();
   const auto landscape = test_landscape();
@@ -134,6 +123,19 @@ TEST(FaultInjection, RayleighQuotientIterationDetectsNonFiniteState) {
   EXPECT_EQ(r.failure, solvers::SolverFailure::non_finite);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.outer_iterations, 0u);  // caught before the outer loop starts
+}
+
+TEST(FaultInjection, InverseIterationDetectsNonFiniteState) {
+  // The shift-invert oracles keep their NaN guards: a poisoned start is
+  // refused with a structured failure, not a normalisation precondition.
+  const auto model = test_model();
+  const auto landscape = test_landscape();
+  const auto r = solvers::inverse_iteration_w(
+      model, landscape, /*mu=*/2.5, nan_start(landscape.dimension()));
+  EXPECT_EQ(r.failure, solvers::SolverFailure::non_finite);
+  EXPECT_FALSE(r.converged);
+  EXPECT_EQ(r.outer_iterations, 0u);
+  EXPECT_EQ(r.products, 0u);
 }
 
 // ---------------------------------------------------------------------------

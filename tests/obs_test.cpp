@@ -153,7 +153,7 @@ TEST_F(ObsTest, ResetClearsRingsAndCounters) {
 TEST_F(ObsTest, MetricsSnapshotCarriesInfoValuesAndResiduals) {
   auto& m = metrics();
   m.set_info("solver", "power");
-  m.set_info("solver", "lanczos");  // overwrite, not append
+  m.set_info("solver", "arnoldi");  // overwrite, not append
   m.set_value("nu", 18.0);
   m.record_residual(0.5);
   m.record_residual(0.25);
@@ -161,7 +161,7 @@ TEST_F(ObsTest, MetricsSnapshotCarriesInfoValuesAndResiduals) {
   const MetricsSnapshot snap = m.snapshot();
   ASSERT_EQ(snap.info.size(), 1u);
   EXPECT_EQ(snap.info.front().first, "solver");
-  EXPECT_EQ(snap.info.front().second, "lanczos");
+  EXPECT_EQ(snap.info.front().second, "arnoldi");
   ASSERT_EQ(snap.values.size(), 1u);
   EXPECT_EQ(snap.values.front().second, 18.0);
   EXPECT_EQ(snap.residual_count, 2u);

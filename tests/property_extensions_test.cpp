@@ -8,10 +8,10 @@
 #include "core/fmmp.hpp"
 #include "distributed/distributed_solver.hpp"
 #include "linalg/jacobi_eigen.hpp"
-#include "linalg/krylov.hpp"
 #include "linalg/vector_ops.hpp"
 #include "lockstep_apply.hpp"
 #include "reference/explicit_q.hpp"
+#include "reference/krylov.hpp"
 #include "rna/alphabet.hpp"
 #include "rna/rna_model.hpp"
 #include "stochastic/sampling.hpp"

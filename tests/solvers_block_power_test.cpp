@@ -15,7 +15,7 @@
 #include "core/mutation_model.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "parallel/engine.hpp"
-#include "solvers/deflation.hpp"
+#include "reference/deflation.hpp"
 #include "solvers/quasispecies_solver.hpp"
 #include "transforms/plan_autotune.hpp"
 #include "test_engines.hpp"

@@ -1,5 +1,5 @@
 // Unit tests for the spectral-gap / deflated power iteration diagnostics.
-#include "solvers/deflation.hpp"
+#include "reference/deflation.hpp"
 
 #include <gtest/gtest.h>
 

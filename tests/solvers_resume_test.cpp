@@ -1,30 +1,37 @@
-// Bitwise checkpoint/resume trajectories for the Krylov and block solvers.
+// Bitwise checkpoint/resume trajectories for the Arnoldi and block solvers,
+// and the refusal of checkpoints no surviving solver wrote, of block panels
+// of another width and of poisoned panels.
 //
 // The iteration-driver contract (solvers/iteration_driver.hpp): a resumed
 // run takes the checkpointed iterate verbatim, restores the stall-window
 // accounting, and therefore reproduces the uninterrupted run's residual
 // trajectory bit for bit on the serial backend.  resilience_test.cpp proves
 // this for the power iteration through on-disk checkpoints; these tests
-// prove it for Lanczos, Arnoldi, shift-invert, and block power through the
-// in-memory checkpoint_sink seam: run an uninterrupted reference capturing
-// every periodic checkpoint, resume from a mid-flight one, and compare every
+// prove it for Arnoldi and block power through the in-memory
+// checkpoint_sink seam: run an uninterrupted reference capturing every
+// periodic checkpoint, resume from a mid-flight one, and compare every
 // subsequent residual observation with EXPECT_EQ — no tolerance.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <filesystem>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/fmmp.hpp"
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
+#include "distributed/distributed_solver.hpp"
 #include "io/binary_io.hpp"
 #include "solvers/arnoldi.hpp"
 #include "solvers/block_power.hpp"
-#include "solvers/lanczos.hpp"
-#include "solvers/shift_invert.hpp"
+#include "solvers/power_iteration.hpp"
+#include "solvers/quasispecies_solver.hpp"
 #include "support/contracts.hpp"
 
 namespace qs::solvers {
@@ -53,58 +60,6 @@ const io::SolverCheckpoint& checkpoint_at(
     if (ck.iteration == iteration) return ck;
   }
   throw std::logic_error("no checkpoint captured at the requested iteration");
-}
-
-TEST(SolversResumeTest, LanczosResumeReproducesTheTrajectoryBitForBit) {
-  const auto model = test_model();
-  const auto fitness = test_landscape();
-
-  // tolerance = 0 never converges, so the reference runs all 8 cycles and
-  // the trajectory has a tail to compare.
-  LanczosOptions options;
-  options.tolerance = 0.0;
-  options.basis_size = 4;
-  options.max_restarts = 8;
-  options.checkpoint_every = 2;
-
-  std::vector<io::SolverCheckpoint> checkpoints;
-  options.checkpoint_sink = [&](const io::SolverCheckpoint& ck) {
-    checkpoints.push_back(ck);
-  };
-  ResidualTrace reference_trace;
-  options.on_residual = [&](unsigned it, double res) { reference_trace[it] = res; };
-
-  // The cycle loop is inclusive of max_restarts, so the reference performs
-  // max_restarts + 1 driver iterations.
-  const LanczosResult reference = lanczos_dominant_w(model, fitness, {}, options);
-  ASSERT_EQ(reference.iterations, 9u);
-  ASSERT_EQ(reference.failure, SolverFailure::none);
-  ASSERT_EQ(checkpoints.size(), 4u);  // cycles 2, 4, 6, 8
-
-  const io::SolverCheckpoint& mid = checkpoint_at(checkpoints, 4);
-  EXPECT_EQ(mid.solver_kind, io::SolverKind::lanczos);
-
-  LanczosOptions resume_options;
-  resume_options.tolerance = 0.0;
-  resume_options.basis_size = 4;
-  resume_options.max_restarts = 8;
-  ResidualTrace resumed_trace;
-  resume_options.on_residual = [&](unsigned it, double res) {
-    resumed_trace[it] = res;
-  };
-
-  const LanczosResult resumed =
-      resume_lanczos_dominant_w(model, fitness, mid, resume_options);
-
-  EXPECT_EQ(resumed_trace, tail_after(reference_trace, 4));
-  EXPECT_EQ(resumed.iterations, reference.iterations);
-  EXPECT_EQ(resumed.matvec_count, reference.matvec_count);
-  EXPECT_EQ(resumed.eigenvalue, reference.eigenvalue);
-  EXPECT_EQ(resumed.residual, reference.residual);
-  ASSERT_EQ(resumed.concentrations.size(), reference.concentrations.size());
-  for (std::size_t i = 0; i < reference.concentrations.size(); ++i) {
-    ASSERT_EQ(resumed.concentrations[i], reference.concentrations[i]) << i;
-  }
 }
 
 TEST(SolversResumeTest, ArnoldiResumeReproducesTheTrajectoryBitForBit) {
@@ -149,94 +104,7 @@ TEST(SolversResumeTest, ArnoldiResumeReproducesTheTrajectoryBitForBit) {
   EXPECT_EQ(resumed.matvec_count, reference.matvec_count);
   EXPECT_EQ(resumed.eigenvalue, reference.eigenvalue);
   EXPECT_EQ(resumed.residual, reference.residual);
-}
-
-TEST(SolversResumeTest, InverseIterationResumeReproducesTheTrajectoryBitForBit) {
-  const auto model = test_model();
-  const auto fitness = test_landscape();
-
-  // mu = 0 targets the smallest eigenpair through plain CG; the fixed shift
-  // is restored from the checkpoint's aux field on resume.
-  ShiftInvertOptions options;
-  options.tolerance = 0.0;
-  options.max_outer_iterations = 8;
-  options.checkpoint_every = 3;
-
-  std::vector<io::SolverCheckpoint> checkpoints;
-  options.checkpoint_sink = [&](const io::SolverCheckpoint& ck) {
-    checkpoints.push_back(ck);
-  };
-  ResidualTrace reference_trace;
-  options.on_residual = [&](unsigned it, double res) { reference_trace[it] = res; };
-
-  const WEigenResult reference =
-      inverse_iteration_w(model, fitness, /*mu=*/0.0, {}, options);
-  ASSERT_EQ(reference.failure, SolverFailure::none);
-  ASSERT_GE(reference.outer_iterations, 6u);
-
-  const io::SolverCheckpoint& mid = checkpoint_at(checkpoints, 3);
-  EXPECT_EQ(mid.solver_kind, io::SolverKind::shift_invert);
-  EXPECT_EQ(mid.aux, 0.0);  // the fixed shift rides in aux
-
-  ShiftInvertOptions resume_options;
-  resume_options.tolerance = 0.0;
-  resume_options.max_outer_iterations = 8;
-  ResidualTrace resumed_trace;
-  resume_options.on_residual = [&](unsigned it, double res) {
-    resumed_trace[it] = res;
-  };
-
-  const WEigenResult resumed =
-      resume_inverse_iteration_w(model, fitness, mid, resume_options);
-
-  EXPECT_EQ(resumed_trace, tail_after(reference_trace, 3));
-  EXPECT_EQ(resumed.outer_iterations, reference.outer_iterations);
-  EXPECT_EQ(resumed.inner_iterations_total, reference.inner_iterations_total);
-  EXPECT_EQ(resumed.eigenvalue, reference.eigenvalue);
-  EXPECT_EQ(resumed.residual, reference.residual);
-}
-
-TEST(SolversResumeTest, RayleighQuotientResumeReproducesTheTrajectoryBitForBit) {
-  const auto model = test_model();
-  const auto fitness = test_landscape();
-
-  ShiftInvertOptions options;
-  options.tolerance = 0.0;
-  options.max_outer_iterations = 6;
-  options.checkpoint_every = 2;
-
-  std::vector<io::SolverCheckpoint> checkpoints;
-  options.checkpoint_sink = [&](const io::SolverCheckpoint& ck) {
-    checkpoints.push_back(ck);
-  };
-  ResidualTrace reference_trace;
-  options.on_residual = [&](unsigned it, double res) { reference_trace[it] = res; };
-
-  const WEigenResult reference =
-      rayleigh_quotient_iteration_w(model, fitness, {}, options);
-  ASSERT_EQ(reference.failure, SolverFailure::none);
-
-  const io::SolverCheckpoint& mid = checkpoint_at(checkpoints, 2);
-  EXPECT_EQ(mid.solver_kind, io::SolverKind::shift_invert);
-
-  ShiftInvertOptions resume_options;
-  resume_options.tolerance = 0.0;
-  resume_options.max_outer_iterations = 6;
-  ResidualTrace resumed_trace;
-  resume_options.on_residual = [&](unsigned it, double res) {
-    resumed_trace[it] = res;
-  };
-
-  // The resume skips the power warm-up: the checkpoint's aux holds the next
-  // Rayleigh shift, and the cold run updates the shift every step too.
-  const WEigenResult resumed =
-      resume_rayleigh_quotient_iteration_w(model, fitness, mid, resume_options);
-
-  EXPECT_EQ(resumed_trace, tail_after(reference_trace, 2));
-  EXPECT_EQ(resumed.outer_iterations, reference.outer_iterations);
-  EXPECT_EQ(resumed.inner_iterations_total, reference.inner_iterations_total);
-  EXPECT_EQ(resumed.eigenvalue, reference.eigenvalue);
-  EXPECT_EQ(resumed.residual, reference.residual);
+  EXPECT_EQ(resumed.concentrations, reference.concentrations);
 }
 
 TEST(SolversResumeTest, BlockPowerResumeReproducesTheTrajectoryBitForBit) {
@@ -293,11 +161,89 @@ TEST(SolversResumeTest, BlockPowerResumeReproducesTheTrajectoryBitForBit) {
   }
 }
 
+// A block checkpoint carries the whole n x m panel and its width m in aux;
+// a panel of another size or width must be refused, not reinterpreted.
+TEST(SolversResumeTest, BlockResumeRefusesAPanelOfAnotherWidth) {
+  const auto model = test_model();
+  const auto fitness = test_landscape();
+
+  BlockPowerOptions options;
+  options.tolerance = 0.0;
+  options.k = 2;
+  options.block = 4;
+  options.max_iterations = 4;
+  options.checkpoint_every = 4;
+  std::vector<io::SolverCheckpoint> checkpoints;
+  options.checkpoint_sink = [&](const io::SolverCheckpoint& ck) {
+    checkpoints.push_back(ck);
+  };
+  top_k_spectrum(model, fitness, options);
+  ASSERT_EQ(checkpoints.size(), 1u);
+  const io::SolverCheckpoint& ck = checkpoints.front();
+
+  BlockPowerOptions narrower;
+  narrower.k = 2;
+  narrower.block = 2;
+  try {
+    resume_top_k_spectrum(model, fitness, ck, narrower);
+    FAIL() << "a 4-wide panel resumed at width 2";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("does not match n x m"), std::string::npos)
+        << e.what();
+  }
+
+  // The right number of doubles under the wrong recorded width.
+  io::SolverCheckpoint relabelled = ck;
+  relabelled.aux = 8.0;
+  relabelled.eigenvector.resize(model.dimension() * 4);
+  BlockPowerOptions same;
+  same.k = 2;
+  same.block = 4;
+  try {
+    resume_top_k_spectrum(model, fitness, relabelled, same);
+    FAIL() << "a panel recorded as 8 wide resumed at width 4";
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find("panel width does not match"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SolversResumeTest, PoisonedBlockPanelIsRefusedWithAStructuredFailure) {
+  const auto model = test_model();
+  const auto fitness = test_landscape();
+
+  BlockPowerOptions options;
+  options.tolerance = 0.0;
+  options.k = 2;
+  options.block = 4;
+  options.max_iterations = 4;
+  options.checkpoint_every = 4;
+  std::vector<io::SolverCheckpoint> checkpoints;
+  options.checkpoint_sink = [&](const io::SolverCheckpoint& ck) {
+    checkpoints.push_back(ck);
+  };
+  top_k_spectrum(model, fitness, options);
+  ASSERT_EQ(checkpoints.size(), 1u);
+
+  io::SolverCheckpoint poisoned = checkpoints.front();
+  poisoned.eigenvector[5] = std::numeric_limits<double>::infinity();
+
+  BlockPowerOptions resume_options;
+  resume_options.k = 2;
+  resume_options.block = 4;
+  const BlockPowerResult resumed =
+      resume_top_k_spectrum(model, fitness, poisoned, resume_options);
+  EXPECT_EQ(resumed.failure, SolverFailure::non_finite);
+  EXPECT_FALSE(resumed.converged);
+  EXPECT_EQ(resumed.iterations, 4u);  // refused before any further product
+}
+
 TEST(SolversResumeTest, ResumeRefusesACheckpointFromADifferentSolver) {
   const auto model = test_model();
   const auto fitness = test_landscape();
 
-  LanczosOptions options;
+  ArnoldiOptions options;
   options.tolerance = 0.0;
   options.basis_size = 4;
   options.max_restarts = 2;
@@ -306,16 +252,18 @@ TEST(SolversResumeTest, ResumeRefusesACheckpointFromADifferentSolver) {
   options.checkpoint_sink = [&](const io::SolverCheckpoint& ck) {
     checkpoints.push_back(ck);
   };
-  lanczos_dominant_w(model, fitness, {}, options);
+  arnoldi_dominant_w(model, fitness, {}, options);
   ASSERT_FALSE(checkpoints.empty());
 
+  SolveOptions power;
+  power.resume = &checkpoints.front();
   try {
-    resume_arnoldi_dominant_w(model, fitness, checkpoints.front(), {});
+    solve(model, fitness, power);
     FAIL() << "resume accepted a checkpoint written by another solver";
   } catch (const precondition_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("lanczos"), std::string::npos) << what;
-    EXPECT_NE(what.find("arnoldi"), std::string::npos) << what;
+    EXPECT_NE(what.find("'arnoldi'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'power'"), std::string::npos) << what;
   }
 }
 
@@ -347,7 +295,7 @@ TEST(SolversResumeTest, PoisonedCheckpointIsRefusedWithAStructuredFailure) {
   const auto model = test_model();
   const auto fitness = test_landscape();
 
-  LanczosOptions options;
+  ArnoldiOptions options;
   options.tolerance = 0.0;
   options.basis_size = 4;
   options.max_restarts = 2;
@@ -356,14 +304,14 @@ TEST(SolversResumeTest, PoisonedCheckpointIsRefusedWithAStructuredFailure) {
   options.checkpoint_sink = [&](const io::SolverCheckpoint& ck) {
     checkpoints.push_back(ck);
   };
-  lanczos_dominant_w(model, fitness, {}, options);
+  arnoldi_dominant_w(model, fitness, {}, options);
   ASSERT_FALSE(checkpoints.empty());
 
   io::SolverCheckpoint poisoned = checkpoints.front();
   poisoned.eigenvector[3] = std::nan("");
 
-  const LanczosResult resumed =
-      resume_lanczos_dominant_w(model, fitness, poisoned, {});
+  const ArnoldiResult resumed =
+      resume_arnoldi_dominant_w(model, fitness, poisoned, {});
   EXPECT_EQ(resumed.failure, SolverFailure::non_finite);
   EXPECT_FALSE(resumed.converged);
 }
@@ -372,24 +320,83 @@ TEST(SolversResumeTest, AThrowingSinkDegradesDurabilityNotTheSolve) {
   const auto model = test_model();
   const auto fitness = test_landscape();
 
-  LanczosOptions options;
+  ArnoldiOptions options;
   options.tolerance = 0.0;
   options.basis_size = 4;
   options.max_restarts = 6;
 
-  const LanczosResult reference = lanczos_dominant_w(model, fitness, {}, options);
+  const ArnoldiResult reference = arnoldi_dominant_w(model, fitness, {}, options);
 
   options.checkpoint_every = 2;
   options.checkpoint_sink = [](const io::SolverCheckpoint&) {
     throw std::runtime_error("injected checkpoint I/O failure");
   };
-  const LanczosResult damaged = lanczos_dominant_w(model, fitness, {}, options);
+  const ArnoldiResult damaged = arnoldi_dominant_w(model, fitness, {}, options);
 
   EXPECT_EQ(damaged.checkpoint_failures, 3u);  // cycles 2, 4, 6
   EXPECT_EQ(damaged.failure, SolverFailure::none);
   EXPECT_EQ(damaged.iterations, reference.iterations);
   EXPECT_EQ(damaged.eigenvalue, reference.eigenvalue);
   EXPECT_EQ(damaged.residual, reference.residual);
+}
+
+// Kinds 1 and 4 were written by solvers that are gone (restarted Lanczos,
+// and the shift-invert outer loop, now a reference oracle without
+// checkpoints); 7 and 0xFFFFFFFF were never assigned.  A v4 file carrying any of them loads,
+// and every surviving resume path refuses it with the structured error.
+TEST(SolversResumeTest, RetiredAndUnknownKindsAreRefusedOnEveryResumePath) {
+  const unsigned nu = 5;
+  const auto model = core::MutationModel::uniform(nu, 0.02);
+  const auto fitness = core::Landscape::random(nu, 5.0, 1.0, 3);
+  const std::size_t n = model.dimension();
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("qs_retired_kind_" + std::to_string(::getpid()) + ".qs");
+
+  for (std::uint32_t kind : {1u, 4u, 7u, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(::testing::Message() << "kind " << kind);
+    io::SolverCheckpoint written;
+    written.iteration = 3;
+    written.eigenvalue = 2.0;
+    written.residual = 1e-3;
+    written.solver_kind = static_cast<io::SolverKind>(kind);
+    written.eigenvector.assign(n, 1.0 / static_cast<double>(n));
+    io::save_checkpoint(path, written);
+    const io::SolverCheckpoint ck = io::load_checkpoint(path);
+    ASSERT_EQ(static_cast<std::uint32_t>(ck.solver_kind), kind);
+    // The block panel is n x 2 (k = 2 picks m = 2).
+    io::SolverCheckpoint panel = ck;
+    panel.eigenvector.assign(2 * n, 1.0 / static_cast<double>(n));
+    panel.aux = 2.0;
+
+    const std::string expected =
+        "written by the 'retired or unknown kind " + std::to_string(kind) +
+        "' solver";
+    auto expect_refused = [&expected](const char* path_name, auto&& resume) {
+      try {
+        resume();
+        ADD_FAILURE() << path_name << " resumed a retired checkpoint kind";
+      } catch (const precondition_error& e) {
+        EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+            << path_name << ": " << e.what();
+      }
+    };
+    expect_refused("power facade", [&] {
+      SolveOptions options;
+      options.resume = &ck;
+      solve(model, fitness, options);
+    });
+    expect_refused("power", [&] {
+      const core::FmmpOperator op(model, fitness);
+      resume_power_iteration(op, ck);
+    });
+    expect_refused("distributed power", [&] {
+      distributed::resume_distributed_power_iteration(model, fitness, 2, ck);
+    });
+    expect_refused("arnoldi", [&] { resume_arnoldi_dominant_w(model, fitness, ck); });
+    expect_refused("block", [&] { resume_top_k_spectrum(model, fitness, panel); });
+  }
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //   qs_solve --nu 16 --p 0.01 --landscape single-peak --peak 2 --rest 1
 //   qs_solve --nu 20 --p 0.02 --landscape linear --f0 2 --fnu 1 --reduced
 //   qs_solve --nu 14 --p 0.01 --landscape random --c 5 --sigma 1 --seed 7
-//            --solver lanczos --csv out.csv
+//            --solver arnoldi --csv out.csv
 //   qs_solve --nu 16 --p 0.005 --landscape load --input land.qs
 //            --save-landscape snapshot.qs --checkpoint state.qs
 //
@@ -41,9 +41,8 @@ void print_usage() {
       "  load                --input FILE (a landscape saved by this tool)\n"
       "solver (--solver KIND, default power):\n"
       "  power               shifted power iteration on Fmmp (the paper's solver)\n"
-      "  lanczos             restarted Lanczos (faster, more memory)\n"
-      "  arnoldi             restarted Arnoldi (asymmetric-capable)\n"
-      "  rqi                 Rayleigh quotient iteration (shift-and-invert)\n"
+      "  arnoldi             restarted Arnoldi (asymmetric-capable; fewer\n"
+      "                      products near the error threshold, more memory)\n"
       "  block               block subspace iteration (same as --block-size 2)\n"
       "options:\n"
       "  --reduced           use the exact (nu+1)^2 reduction (error-class\n"
@@ -76,8 +75,8 @@ void print_usage() {
       "                      written on exit) so an interrupted run can\n"
       "                      restart with --resume\n"
       "  --checkpoint-every N  iterations between checkpoints (default 1000;\n"
-      "                      restart cycles for lanczos/arnoldi, outer steps\n"
-      "                      for rqi, panel products for block)\n"
+      "                      restart cycles for arnoldi, panel products for\n"
+      "                      block)\n"
       "  --checkpoint-every-seconds S  wall-clock seconds between checkpoints\n"
       "                      (default 30 when given without a value source;\n"
       "                      combines with --checkpoint-every as a union —\n"
@@ -496,26 +495,6 @@ int run(const qs::ArgParser& args) {
     iterations = r.iterations;
     residual = r.residual;
     schedule = r.shift_schedule;
-  } else if (solver == "lanczos") {
-    qs::solvers::LanczosOptions opts;
-    opts.tolerance = tolerance;
-    opts.engine = engine;
-    apply_resilience(resilience, opts);
-    const auto r = resilience.resume
-                       ? qs::solvers::resume_lanczos_dominant_w(
-                             model, landscape, *resilience.resume, opts)
-                       : qs::solvers::lanczos_dominant_w(model, landscape, {}, opts);
-    warn_checkpoint_failures(r.checkpoint_failures);
-    check_interrupted(r.failure, resilience);
-    if (r.failure != qs::solvers::SolverFailure::none) {
-      throw CliError{std::string("solver failed: ") +
-                     std::string(qs::solvers::to_string(r.failure))};
-    }
-    if (!r.converged) throw CliError{"solver did not converge"};
-    eigenvalue = r.eigenvalue;
-    concentrations = r.concentrations;
-    iterations = r.matvec_count;
-    residual = r.residual;
   } else if (solver == "arnoldi") {
     qs::solvers::ArnoldiOptions opts;
     opts.tolerance = tolerance;
@@ -535,27 +514,6 @@ int run(const qs::ArgParser& args) {
     eigenvalue = r.eigenvalue;
     concentrations = r.concentrations;
     iterations = r.matvec_count;
-    residual = r.residual;
-  } else if (solver == "rqi") {
-    qs::solvers::ShiftInvertOptions opts;
-    opts.tolerance = tolerance;
-    opts.engine = engine;
-    apply_resilience(resilience, opts);
-    const auto r = resilience.resume
-                       ? qs::solvers::resume_rayleigh_quotient_iteration_w(
-                             model, landscape, *resilience.resume, opts)
-                       : qs::solvers::rayleigh_quotient_iteration_w(model, landscape,
-                                                                    {}, opts);
-    warn_checkpoint_failures(r.checkpoint_failures);
-    check_interrupted(r.failure, resilience);
-    if (r.failure != qs::solvers::SolverFailure::none) {
-      throw CliError{std::string("solver failed: ") +
-                     std::string(qs::solvers::to_string(r.failure))};
-    }
-    if (!r.converged) throw CliError{"solver did not converge"};
-    eigenvalue = r.eigenvalue;
-    concentrations = r.concentrations;
-    iterations = r.outer_iterations;
     residual = r.residual;
   } else {
     throw CliError{"unknown solver '" + solver + "'"};
@@ -621,7 +579,7 @@ int run(const qs::ArgParser& args) {
 
   // Solve-level telemetry.  The facade's PlannedOperator records its own
   // plan provenance too; this stamps the tier for the solvers that take the
-  // plan directly (block, lanczos, arnoldi, rqi) and surfaces it on stdout
+  // plan directly (block, arnoldi) and surfaces it on stdout
   // whenever a metrics snapshot was requested.
   if (args.has("metrics")) {
     std::cout << "kernel tier: "

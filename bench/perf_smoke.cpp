@@ -54,9 +54,10 @@
 //      chains.  Skipped like check 7.
 //   9. the single-vector fused apply on N doubles takes <= 1.5x the m = 8
 //      panel product over the same N doubles (N/8 rows, nu - 3 levels, the
-//      same pre-scale): a SIMD-tier single vector IS that panel plus an
-//      in-register stage for levels 0-2, and both run the one span-kernel
-//      table (measured ~0.95x on an AVX-512 host; ~2x before the reshape).
+//      same pre-scale, read as 8 columns): a SIMD-tier single vector IS
+//      that panel plus an in-register stage for levels 0-2, and both run
+//      the one span-kernel table (measured ~0.95x on an AVX-512 host; ~2x
+//      before the reshape).
 //      Catches the reshape silently falling back to 1-wide spans.  Skipped
 //      like check 7.
 //  10. a landscape-family solve (m = 8 random landscapes) takes <= 1.3x its
@@ -335,14 +336,22 @@ int main() {
     const std::span<const transforms::Factor2> row_levels(factors.data() + 3,
                                                          nu - 3);
     const auto f = landscape.values();
+    // The panel side reads the same pre-scale as its 8 columns: column c
+    // holds f[8r + c] over the n/8 rows r.
+    std::vector<std::vector<double>> f_columns(8, std::vector<double>(n / 8));
+    std::vector<const double*> f_cols(8);
+    for (std::size_t c = 0; c < 8; ++c) {
+      for (std::size_t r = 0; r < n / 8; ++r) f_columns[c][r] = f[8 * r + c];
+      f_cols[c] = f_columns[c].data();
+    }
     std::vector<double> xv(n), yv(n);
     for (double& v : xv) v = rng.uniform(0.0, 1.0);
     const auto [t_sv, t_rows] = best_of_alternating_seconds(
         2 * reps,
         [&] { transforms::apply_blocked_butterfly_fused(xv, yv, factors, f, {}, engine); },
         [&] {
-          transforms::apply_blocked_panel_butterfly_fused(xv, yv, 8, row_levels, f,
-                                                          {}, engine);
+          transforms::apply_blocked_panel_butterfly_columns(xv, yv, 8, row_levels,
+                                                            f_cols, engine);
         });
     const double ratio = t_sv / t_rows;
     std::cout << "  sv as 8-row panel   : sv fused " << t_sv
@@ -370,10 +379,8 @@ int main() {
     analysis::FamilyOptions fopts;
     fopts.tolerance = 1e-10;
     fopts.engine = &engine;
-    std::vector<double> pre(n * m);
-    for (std::size_t j = 0; j < m; ++j) {
-      transforms::pack_panel_column(family[j].values(), pre, m, j);
-    }
+    std::vector<const double*> pre(m);
+    for (std::size_t j = 0; j < m; ++j) pre[j] = family[j].values().data();
     const auto factors = model.site_factors();
     unsigned products = 0;
     const auto [t_family, t_products] = best_of_alternating_seconds(
@@ -384,8 +391,8 @@ int main() {
         },
         [&] {
           for (unsigned k = 0; k < products; ++k) {
-            transforms::apply_blocked_panel_butterfly_fused(xp, yp, m, factors, pre,
-                                                            {}, engine);
+            transforms::apply_blocked_panel_butterfly_columns(xp, yp, m, factors,
+                                                              pre, engine);
           }
         });
     const double ratio = t_family / t_products;

@@ -19,6 +19,14 @@ namespace qs::analysis {
 std::vector<double> class_concentrations(unsigned nu, std::span<const double> x,
                                          seq_t reference = 0);
 
+/// The class concentrations of every column of an interleaved panel
+/// (panel[i*m + j] = element i of column j) in one pass over it: out[j] is
+/// class_concentrations of column j, bit for bit — each column's elements
+/// enter each bin in ascending index order.  Requires m >= 1 and
+/// panel.size() == 2^nu * m.
+std::vector<std::vector<double>> panel_class_concentrations(
+    unsigned nu, std::span<const double> panel, std::size_t m, seq_t reference = 0);
+
 /// Error-class cardinalities |Gamma_k| = C(nu, k) as doubles.
 std::vector<double> class_cardinalities(unsigned nu);
 

@@ -51,8 +51,7 @@ class Workspace {
     scratch = 3,    ///< Generic second temporary.
     panel = 4,      ///< Interleaved n x m panel (block power).
     panel_image = 5,///< Its image under W.
-    family_scaling = 13,  ///< A landscape family's interleaved F_j panel.
-    family_iterate = 14   ///< Its interleaved iterate panel.
+    family_iterate = 14   ///< A landscape family's interleaved iterate panel.
   };
 
   /// In a workspace with an Advice, buffers of at least this many bytes

@@ -310,8 +310,9 @@ DistributedPowerResult distributed_power_rank(
       collective, std::move(trace), std::move(driver), local, options.shift);
   static_cast<solvers::IterationResult&>(out) = r;
   out.shift_schedule = r.shift_schedule;
-  // Gathered or not, the block is already oriented and normalised by the
-  // global tree 1-norm; a failed or cancelled solve gathers its last
+  out.dropped_mass = r.dropped_mass;
+  // Gathered or not, the block is already oriented, clamped and normalised
+  // by the global tree sums; a failed or cancelled solve gathers its last
   // iterate anyway (post-mortem parity with the serial loop).
   out.eigenvector = options.gather_eigenvector
                         ? collective.gather_result(r.eigenvector)

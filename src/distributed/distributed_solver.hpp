@@ -147,6 +147,10 @@ struct DistributedPowerResult : solvers::IterationResult {
 
   /// The power loop's shift schedule, identical on every rank.
   solvers::ShiftScheduleReport shift_schedule;
+
+  /// The power loop's dropped mass (solvers::PowerResult), identical on
+  /// every rank.
+  double dropped_mass = 0.0;
 };
 
 /// Produces each rank's landscape block: called once per rank with the

@@ -8,8 +8,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
-#include "analysis/error_classes.hpp"
 #include "analysis/sweep.hpp"
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
@@ -397,10 +397,25 @@ void SolverService::execute_batch(std::vector<Entry>& batch) {
 
     const core::MutationModel model = core::MutationModel::uniform(nu, p);
     const std::uint64_t solve_start = monotonic_ns();
-    const analysis::FamilyResult result = [&] {
+    std::optional<analysis::FamilyPanel> solved;
+    solved.emplace([&] {
       QS_TRACE_SPAN_ARG("service.solve", app, scenarios.size());
-      return analysis::sweep_landscape_family(model, family, options);
-    }();
+      return analysis::solve_landscape_family(model, family, options);
+    }());
+    // Every column's Gamma is read off the iterate panel in one pass: the
+    // service keeps no eigenvector.
+    const analysis::FamilyOutcome result = *solved;
+    const std::vector<std::vector<double>> classes =
+        result.cancelled ? std::vector<std::vector<double>>{}
+                         : solved->class_concentrations();
+    if (scenarios.size() > 1) {
+      // A wide batch frees its panels and landscapes before any reply goes
+      // out, so a client acting on its answer never finds them still held.
+      // A one-column batch holds two n-vectors and one landscape; it frees
+      // them after replying, off the reply's path.
+      solved.reset();
+      family.clear();
+    }
 
     const std::uint64_t done = monotonic_ns();
     solve_hist.record_ns(done - solve_start);
@@ -439,8 +454,7 @@ void SolverService::execute_batch(std::vector<Entry>& batch) {
       reply.eigenvalue = result.eigenvalues[col];
       reply.residual = residual;
       reply.iterations = result.panel_products;
-      reply.class_concentrations =
-          analysis::class_concentrations(nu, result.eigenvectors[col]);
+      reply.class_concentrations = classes[col];
 
       CacheEntry cached;
       cached.eigenvalue = reply.eigenvalue;

@@ -8,9 +8,10 @@
 //     REJECTED_OVERLOAD) and hands back a future.  Worker threads pop
 //     batches coalesced by batch_key — requests sharing (nu, p) share a
 //     mutation model Q, so the batch solves jointly through
-//     analysis::sweep_landscape_family: the m scenarios' landscapes become
+//     analysis::solve_landscape_family: the m scenarios' landscapes become
 //     the panel columns of W_j = Q F_j and every power step advances all
-//     of them in one memory sweep.  The batch runs solvers::run_power_loop,
+//     of them in one memory sweep; each reply's [Gamma_k] is read off the
+//     final iterate panel.  The batch runs solvers::run_power_loop,
 //     so it stops by qs_solve's rule: the relative 2-norm residual of each
 //     column against the request's tolerance, with the facade's stall
 //     window and health guard.  Identical scenarios within a batch

@@ -102,6 +102,7 @@ QuasispeciesResult solve(const core::MutationModel& model,
   static_cast<IterationResult&>(out) = r;
   out.recovery_attempts = recovery_attempts;
   out.shift_schedule = r.shift_schedule;
+  out.dropped_mass = r.dropped_mass;
   out.checkpoint_failures = checkpoint_failures;
   out.concentrations = std::move(r.eigenvector);
   if (out.failure != SolverFailure::none) {

@@ -84,6 +84,7 @@ struct QuasispeciesResult : IterationResult {
   std::vector<double> class_concentrations;  ///< [Gamma_0..Gamma_nu].
   unsigned recovery_attempts = 0;     ///< Restarts the degradation rule used.
   ShiftScheduleReport shift_schedule; ///< The shift schedule of the last run.
+  double dropped_mass = 0.0;          ///< Of the last run (PowerResult).
 };
 
 /// Solves for a general landscape (shifted power iteration on Fmmp).

@@ -54,12 +54,8 @@ void apply_blocked_panel_butterfly(std::span<double> panel, std::size_t m,
                                    const BlockedPlan& plan = {});
 
 /// Fused panel product Y <- D_post (Q (D_pre X)) with Q the butterfly of
-/// `factors`.  The diagonal scalings may be
-///   * empty             — identity;
-///   * length N          — one diagonal broadcast across all m columns
-///                         (every column sees the same landscape);
-///   * length N*m        — an interleaved scaling panel, column j scaled by
-///                         its own diagonal (landscape families).
+/// `factors` and each diagonal scaling empty (identity) or of length N,
+/// broadcast across all m columns (every column sees the same landscape).
 /// The scalings ride inside the first/last band, costing no extra pass.
 /// x may alias y exactly (x.data() == y.data()) or not at all.  Requires
 /// x.size() == y.size() == 2^factors.size() * m.
@@ -76,6 +72,20 @@ void apply_blocked_panel_butterfly_fused(std::span<const double> x,
                                          std::span<const double> post_scale,
                                          const parallel::Engine& engine,
                                          const BlockedPlan& plan = {});
+
+/// Y <- Q (D_j X) column by column, each column pre-scaled by its own
+/// diagonal (landscape families): `pre_columns` holds m pointers to N
+/// doubles, column j scaled by the one its pointer addresses.  The
+/// diagonals are read in place, row by row, as the first band reaches them
+/// (SvKernels::mul_rows_columns), so a family needs no n x m scaling panel.
+/// Aliasing and shapes as above.  Every column is bit-identical to
+/// apply_blocked_butterfly_fused on that column with its own pre-scale.
+void apply_blocked_panel_butterfly_columns(std::span<const double> x,
+                                           std::span<double> y, std::size_t m,
+                                           std::span<const Factor2> factors,
+                                           std::span<const double* const> pre_columns,
+                                           const parallel::Engine& engine,
+                                           const BlockedPlan& plan = {});
 
 /// apply_blocked_butterfly_fused on the sv table `k`.  From nu = 3 on it
 /// runs as an m = 8 panel of N/8 rows: k.rows8_stage applies levels 0-2

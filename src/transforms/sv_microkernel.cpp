@@ -95,10 +95,6 @@ void sv_mul_span_scalar(double* y, const double* x, const double* s,
   for (std::size_t i = 0; i < cnt; ++i) y[i] = s[i] * x[i];
 }
 
-void sv_mul_span_inplace_scalar(double* y, const double* s, std::size_t cnt) {
-  for (std::size_t i = 0; i < cnt; ++i) y[i] *= s[i];
-}
-
 void sv_mul_rows_broadcast_scalar(double* y, const double* x, const double* s,
                                   std::size_t rows, std::size_t m) {
   for (std::size_t r = 0; r < rows; ++r) {
@@ -107,11 +103,10 @@ void sv_mul_rows_broadcast_scalar(double* y, const double* x, const double* s,
   }
 }
 
-void sv_mul_rows_broadcast_inplace_scalar(double* y, const double* s,
-                                          std::size_t rows, std::size_t m) {
+void sv_mul_rows_columns_scalar(double* y, const double* x, const double* const* s,
+                                std::size_t row0, std::size_t rows, std::size_t m) {
   for (std::size_t r = 0; r < rows; ++r) {
-    const double sr = s[r];
-    for (std::size_t c = 0; c < m; ++c) y[r * m + c] *= sr;
+    for (std::size_t c = 0; c < m; ++c) y[r * m + c] = s[c][row0 + r] * x[r * m + c];
   }
 }
 
@@ -132,25 +127,25 @@ double sv_tree_residual_update_scalar(const double* x, double* y, std::size_t n,
   return s;
 }
 
-double sv_tree_sum_scalar(const double* v, std::size_t n) {
+TreeSums sv_tree_sign_sums_scalar(const double* v, std::size_t n) {
   double s[2];
-  panel_orientation_sums<1>(v, n, 1, s, nullptr);
-  return s[0];
+  panel_sign_sums<1>(v, n, 1, s, nullptr);
+  return {s[0], s[1], 0.0};
 }
 
 double sv_tree_abs_sum_scalar(const double* v, std::size_t n) {
-  double s[2];
-  panel_orientation_sums<1>(v, n, 1, s, nullptr);
-  return s[1];
+  const auto leaf = [v](std::size_t i, double* out) { *out = std::abs(v[i]); };
+  double s;
+  tree_rows<1>(n, leaf, &s);
+  return s;
 }
 
 constexpr SvKernels kScalarSvKernels{
     sv_butterfly_span_scalar, sv_butterfly_quad_span_scalar,
     sv_butterfly_oct_span_scalar, sv_rows8_stage_scalar, sv_mul_span_scalar,
-    sv_mul_span_inplace_scalar, sv_mul_rows_broadcast_scalar,
-    sv_mul_rows_broadcast_inplace_scalar, sv_tree_check_sums_scalar,
-    sv_tree_residual_update_scalar, panel8_check_sums, panel8_residual_update,
-    panel8_orientation_sums, sv_tree_sum_scalar,
+    sv_mul_rows_broadcast_scalar, sv_mul_rows_columns_scalar,
+    sv_tree_check_sums_scalar, sv_tree_residual_update_scalar, panel8_check_sums,
+    panel8_residual_update, panel8_sign_sums, sv_tree_sign_sums_scalar,
     sv_tree_abs_sum_scalar, "scalar",
 };
 

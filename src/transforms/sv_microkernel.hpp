@@ -33,8 +33,8 @@
 // a commutative add's operands in any tier); NaN positions are.  Below
 // nu = 3 a single vector is a one-column panel with no row stage.  An
 // m >= 2 panel runs the same band driver and span kernels without the row
-// stage, plus the broadcast-row scalings that share one diagonal across
-// its m columns.
+// stage, plus the row scalings of a panel: one diagonal shared across its
+// m columns, or one per column read in place from m column pointers.
 //
 // The same table carries the power iteration's reductions.  A plain
 // `acc += ...` loop is one dependent add chain the compiler may not
@@ -92,17 +92,18 @@ struct SvKernels {
   /// y[i] = s[i] * x[i] for i in [0, cnt). x may alias y exactly.
   void (*mul_span)(double* y, const double* x, const double* s, std::size_t cnt);
 
-  /// y[i] *= s[i] for i in [0, cnt).
-  void (*mul_span_inplace)(double* y, const double* s, std::size_t cnt);
-
   /// Broadcast row scaling on an interleaved panel: for r in [0, rows) and
   /// c in [0, m), y[r*m + c] = s[r] * x[r*m + c]. x may alias y exactly.
   void (*mul_rows_broadcast)(double* y, const double* x, const double* s,
                              std::size_t rows, std::size_t m);
 
-  /// y[r*m + c] *= s[r].
-  void (*mul_rows_broadcast_inplace)(double* y, const double* s,
-                                     std::size_t rows, std::size_t m);
+  /// Column row scaling on an interleaved panel, each column's diagonal
+  /// read in place from its own vector: for r in [0, rows) and c in
+  /// [0, m), y[r*m + c] = s[c][row0 + r] * x[r*m + c].  x may alias y
+  /// exactly.  The SIMD tiers transpose blocks of the m column streams
+  /// into panel rows in registers; the products are the scalar ones.
+  void (*mul_rows_columns)(double* y, const double* x, const double* const* s,
+                           std::size_t row0, std::size_t rows, std::size_t m);
 
   /// Pass 1 of a power-iteration check over [0, n): {sum x[i]^2,
   /// sum x[i]*y[i], sum |y[i] - mu*x[i]|}.  mu == 0 sums |y[i]| (the
@@ -116,20 +117,22 @@ struct SvKernels {
   double (*tree_residual_update)(const double* x, double* y, std::size_t n,
                                  double lambda, double mu, double inv);
 
-  /// The check passes and the orientation sums of an interleaved 8-column
-  /// panel of `rows` rows: per column, the sums of tree_check_sums,
-  /// tree_residual_update (lambda and inv per column) and {tree_sum,
-  /// tree_abs_sum}, each in tree order over rows.  `out` receives one
-  /// block of 8 per sum: 24, 8 and 16 values.
+  /// The check passes and the sign sums of an interleaved 8-column panel
+  /// of `rows` rows: per column, the sums of tree_check_sums,
+  /// tree_residual_update (lambda and inv per column) and tree_sign_sums,
+  /// each in tree order over rows.  `out` receives one block of 8 per sum:
+  /// 24, 8 and 16 values.
   void (*panel8_check_sums)(const double* x, const double* y, std::size_t rows,
                             double mu, double* out);
   void (*panel8_residual_update)(const double* x, double* y, std::size_t rows,
                                  const double* lambda, double mu,
                                  const double* inv, double* out);
-  void (*panel8_orientation_sums)(const double* x, std::size_t rows, double* out);
+  void (*panel8_sign_sums)(const double* x, std::size_t rows, double* out);
 
-  /// sum v[i] over [0, n).
-  double (*tree_sum)(const double* v, std::size_t n);
+  /// {sum of the positive part max(v[i], 0), sum of the negative part
+  /// min(v[i], 0)} over [0, n) (third is 0).  For a vector with no negative
+  /// entry the first is tree_abs_sum's bits.
+  TreeSums (*tree_sign_sums)(const double* v, std::size_t n);
 
   /// sum |v[i]| over [0, n).
   double (*tree_abs_sum)(const double* v, std::size_t n);

@@ -228,10 +228,6 @@ void sv_mul_span_avx2(double* y, const double* x, const double* s,
   for (; i < cnt; ++i) y[i] = s[i] * x[i];
 }
 
-void sv_mul_span_inplace_avx2(double* y, const double* s, std::size_t cnt) {
-  sv_mul_span_avx2(y, y, s, cnt);
-}
-
 void sv_mul_rows_broadcast_avx2(double* y, const double* x, const double* s,
                                 std::size_t rows, std::size_t m) {
   for (std::size_t r = 0; r < rows; ++r) {
@@ -246,9 +242,45 @@ void sv_mul_rows_broadcast_avx2(double* y, const double* x, const double* s,
   }
 }
 
-void sv_mul_rows_broadcast_inplace_avx2(double* y, const double* s,
-                                        std::size_t rows, std::size_t m) {
-  sv_mul_rows_broadcast_avx2(y, y, s, rows, m);
+/// Transposes the 4 x 4 block whose rows are v[0..3] in place: v[i] lane j
+/// becomes the old v[j] lane i.
+inline __attribute__((always_inline)) void transpose4x4(__m256d* v) {
+  const __m256d t0 = _mm256_unpacklo_pd(v[0], v[1]);  // v0[0] v1[0] v0[2] v1[2]
+  const __m256d t1 = _mm256_unpackhi_pd(v[0], v[1]);  // v0[1] v1[1] v0[3] v1[3]
+  const __m256d t2 = _mm256_unpacklo_pd(v[2], v[3]);
+  const __m256d t3 = _mm256_unpackhi_pd(v[2], v[3]);
+  v[0] = _mm256_permute2f128_pd(t0, t2, 0x20);
+  v[1] = _mm256_permute2f128_pd(t1, t3, 0x20);
+  v[2] = _mm256_permute2f128_pd(t0, t2, 0x31);
+  v[3] = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+
+void sv_mul_rows_columns_avx2(double* y, const double* x, const double* const* s,
+                              std::size_t row0, std::size_t rows, std::size_t m) {
+  // Four rows at a time: each group of four columns loads four elements of
+  // each column stream and transposes them into four panel-row pieces (an
+  // m = 8 panel runs its 8 x 4 block as two 4 x 4 transposes).  Columns
+  // past the last whole group, and rows past the last whole four, go one
+  // element at a time.
+  std::size_t r = 0;
+  for (; r + 4 <= rows; r += 4) {
+    std::size_t c = 0;
+    for (; c + 4 <= m; c += 4) {
+      __m256d v[4];
+      for (std::size_t j = 0; j < 4; ++j) v[j] = _mm256_loadu_pd(s[c + j] + row0 + r);
+      transpose4x4(v);
+      for (std::size_t i = 0; i < 4; ++i) {
+        const std::size_t at = (r + i) * m + c;
+        _mm256_storeu_pd(y + at, _mm256_mul_pd(v[i], _mm256_loadu_pd(x + at)));
+      }
+    }
+    for (; c < m; ++c) {
+      for (std::size_t i = r; i < r + 4; ++i) y[i * m + c] = s[c][row0 + i] * x[i * m + c];
+    }
+  }
+  for (; r < rows; ++r) {
+    for (std::size_t c = 0; c < m; ++c) y[r * m + c] = s[c][row0 + r] * x[r * m + c];
+  }
 }
 
 /// Up to three leaf vectors of four consecutive elements.
@@ -354,12 +386,15 @@ double sv_tree_residual_update_avx2(const double* x, double* y, std::size_t n,
                    : residual_update_avx2<false>(x, y, n, lambda, mu, inv);
 }
 
-double sv_tree_sum_avx2(const double* v, std::size_t n) {
-  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_sum(v, n);
-  return tree_blocks_avx2<1>(n, [v](std::size_t i) {
-           const __m256d a = _mm256_loadu_pd(v + i);
-           return Leaves4{a, a, a};
-         }).first;
+TreeSums sv_tree_sign_sums_avx2(const double* v, std::size_t n) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_sign_sums(v, n);
+  // maxpd/minpd return the second operand for a NaN or equal zeros: +0,
+  // as positive_part/negative_part do.
+  const __m256d zero = _mm256_setzero_pd();
+  return tree_blocks_avx2<2>(n, [v, zero](std::size_t i) {
+    const __m256d a = _mm256_loadu_pd(v + i);
+    return Leaves4{_mm256_max_pd(a, zero), _mm256_min_pd(a, zero), zero};
+  });
 }
 
 double sv_tree_abs_sum_avx2(const double* v, std::size_t n) {
@@ -374,10 +409,9 @@ double sv_tree_abs_sum_avx2(const double* v, std::size_t n) {
 constexpr SvKernels kAvx2SvKernels{
     sv_butterfly_span_avx2, sv_butterfly_quad_span_avx2,
     sv_butterfly_oct_span_avx2, sv_rows8_stage_avx2, sv_mul_span_avx2,
-    sv_mul_span_inplace_avx2, sv_mul_rows_broadcast_avx2,
-    sv_mul_rows_broadcast_inplace_avx2, sv_tree_check_sums_avx2,
-    sv_tree_residual_update_avx2, panel8_check_sums, panel8_residual_update,
-    panel8_orientation_sums, sv_tree_sum_avx2,
+    sv_mul_rows_broadcast_avx2, sv_mul_rows_columns_avx2,
+    sv_tree_check_sums_avx2, sv_tree_residual_update_avx2, panel8_check_sums,
+    panel8_residual_update, panel8_sign_sums, sv_tree_sign_sums_avx2,
     sv_tree_abs_sum_avx2, "avx2",
 };
 

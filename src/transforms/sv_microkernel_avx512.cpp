@@ -16,6 +16,8 @@
 
 #include <immintrin.h>
 
+#include <type_traits>
+
 #include "transforms/sv_tree_blocks.hpp"
 
 namespace qs::transforms {
@@ -217,10 +219,6 @@ void sv_mul_span_avx512(double* y, const double* x, const double* s,
   for (; i < cnt; ++i) y[i] = s[i] * x[i];
 }
 
-void sv_mul_span_inplace_avx512(double* y, const double* s, std::size_t cnt) {
-  sv_mul_span_avx512(y, y, s, cnt);
-}
-
 void sv_mul_rows_broadcast_avx512(double* y, const double* x, const double* s,
                                   std::size_t rows, std::size_t m) {
   for (std::size_t r = 0; r < rows; ++r) {
@@ -235,9 +233,60 @@ void sv_mul_rows_broadcast_avx512(double* y, const double* x, const double* s,
   }
 }
 
-void sv_mul_rows_broadcast_inplace_avx512(double* y, const double* s,
-                                          std::size_t rows, std::size_t m) {
-  sv_mul_rows_broadcast_avx512(y, y, s, rows, m);
+/// Transposes the 8 x 8 block whose rows are v[0..7] in place: v[i] lane j
+/// becomes the old v[j] lane i.  Unpacks pair lanes of neighbouring rows,
+/// then two rounds of 128-bit lane shuffles gather each row.  (The
+/// all-lanes maskz forms are the plain instructions; GCC 12's unmasked
+/// intrinsics warn about their undefined pass-through operand.)
+inline __attribute__((always_inline)) void transpose8x8(__m512d* v) {
+  constexpr __mmask8 kAll = 0xFF;
+  __m512d t[8];
+  for (int k = 0; k < 8; k += 2) {
+    t[k] = _mm512_maskz_unpacklo_pd(kAll, v[k], v[k + 1]);      // (vk[2l], vk+1[2l])
+    t[k + 1] = _mm512_maskz_unpackhi_pd(kAll, v[k], v[k + 1]);  // (vk[2l+1], vk+1[2l+1])
+  }
+  const auto lanes = [](__m512d a, __m512d b, auto imm) {
+    return _mm512_maskz_shuffle_f64x2(kAll, a, b, decltype(imm)::value);
+  };
+  using Even = std::integral_constant<int, 0x88>;  // 128-bit lanes 0, 2 of a, b
+  using Odd = std::integral_constant<int, 0xDD>;   // lanes 1, 3
+  for (int odd = 0; odd < 2; ++odd) {
+    const __m512d u0 = lanes(t[odd], t[2 + odd], Even{});
+    const __m512d u1 = lanes(t[odd], t[2 + odd], Odd{});
+    const __m512d u2 = lanes(t[4 + odd], t[6 + odd], Even{});
+    const __m512d u3 = lanes(t[4 + odd], t[6 + odd], Odd{});
+    v[odd] = lanes(u0, u2, Even{});
+    v[2 + odd] = lanes(u1, u3, Even{});
+    v[4 + odd] = lanes(u0, u2, Odd{});
+    v[6 + odd] = lanes(u1, u3, Odd{});
+  }
+}
+
+void sv_mul_rows_columns_avx512(double* y, const double* x, const double* const* s,
+                                std::size_t row0, std::size_t rows, std::size_t m) {
+  // Eight rows at a time: each group of eight columns loads eight elements
+  // of each column stream and transposes them into eight panel-row pieces.
+  // Columns past the last whole group, and rows past the last whole eight,
+  // go one element at a time.
+  std::size_t r = 0;
+  for (; r + 8 <= rows; r += 8) {
+    std::size_t c = 0;
+    for (; c + 8 <= m; c += 8) {
+      __m512d v[8];
+      for (std::size_t j = 0; j < 8; ++j) v[j] = _mm512_loadu_pd(s[c + j] + row0 + r);
+      transpose8x8(v);
+      for (std::size_t i = 0; i < 8; ++i) {
+        const std::size_t at = (r + i) * m + c;
+        _mm512_storeu_pd(y + at, _mm512_mul_pd(v[i], _mm512_loadu_pd(x + at)));
+      }
+    }
+    for (; c < m; ++c) {
+      for (std::size_t i = r; i < r + 8; ++i) y[i * m + c] = s[c][row0 + i] * x[i * m + c];
+    }
+  }
+  for (; r < rows; ++r) {
+    for (std::size_t c = 0; c < m; ++c) y[r * m + c] = s[c][row0 + r] * x[r * m + c];
+  }
 }
 
 /// Up to three leaf vectors of eight consecutive elements.
@@ -341,12 +390,18 @@ double sv_tree_residual_update_avx512(const double* x, double* y, std::size_t n,
                    : residual_update_avx512<false>(x, y, n, lambda, mu, inv);
 }
 
-double sv_tree_sum_avx512(const double* v, std::size_t n) {
-  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_sum(v, n);
-  return tree_blocks_avx512<1>(n, [v](std::size_t i) {
-           const __m512d a = _mm512_loadu_pd(v + i);
-           return Leaves8{a, a, a};
-         }).first;
+TreeSums sv_tree_sign_sums_avx512(const double* v, std::size_t n) {
+  if (!tree_blockwise(n)) return scalar_sv_kernels().tree_sign_sums(v, n);
+  // maxpd/minpd return the second operand for a NaN or equal zeros: +0,
+  // as positive_part/negative_part do.  (All-lanes maskz forms, as in
+  // transpose8x8.)
+  constexpr __mmask8 kAll = 0xFF;
+  const __m512d zero = _mm512_setzero_pd();
+  return tree_blocks_avx512<2>(n, [v, zero](std::size_t i) {
+    const __m512d a = _mm512_loadu_pd(v + i);
+    return Leaves8{_mm512_maskz_max_pd(kAll, a, zero), _mm512_maskz_min_pd(kAll, a, zero),
+                   zero};
+  });
 }
 
 double sv_tree_abs_sum_avx512(const double* v, std::size_t n) {
@@ -360,10 +415,9 @@ double sv_tree_abs_sum_avx512(const double* v, std::size_t n) {
 constexpr SvKernels kAvx512SvKernels{
     sv_butterfly_span_avx512, sv_butterfly_quad_span_avx512,
     sv_butterfly_oct_span_avx512, sv_rows8_stage_avx512, sv_mul_span_avx512,
-    sv_mul_span_inplace_avx512, sv_mul_rows_broadcast_avx512,
-    sv_mul_rows_broadcast_inplace_avx512, sv_tree_check_sums_avx512,
-    sv_tree_residual_update_avx512, panel8_check_sums, panel8_residual_update,
-    panel8_orientation_sums, sv_tree_sum_avx512,
+    sv_mul_rows_broadcast_avx512, sv_mul_rows_columns_avx512,
+    sv_tree_check_sums_avx512, sv_tree_residual_update_avx512, panel8_check_sums,
+    panel8_residual_update, panel8_sign_sums, sv_tree_sign_sums_avx512,
     sv_tree_abs_sum_avx512, "avx512",
 };
 

@@ -89,7 +89,7 @@ void tree_rows(std::size_t rows, const Row& row, double* out) {
   for (std::size_t c = 0; c < W; ++c) out[c] = pending[level * W + c];
 }
 
-/// The check passes and orientation sums of an interleaved panel of M
+/// The check passes and sign sums of an interleaved panel of M
 /// columns (M = 0: `m` at run time, reduced by linalg::tree_reduce_rows in
 /// `scratch`, tree_reduce_rows_scratch(3m, rows) doubles): the SvKernels
 /// panel8_* entries are the M = 8 case.
@@ -134,14 +134,19 @@ void panel_residual_update(const double* x, double* y, std::size_t rows,
   }
 }
 
+/// A value's positive and negative parts: x or 0.  A NaN, or a zero of
+/// either sign, is +0 in both (as maxpd/minpd with a +0 second operand).
+inline double positive_part(double x) { return x > 0.0 ? x : 0.0; }
+inline double negative_part(double x) { return x < 0.0 ? x : 0.0; }
+
 template <std::size_t M>
-void panel_orientation_sums(const double* x, std::size_t rows, std::size_t m,
-                            double* out, double* scratch) {
+void panel_sign_sums(const double* x, std::size_t rows, std::size_t m,
+                     double* out, double* scratch) {
   if constexpr (M != 0) m = M;
   const auto row = [x, m](std::size_t i, double* __restrict v) {
     for (std::size_t c = 0; c < m; ++c) {
-      v[c] = x[i * m + c];
-      v[m + c] = std::abs(x[i * m + c]);
+      v[c] = positive_part(x[i * m + c]);
+      v[m + c] = negative_part(x[i * m + c]);
     }
   };
   if constexpr (M != 0) {
@@ -162,9 +167,8 @@ inline void panel8_residual_update(const double* x, double* y, std::size_t rows,
   panel_residual_update<8>(x, y, rows, 8, lambda, mu, inv, out, nullptr);
 }
 
-inline void panel8_orientation_sums(const double* x, std::size_t rows,
-                                    double* out) {
-  panel_orientation_sums<8>(x, rows, 8, out, nullptr);
+inline void panel8_sign_sums(const double* x, std::size_t rows, double* out) {
+  panel_sign_sums<8>(x, rows, 8, out, nullptr);
 }
 
 }  // namespace

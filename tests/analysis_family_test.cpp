@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <vector>
 
+#include "analysis/error_classes.hpp"
 #include "analysis/sweep.hpp"
 #include "core/landscape.hpp"
 #include "core/mutation_model.hpp"
@@ -145,6 +147,63 @@ TEST(LandscapeFamily, GroupedModelAndBackendsAgree) {
   fopts.engine = &distributed::tree_engine();
   expect_same_bits(analysis::sweep_landscape_family(model, family, fopts),
                    reference);
+}
+
+TEST(LandscapeFamily, PanelGammaIsEachEigenvectorsClassConcentrations) {
+  // The panel-level result reads every column's [Gamma_k] off the iterate
+  // panel; each must be class_concentrations of the de-interleaved
+  // eigenvector bit for bit, at every width and for the grouped kind, and
+  // the two result shapes must report the same solve.
+  const unsigned nu = 9;
+  std::vector<linalg::DenseMatrix> groups;
+  for (unsigned g = 0; g < 3; ++g) {
+    linalg::DenseMatrix f(8, 8);
+    for (std::size_t c = 0; c < 8; ++c) {
+      for (std::size_t r = 0; r < 8; ++r) f(r, c) = r == c ? 0.93 : 0.01;
+    }
+    groups.push_back(std::move(f));
+  }
+  struct Case {
+    core::MutationModel model;
+    std::size_t m;
+  };
+  const Case cases[] = {{core::MutationModel::uniform(nu, 0.01), 1},
+                        {core::MutationModel::uniform(nu, 0.01), 3},
+                        {core::MutationModel::uniform(nu, 0.01), 8},
+                        {core::MutationModel::grouped(groups), 3}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message() << "m " << c.m << " grouped "
+                                      << (c.model.kind() == core::MutationKind::grouped));
+    ASSERT_EQ(c.model.nu(), nu);
+    std::vector<core::Landscape> family;
+    for (std::size_t j = 0; j < c.m; ++j) {
+      family.push_back(core::Landscape::random(nu, 5.0, 1.0, 70 + j));
+    }
+    analysis::FamilyOptions options;
+    options.tolerance = 1e-11;
+    const analysis::FamilyPanel panel =
+        analysis::solve_landscape_family(c.model, family, options);
+    const analysis::FamilyResult result =
+        analysis::sweep_landscape_family(c.model, family, options);
+    ASSERT_TRUE(result.converged);
+    EXPECT_EQ(panel.panel_products, result.panel_products);
+    EXPECT_EQ(panel.eigenvalues, result.eigenvalues);
+    EXPECT_EQ(panel.residuals, result.residuals);
+    ASSERT_EQ(panel.width(), c.m);
+    const auto classes = panel.class_concentrations();
+    ASSERT_EQ(classes.size(), c.m);
+    for (std::size_t j = 0; j < c.m; ++j) {
+      const auto expected = analysis::class_concentrations(nu, result.eigenvectors[j]);
+      ASSERT_EQ(classes[j].size(), expected.size());
+      for (std::size_t k = 0; k <= nu; ++k) {
+        EXPECT_EQ(std::memcmp(&classes[j][k], &expected[k], sizeof(double)), 0)
+            << "column " << j << " class " << k;
+      }
+      for (std::size_t i = 0; i < result.eigenvectors[j].size(); ++i) {
+        ASSERT_EQ(panel.panel()[i * c.m + j], result.eigenvectors[j][i]);
+      }
+    }
+  }
 }
 
 TEST(LandscapeFamily, FourBlockFanOutGivesTheSerialBits) {

@@ -30,24 +30,38 @@ TEST(ErrorClasses, BlockedBinningIsBitIdenticalToTheOneElementLoop) {
   // class_concentrations bins 256-element blocks through a low-byte table;
   // each bin must still receive its elements in ascending index order, so
   // every class sum equals the plain loop's bit for bit — on both sides of
-  // the block width and for references with bits inside and above it.
+  // the block width and for references with bits inside and above it.  The
+  // panel form bins every column of an interleaved panel in one pass, with
+  // the same promise per column.
   for (unsigned nu : {1u, 7u, 8u, 9u, 18u}) {
     const std::size_t n = sequence_count(nu);
-    std::vector<double> x(n);
-    Xoshiro256 rng(nu);
-    for (double& v : x) v = rng.uniform(0.0, 1.0);
-    const seq_t top = static_cast<seq_t>(n - 1);
-    for (seq_t reference : {seq_t{0}, top, seq_t{0x2D5A5} & top, top / 3}) {
-      std::vector<double> expected(nu + 1, 0.0);
-      for (seq_t i = 0; i < n; ++i) {
-        expected[hamming_distance(i, reference)] += x[i];
-      }
-      const auto got = class_concentrations(nu, x, reference);
-      ASSERT_EQ(got.size(), expected.size());
-      for (unsigned k = 0; k <= nu; ++k) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(expected[k]),
-                  std::bit_cast<std::uint64_t>(got[k]))
-            << "nu=" << nu << " reference=" << reference << " class " << k;
+    for (std::size_t m : {1ul, 3ul, 8ul}) {
+      std::vector<double> panel(n * m);
+      Xoshiro256 rng(nu + 100 * m);
+      for (double& v : panel) v = rng.uniform(0.0, 1.0);
+      const seq_t top = static_cast<seq_t>(n - 1);
+      for (seq_t reference : {seq_t{0}, top, seq_t{0x2D5A5} & top, top / 3}) {
+        const auto got = panel_class_concentrations(nu, panel, m, reference);
+        ASSERT_EQ(got.size(), m);
+        for (std::size_t j = 0; j < m; ++j) {
+          std::vector<double> column(n), expected(nu + 1, 0.0);
+          for (seq_t i = 0; i < n; ++i) {
+            column[i] = panel[i * m + j];
+            expected[hamming_distance(i, reference)] += column[i];
+          }
+          const auto single = class_concentrations(nu, column, reference);
+          ASSERT_EQ(got[j].size(), expected.size());
+          ASSERT_EQ(single.size(), expected.size());
+          for (unsigned k = 0; k <= nu; ++k) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(expected[k]),
+                      std::bit_cast<std::uint64_t>(single[k]))
+                << "nu=" << nu << " reference=" << reference << " class " << k;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(expected[k]),
+                      std::bit_cast<std::uint64_t>(got[j][k]))
+                << "nu=" << nu << " m=" << m << " column " << j
+                << " reference=" << reference << " class " << k;
+          }
+        }
       }
     }
   }

@@ -16,6 +16,10 @@
 #include <future>
 #include <thread>
 
+#include "analysis/error_classes.hpp"
+#include "analysis/sweep.hpp"
+#include "core/landscape.hpp"
+#include "core/mutation_model.hpp"
 #include "reference/fault_injection.hpp"
 #include "service/client.hpp"
 #include "solvers/quasispecies_solver.hpp"
@@ -190,6 +194,66 @@ TEST(SolverService, CoalescesCompatibleRequestsIntoOnePanelBatch) {
     EXPECT_FALSE(reply.cache_hit);
   }
   EXPECT_EQ(service.queue_stats().batches, 2u);  // blocker + the coalesced 4
+}
+
+TEST(SolverService, BatchRepliesCarryTheFamilySolvesClassConcentrations) {
+  // The service reads each reply's [Gamma_k] off the family's iterate
+  // panel; at every batch width it must be class_concentrations of
+  // sweep_landscape_family's eigenvector of the same landscapes, bit for
+  // bit, with the same eigenvalue, residual and product count.
+  for (std::size_t m : {1ul, 3ul, 8ul}) {
+    SCOPED_TRACE(::testing::Message() << "m " << m);
+    WorkerGate gate;
+    ServiceConfig config;
+    config.before_batch_hook = gate.hook();
+    config.max_batch = 8;
+    SolverService service(config);
+    // Hold the worker on another (nu, p) batch so the m requests coalesce.
+    SolveRequest blocker = quick_request(3.0);
+    blocker.nu = 5;
+    auto occupied = service.submit(blocker);
+    while (service.queue_stats().popped < 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::vector<SolveRequest> requests;
+    std::vector<std::future<SolveReply>> futures;
+    std::vector<core::Landscape> family;
+    for (std::size_t j = 0; j < m; ++j) {
+      SolveRequest r = quick_request();
+      r.nu = 8;
+      r.landscape = LandscapeKind::random;
+      r.param0 = 5.0;
+      r.param1 = 1.0;
+      r.seed = 40 + j;
+      requests.push_back(r);
+      family.push_back(core::Landscape::random(r.nu, r.param0, r.param1, r.seed));
+      futures.push_back(service.submit(r));
+    }
+    gate.release();
+    ASSERT_EQ(occupied.get().status, StatusCode::ok);
+
+    analysis::FamilyOptions options;
+    options.tolerance = requests.front().tolerance;
+    options.max_iterations = static_cast<unsigned>(requests.front().max_iterations);
+    const analysis::FamilyResult direct = analysis::sweep_landscape_family(
+        core::MutationModel::uniform(requests.front().nu, requests.front().p), family,
+        options);
+    for (std::size_t j = 0; j < m; ++j) {
+      const SolveReply reply = futures[j].get();
+      ASSERT_EQ(reply.status, StatusCode::ok) << reply.message;
+      EXPECT_EQ(reply.batch_width, m);
+      EXPECT_EQ(reply.eigenvalue, direct.eigenvalues[j]);
+      EXPECT_EQ(reply.residual, direct.residuals[j]);
+      EXPECT_EQ(reply.iterations, direct.panel_products);
+      const auto expected =
+          analysis::class_concentrations(requests[j].nu, direct.eigenvectors[j]);
+      ASSERT_EQ(reply.class_concentrations.size(), expected.size());
+      EXPECT_EQ(std::memcmp(reply.class_concentrations.data(), expected.data(),
+                            expected.size() * sizeof(double)),
+                0)
+          << "column " << j;
+    }
+  }
 }
 
 TEST(SolverService, IdenticalScenariosDedupeToOneAnswer) {

@@ -1,5 +1,6 @@
 // Equivalence tests for the multi-vector (panel) kernels: the interleaved
-// panel butterfly and its fused scalings (broadcast and per-column) run the
+// panel butterfly and its fused scalings (broadcast, and per column read
+// through column pointers) run the
 // single-vector span-kernel table, so every column must be BIT-IDENTICAL to
 // the single-vector product of that column across every engine backend,
 // panel width (SIMD-divisible and tail cases), kernel tier and tiling plan.
@@ -83,8 +84,9 @@ std::vector<SvKernel> resolvable_tiers() {
   return tiers;
 }
 
-/// How the test scales a panel: no diagonals, one length-N diagonal shared
-/// by all columns, or each column its own (a length N*m scaling panel).
+/// How the test scales a panel: no diagonals, one length-N pre- and
+/// post-scale shared by all columns, or each column its own pre-scale (m
+/// column pointers).
 enum class Scaling { none, broadcast, per_column };
 
 TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
@@ -98,15 +100,14 @@ TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
     const auto pre_diag = positive_vector(n, 10 + nu);
     const auto post_diag = positive_vector(n, 20 + nu);
     for (std::size_t m : {2ul, 3ul, 5ul, 8ul, 16ul}) {
-      std::vector<std::vector<double>> columns(m), pres(m), posts(m);
-      std::vector<double> panel(n * m), pre_panel(n * m), post_panel(n * m);
+      std::vector<std::vector<double>> columns(m), pres(m);
+      std::vector<const double*> pre_columns(m);
+      std::vector<double> panel(n * m);
       for (std::size_t j = 0; j < m; ++j) {
         columns[j] = random_vector(n, 100 * nu + j);
         pres[j] = positive_vector(n, 300 * nu + j);
-        posts[j] = positive_vector(n, 500 * nu + j);
         pack_panel_column(columns[j], panel, m, j);
-        pack_panel_column(pres[j], pre_panel, m, j);
-        pack_panel_column(posts[j], post_panel, m, j);
+        pre_columns[j] = pres[j].data();
       }
       for (Scaling scaling :
            {Scaling::none, Scaling::broadcast, Scaling::per_column}) {
@@ -114,9 +115,6 @@ TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
         if (scaling == Scaling::broadcast) {
           pre = pre_diag;
           post = post_diag;
-        } else if (scaling == Scaling::per_column) {
-          pre = pre_panel;
-          post = post_panel;
         }
         for (SvKernel tier : resolvable_tiers()) {
           BlockedPlan plan;
@@ -129,7 +127,6 @@ TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
               col_post = post_diag;
             } else if (scaling == Scaling::per_column) {
               col_pre = pres[j];
-              col_post = posts[j];
             }
             apply_blocked_butterfly_fused(columns[j], reference[j], factors,
                                           col_pre, col_post,
@@ -143,8 +140,13 @@ TEST(PanelButterfly, MatchesSingleVectorAcrossBackendsWidthsAndNu) {
                          << static_cast<int>(kind));
             const auto engine = parallel::make_test_engine(kind);
             std::vector<double> out(n * m);
-            apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre,
-                                                post, *engine, plan);
+            if (scaling == Scaling::per_column) {
+              apply_blocked_panel_butterfly_columns(panel, out, m, factors,
+                                                    pre_columns, *engine, plan);
+            } else {
+              apply_blocked_panel_butterfly_fused(panel, out, m, factors, pre,
+                                                  post, *engine, plan);
+            }
             std::vector<double> column(n);
             for (std::size_t j = 0; j < m; ++j) {
               unpack_panel_column(out, m, j, column);
@@ -238,37 +240,69 @@ TEST(PanelButterfly, FusedBroadcastScalingsMatchSingleVectorFused) {
 }
 
 TEST(PanelButterfly, PerColumnScalingsGiveEachColumnItsOwnDiagonal) {
-  // Length N*m scalings: column j must see exactly its own diagonals — the
-  // landscape-family mode W_j = D_post_j Q D_pre_j.
-  const unsigned nu = 9;
-  const std::size_t n = std::size_t{1} << nu;
-  const auto factors = asymmetric_factors(nu, 5);
-  for (std::size_t m : {2ul, 3ul, 8ul}) {
-    std::vector<double> pre_panel(n * m), post_panel(n * m), panel(n * m);
-    std::vector<std::vector<double>> reference(m);
-    for (std::size_t j = 0; j < m; ++j) {
-      const auto pre = positive_vector(n, 300 + j);
-      const auto post = positive_vector(n, 400 + j);
-      const auto x = random_vector(n, 500 + j);
-      pack_panel_column(pre, pre_panel, m, j);
-      pack_panel_column(post, post_panel, m, j);
-      pack_panel_column(x, panel, m, j);
-      reference[j].resize(n);
-      apply_blocked_butterfly_fused(x, reference[j], factors, pre, post,
-                                    parallel::serial_engine());
-    }
-    for (parallel::TestEngine kind : parallel::kTestEngines) {
-      const auto engine = parallel::make_test_engine(kind);
-      std::vector<double> out = panel;
-      apply_blocked_panel_butterfly_fused(out, out, m, factors, pre_panel,
-                                          post_panel, *engine);
-      std::vector<double> column(n);
-      for (std::size_t j = 0; j < m; ++j) {
-        unpack_panel_column(out, m, j, column);
-        expect_bitwise(reference[j], column, "per-column scaled column");
+  // The landscape family's product W_j = Q D_j: each column pre-scaled by
+  // its own diagonal, read in place through a column pointer.  On every
+  // table, nu = 1..12 (one band and several, a tile shorter than the SIMD
+  // transpose's rows included), widths that run the transpose whole (8,
+  // 16), not at all (2, 3) and in part, in place and out of place, on every
+  // engine: each column is the single-vector product Q (D_j x_j), bit for
+  // bit.
+  for (SvKernel tier : resolvable_tiers()) {
+    BlockedPlan plan;
+    plan.sv_kernel = tier;
+    for (unsigned nu = 1; nu <= 12; ++nu) {
+      const std::size_t n = std::size_t{1} << nu;
+      const auto factors = asymmetric_factors(nu, 40 + nu);
+      for (std::size_t m : {2ul, 3ul, 8ul, 16ul}) {
+        std::vector<std::vector<double>> diagonals(m), reference(m);
+        std::vector<const double*> pre_columns(m);
+        std::vector<double> panel(n * m);
+        for (std::size_t j = 0; j < m; ++j) {
+          diagonals[j] = positive_vector(n, 700 * nu + j);
+          pre_columns[j] = diagonals[j].data();
+          const auto x = random_vector(n, 900 * nu + j);
+          pack_panel_column(x, panel, m, j);
+          reference[j].resize(n);
+          apply_blocked_butterfly_fused(x, reference[j], factors, diagonals[j], {},
+                                        parallel::serial_engine(), plan);
+        }
+        for (parallel::TestEngine kind : parallel::kTestEngines) {
+          SCOPED_TRACE(::testing::Message()
+                       << "tier=" << to_string(tier) << " nu=" << nu << " m=" << m
+                       << " engine=" << parallel::test_engine_name(kind));
+          const auto engine = parallel::make_test_engine(kind);
+          std::vector<double> out(n * m);
+          apply_blocked_panel_butterfly_columns(panel, out, m, factors, pre_columns,
+                                                *engine, plan);
+          std::vector<double> in_place = panel;
+          apply_blocked_panel_butterfly_columns(in_place, in_place, m, factors,
+                                                pre_columns, *engine, plan);
+          std::vector<double> column(n);
+          for (std::size_t j = 0; j < m; ++j) {
+            unpack_panel_column(out, m, j, column);
+            expect_bitwise(reference[j], column, "out of place column");
+            unpack_panel_column(in_place, m, j, column);
+            expect_bitwise(reference[j], column, "in place column");
+          }
+        }
       }
     }
   }
+}
+
+TEST(PanelButterfly, ColumnScalingsRejectAWrongColumnCount) {
+  const unsigned nu = 4;
+  const std::size_t n = std::size_t{1} << nu, m = 3;
+  const auto factors = asymmetric_factors(nu, 6);
+  const auto diagonal = positive_vector(n, 7);
+  const std::vector<const double*> two = {diagonal.data(), diagonal.data()};
+  std::vector<double> panel(n * m, 1.0);
+  EXPECT_ANY_THROW(apply_blocked_panel_butterfly_columns(panel, panel, m, factors, two,
+                                                        parallel::serial_engine()));
+  // A length N*m span is no longer a per-column scaling.
+  const std::vector<double> interleaved(n * m, 1.0);
+  EXPECT_ANY_THROW(apply_blocked_panel_butterfly_fused(
+      panel, panel, m, factors, interleaved, {}, parallel::serial_engine()));
 }
 
 TEST(PanelButterfly, PlanVariationsAllAgree) {
@@ -326,18 +360,19 @@ TEST(PanelButterfly, PackUnpackRoundTrip) {
 }
 
 TEST(PanelMicrokernels, ActiveKernelsMatchScalarIncludingTails) {
-  // The panel-only entries of the span-kernel table (broadcast row
-  // scalings of an interleaved panel) on every tier this host resolves,
+  // The panel-only entries of the span-kernel table (broadcast and column
+  // row scalings of an interleaved panel) on every tier this host resolves,
   // the scalar table included, must equal the plain per-row multiply bit
-  // for bit: out of place, aliased and in place, at widths below, at and
-  // past each SIMD width, so every tier runs its column tail.
+  // for bit: out of place and aliased, at widths below, at and past each
+  // SIMD width, and over a row count that is no multiple of the SIMD
+  // transpose's, so every tier runs its column and row tails.
   std::vector<const SvKernels*> tables;
   for (SvKernel t : resolvable_tiers()) tables.push_back(&resolve_sv_kernels(t));
   for (const SvKernels* table : tables) {
     SCOPED_TRACE(table->name);
-    for (std::size_t m : {1ul, 2ul, 3ul, 7ul, 8ul, 9ul, 16ul}) {
+    for (std::size_t m : {1ul, 2ul, 3ul, 4ul, 7ul, 8ul, 9ul, 16ul}) {
       SCOPED_TRACE(::testing::Message() << "m=" << m);
-      const std::size_t rows = 9;
+      const std::size_t rows = 19;
       const auto x = random_vector(rows * m, 30 + m);
       const auto s = positive_vector(rows, 40 + m);
       std::vector<double> expected(rows * m);
@@ -355,9 +390,23 @@ TEST(PanelMicrokernels, ActiveKernelsMatchScalarIncludingTails) {
                                 m);
       expect_bitwise(expected, aliased, "mul_rows_broadcast aliased");
 
-      auto in_place = x;
-      table->mul_rows_broadcast_inplace(in_place.data(), s.data(), rows, m);
-      expect_bitwise(expected, in_place, "mul_rows_broadcast_inplace");
+      // Column scalings from row `row0` of m separate diagonals.
+      const std::size_t row0 = 5;
+      std::vector<std::vector<double>> diagonals(m);
+      std::vector<const double*> columns(m);
+      for (std::size_t c = 0; c < m; ++c) {
+        diagonals[c] = positive_vector(row0 + rows, 50 + 10 * m + c);
+        columns[c] = diagonals[c].data();
+        for (std::size_t r = 0; r < rows; ++r) {
+          expected[r * m + c] = diagonals[c][row0 + r] * x[r * m + c];
+        }
+      }
+      table->mul_rows_columns(y.data(), x.data(), columns.data(), row0, rows, m);
+      expect_bitwise(expected, y, "mul_rows_columns");
+      aliased = x;
+      table->mul_rows_columns(aliased.data(), aliased.data(), columns.data(), row0,
+                              rows, m);
+      expect_bitwise(expected, aliased, "mul_rows_columns aliased");
     }
   }
 }

@@ -95,10 +95,9 @@ TEST(SvMicrokernel, SimdSpanKernelsBitwiseMatchScalarIncludingTails) {
       table->mul_span(yb.data(), lo0.data(), s.data(), cnt);
       expect_bitwise(ya, yb, "mul_span");
 
-      auto za = lo0, zb = lo0;
-      scalar.mul_span_inplace(za.data(), s.data(), cnt);
-      table->mul_span_inplace(zb.data(), s.data(), cnt);
-      expect_bitwise(za, zb, "mul_span_inplace");
+      auto zb = lo0;
+      table->mul_span(zb.data(), zb.data(), s.data(), cnt);
+      expect_bitwise(ya, zb, "mul_span aliased");
     }
   }
 }
@@ -480,22 +479,43 @@ std::vector<double> reduction_input(std::size_t n, std::uint64_t seed,
 /// inputs with specials (so NaN/Inf propagate through every tree level).
 const bool kSpecialCases[] = {false, true};
 
-TEST(SvTreeReduction, SumAndAbsSumMatchTreeReduceOnEveryTier) {
+TEST(SvTreeReduction, SignSumsAndAbsSumMatchTreeReduceOnEveryTier) {
   for (const SvKernels* table : available_tables()) {
     SCOPED_TRACE(table->name);
     for (bool specials : kSpecialCases) {
       for (std::size_t n : reduction_lengths()) {
         const auto v = reduction_input(n, n + 1, specials);
         const double* p = v.data();
-        const double sum = linalg::tree_reduce(
-            std::size_t{0}, n, [p](std::size_t i) { return p[i]; });
+        const double positive = linalg::tree_reduce(
+            std::size_t{0}, n, [p](std::size_t i) { return p[i] > 0.0 ? p[i] : 0.0; });
+        const double negative = linalg::tree_reduce(
+            std::size_t{0}, n, [p](std::size_t i) { return p[i] < 0.0 ? p[i] : 0.0; });
         const double abs_sum = linalg::tree_reduce(
             std::size_t{0}, n, [p](std::size_t i) { return std::abs(p[i]); });
-        ASSERT_TRUE(same_bits(sum, table->tree_sum(p, n)))
-            << "tree_sum n=" << n << " specials=" << specials;
+        const TreeSums signs = table->tree_sign_sums(p, n);
+        ASSERT_TRUE(same_bits(positive, signs.first))
+            << "positive part n=" << n << " specials=" << specials;
+        ASSERT_TRUE(same_bits(negative, signs.second))
+            << "negative part n=" << n << " specials=" << specials;
         ASSERT_TRUE(same_bits(abs_sum, table->tree_abs_sum(p, n)))
             << "tree_abs_sum n=" << n << " specials=" << specials;
       }
+    }
+  }
+}
+
+TEST(SvTreeReduction, PositivePartOfANonnegativeVectorIsItsAbsSum) {
+  // The orientation pass normalises by the positive part's sum; with no
+  // negative entry that must be the tree 1-norm, bit for bit, signed zeros
+  // included.
+  for (const SvKernels* table : available_tables()) {
+    SCOPED_TRACE(table->name);
+    for (std::size_t n : reduction_lengths()) {
+      std::vector<double> v = positive_vector(n, n + 7);
+      for (std::size_t i = 0; i < n; i += 5) v[i] = (i % 2 == 0) ? 0.0 : -0.0;
+      const TreeSums signs = table->tree_sign_sums(v.data(), n);
+      ASSERT_TRUE(same_bits(table->tree_abs_sum(v.data(), n), signs.first)) << n;
+      ASSERT_TRUE(same_bits(0.0, signs.second)) << n;
     }
   }
 }
@@ -616,15 +636,21 @@ TEST(SvTreeReduction, Panel8PassesMatchTreeReducePerColumnOnEveryTier) {
             }
           }
           double orient[2 * m];
-          table->panel8_orientation_sums(x.data(), rows, orient);
+          table->panel8_sign_sums(x.data(), rows, orient);
           for (std::size_t c = 0; c < m; ++c) {
             const double* xp = x.data();
             ASSERT_TRUE(same_bits(linalg::tree_reduce(std::size_t{0}, rows,
-                                                      [xp, c](std::size_t i) { return xp[i * m + c]; }),
-                                  orient[c])) << "sum rows=" << rows << " column " << c;
+                                                      [xp, c](std::size_t i) {
+                                                        const double v = xp[i * m + c];
+                                                        return v > 0.0 ? v : 0.0;
+                                                      }),
+                                  orient[c])) << "positive rows=" << rows << " column " << c;
             ASSERT_TRUE(same_bits(linalg::tree_reduce(std::size_t{0}, rows,
-                                                      [xp, c](std::size_t i) { return std::abs(xp[i * m + c]); }),
-                                  orient[m + c])) << "abs sum rows=" << rows << " column " << c;
+                                                      [xp, c](std::size_t i) {
+                                                        const double v = xp[i * m + c];
+                                                        return v < 0.0 ? v : 0.0;
+                                                      }),
+                                  orient[m + c])) << "negative rows=" << rows << " column " << c;
           }
         }
       }

@@ -17,9 +17,16 @@
 
 #include "support/alloc_counter.hpp"
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 namespace {
 
 std::atomic<std::size_t> largest{0};
+std::atomic<std::size_t> huge_page_advice_calls{0};
 
 void note_size(std::size_t size) {
   std::size_t seen = largest.load(std::memory_order_relaxed);
@@ -55,6 +62,26 @@ std::size_t qs::test::largest_allocation() noexcept {
 void qs::test::reset_largest_allocation() noexcept {
   largest.store(0, std::memory_order_relaxed);
 }
+
+std::size_t qs::test::huge_page_advices() noexcept {
+  return huge_page_advice_calls.load(std::memory_order_relaxed);
+}
+
+void qs::test::reset_huge_page_advices() noexcept {
+  huge_page_advice_calls.store(0, std::memory_order_relaxed);
+}
+
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+// Replaces the C library's madvise for the whole test binary (its own
+// allocator calls an internal alias, not this one) and forwards every call
+// to the system call unchanged.
+extern "C" int madvise(void* address, std::size_t length, int advice) noexcept {
+  if (advice == MADV_HUGEPAGE) {
+    huge_page_advice_calls.fetch_add(1, std::memory_order_relaxed);
+  }
+  return static_cast<int>(::syscall(SYS_madvise, address, length, advice));
+}
+#endif
 
 void* operator new(std::size_t size) { return counted_alloc(size); }
 void* operator new[](std::size_t size) { return counted_alloc(size); }

@@ -2,21 +2,26 @@
 // label (ctest -L perf-smoke).  It is deliberately coarse: the only failures
 // it hunts are catastrophic regressions (an accidental O(N^2) path, a
 // de-vectorised microkernel, a panel layout that stopped amortising memory
-// traffic), so the thresholds sit above healthy values.  Checks 1, 5, 9
-// and 10 time their two sides alternately (best_of_alternating_seconds),
+// traffic), so the thresholds sit above healthy values.  Checks 1, 5, 9,
+// 10 and 11 time their two sides alternately (best_of_alternating_seconds),
 // so host drift lands on both sides instead of in the ratio.  Over 40
 // standalone runs of a Release build on a shared 4-CPU AVX-512 host, the
 // worst value of each timed check and its bound's margin over it (bound /
 // worst, or worst / bound for the >= checks) were
 //   check 1   1.33  of <= 2      1.50x     check 7   3.07  of >= 1.15   2.7x
-//   check 2   0.49  of <= 3      6.2x      check 8   4.44  of >= 1.3    3.4x
+//   check 2   0.49  of <= 3      6.2x      check 8   5.79  of >= 1.3    4.5x
 //   check 5   1.10  of <= 1.3    1.18x     check 9   1.18  of <= 1.5    1.27x
 //   check 6   0.17% of <= 1%     5.8x      check 10  1.17  of <= 1.3    1.11x
-// (medians 1.00, 0.36, 1.03, 0.13%, 3.65, 5.56, 1.09, 1.08), with no
-// failure.  Timed back to back, checks 1, 5 and 9 read up to 1.50, 1.26 and
-// 1.22 over 40 runs in the same hour, and up to 1.93, 1.21 and 1.51 (one
-// failure) on a noisier day.  A loaded host can still fail a check; rerun
-// it alone before blaming a change.
+//                                          check 11  1.66  of <= 2      1.20x
+// (medians 1.00, 0.36, 1.03, 0.13%, 3.65, 7.14, 1.09, 1.08, 1.56), with no
+// failure; checks 8 and 11 were measured after the tree reductions shared
+// their upper levels across blocks, the others before.  Two earlier sets
+// of 40, before pass 2 swept its sub-blocks last to first, read check 11
+// at 1.36-1.54 and 1.43-1.71; the bound is set over all three.  Timed back
+// to back, checks 1, 5 and 9 read up to 1.50, 1.26 and 1.22 over 40 runs in
+// the same hour, and up to 1.93, 1.21 and 1.51 (one failure) on a noisier
+// day.  A loaded host can still fail a check; rerun it alone before blaming
+// a change.
 //
 // Checks, at nu = 16 on the serial engine:
 //   1. panel m = 8 per-vector time <= 2x one single-vector blocked matvec
@@ -67,6 +72,15 @@
 //      (~1.75x when every product paid a column-sum and a rescale pass).
 //      Catches the loop growing per-product passes again.  Skipped like
 //      check 7.
+//  11. a default facade solve takes <= 2x its own products run alone,
+//      back to back, and formed pass 1 inside them (CheckPath::fused): the
+//      last band of every check product sums the chunks it finishes, so
+//      only pass 2 and the set-up remain on top.  The path is checked
+//      directly because the ratio cannot tell: at nu = 16 both vectors sit
+//      in L2, both forms of pass 1 are bound by their arithmetic, and the
+//      standalone pass reads the same ratio to within a few percent.
+//      Catches the loop growing per-iteration passes, and the products
+//      silently dropping pass 1.
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -82,6 +96,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "reference/fmmp.hpp"
+#include "solvers/quasispecies_solver.hpp"
 #include "stochastic/ensemble.hpp"
 #include "support/rng.hpp"
 #include "transforms/blocked_butterfly.hpp"
@@ -404,6 +419,37 @@ int main() {
                 << " s exceeds 1.3x its own " << products << " panel products ("
                 << t_products << " s, " << ratio
                 << "x) — the family loop grew per-product passes\n";
+      ++failures;
+    }
+  }
+
+  {
+    // Check 11: the facade loop's overhead over its own products.
+    unsigned iterations = 0;
+    solvers::CheckPath path = solvers::CheckPath::passes;
+    const auto [t_solve, t_products] = best_of_alternating_seconds(
+        2 * reps,
+        [&] {
+          const auto r = solvers::solve(model, landscape);
+          iterations = r.iterations;
+          path = r.check_path;
+        },
+        [&] {
+          for (unsigned k = 0; k < iterations; ++k) op.apply(x, y);
+        });
+    const double ratio = t_solve / t_products;
+    std::cout << "  facade loop         : solve " << t_solve << " s, its " << iterations
+              << " products alone " << t_products << " s (" << ratio
+              << "x), pass 1 " << solvers::to_string(path) << "\n";
+    if (path != solvers::CheckPath::fused) {
+      std::cerr << "FAIL: the facade solve formed pass 1 in a standalone pass — "
+                   "its products no longer carry the check sums\n";
+      ++failures;
+    }
+    if (ratio > 2.0) {
+      std::cerr << "FAIL: the facade solve " << t_solve << " s exceeds 2x its own "
+                << iterations << " products (" << t_products << " s, " << ratio
+                << "x) — the power loop grew per-iteration passes\n";
       ++failures;
     }
   }

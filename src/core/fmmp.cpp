@@ -34,32 +34,43 @@ void FmmpOperator::apply(std::span<const double> x, std::span<double> y) const {
   apply_panel(x, y, 1);
 }
 
+bool FmmpOperator::apply_step(std::span<const double> x, std::span<double> y,
+                              transforms::BandStep& step) const {
+  if (model_.kind() == MutationKind::grouped) return false;
+  require(x.size() == dimension() && y.size() == dimension(),
+          "FmmpOperator::apply_step: dimension mismatch");
+  require(x.data() != y.data(), "FmmpOperator::apply_step: x and y must not alias");
+  const auto [pre, post] = scalings();
+  transforms::apply_blocked_butterfly_fused(x, y, model_.site_factors(), pre, post,
+                                            parallel::engine_or_serial(engine_), plan_,
+                                            &step);
+  return true;
+}
+
+std::pair<std::span<const double>, std::span<const double>> FmmpOperator::scalings()
+    const {
+  // Diagonal scalings of the chosen formulation:
+  //   right      W x = Q (F x)            pre = F
+  //   symmetric  W x = F^{1/2} Q F^{1/2}  pre = post = F^{1/2}
+  //   left       W x = F (Q x)            post = F
+  switch (formulation_) {
+    case Formulation::right:
+      return {landscape_->values(), {}};
+    case Formulation::symmetric:
+      return {sqrt_f_, sqrt_f_};
+    case Formulation::left:
+      return {{}, landscape_->values()};
+  }
+  return {};
+}
+
 void FmmpOperator::apply_panel(std::span<const double> x, std::span<double> y,
                                std::size_t m) const {
   require(m >= 1, "FmmpOperator::apply_panel: panel width m must be >= 1");
   require(x.size() == dimension() * m && y.size() == x.size(),
           "FmmpOperator::apply_panel: dimension mismatch");
 
-  const auto f = landscape_->values();
-
-  // Diagonal scalings of the chosen formulation:
-  //   right      W x = Q (F x)            pre = F
-  //   symmetric  W x = F^{1/2} Q F^{1/2}  pre = post = F^{1/2}
-  //   left       W x = F (Q x)            post = F
-  std::span<const double> pre, post;
-  switch (formulation_) {
-    case Formulation::right:
-      pre = f;
-      break;
-    case Formulation::symmetric:
-      pre = sqrt_f_;
-      post = sqrt_f_;
-      break;
-    case Formulation::left:
-      post = f;
-      break;
-  }
-
+  const auto [pre, post] = scalings();
   const parallel::Engine& engine = parallel::engine_or_serial(engine_);
 
   if (model_.kind() != MutationKind::grouped) {

@@ -13,6 +13,8 @@
 // that only tests and benches run.
 #pragma once
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/mutation_model.hpp"
@@ -40,6 +42,10 @@ class FmmpOperator final : public LinearOperator {
   /// y <- W x: apply_panel with m = 1.  Requires x.size() == y.size() ==
   /// dimension() and x, y not aliased.
   void apply(std::span<const double> x, std::span<double> y) const override;
+  /// apply with `step` on the banded kernel's last band; false for the
+  /// grouped kind, whose Kronecker kernel has no step.
+  bool apply_step(std::span<const double> x, std::span<double> y,
+                  transforms::BandStep& step) const override;
   std::string_view name() const override { return "Fmmp"; }
   std::optional<FitnessRange> fitness_range() const override {
     return FitnessRange{landscape_->min_fitness(), landscape_->max_fitness()};
@@ -68,6 +74,10 @@ class FmmpOperator final : public LinearOperator {
   const Landscape* landscape_;
   Formulation formulation_;
   const parallel::Engine* engine_;
+  /// The formulation's diagonal scalings: pre = F (right), F^{1/2}
+  /// (symmetric) or none; post = F (left), F^{1/2} (symmetric) or none.
+  std::pair<std::span<const double>, std::span<const double>> scalings() const;
+
   transforms::BlockedPlan plan_;
   std::vector<double> sqrt_f_;  // cached for the symmetric formulation
 };

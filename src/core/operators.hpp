@@ -22,6 +22,10 @@
 #include "core/landscape.hpp"
 #include "support/bits.hpp"
 
+namespace qs::transforms {
+class BandStep;
+}  // namespace qs::transforms
+
 namespace qs::core {
 
 /// Which of Eqs. (3)-(5) the operator represents.
@@ -52,6 +56,15 @@ class LinearOperator {
   /// y = W x. Requires x.size() == y.size() == dimension() and that x and y
   /// do not alias.
   virtual void apply(std::span<const double> x, std::span<double> y) const = 0;
+
+  /// y = W x with `step`'s epilogue on the product's last band
+  /// (transforms::BandStep), bit-identical to apply.  Returns false, having
+  /// done nothing, when the product has no such band: the default, kept by
+  /// every operator but the banded Fmmp of a 2x2-factor model.
+  virtual bool apply_step(std::span<const double> /*x*/, std::span<double> /*y*/,
+                          transforms::BandStep& /*step*/) const {
+    return false;
+  }
 
   /// Identifier for logs and bench output, e.g. "Fmmp" or "Xmvp(5)".
   virtual std::string_view name() const = 0;

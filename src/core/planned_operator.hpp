@@ -66,6 +66,11 @@ class PlannedOperator final : public LinearOperator {
     QS_TRACE_SPAN("fmmp.apply", kernel);
     op_->apply(x, y);
   }
+  bool apply_step(std::span<const double> x, std::span<double> y,
+                  transforms::BandStep& step) const override {
+    QS_TRACE_SPAN("fmmp.apply", kernel);
+    return op_->apply_step(x, y, step);
+  }
   std::string_view name() const override { return "PlannedFmmp"; }
   std::optional<FitnessRange> fitness_range() const override {
     return op_->fitness_range();
@@ -95,12 +100,15 @@ class PlannedOperator final : public LinearOperator {
   /// The scratch arena solver loops draw their temporaries from.  Mutable
   /// through a const operator: scratch contents are not part of the
   /// operator's logical state (one solve at a time, like apply itself).
+  /// Its buffers of 2 MiB and up (a single vector from nu = 18 on) are
+  /// huge-page mappings: a facade solve builds a fresh operator, so its
+  /// product buffer is fresh memory every solve (Workspace).
   Workspace& workspace() const { return workspace_; }
 
  private:
   std::optional<transforms::AutotuneReport> report_;
   std::unique_ptr<FmmpOperator> op_;
-  mutable Workspace workspace_;
+  mutable Workspace workspace_{Workspace::huge_page_advice};
 };
 
 }  // namespace qs::core

@@ -311,6 +311,7 @@ DistributedPowerResult distributed_power_rank(
   static_cast<solvers::IterationResult&>(out) = r;
   out.shift_schedule = r.shift_schedule;
   out.dropped_mass = r.dropped_mass;
+  out.check_path = r.check_path;
   // Gathered or not, the block is already oriented, clamped and normalised
   // by the global tree sums; a failed or cancelled solve gathers its last
   // iterate anyway (post-mortem parity with the serial loop).

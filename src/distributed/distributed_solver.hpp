@@ -151,6 +151,10 @@ struct DistributedPowerResult : solvers::IterationResult {
   /// The power loop's dropped mass (solvers::PowerResult), identical on
   /// every rank.
   double dropped_mass = 0.0;
+
+  /// Where the ranks formed pass 1: the standalone pass, always (the
+  /// product of a rank is its exchange, not one operator's bands).
+  solvers::CheckPath check_path = solvers::CheckPath::passes;
 };
 
 /// Produces each rank's landscape block: called once per rank with the

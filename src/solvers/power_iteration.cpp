@@ -15,6 +15,7 @@
 #include "parallel/engine.hpp"
 #include "parallel/row_blocks.hpp"
 #include "support/contracts.hpp"
+#include "transforms/blocked_butterfly.hpp"
 #include "transforms/sv_microkernel.hpp"
 #include "transforms/sv_tree_blocks.hpp"
 
@@ -47,6 +48,10 @@ class OperatorCollective final : public BlockCollective {
   explicit OperatorCollective(const core::LinearOperator& op) : op_(op) {}
   void apply(std::span<const double> x, std::span<double> y) override {
     op_.apply(x, y);
+  }
+  bool apply_step(std::span<const double> x, std::span<double> y,
+                  transforms::BandStep& step) override {
+    return op_.apply_step(x, y, step);
   }
   void allreduce(std::span<double>) override {}
   std::span<const double> gather(std::span<const double> x) override { return x; }
@@ -277,8 +282,8 @@ class Passes {
       const double* xb = x + begin * m;
       double* yb = y + begin * m;
       if (m == 1) {
-        partial[0] =
-            sv_.tree_residual_update(xb, yb, end - begin, lambda[0], mu, inv[0]);
+        partial[0] = residual_update_descending(xb, yb, end - begin, lambda[0], mu,
+                                                inv[0]);
       } else if (m == 8) {
         sv_.panel8_residual_update(xb, yb, end - begin, lambda, mu, inv, partial);
       } else {
@@ -286,6 +291,32 @@ class Passes {
                                              inv, partial, blocks_.scratch(begin));
       }
     }, out);
+  }
+
+  /// One column's pass 2 over [0, n), n a power of two, in aligned
+  /// sub-blocks taken from the last to the first and combined by
+  /// tree_reduce: complete subtrees, so the bits of one sweep.  The product
+  /// before the pass swept its rows in ascending order, so their later
+  /// parts are the likeliest still in cache; the next product's first band
+  /// starts at the head, which this order writes last.  (At nu = 18, on a
+  /// Xeon with 2 MiB of L2 per core, an iteration ran ~4% faster than with
+  /// one ascending sweep.)
+  double residual_update_descending(const double* x, double* y, std::size_t n,
+                                    double lambda, double mu, double inv) const {
+    constexpr std::size_t kMaxSubBlocks = 64;
+    constexpr std::size_t kMinSubBlock = std::size_t{1} << 12;
+    if (n < 2 * kMinSubBlock || !std::has_single_bit(n)) {
+      return sv_.tree_residual_update(x, y, n, lambda, mu, inv);
+    }
+    const std::size_t sub = std::max(kMinSubBlock, n / kMaxSubBlocks);
+    const std::size_t count = n / sub;
+    std::array<double, kMaxSubBlocks> partials{};
+    for (std::size_t b = count; b-- > 0;) {
+      partials[b] =
+          sv_.tree_residual_update(x + b * sub, y + b * sub, sub, lambda, mu, inv);
+    }
+    return linalg::tree_reduce(std::size_t{0}, count,
+                               [&partials](std::size_t b) { return partials[b]; });
   }
 
   /// out[c] = sum of column c's positive entries, out[m + c] = sum of its
@@ -335,7 +366,60 @@ class Passes {
   parallel::RowBlocks blocks_;
 };
 
+/// Pass 1 of a one-column check inside the check product: the product's
+/// last band hands over each chunk of y as it finishes it, and the chunk's
+/// {x.x, x.y, ||y - mu x||_1} go to that chunk's slot.  The chunks are
+/// aligned power-of-two ranges, so tree_reduce over the slots gives the
+/// one-block sums of Passes::check_sums bit for bit.  The slots grow in the
+/// first product's layout call and are reused after that.
+class ProductCheckSums final : public transforms::BandStep {
+ public:
+  ProductCheckSums() : sv_(reduction_kernels()) {}
+
+  /// The next product's x, y and shift.
+  void arm(const double* x, const double* y, double mu) {
+    x_ = x;
+    y_ = y;
+    mu_ = mu;
+  }
+
+  void layout(std::size_t ranges, std::size_t length) override {
+    partials_.resize(3 * ranges);
+    length_log2_ = static_cast<unsigned>(std::countr_zero(length));
+  }
+
+  void epilogue(std::size_t begin, std::size_t end) override {
+    const transforms::TreeSums t = sv_.tree_check_sums(x_ + begin, y_ + begin,
+                                                       end - begin, mu_);
+    double* slot = partials_.data() + 3 * (begin >> length_log2_);
+    slot[0] = t.first;
+    slot[1] = t.second;
+    slot[2] = t.third;
+  }
+
+  /// out[0..3) = the product's x.x, x.y and ||y - mu x||_1.
+  void sums(double* out) const {
+    const double* p = partials_.data();
+    for (std::size_t k = 0; k < 3; ++k) {
+      out[k] = linalg::tree_reduce(std::size_t{0}, partials_.size() / 3,
+                                   [p, k](std::size_t c) { return p[3 * c + k]; });
+    }
+  }
+
+ private:
+  const transforms::SvKernels& sv_;
+  const double* x_ = nullptr;
+  const double* y_ = nullptr;
+  double mu_ = 0.0;
+  unsigned length_log2_ = 0;
+  std::vector<double> partials_;
+};
+
 }  // namespace
+
+const char* to_string(CheckPath path) {
+  return path == CheckPath::fused ? "fused" : "passes";
+}
 
 PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
                            IterationDriver driver,
@@ -387,6 +471,10 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
   // spectrum, every product's residual, and one column.
   ShiftSchedule schedule(mu, mu > 0.0 && options.residual_check_every == 1 && m == 1,
                          trace.schedule);
+  // Pass 1 rides in the check products while the collective carries it;
+  // the first product that cannot leaves the solve on the standalone pass.
+  ProductCheckSums in_product;
+  bool fusable = sole && m == 1;
 
   for (unsigned it = trace.start_iteration + 1; it <= options.max_iterations; ++it) {
     const bool scheduled = driver.should_check(it, options.max_iterations);
@@ -399,7 +487,14 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
       break;
     }
     QS_TRACE_SPAN_ARG("power.iteration", solver, it);
-    collective.apply(x(), std::span<double>(check || !in_place ? yp : xp, size));
+    const double mu_it = schedule.shift();
+    const std::span<double> y(check || !in_place ? yp : xp, size);
+    bool summed = false;
+    if (check && fusable) {
+      in_product.arm(xp, yp, mu_it);
+      summed = fusable = collective.apply_step(x(), y, in_product);
+    }
+    if (!summed) collective.apply(x(), y);
     out.iterations = it;
     if (!check) {
       if (!in_place) {
@@ -411,8 +506,12 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
 
     // Pass 1: the Rayleigh quotient from the product in hand, and the
     // 1-norm of the shifted product.
-    const double mu_it = schedule.shift();
-    passes.check_sums(xp, yp, mu_it, sums.data());
+    if (summed) {
+      out.check_path = CheckPath::fused;
+      in_product.sums(sums.data());
+    } else {
+      passes.check_sums(xp, yp, mu_it, sums.data());
+    }
     collective.allreduce(sums);
     for (std::size_t c = 0; c < m; ++c) lambda[c] = sums[m + c] / sums[c];
     // Numerical-health guard: a NaN/Inf iterate makes the Rayleigh
@@ -479,6 +578,9 @@ PowerResult run_power_loop(BlockCollective& collective, IterationTrace trace,
     }
   }
   out.shift_schedule = schedule.report();
+  QS_TRACE_INSTANT_ARG(out.check_path == CheckPath::fused ? "solver.check_path.fused"
+                                                          : "solver.check_path.passes",
+                       solver, out.residual, out.iterations);
 
   // A non-finite exit leaves the garbage iterate in place for post-mortem
   // inspection but skips the orientation fix (flipping NaNs is meaningless).
@@ -525,8 +627,16 @@ bool valid_shift_schedule(const io::ShiftScheduleState& state) {
 }
 
 std::vector<double> landscape_start(const core::Landscape& landscape) {
-  std::vector<double> s(landscape.values().begin(), landscape.values().end());
-  normalize1_tree(s, "landscape_start: landscape has zero 1-norm");
+  // The norm read off the landscape, then the scaled copy written in one
+  // sweep: the bits normalize1_tree gives a copy, without filling the copy
+  // first.
+  const std::span<const double> f = landscape.values();
+  const double norm = reduction_kernels().tree_abs_sum(f.data(), f.size());
+  require(norm > 0.0, "landscape_start: landscape has zero 1-norm");
+  const double inv = 1.0 / norm;
+  std::vector<double> s;
+  s.reserve(f.size());
+  for (const double v : f) s.push_back(v * inv);
   return s;
 }
 

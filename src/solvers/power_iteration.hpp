@@ -57,6 +57,15 @@ struct ShiftScheduleReport {
   unsigned fallbacks = 0;   ///< Cycles that failed to lower the residual.
 };
 
+/// Where a power loop formed pass 1 of its residual checks.
+enum class CheckPath : unsigned char {
+  passes,  ///< A standalone pass over the block after each check product.
+  fused,   ///< Inside the check products' last band (transforms::BandStep).
+};
+
+/// "passes" or "fused".
+const char* to_string(CheckPath path);
+
 /// Outcome of a power iteration run: the shared outcome fields (eigenvalue,
 /// iterations, residual, converged/stalled/failure, checkpoint statistics)
 /// plus the eigenvector.
@@ -76,6 +85,7 @@ struct PowerResult : IterationResult {
   /// zeroes entries: 0 when it did not converge, and when every entry had
   /// the dominant sign.
   double dropped_mass = 0.0;
+  CheckPath check_path = CheckPath::passes;
 };
 
 /// Runs the (shifted) power iteration on `op` starting from `start`
@@ -146,6 +156,14 @@ class BlockCollective {
   /// aliasing() is true, x and y may be the same span.
   virtual void apply(std::span<const double> x, std::span<double> y) = 0;
 
+  /// apply(x, y) with `step`'s epilogue on the product's last band
+  /// (core::LinearOperator::apply_step); false, having done nothing, when
+  /// the product cannot carry it — the default.
+  virtual bool apply_step(std::span<const double> /*x*/, std::span<double> /*y*/,
+                          transforms::BandStep& /*step*/) {
+    return false;
+  }
+
   /// Completes block partial sums element-wise, in tree order across the
   /// participants; every participant receives the same bits.
   virtual void allreduce(std::span<double> values) = 0;
@@ -191,14 +209,21 @@ class BlockCollective {
 ///   2  ||y - lambda x||_2^2, y <- (y - mu x) / ||y - mu x||_1,
 ///                                               per column, one allreduce
 /// after which y is the iterate; a check that stops the solve keeps the
-/// checked iterate x.  Between checks a product runs with no reduction: in
-/// place when shift == 0 and the collective allows aliasing, otherwise out
-/// of place followed, when shift != 0, by one pass y <- y - mu x.  Such an
-/// unnormalised stretch lasts at most K = floor(64 / log2 s) products, s the
-/// larger of f_max - mu and 1 / (f_min - mu) over the collective's fitness
-/// range (K = 1 without one): when K is below the check cadence, every K-th
-/// iteration runs the check passes without observing them, and so does one
-/// that is due a periodic checkpoint.  Only checks write checkpoints.
+/// checked iterate x.  When the collective's apply_step can carry it — a
+/// lone one-column participant over a banded Fmmp — pass 1 rides in the
+/// check product itself: the last band sums each chunk of y it finishes,
+/// and the chunk sums, complete subtrees of the one summation tree, combine
+/// into the standalone pass's bits (out.check_path says which ran).  Pass
+/// 2 cannot ride in the next product's first band: that band overwrites x,
+/// which a check that stops must keep.  Between checks a product runs with
+/// no reduction: in place when shift == 0 and the collective allows
+/// aliasing, otherwise out of place followed, when shift != 0, by one pass
+/// y <- y - mu x.  Such an unnormalised stretch lasts at most K =
+/// floor(64 / log2 s) products, s the larger of f_max - mu and
+/// 1 / (f_min - mu) over the collective's fitness range (K = 1 without
+/// one): when K is below the check cadence, every K-th iteration runs the
+/// check passes without observing them, and so does one that is due a
+/// periodic checkpoint.  Only checks write checkpoints.
 /// A lone participant polls should_stop before every product that does not
 /// end in a scheduled check, and stops there without a checkpoint flush.
 ///

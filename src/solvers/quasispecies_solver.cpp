@@ -103,6 +103,7 @@ QuasispeciesResult solve(const core::MutationModel& model,
   out.recovery_attempts = recovery_attempts;
   out.shift_schedule = r.shift_schedule;
   out.dropped_mass = r.dropped_mass;
+  out.check_path = r.check_path;
   out.checkpoint_failures = checkpoint_failures;
   out.concentrations = std::move(r.eigenvector);
   if (out.failure != SolverFailure::none) {

@@ -85,6 +85,7 @@ struct QuasispeciesResult : IterationResult {
   unsigned recovery_attempts = 0;     ///< Restarts the degradation rule used.
   ShiftScheduleReport shift_schedule; ///< The shift schedule of the last run.
   double dropped_mass = 0.0;          ///< Of the last run (PowerResult).
+  CheckPath check_path = CheckPath::passes;  ///< Of the last run (PowerResult).
 };
 
 /// Solves for a general landscape (shifted power iteration on Fmmp).

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <sstream>
 
 #include "support/contracts.hpp"
 
@@ -44,15 +45,32 @@ std::string ArgParser::get(const std::string& name, const std::string& fallback)
   return it == options_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// Throws usage_error unless `value`, given as `text`, lies in [lo, hi].
+template <typename T>
+void require_in_range(const std::string& name, const std::string& text, T value,
+                      T lo, T hi) {
+  if (value >= lo && value <= hi) return;
+  std::ostringstream out;
+  out << "option --" << name << " out of range: " << text << " is not in [" << lo
+      << ", " << hi << "]";
+  throw usage_error(out.str());
+}
+
+}  // namespace
+
 double ArgParser::get_double(const std::string& name, double fallback, double lo,
                              double hi) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
   char* end = nullptr;
   const double value = std::strtod(it->second.c_str(), &end);
-  require(end != nullptr && *end == '\0' && !it->second.empty(),
-          "option --" + name + " expects a number, got '" + it->second + "'");
-  require(value >= lo && value <= hi, "option --" + name + " out of range");
+  if (end == nullptr || *end != '\0' || it->second.empty()) {
+    throw usage_error("option --" + name + " expects a number, got '" + it->second +
+                      "'");
+  }
+  require_in_range(name, it->second, value, lo, hi);
   return value;
 }
 
@@ -62,9 +80,11 @@ long ArgParser::get_long(const std::string& name, long fallback, long lo,
   if (it == options_.end()) return fallback;
   char* end = nullptr;
   const long value = std::strtol(it->second.c_str(), &end, 10);
-  require(end != nullptr && *end == '\0' && !it->second.empty(),
-          "option --" + name + " expects an integer, got '" + it->second + "'");
-  require(value >= lo && value <= hi, "option --" + name + " out of range");
+  if (end == nullptr || *end != '\0' || it->second.empty()) {
+    throw usage_error("option --" + name + " expects an integer, got '" +
+                      it->second + "'");
+  }
+  require_in_range(name, it->second, value, lo, hi);
   return value;
 }
 

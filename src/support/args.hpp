@@ -11,7 +11,17 @@
 #include <string_view>
 #include <vector>
 
+#include "support/contracts.hpp"
+
 namespace qs {
+
+/// A command-line value a tool cannot use: not a number, or outside the
+/// option's range.  The message is plain ("option --tolerance out of
+/// range: ..."); every tool prints it as "error: <message>" and exits 2.
+class usage_error : public precondition_error {
+ public:
+  using precondition_error::precondition_error;
+};
 
 /// Parsed command line: options plus positional arguments.
 class ArgParser {
@@ -29,8 +39,8 @@ class ArgParser {
   /// String option value, or fallback when absent.
   std::string get(const std::string& name, const std::string& fallback) const;
 
-  /// Numeric option values with range validation; throw precondition_error
-  /// on parse failure or range violation.
+  /// Numeric option values with range validation; throw usage_error, naming
+  /// the option and its range [lo, hi], on parse failure or range violation.
   double get_double(const std::string& name, double fallback, double lo,
                     double hi) const;
   long get_long(const std::string& name, long fallback, long lo, long hi) const;

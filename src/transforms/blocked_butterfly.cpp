@@ -62,7 +62,7 @@ void apply_blocked_butterfly_fused(std::span<const double> x, std::span<double> 
                                    std::span<const double> pre_scale,
                                    std::span<const double> post_scale,
                                    const parallel::Engine& engine,
-                                   const BlockedPlan& plan) {
+                                   const BlockedPlan& plan, BandStep* step) {
   const std::size_t n = y.size();
   require(is_power_of_two(n), "blocked butterfly: length must be a power of two");
   const unsigned nu = log2_exact(n);
@@ -76,7 +76,7 @@ void apply_blocked_butterfly_fused(std::span<const double> x, std::span<double> 
           "blocked butterfly: post_scale size mismatch");
 
   apply_sv(resolve_sv_kernels(plan.sv_kernel), x, y, factors, pre_scale,
-           post_scale, engine, plan);
+           post_scale, engine, plan, step);
 }
 
 void apply_blocked_butterfly(std::span<double> v, std::span<const Factor2> factors,

@@ -111,17 +111,38 @@ void apply_blocked_butterfly(std::span<double> v, std::span<const Factor2> facto
                              const parallel::Engine& engine,
                              const BlockedPlan& plan = {});
 
+/// Work a single-vector product does on its own output while the output is
+/// still in cache: the last band hands every chunk of y it finishes to
+/// `epilogue`.  Before any band runs, `layout(ranges, length)` announces,
+/// on the calling thread, that y will arrive as `ranges` chunks of
+/// `length` doubles; then epilogue(begin, end) runs once per chunk
+/// [begin, end), after any post-scale, on the engine's lanes (concurrently
+/// on disjoint chunks).  Every chunk is an aligned power-of-two range, so a
+/// tree-ordered sum over one is a complete subtree of the whole vector's
+/// (linalg/tree_reduce.hpp): chunk sums combined by tree_reduce are the
+/// whole-vector sums bit for bit.
+class BandStep {
+ public:
+  virtual void layout(std::size_t ranges, std::size_t length) = 0;
+  virtual void epilogue(std::size_t begin, std::size_t end) = 0;
+
+ protected:
+  ~BandStep() = default;
+};
+
 /// Fused product y <- D_post (Q (D_pre x)) where Q is the butterfly of
 /// `factors` and D_pre/D_post are diagonal scalings (empty span = identity).
 /// The scalings ride inside the first/last band's tile loops, costing no
 /// extra pass over the vector.  x may alias y exactly (x.data() == y.data())
 /// or not at all.  Requires x.size() == y.size() == 2^factors.size() and
-/// pre/post, when nonempty, of the same size.
+/// pre/post, when nonempty, of the same size.  A non-null `step` sees y's
+/// chunks as the last band finishes them.
 void apply_blocked_butterfly_fused(std::span<const double> x, std::span<double> y,
                                    std::span<const Factor2> factors,
                                    std::span<const double> pre_scale,
                                    std::span<const double> post_scale,
                                    const parallel::Engine& engine,
-                                   const BlockedPlan& plan = {});
+                                   const BlockedPlan& plan = {},
+                                   BandStep* step = nullptr);
 
 }  // namespace qs::transforms

@@ -195,15 +195,24 @@ struct RowStage {
 
 /// The band driver behind every product: band 0 on contiguous tiles of 2^k1
 /// rows, then one dispatch per high band over gather panels.  `k` supplies
-/// the span kernels, `max_radix` caps their level fusion, and a non-null
-/// `stage` runs before the band-0 sweep and takes over the pre-scale.
+/// the span kernels, `max_radix` caps their level fusion, a non-null
+/// `stage` runs before the band-0 sweep and takes over the pre-scale, and a
+/// non-null `step` gets the last band's finished chunks (BandStep).
 void run_bands(const SvKernels& k, unsigned max_radix, const RowStage* stage,
                [[maybe_unused]] const char* span_name, const BandJob& job,
-               const parallel::Engine& engine, const BlockedPlan& eff) {
+               const parallel::Engine& engine, const BlockedPlan& eff,
+               BandStep* step = nullptr) {
   const auto [xs, ys, m, nu, fs, pre, post] = job;
   const std::size_t n = std::size_t{1} << nu;
   const BandBounds bounds = row_band_bounds(nu, eff);
   const std::size_t bands = bounds.bands();
+  if (step != nullptr) {
+    // The last band's chunks: band 0's tiles when it is the only band,
+    // otherwise the 2^chunk-row bursts of the last band's gather panels.
+    const unsigned last = bands <= 1 ? (bands == 0 ? 0 : bounds[1])
+                                     : std::min(eff.chunk_log2, bounds[bands - 1]);
+    step->layout(n >> last, (std::size_t{1} << last) * m);
+  }
 
   // Band 0: levels [0, k1) stay inside contiguous tiles of 2^k1 panel rows
   // (2^k1 * m doubles); the pre-scale (and, for a single-band problem, the
@@ -216,6 +225,7 @@ void run_bands(const SvKernels& k, unsigned max_radix, const RowStage* stage,
     const std::size_t tile = std::size_t{1} << k1;
     const std::size_t tiles = n >> k1;
     const bool fuse_post = bands <= 1 && post.mode != ScaleMode::none;
+    BandStep* const finish = bands <= 1 ? step : nullptr;
     engine.dispatch(tiles, [=, &k](std::size_t begin, std::size_t end) {
       for (std::size_t t = begin; t < end; ++t) {
         const std::size_t base_e = t << k1;
@@ -231,6 +241,7 @@ void run_bands(const SvKernels& k, unsigned max_radix, const RowStage* stage,
         }
         sweep_levels_staged(k, max_radix, fs, m, yt, tile * m, k1);
         if (fuse_post) scale_rows(k, post, yt, yt, base_e, tile, m);
+        if (finish != nullptr) finish->epilogue(base_d, base_d + tile * m);
       }
     });
   }
@@ -250,6 +261,7 @@ void run_bands(const SvKernels& k, unsigned max_radix, const RowStage* stage,
     const std::size_t items = n >> (b + chunk);
     const std::size_t chunks_per_low = std::size_t{1} << (k0 - chunk);
     const bool fuse_post = (band == bands - 1) && post.mode != ScaleMode::none;
+    BandStep* const finish = band == bands - 1 ? step : nullptr;
     const Factor2* bandf = fs + k0;
     engine.dispatch(items, [=, &k](std::size_t begin, std::size_t end) {
       for (std::size_t id = begin; id < end; ++id) {
@@ -305,6 +317,12 @@ void run_bands(const SvKernels& k, unsigned max_radix, const RowStage* stage,
             scale_rows(k, post, ys + row_e * m, ys + row_e * m, row_e, cols, m);
           }
         }
+        if (finish != nullptr) {
+          for (std::size_t r = 0; r < rows; ++r) {
+            const std::size_t row_d = (base_e + (r << k0)) * m;
+            finish->epilogue(row_d, row_d + cnt);
+          }
+        }
       }
     });
   }
@@ -332,7 +350,7 @@ BlockedPlan panel_plan(const BlockedPlan& plan, std::size_t m) {
 void apply_sv(const SvKernels& k, std::span<const double> x, std::span<double> y,
               std::span<const Factor2> factors, std::span<const double> pre_scale,
               std::span<const double> post_scale, const parallel::Engine& engine,
-              const BlockedPlan& plan) {
+              const BlockedPlan& plan, BandStep* step) {
   const auto nu = static_cast<unsigned>(factors.size());
   require(y.size() == std::size_t{1} << nu,
           "apply_sv: need nu factors for 2^nu doubles");
@@ -349,7 +367,7 @@ void apply_sv(const SvKernels& k, std::span<const double> x, std::span<double> y
   const BandJob job{x.data(), y.data(), width, nu - staged, factors.data() + staged,
                     scale(pre_scale), scale(post_scale)};
   run_bands(k, plan.sv_max_radix, rows8 ? &stage : nullptr, "fmmp.band", job, engine,
-            panel_plan(plan, width));
+            panel_plan(plan, width), step);
 }
 
 namespace {

@@ -92,11 +92,12 @@ void apply_blocked_panel_butterfly_columns(std::span<const double> x,
 /// (and the pre-scale) in band 0, then the band driver sweeps levels
 /// 3..nu-1 with k's span kernels under panel_plan(plan, 8), fusion capped
 /// at plan.sv_max_radix.  Below nu = 3 it is a one-column panel with no row
-/// stage.  The caller has checked the shapes.
+/// stage.  A non-null `step` sees y's chunks as the last band finishes
+/// them (BandStep).  The caller has checked the shapes.
 void apply_sv(const SvKernels& k, std::span<const double> x, std::span<double> y,
               std::span<const Factor2> factors, std::span<const double> pre_scale,
               std::span<const double> post_scale, const parallel::Engine& engine,
-              const BlockedPlan& plan);
+              const BlockedPlan& plan, BandStep* step = nullptr);
 
 /// Interleaves column j of the panel from a contiguous vector:
 /// panel[i*m + j] = column[i].  Requires column.size() * m == panel.size()

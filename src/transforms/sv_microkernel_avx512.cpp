@@ -9,7 +9,8 @@
 //
 // The tree_* reductions keep the scalar tree's shape: each 64-leaf block is
 // reduced level by level with even/odd lane permutes that add adjacent
-// pairs, in order, never by reassociating a sum.
+// pairs, in order, never by reassociating a sum, and eight blocks share
+// the levels above that in one register.
 #include "transforms/sv_microkernel.hpp"
 
 #if defined(QS_HAVE_SV_AVX512_KERNELS)
@@ -289,22 +290,28 @@ void sv_mul_rows_columns_avx512(double* y, const double* x, const double* const*
   }
 }
 
-/// Up to three leaf vectors of eight consecutive elements.
+/// Up to three vectors of eight partials.
 struct Leaves8 {
   __m512d a;
   __m512d b;
   __m512d c;
 };
 
+/// Lane indices of the even and odd elements of two vectors (16
+/// consecutive values).  Built where used, not at namespace scope, so no
+/// AVX-512 instruction runs during static initialisation.
+inline __attribute__((always_inline)) __m512i even_lanes() {
+  return _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+}
+inline __attribute__((always_inline)) __m512i odd_lanes() {
+  return _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
+}
+
 /// One tree level: a and b hold 16 consecutive partials; the result holds
-/// the 8 consecutive pair sums a0+a1, a2+a3, ..., b6+b7.  (The index
-/// vectors are built here, not at namespace scope, so no AVX-512
-/// instruction runs during static initialisation.)
+/// the 8 consecutive pair sums a0+a1, a2+a3, ..., b6+b7.
 inline __attribute__((always_inline)) __m512d tree_pair8(__m512d a, __m512d b) {
-  const __m512i even = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
-  const __m512i odd = _mm512_set_epi64(15, 13, 11, 9, 7, 5, 3, 1);
-  return _mm512_add_pd(_mm512_permutex2var_pd(a, even, b),
-                       _mm512_permutex2var_pd(a, odd, b));
+  return _mm512_add_pd(_mm512_permutex2var_pd(a, even_lanes(), b),
+                       _mm512_permutex2var_pd(a, odd_lanes(), b));
 }
 
 /// The last three levels over 8 consecutive partials:
@@ -315,44 +322,97 @@ inline __attribute__((always_inline)) double tree_finish8(__m512d p) {
   return _mm512_cvtsd_f64(tree_pair8(h, h));
 }
 
-/// The first K sums of leaf(i).{a, b, c} over [0, n), n blockwise.  leaf(i)
-/// returns the leaves of elements i..i+7 and runs exactly once per 8
-/// elements, in ascending order.
-template <std::size_t K, typename Leaf>
-TreeSums tree_blocks_avx512(std::size_t n, const Leaf& leaf) {
+/// The first K sums over [0, n), n blockwise.  pairs(i) returns, in .a, .b
+/// and .c, the tree's first level over elements i..i+15 — the 8 sums of
+/// adjacent leaf pairs — and runs exactly once per 16 elements, in
+/// ascending order.  A block's three further levels leave its 8 octet sums
+/// in one vector; eight blocks (512 elements, a complete subtree) then
+/// share the next six levels — lane b of the level-6 vector is block b's
+/// sum — so one counter push serves 512 elements.  Below eight blocks each
+/// block finishes alone.
+template <std::size_t K, typename Pairs>
+TreeSums tree_blocks_avx512(std::size_t n, const Pairs& pairs) {
   double pending[K][kTreeCounterDepth] = {};
+  const auto octets = [&pairs](std::size_t base, __m512d* o) {
+    const Leaves8 p0 = pairs(base);
+    const Leaves8 p1 = pairs(base + 16);
+    const Leaves8 p2 = pairs(base + 32);
+    const Leaves8 p3 = pairs(base + 48);
+    o[0] = tree_pair8(tree_pair8(p0.a, p1.a), tree_pair8(p2.a, p3.a));
+    if constexpr (K > 1) {
+      o[1] = tree_pair8(tree_pair8(p0.b, p1.b), tree_pair8(p2.b, p3.b));
+    }
+    if constexpr (K > 2) {
+      o[2] = tree_pair8(tree_pair8(p0.c, p1.c), tree_pair8(p2.c, p3.c));
+    }
+  };
   const std::size_t blocks = n / kTreeBlock;
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
-    const std::size_t base = blk * kTreeBlock;
-    __m512d p[K][4];
-    for (std::size_t j = 0; j < 4; ++j) {
-      const Leaves8 l0 = leaf(base + 16 * j);
-      const Leaves8 l1 = leaf(base + 16 * j + 8);
-      p[0][j] = tree_pair8(l0.a, l1.a);
-      if constexpr (K > 1) p[1][j] = tree_pair8(l0.b, l1.b);
-      if constexpr (K > 2) p[2][j] = tree_pair8(l0.c, l1.c);
+  const std::size_t groups = blocks >= 8 ? blocks / 8 : blocks;
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (blocks < 8) {
+      __m512d o[K];
+      octets(g * kTreeBlock, o);
+      for (std::size_t k = 0; k < K; ++k) {
+        tree_counter_push(pending[k], g, tree_finish8(o[k]));
+      }
+      continue;
+    }
+    const std::size_t base = g * 8 * kTreeBlock;
+    __m512d q[4][K];
+    for (std::size_t c = 0; c < 4; ++c) {
+      __m512d lo[K];
+      __m512d hi[K];
+      octets(base + 2 * c * kTreeBlock, lo);
+      octets(base + (2 * c + 1) * kTreeBlock, hi);
+      for (std::size_t k = 0; k < K; ++k) q[c][k] = tree_pair8(lo[k], hi[k]);
     }
     for (std::size_t k = 0; k < K; ++k) {
-      tree_counter_push(pending[k], blk,
-                        tree_finish8(tree_pair8(tree_pair8(p[k][0], p[k][1]),
-                                                tree_pair8(p[k][2], p[k][3]))));
+      const __m512d s =
+          tree_pair8(tree_pair8(q[0][k], q[1][k]), tree_pair8(q[2][k], q[3][k]));
+      tree_counter_push(pending[k], g, tree_finish8(s));
     }
   }
   double out[3] = {};
-  for (std::size_t k = 0; k < K; ++k) out[k] = tree_counter_root(pending[k], blocks);
+  for (std::size_t k = 0; k < K; ++k) out[k] = tree_counter_root(pending[k], groups);
   return {out[0], out[1], out[2]};
 }
 
+/// tree_blocks_avx512 over per-element leaves: leaf(i) returns the leaves
+/// of elements i..i+7 and runs once per 8 elements, in ascending order.
+template <std::size_t K, typename Leaf>
+TreeSums tree_leaves_avx512(std::size_t n, const Leaf& leaf) {
+  return tree_blocks_avx512<K>(n, [&leaf](std::size_t i) {
+    const Leaves8 l0 = leaf(i);
+    const Leaves8 l1 = leaf(i + 8);
+    Leaves8 p{tree_pair8(l0.a, l1.a), l0.b, l0.c};
+    if constexpr (K > 1) p.b = tree_pair8(l0.b, l1.b);
+    if constexpr (K > 2) p.c = tree_pair8(l0.c, l1.c);
+    return p;
+  });
+}
+
+/// Pass 1 splits x and y into even and odd elements first: each leaf is
+/// the same per-element product, and the first level becomes a lane-wise
+/// add of the even and odd leaves for all three sums — four permutes per
+/// 16 elements instead of six.
 template <bool Shift>
 TreeSums check_sums_avx512(const double* x, const double* y, std::size_t n,
                            double mu) {
   const __m512d shift = _mm512_set1_pd(mu);
   return tree_blocks_avx512<3>(n, [=](std::size_t i) {
-    const __m512d xv = _mm512_loadu_pd(x + i);
-    const __m512d yv = _mm512_loadu_pd(y + i);
-    const __m512d z = Shift ? _mm512_sub_pd(yv, _mm512_mul_pd(shift, xv)) : yv;
-    return Leaves8{_mm512_mul_pd(xv, xv), _mm512_mul_pd(xv, yv),
-                   _mm512_abs_pd(z)};
+    const __m512d x0 = _mm512_loadu_pd(x + i);
+    const __m512d x1 = _mm512_loadu_pd(x + i + 8);
+    const __m512d y0 = _mm512_loadu_pd(y + i);
+    const __m512d y1 = _mm512_loadu_pd(y + i + 8);
+    const __m512d xe = _mm512_permutex2var_pd(x0, even_lanes(), x1);
+    const __m512d xo = _mm512_permutex2var_pd(x0, odd_lanes(), x1);
+    const __m512d ye = _mm512_permutex2var_pd(y0, even_lanes(), y1);
+    const __m512d yo = _mm512_permutex2var_pd(y0, odd_lanes(), y1);
+    const __m512d ze = Shift ? _mm512_sub_pd(ye, _mm512_mul_pd(shift, xe)) : ye;
+    const __m512d zo = Shift ? _mm512_sub_pd(yo, _mm512_mul_pd(shift, xo)) : yo;
+    return Leaves8{_mm512_add_pd(_mm512_mul_pd(xe, xe), _mm512_mul_pd(xo, xo)),
+                   _mm512_add_pd(_mm512_mul_pd(xe, ye), _mm512_mul_pd(xo, yo)),
+                   _mm512_add_pd(_mm512_abs_pd(ze), _mm512_abs_pd(zo))};
   });
 }
 
@@ -369,7 +429,7 @@ double residual_update_avx512(const double* x, double* y, std::size_t n,
   const __m512d lam = _mm512_set1_pd(lambda);
   const __m512d shift = _mm512_set1_pd(mu);
   const __m512d scale = _mm512_set1_pd(inv);
-  return tree_blocks_avx512<1>(n, [=](std::size_t i) {
+  return tree_leaves_avx512<1>(n, [=](std::size_t i) {
            const __m512d xv = _mm512_loadu_pd(x + i);
            const __m512d yv = _mm512_loadu_pd(y + i);
            const __m512d r = _mm512_sub_pd(yv, _mm512_mul_pd(lam, xv));
@@ -397,7 +457,7 @@ TreeSums sv_tree_sign_sums_avx512(const double* v, std::size_t n) {
   // transpose8x8.)
   constexpr __mmask8 kAll = 0xFF;
   const __m512d zero = _mm512_setzero_pd();
-  return tree_blocks_avx512<2>(n, [v, zero](std::size_t i) {
+  return tree_leaves_avx512<2>(n, [v, zero](std::size_t i) {
     const __m512d a = _mm512_loadu_pd(v + i);
     return Leaves8{_mm512_maskz_max_pd(kAll, a, zero), _mm512_maskz_min_pd(kAll, a, zero),
                    zero};
@@ -406,7 +466,7 @@ TreeSums sv_tree_sign_sums_avx512(const double* v, std::size_t n) {
 
 double sv_tree_abs_sum_avx512(const double* v, std::size_t n) {
   if (!tree_blockwise(n)) return scalar_sv_kernels().tree_abs_sum(v, n);
-  return tree_blocks_avx512<1>(n, [v](std::size_t i) {
+  return tree_leaves_avx512<1>(n, [v](std::size_t i) {
            const __m512d a = _mm512_abs_pd(_mm512_loadu_pd(v + i));
            return Leaves8{a, a, a};
          }).first;

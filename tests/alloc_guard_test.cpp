@@ -65,6 +65,8 @@ TEST(AllocGuardTest, PowerIterationHotPathPerformsZeroHeapAllocations) {
   const solvers::PowerResult result = solvers::power_iteration(op, {}, options);
   ASSERT_EQ(result.iterations, kIterations);
   ASSERT_EQ(result.failure, solvers::SolverFailure::none);
+  // Pass 1 rode in the products (its chunk slots grow in the first one).
+  EXPECT_EQ(result.check_path, solvers::CheckPath::fused);
 
   // Iteration 1's sample is taken after the loop's one-time setup (start
   // vector, workspace growth); from then on the counter must not move.
@@ -94,7 +96,9 @@ TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations
   // (2^10, 2^14) that take the blockwise SIMD path, with no engine, with the serial and tree engines,
   // and fanned out over four blocks (per-block partial slots, span
   // allreduces), inline and on a real four-lane pool, whose dispatch
-  // must not allocate either.  None of it may touch the heap.
+  // must not allocate either.  The operator runs on the same engine, and
+  // every check product carries pass 1 in its last band, on the pool's
+  // lanes too.  None of it may touch the heap.
   const InlineLanes four_lanes;
   const parallel::ThreadPoolBackend pool(4);
   const struct {
@@ -109,7 +113,9 @@ TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations
     SCOPED_TRACE(c.engine != nullptr ? c.engine->name() : "no engine");
     const auto model = core::MutationModel::uniform(c.nu, 0.01);
     const auto fitness = core::Landscape::random(c.nu, 5.0, 1.0, 78);
-    const core::PlannedOperator op(model, fitness);
+    core::PlannedOperatorConfig config;
+    config.engine = c.engine;
+    const core::PlannedOperator op(model, fitness, config);
 
     constexpr unsigned kIterations = 90;
     solvers::PowerOptions options;
@@ -133,6 +139,7 @@ TEST(AllocGuardTest, FusedShiftedLoopWithSparseChecksPerformsZeroHeapAllocations
     const solvers::PowerResult result = solvers::power_iteration(op, {}, options);
     ASSERT_EQ(result.iterations, kIterations);
     ASSERT_EQ(result.failure, solvers::SolverFailure::none);
+    EXPECT_EQ(result.check_path, solvers::CheckPath::fused);
 
     unsigned first = 0;
     unsigned checks = 0;
@@ -183,6 +190,7 @@ TEST(AllocGuardTest, ScheduledShiftIterationsPerformZeroHeapAllocations) {
     ASSERT_EQ(result.failure, solvers::SolverFailure::none);
     ASSERT_GT(result.shift_schedule.engaged_at, 0u);
     ASSERT_GT(result.shift_schedule.fallbacks, 0u);
+    EXPECT_EQ(result.check_path, solvers::CheckPath::fused);
     for (unsigned it = 2; it <= kIterations; ++it) {
       EXPECT_EQ(samples[it], samples[1]) << "allocation during iteration " << it;
     }

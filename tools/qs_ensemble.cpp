@@ -280,6 +280,9 @@ int main(int argc, char** argv) {
   } catch (const CliError& e) {
     std::cerr << "error: " << e.message << "\n";
     return 2;
+  } catch (const qs::usage_error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -414,6 +414,7 @@ int run(const qs::ArgParser& args) {
   double residual = 0.0;
   qs::solvers::ShiftScheduleReport schedule;
   std::optional<double> dropped_mass;  // the power iteration's
+  std::optional<qs::solvers::CheckPath> check_path;  // the power iteration's
   const ResilienceCli resilience = parse_resilience(args);
   qs::install_shutdown_handlers();
   qs::Timer timer;
@@ -467,6 +468,7 @@ int run(const qs::ArgParser& args) {
     residual = r.residual;
     schedule = r.shift_schedule;
     dropped_mass = r.dropped_mass;
+    check_path = r.check_path;
   } else if (args.has("block-size") || solver == "block") {
     qs::solvers::BlockPowerOptions bopts;
     bopts.k = static_cast<unsigned>(args.get_long("block-size", 2, 1, 64));
@@ -520,6 +522,7 @@ int run(const qs::ArgParser& args) {
     residual = r.residual;
     schedule = r.shift_schedule;
     dropped_mass = r.dropped_mass;
+    check_path = r.check_path;
   } else if (solver == "arnoldi") {
     qs::solvers::ArnoldiOptions opts;
     opts.tolerance = tolerance;
@@ -624,6 +627,9 @@ int run(const qs::ArgParser& args) {
   m.set_value("residual", residual);
   m.set_value("solve_seconds", seconds);
   if (dropped_mass.has_value()) m.set_value("dropped_mass", *dropped_mass);
+  if (check_path.has_value()) {
+    m.set_info("solver.check_path", qs::solvers::to_string(*check_path));
+  }
   if (schedule.engaged_at != 0) {
     const auto text = [](double v) {
       std::ostringstream out;
@@ -664,6 +670,10 @@ int main(int argc, char** argv) {
   } catch (const CliError& e) {
     std::cerr << "error: " << e.message << "\n";
     verdict = e.verdict;
+    code = 2;
+  } catch (const qs::usage_error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    verdict = "error";
     code = 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
